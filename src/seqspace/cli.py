@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
 
+from . import __version__
 from .conditions import DEFAULT_CLASS_N, CLASS_TOL, check_class, regularity_report
 from .domains import basis_element
 from .duality import dual_membership
@@ -27,8 +29,6 @@ from .matrices import InverseTriangle, apply, inverse_of, invert_triangle, \
     matrix_from_spec
 from .sequences import make_sequence
 from .verdicts import EXIT_CODES, Verdict
-
-VERSION = "0.1.0"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,11 +53,24 @@ def _scalar_json(v):
     return str(v)
 
 
+def _tolerance(text: str) -> float:
+    """A finite, positive tolerance."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="seqspace",
                 description="Sequence-space matrix domains: transforms, "
                             "mapping classes, duals, and bases.")
-    p.add_argument("--version", action="version", version=f"seqspace {VERSION}")
+    p.add_argument("--version", action="version",
+                   version=f"seqspace {__version__}")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     t = sub.add_parser("transform", help="apply a matrix to a sequence")
@@ -73,7 +86,7 @@ def build_parser() -> _Parser:
     c.add_argument("--from", dest="from_space", required=True)
     c.add_argument("--to", dest="to_space", required=True)
     c.add_argument("--n", type=int, default=DEFAULT_CLASS_N)
-    c.add_argument("--tol", type=float, default=CLASS_TOL)
+    c.add_argument("--tol", type=_tolerance, default=CLASS_TOL)
     c.add_argument("--window", type=int, default=None)
     c.add_argument("--route", choices=("conditions", "oracle", "both"),
                    default="conditions")
@@ -87,7 +100,7 @@ def build_parser() -> _Parser:
                    help="the scalar sequence paired against the domain")
     d.add_argument("--kind", choices=("beta", "gamma"), default="beta")
     d.add_argument("--n", type=int, default=None)
-    d.add_argument("--tol", type=float, default=None)
+    d.add_argument("--tol", type=_tolerance, default=None)
     d.add_argument("--window", type=int, default=None)
     d.add_argument("--json", action="store_true")
 
@@ -95,7 +108,7 @@ def build_parser() -> _Parser:
                        help="evaluate the limit-preservation conditions")
     r.add_argument("--matrix", required=True)
     r.add_argument("--n", type=int, default=2000)
-    r.add_argument("--tol", type=float, default=CLASS_TOL)
+    r.add_argument("--tol", type=_tolerance, default=CLASS_TOL)
     r.add_argument("--window", type=int, default=None)
     r.add_argument("--json", action="store_true")
 
@@ -120,16 +133,17 @@ def _run_transform(args) -> Optional[Verdict]:
     a = matrix_from_spec(args.matrix)
     x = make_sequence(args.seq)
     fv = apply(a, x, args.n, mode=args.mode)
+    entries = fv.entries.tolist() if args.mode == "float" else fv.entries
     payload = {
         "command": "transform",
-        "version": VERSION,
+        "version": __version__,
         "matrix": a.describe(),
         "sequence": x.label,
         "n": args.n,
         "mode": args.mode,
-        "values": [_scalar_json(v) for v in fv.entries],
+        "values": [_scalar_json(v) for v in entries],
     }
-    lines = [f"{k}\t{_scalar_text(v)}" for k, v in enumerate(fv.entries, 1)]
+    lines = [f"{k}\t{_scalar_text(v)}" for k, v in enumerate(entries, 1)]
     if fv.overflow:
         payload["overflow_at"] = fv.overflow_index
         lines.append(f"# overflow at index {fv.overflow_index}")
@@ -141,7 +155,7 @@ def _run_check_class(args) -> Optional[Verdict]:
     report = check_class(args.matrix, args.from_space, args.to_space,
                          n=args.n, tol=args.tol, window=args.window,
                          route=args.route, seed=args.seed)
-    payload = {"command": "check-class", "version": VERSION}
+    payload = {"command": "check-class", "version": __version__}
     payload.update(report.to_dict())
     lines = [f"({report.from_space} : {report.to_space}) for "
              f"{payload['matrix']['name']}: {report.verdict}"]
@@ -162,7 +176,7 @@ def _run_check_class(args) -> Optional[Verdict]:
 def _run_dual(args) -> Optional[Verdict]:
     report = dual_membership(args.a, args.space, kind=args.kind,
                              n=args.n, tol=args.tol, window=args.window)
-    payload = {"command": "dual", "version": VERSION}
+    payload = {"command": "dual", "version": __version__}
     payload.update(report.to_dict())
     lines = [f"{args.kind}-dual of {report.space} for a = {args.a}: "
              f"{report.verdict}",
@@ -174,7 +188,7 @@ def _run_dual(args) -> Optional[Verdict]:
 def _run_regularity(args) -> Optional[Verdict]:
     report = regularity_report(args.matrix, n=args.n, tol=args.tol,
                                window=args.window)
-    payload = {"command": "regularity", "version": VERSION,
+    payload = {"command": "regularity", "version": __version__,
                "matrix": matrix_from_spec(args.matrix).describe()}
     payload.update(report.to_dict())
     lines = [f"regularity of {payload['matrix']['name']}: {report.verdict}",
@@ -198,7 +212,7 @@ def _run_basis(args) -> Optional[Verdict]:
         delta = max(delta, abs(float(diff)))
     payload = {
         "command": "basis",
-        "version": VERSION,
+        "version": __version__,
         "matrix": a.describe(),
         "k": args.k,
         "entries": {str(r): _scalar_json(v) for r, v in sorted(element.items())},

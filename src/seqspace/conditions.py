@@ -534,20 +534,8 @@ def _equality_condition(eng: _Engine, cond: str, kind: str,
                        "left side undecided at this truncation", eng.n)
     left = lv.value
     block = eng.final_rows(diff)
-    depth = block.shape[0]
-    top_row = eng.row_limit
-    first_row = top_row - depth + 1
-    rhs = 0.0
-    uncertainty = lv.tail_spread
-    for k in range(1, eng.n + 1):
-        col = block[:, k - 1]
-        below = col[max(0, k - first_row + 1):]  # rows strictly beyond column k
-        if len(below) == 0:
-            rhs += abs(float(col[-1]))
-            uncertainty += abs(float(col[-1]))
-        else:
-            rhs += abs(float(below.mean()))
-            uncertainty += float(np.ptp(below)) if len(below) > 1 else 0.0
+    first_row = eng.row_limit - block.shape[0] + 1
+    rhs, uncertainty = _column_mass(block, first_row, eng.n, lv.tail_spread)
     gap = abs(left - rhs)
     extras = {"left_limit": left, "column_mass": rhs,
               "uncertainty": uncertainty}
@@ -562,6 +550,35 @@ def _equality_condition(eng: _Engine, cond: str, kind: str,
     return _report(cond, Verdict.INCONCLUSIVE, left,
                    "column-limit estimates too uncertain at this truncation",
                    eng.n, **extras)
+
+
+def _column_mass(block: np.ndarray, first_row: int, n: int,
+                 spread: float) -> tuple:
+    """Column-limit estimates from the stacked rows ``first_row..`` of
+    ``block``: (sum of |mean| of the rows strictly below each column 1..n,
+    ``spread`` plus the sum of their ranges).  A column with no row below it
+    contributes its last entry's magnitude to both.
+    """
+    depth = block.shape[0]
+    # Columns before first_row have every stacked row below them: one
+    # reduction over the contiguous transpose, which sums each column as the
+    # mean of that column alone would.  The later columns see fewer rows.
+    full = np.ascontiguousarray(block[:, :first_row - 1].T)
+    mass = [np.abs(full.mean(axis=1))]
+    spreads = [[spread],
+               np.ptp(full, axis=1) if depth > 1 else np.zeros(len(full))]
+    for k in range(first_row, n + 1):
+        col = block[:, k - 1]
+        below = col[k - first_row + 1:]
+        if len(below) == 0:
+            mass.append([abs(col[-1])])
+            spreads.append([abs(col[-1])])
+        else:
+            mass.append([abs(below.mean())])
+            spreads.append([np.ptp(below) if len(below) > 1 else 0.0])
+    # Running totals in column order: the sums of a sequential loop.
+    return (float(np.add.accumulate(np.concatenate(mass))[-1]),
+            float(np.add.accumulate(np.concatenate(spreads))[-1]))
 
 
 def _eval_abs_rows_match_columns(eng: _Engine) -> ConditionReport:
@@ -810,13 +827,24 @@ def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
 # ---------------------------------------------------------------------------
 
 
+def _indices(m: int) -> np.ndarray:
+    return np.arange(1, m + 1, dtype=float)
+
+
 def _sign_blocks() -> Sequence:
+    def vector(m):
+        _, e = np.frexp(_indices(m))    # k = f * 2**e with f in [1/2, 1)
+        return np.where((e - 1) % 2 == 0, 1.0, -1.0)
     return Sequence(lambda k: 1 if int(math.log2(k)) % 2 == 0 else -1,
-                    label="sign-blocks")
+                    label="sign-blocks", vector=vector)
 
 
 def _alt_power(p: float, label: str) -> Sequence:
-    return Sequence(lambda k: (-1) ** k * float(k) ** p, label=label)
+    def vector(m):
+        k = _indices(m)
+        return np.where(k % 2 == 0, 1.0, -1.0) * k ** p
+    return Sequence(lambda k: (-1) ** k * float(k) ** p, label=label,
+                    vector=vector)
 
 
 def _base_samples(tag: str, seed: int) -> list:
@@ -832,22 +860,28 @@ def _base_samples(tag: str, seed: int) -> list:
         ("power:-2", make_sequence("power:-2")),
         ("alt-sqrt", _alt_power(-0.5, "alt-sqrt")),
         ("alt-harmonic", _alt_power(-1.0, "alt-harmonic")),
-        ("log-slow", Sequence(lambda k: 1.0 / math.log(k + 1), label="log-slow")),
+        ("log-slow", Sequence(lambda k: 1.0 / math.log(k + 1), label="log-slow",
+                              vector=lambda m: 1.0 / np.log(_indices(m) + 1))),
         # A slowly-chirped null sequence.  Its domain preimages oscillate at
         # the resonant sweep that smoothing kernels pass, so it witnesses
         # unbounded transfers that every smooth sample slips through.  The
         # sweep rate 4 keeps successive image peaks closer together than the
         # detection window while losing only a constant factor to smoothing.
-        ("chirp-slow", Sequence(lambda k: math.sin(4.0 * math.sqrt(k))
-                                / math.log(k + 1), label="chirp-slow")),
+        ("chirp-slow", Sequence(
+            lambda k: math.sin(4.0 * math.sqrt(k)) / math.log(k + 1),
+            label="chirp-slow",
+            vector=lambda m: (np.sin(4.0 * np.sqrt(_indices(m)))
+                              / np.log(_indices(m) + 1)))),
         ("random-finite", make_sequence({"kind": "list", "values": random_vals})),
     ]
     c_extra = [
         ("const:1", make_sequence("const:1")),
         ("one-plus-power:-2",
-         Sequence(lambda k: 1.0 + 1.0 / k ** 2, label="one-plus-power:-2")),
+         Sequence(lambda k: 1.0 + 1.0 / k ** 2, label="one-plus-power:-2",
+                  vector=lambda m: 1.0 + 1.0 / _indices(m) ** 2)),
         ("one-plus-geometric",
-         Sequence(lambda k: 1.0 + 0.5 ** k, label="one-plus-geometric")),
+         Sequence(lambda k: 1.0 + 0.5 ** k, label="one-plus-geometric",
+                  vector=lambda m: 1.0 + np.ldexp(1.0, -np.arange(1, m + 1)))),
     ]
     linf_extra = [
         ("alternating", make_sequence("alternating")),
@@ -895,12 +929,13 @@ def oracle_samples(space, seed: int = 0) -> list:
     return out
 
 
-def _cached_image(a: InfiniteMatrix, label: str, x: Sequence, n: int):
+def _cached_image(a: InfiniteMatrix, label: str, x: Sequence, n: int,
+                  seed: int):
     cache = getattr(a, "_image_cache", None)
     if cache is None:
         cache = {}
         setattr(a, "_image_cache", cache)
-    key = (label, n)
+    key = (label, n, seed)
     got = cache.get(key)
     if got is None:
         got = apply(a, x, n, mode="float")
@@ -936,7 +971,7 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
         window = _class_window(n)
     probes = []
     for label, x in oracle_samples(from_space, seed):
-        img = _cached_image(a, label, x, n)
+        img = _cached_image(a, label, x, n, seed)
         if img.overflow:
             probes.append(SampleProbe(
                 label, Verdict.INCONCLUSIVE,

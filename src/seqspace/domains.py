@@ -10,6 +10,7 @@ norms and membership verdicts carry the truncation they were computed at.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -98,10 +99,22 @@ def domain_preimage(space_or_matrix, y, n: int, mode: str = "exact") -> FiniteVe
 
 
 def preimage_sequence(space_or_matrix, y) -> Sequence:
-    """The preimage as a lazy sequence: ``x_k`` computed on demand."""
+    """The preimage as a lazy sequence: ``x_k`` computed on demand.
+
+    Its float prefix is the float transform of ``y`` by the inverse triangle;
+    entries from the first overflow on are ``inf``.
+    """
     a = _resolve_triangle(space_or_matrix)
     inv = inverse_of(a)
     y = make_sequence(y)
+
+    def vector(n: int) -> np.ndarray:
+        fv = apply(inv, y, n, mode="float")
+        if not fv.overflow:
+            return fv.entries
+        out = fv.entries.copy()
+        out[fv.overflow_index - 1:] = np.inf
+        return out
 
     def rule(k: int) -> Scalar:
         total = 0
@@ -112,7 +125,7 @@ def preimage_sequence(space_or_matrix, y) -> Sequence:
                 total += coeff * y(j)
         return total
 
-    return Sequence(rule, label=f"{a.name}-preimage({y.label})")
+    return Sequence(rule, label=f"{a.name}-preimage({y.label})", vector=vector)
 
 
 def geometric_domain_element(r="1/2") -> Sequence:
@@ -141,15 +154,16 @@ def space_norm(space, x, n: int, mode: str = "exact") -> Scalar:
         else:
             values = vec.entries[:n]
         if space.tag in ("bs", "cs"):
-            sums = []
-            total = 0
-            for v in values:
-                total += v
-                sums.append(total)
-            values = tuple(sums)
-    if not values:
-        return 0
-    return max(abs(v) for v in values)
+            values = (np.cumsum(values) if isinstance(values, np.ndarray)
+                      else tuple(accumulate(values)))
+    return _sup_abs(values)
+
+
+def _sup_abs(values) -> Scalar:
+    """``max |v|`` over exact values or a float array; 0 when there are none."""
+    if isinstance(values, np.ndarray):
+        return float(np.abs(values).max()) if len(values) else 0
+    return max((abs(v) for v in values), default=0)
 
 
 def space_membership(x, space, n: int, tol: float = 1e-6,
@@ -167,7 +181,7 @@ def space_membership(x, space, n: int, tol: float = 1e-6,
                                detail=detail)
     seq = make_sequence(x) if not isinstance(x, FiniteVector) else None
     if seq is not None:
-        vals = np.array([float(seq(k)) for k in range(1, n + 1)])
+        vals = seq.floats(n)
     else:
         if x.overflow:
             info = {"note": f"overflow at index {x.overflow_index}"}
@@ -261,10 +275,7 @@ def expansion_residual(space_or_matrix, x, n_terms: int, n: int,
     if n_terms < 0:
         raise PreconditionError(f"n_terms must be >= 0, got {n_terms}")
     y = domain_image(space_or_matrix, x, n, mode=mode)
-    tail = y.entries[n_terms:]
-    if not tail:
-        return 0
-    return max(abs(v) for v in tail)
+    return _sup_abs(y.entries[n_terms:])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +289,7 @@ def section_sequence(x, m: int) -> Sequence:
     if m < 0:
         raise PreconditionError(f"section index must be >= 0, got {m}")
     return Sequence(lambda k: x(k) if k <= m else 0, support_hint=m,
-                    label=f"section[{m}]({x.label})")
+                    label=f"section[{m}]({x.label})", vector=x.floats)
 
 
 def section_residual(space_or_matrix, x, m: int, n: int,
@@ -287,13 +298,15 @@ def section_residual(space_or_matrix, x, m: int, n: int,
     a = _resolve_triangle(space_or_matrix)
     y = apply(a, x, n, mode=mode)
     ysec = apply(a, section_sequence(x, m), n, mode=mode)
-    return max(abs(u - v) for u, v in zip(y.entries, ysec.entries))
+    if mode == "float":
+        return _sup_abs(y.entries - ysec.entries)
+    return _sup_abs([u - v for u, v in zip(y.entries, ysec.entries)])
 
 
 def _section_image_table(a: InfiniteMatrix, x, n: int) -> np.ndarray:
     """C[j-1, m-1] = (A x^[m])_j for 1 <= j, m <= n (floats)."""
     x = make_sequence(x)
-    xf = np.array([float(x(k)) for k in range(1, n + 1)])
+    xf = x.floats(n)
     t = a.truncation_floats(n) if n <= 2400 else None
     if t is None:
         raise PreconditionError("section tables are capped at truncation 2400")

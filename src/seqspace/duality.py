@@ -68,10 +68,13 @@ class DualTriangle(InfiniteMatrix):
         return self._scaled(k) - self._scaled(k + 1)
 
     def _scaled_floats(self, m: int) -> np.ndarray:
+        """The scaled terms 1..m as floats; zero past the support of ``a``."""
         if len(self._sf) < m:
             lo = len(self._sf)
-            fresh = [float(self._scaled(k)) for k in range(lo + 1, m + 1)]
-            self._sf = np.concatenate([self._sf, np.asarray(fresh)])
+            hint = self.a.support_hint
+            hi = m if hint is None else max(lo, min(m, hint))
+            fresh = [float(self._scaled(k)) for k in range(lo + 1, hi + 1)]
+            self._sf = np.concatenate([self._sf, fresh, np.zeros(m - hi)])
         return self._sf[:m]
 
     def row_floats(self, n, m):
@@ -83,6 +86,12 @@ class DualTriangle(InfiniteMatrix):
         out[:width] = sf[:width] - sf[1:width + 1]
         if m >= n:
             out[n - 1] = sf[n - 1]
+        return out
+
+    def _build_truncation_floats(self, size):
+        sf = self._scaled_floats(size + 1)
+        out = np.tril(np.broadcast_to(sf[:size] - sf[1:size + 1], (size, size)))
+        np.fill_diagonal(out, sf[:size])
         return out
 
     def col_floats(self, k, rows):

@@ -46,6 +46,8 @@ from .sequences import (
 
 #: Largest truncation kept as a dense cached float array.
 DENSE_LIMIT = 2400
+#: Columns past the diagonal that ``TaylorTransform.row_cutoff`` searches.
+ROW_CUTOFF_CAP = 200000
 
 
 def _check_index(n: int, k: int) -> None:
@@ -220,8 +222,7 @@ class WeightedSums(InfiniteMatrix):
 
     def _weights_floats(self, m: int) -> np.ndarray:
         if len(self._wf) < m:
-            extra = [float(self.weights(k)) for k in range(len(self._wf) + 1, m + 1)]
-            self._wf = np.concatenate([self._wf, np.array(extra, dtype=float)])
+            self._wf = self.weights.floats(m)
         return self._wf[:m]
 
     def entry(self, n, k):
@@ -257,6 +258,18 @@ class Bidiagonal(InfiniteMatrix):
         super().__init__(name, triangle=True)
         self.diag = diag
         self.sub = sub
+        self._df = np.empty(0)   # _df[n-1] = d(n)
+        self._sf = np.zeros(1)   # _sf[n-1] = s(n) for n >= 2
+
+    def _diagonals_floats(self, m: int):
+        """(d(1..m), s(2..m)) as floats."""
+        if len(self._df) < m:
+            lo = len(self._df)
+            self._df = np.concatenate(
+                [self._df, [float(self.diag(n)) for n in range(lo + 1, m + 1)]])
+            self._sf = np.concatenate(
+                [self._sf, [float(self.sub(n)) for n in range(max(lo, 1) + 1, m + 1)]])
+        return self._df[:m], self._sf[1:m]
 
     def entry(self, n, k):
         _check_index(n, k)
@@ -273,33 +286,32 @@ class Bidiagonal(InfiniteMatrix):
         return k + 1
 
     def row_floats(self, n, m):
+        d, s = self._diagonals_floats(n)
         out = np.zeros(m)
         if n <= m:
-            out[n - 1] = float(self.diag(n))
+            out[n - 1] = d[n - 1]
         if 2 <= n and n - 1 <= m:
-            out[n - 2] = float(self.sub(n))
+            out[n - 2] = s[n - 2]
         return out
 
     def col_floats(self, k, rows):
         rows = np.asarray(rows)
+        d, s = self._diagonals_floats(k + 1)
         out = np.zeros(len(rows), dtype=float)
-        out[rows == k] = float(self.diag(k))
-        out[rows == k + 1] = float(self.sub(k + 1))
+        out[rows == k] = d[k - 1]
+        out[rows == k + 1] = s[k - 1]
         return out
 
     def _build_truncation_floats(self, size):
-        d = np.array([float(self.diag(n)) for n in range(1, size + 1)])
+        d, s = self._diagonals_floats(size)
         out = np.diag(d)
-        if size > 1:
-            s = np.array([float(self.sub(n)) for n in range(2, size + 1)])
-            out[np.arange(1, size), np.arange(size - 1)] = s
+        out[np.arange(1, size), np.arange(size - 1)] = s
         return out
 
     def _apply_floats(self, xf):
-        out = np.array([float(self.diag(n)) for n in range(1, len(xf) + 1)]) * xf
-        if len(xf) > 1:
-            subs = np.array([float(self.sub(n)) for n in range(2, len(xf) + 1)])
-            out[1:] += subs * xf[:-1]
+        d, s = self._diagonals_floats(len(xf))
+        out = d * xf
+        out[1:] += s * xf[:-1]
         return out
 
     def _apply_exact(self, xs):
@@ -514,28 +526,44 @@ class TaylorTransform(InfiniteMatrix):
     def col_end(self, k):
         return k
 
-    def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> int:
-        """Smallest K with the row mass beyond K at most ``tail_mass``."""
+    def _next_entries(self, n: int, k: int, c: float, count: int) -> np.ndarray:
+        """Row n's floats at columns k+1..k+count, continuing the recurrence
+        ``a_{n,j+1} = a_{n,j} * (r j / (j - n + 1))`` from ``c = a_{n,k}``.
+
+        The product runs in the recurrence's order, so the result is the same
+        to the bit as multiplying one column at a time.
+        """
         r = float(self.r)
-        c = (1 - r) ** n        # coefficient at k = n
+        j = np.arange(k, k + count, dtype=float)
+        factors = np.concatenate(([c], r * j / (j - n + 1)))
+        return np.multiply.accumulate(factors)[1:]
+
+    def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> int:
+        """Smallest K with the row mass beyond K at most ``tail_mass``,
+        searched up to ``n + ROW_CUTOFF_CAP``."""
+        c = (1 - float(self.r)) ** n        # coefficient at k = n
         cum = c
         k = n
-        while 1.0 - cum > tail_mass and k < n + 200000:
-            c *= r * k / (k - n + 1)
-            k += 1
-            cum += c
+        cap = n + ROW_CUTOFF_CAP
+        chunk = 1024
+        while 1.0 - cum > tail_mass and k < cap:
+            count = min(chunk, cap - k)
+            cs = self._next_entries(n, k, c, count)
+            cums = np.add.accumulate(np.concatenate(([cum], cs)))[1:]
+            done = np.flatnonzero(~(1.0 - cums > tail_mass))
+            if done.size:
+                return k + 1 + int(done[0])
+            k += count
+            c, cum = cs[-1], cums[-1]
+            chunk *= 2
         return k
 
     def row_floats(self, n, m):
         out = np.zeros(m)
         if m >= n:
-            r = float(self.r)
-            c = (1 - r) ** n
-            vals = [c]
-            for k in range(n, m):
-                c *= r * k / (k - n + 1)
-                vals.append(c)
-            out[n - 1:] = vals
+            c = (1 - float(self.r)) ** n
+            out[n - 1] = c
+            out[n:] = self._next_entries(n, n, c, m - n)
         return out
 
     def col_floats(self, k, rows):
@@ -718,11 +746,14 @@ def invert_triangle(a) -> InfiniteMatrix:
 
 
 def omega_matrix() -> WeightedSums:
-    return WeightedSums(Sequence(lambda k: k, label="index"), "omega")
+    return WeightedSums(Sequence(lambda k: k, label="index",
+                                vector=lambda m: np.arange(1.0, m + 1)), "omega")
 
 
 def gamma_matrix() -> WeightedSums:
-    return WeightedSums(Sequence(lambda k: Fraction(1, k), label="1/index"), "gamma")
+    return WeightedSums(Sequence(lambda k: Fraction(1, k), label="1/index",
+                                vector=lambda m: 1.0 / np.arange(1.0, m + 1)),
+                        "gamma")
 
 
 def omega_inverse_matrix() -> Bidiagonal:
@@ -871,6 +902,7 @@ def apply(a, x, n: int, mode: str = "exact",
         return finite_vector(out, origin=f"{a.name}({x.label})")
 
     # float mode
+    origin = f"{a.name}({x.label})"
     if row_infinite:
         cutoff_fn = getattr(a, "row_cutoff", None)
         if cutoff_fn is None:
@@ -878,18 +910,18 @@ def apply(a, x, n: int, mode: str = "exact",
                 f"matrix {a.name!r} has rows with unbounded support and no "
                 "tail cutoff; cannot transform")
         top = cutoff_fn(n, tail_mass)
-        xf = np.array([float(x(k)) for k in range(1, top + 1)])
+        xf = x.floats(top)
         out = np.empty(n)
         for row in range(1, n + 1):
             hi = cutoff_fn(row, tail_mass)
             coeffs = a.row_floats(row, hi)
             out[row - 1] = coeffs[:min(hi, top)] @ xf[:min(hi, top)]
-        return finite_vector(out.tolist(), origin=f"{a.name}({x.label})")
+        return finite_vector(out, origin=origin)
 
-    xf = np.array([float(x(k)) for k in range(1, n + 1)])
+    xf = x.floats(n)
     fast = a._apply_floats(xf)
     if fast is not None:
-        return finite_vector(fast.tolist(), origin=f"{a.name}({x.label})")
+        return finite_vector(fast, origin=origin)
     if n <= DENSE_LIMIT:
         out = a.truncation_floats(n) @ xf
     else:
@@ -897,7 +929,7 @@ def apply(a, x, n: int, mode: str = "exact",
         for row in range(1, n + 1):
             coeffs = a.row_floats(row, n)
             out[row - 1] = coeffs @ xf
-    return finite_vector(out.tolist(), origin=f"{a.name}({x.label})")
+    return finite_vector(out, origin=origin)
 
 
 def truncate_matrix(a, size: int, mode: str = "exact"):

@@ -95,12 +95,15 @@ class Sequence:
 
     ``rule`` must be pure and deterministic.  When ``support_hint`` is set the
     sequence is treated as identically zero beyond that index and the rule is
-    never consulted there.
+    never consulted there.  ``vector``, when given, is the rule's vectorized
+    form: ``vector(m)`` returns the float64 array ``x_1..x_m`` and is only
+    asked for ``m`` within the support (see :meth:`floats`).
     """
 
     rule: Callable[[int], Scalar]
     support_hint: Optional[int] = None
     label: str = "sequence"
+    vector: Optional[Callable[[int], np.ndarray]] = None
 
     def __call__(self, k: int) -> Scalar:
         if k < 1:
@@ -109,6 +112,99 @@ class Sequence:
             return 0
         return self.rule(k)
 
+    def floats(self, n: int) -> np.ndarray:
+        """The float64 prefix ``x_1..x_n``.
+
+        Entry k equals ``float(x(k))``; a term too large for a float is
+        ``inf`` with its sign.  The vectorized form, if any, is asked for the
+        supported part only; without one the rule is evaluated there, and the
+        rest is zeros.
+        """
+        if n < 0:
+            raise TruncationError(f"prefix length must be >= 0, got {n}")
+        m = n if self.support_hint is None else max(0, min(n, self.support_hint))
+        if self.vector is not None:
+            head = self.vector(m)
+        else:
+            head = _rule_floats(self.rule, 1, m)
+        if m == n:
+            return head
+        out = np.zeros(n)
+        out[:m] = head
+        return out
+
+
+def _float_or_inf(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return -math.inf if value < 0 else math.inf
+
+
+def _rule_floats(rule, lo: int, hi: int) -> np.ndarray:
+    """``float(rule(k))`` for k = lo..hi, overflow as a signed inf."""
+    return np.array([_float_or_inf(rule(k)) for k in range(lo, hi + 1)],
+                    dtype=float)
+
+
+#: Integers below this bound convert to float64 exactly.
+_EXACT_INT = 2 ** 53
+
+
+def _exact_powers(base: int, m: int) -> int:
+    """How many of ``|base|**1 .. |base|**m`` are below ``_EXACT_INT``."""
+    base = abs(base)
+    if base <= 1:
+        return m
+    count, value = 0, base
+    while count < m and value < _EXACT_INT:
+        count += 1
+        value *= base
+    return count
+
+
+def _with_rule_tail(head: np.ndarray, rule, m: int) -> np.ndarray:
+    """``head`` (the first entries) followed by the rule's floats up to m."""
+    if len(head) >= m:
+        return head
+    return np.concatenate([head, _rule_floats(rule, len(head) + 1, m)])
+
+
+def _inverse_power_floats(q: int, rule):
+    """1/k**q: k**q is exact in float64 below 2**53, and the division rounds
+    once, as ``float(Fraction(1, k**q))`` does."""
+    def vector(m: int) -> np.ndarray:
+        top = min(m, int((_EXACT_INT - 1) ** (1.0 / q)) + 1)
+        while top > 0 and top ** q >= _EXACT_INT:
+            top -= 1
+        ks = np.arange(1, top + 1, dtype=np.int64) ** q
+        return _with_rule_tail(1.0 / ks.astype(float), rule, m)
+    return vector
+
+
+def _geometric_floats(r, rule):
+    """r**k for r = odd * 2**e: the odd part's powers are exact integers while
+    below 2**53, and ldexp applies the power of two with one rounding."""
+    if r == 0:
+        return np.zeros
+    num, den = r.numerator, r.denominator
+    if den & (den - 1):
+        return None
+    shift = (num & -num).bit_length() - 1
+    odd = num >> shift
+    e = shift - (den.bit_length() - 1)
+
+    def vector(m: int) -> np.ndarray:
+        top = _exact_powers(odd, m)
+        ks = np.arange(1, top + 1)
+        mags = np.cumprod(np.full(top, abs(odd), dtype=np.int64)).astype(float)
+        if odd < 0:
+            mags = np.where(ks % 2 == 1, -mags, mags)
+        with np.errstate(over="ignore", under="ignore"):
+            head = np.ldexp(mags, e * ks)
+        return _with_rule_tail(head, rule, m)
+    return vector
+
 
 def _builtin_sequence(name: str, params: dict) -> Sequence:
     name = name.lower()
@@ -116,10 +212,13 @@ def _builtin_sequence(name: str, params: dict) -> Sequence:
         k0 = int(params.get("k", 1))
         if k0 < 1:
             raise SpecError("unit sequence needs k >= 1")
-        return Sequence(lambda k: 1 if k == k0 else 0, support_hint=k0, label=f"unit:{k0}")
+        return Sequence(lambda k: 1 if k == k0 else 0, support_hint=k0,
+                        label=f"unit:{k0}",
+                        vector=lambda m: (np.arange(1, m + 1) == k0) * 1.0)
     if name in ("constant", "const"):
         c = exact_number(params.get("c", 1))
-        return Sequence(lambda k: c, label=f"const:{c}")
+        return Sequence(lambda k: c, label=f"const:{c}",
+                        vector=lambda m: np.full(m, _float_or_inf(c)))
     if name == "power":
         p = params.get("p", 1)
         if isinstance(p, float) and not p.is_integer():
@@ -128,14 +227,25 @@ def _builtin_sequence(name: str, params: dict) -> Sequence:
         p = int(p)
         if p >= 0:
             return Sequence(lambda k: k**p, label=f"power:{p}")
-        return Sequence(lambda k: Fraction(1, k ** (-p)), label=f"power:{p}")
+
+        def rule(k):
+            return Fraction(1, k ** (-p))
+        return Sequence(rule, label=f"power:{p}",
+                        vector=_inverse_power_floats(-p, rule))
     if name in ("geometric", "geom"):
         r = exact_number(params.get("r", Fraction(1, 2)))
-        return Sequence(lambda k: r**k, label=f"geometric:{r}")
+
+        def rule(k):
+            return r**k
+        return Sequence(rule, label=f"geometric:{r}",
+                        vector=_geometric_floats(r, rule))
     if name in ("alternating", "alt"):
-        return Sequence(lambda k: (-1) ** k, label="alternating")
+        return Sequence(lambda k: (-1) ** k, label="alternating",
+                        vector=lambda m: np.where(np.arange(1, m + 1) % 2,
+                                                  -1.0, 1.0))
     if name == "harmonic":
-        return Sequence(lambda k: Fraction(1, k), label="harmonic")
+        return Sequence(lambda k: Fraction(1, k), label="harmonic",
+                        vector=lambda m: 1.0 / np.arange(1.0, m + 1))
     raise SpecError(f"unknown builtin sequence {name!r}")
 
 
@@ -155,6 +265,12 @@ def sequence_from_values(values, label: str = "list") -> Sequence:
             vals.append(exact_number(v))
     vals = tuple(vals)
     return Sequence(lambda k: vals[k - 1], support_hint=len(vals), label=label)
+
+
+def _array_sequence(values: np.ndarray, label: str) -> Sequence:
+    """Wrap a float64 array as a sequence that is zero beyond it."""
+    return Sequence(lambda k: float(values[k - 1]), support_hint=len(values),
+                    label=label, vector=lambda m: values[:m])
 
 
 def _parse_inline_sequence(text: str) -> Sequence:
@@ -199,7 +315,10 @@ def make_sequence(spec) -> Sequence:
     if isinstance(spec, str):
         return _parse_inline_sequence(spec)
     if isinstance(spec, FiniteVector):
-        return sequence_from_values(spec.entries, label=spec.origin or "vector")
+        label = spec.origin or "vector"
+        if isinstance(spec.entries, np.ndarray):
+            return _array_sequence(spec.entries, label)
+        return sequence_from_values(spec.entries, label=label)
     if isinstance(spec, (list, tuple, np.ndarray)):
         return sequence_from_values(list(spec))
     if isinstance(spec, dict):
@@ -231,10 +350,12 @@ class FiniteVector:
 
     Entries are always finite numbers.  If evaluation produced a non-finite
     float, the entry is stored as 0.0 and the overflow flag records where;
-    consumers treat flagged vectors as Inconclusive evidence.
+    consumers treat flagged vectors as Inconclusive evidence.  Exact vectors
+    hold a tuple of ints and Fractions; float vectors hold a read-only
+    float64 array.
     """
 
-    entries: tuple
+    entries: Union[tuple, np.ndarray]
     origin: str = ""
     overflow: bool = False
     overflow_index: Optional[int] = None
@@ -249,11 +370,25 @@ class FiniteVector:
         return self.entries[k - 1]
 
     def as_floats(self) -> np.ndarray:
+        if isinstance(self.entries, np.ndarray):
+            return self.entries
         return np.array([float(v) for v in self.entries], dtype=float)
 
 
 def finite_vector(values, origin: str = "") -> FiniteVector:
-    """Build a FiniteVector from raw values, recording overflow instead of NaN/inf."""
+    """Build a FiniteVector from raw values, recording overflow instead of NaN/inf.
+
+    An ndarray gives a float vector (a read-only copy); any other iterable
+    gives an exact vector (a tuple).
+    """
+    if isinstance(values, np.ndarray):
+        arr = np.array(values, dtype=float)
+        bad = ~np.isfinite(arr)
+        first_bad = int(np.argmax(bad)) + 1 if bad.any() else None
+        arr[bad] = 0.0
+        arr.setflags(write=False)
+        return FiniteVector(arr, origin=origin, overflow=first_bad is not None,
+                            overflow_index=first_bad)
     out = []
     overflow = False
     first_bad = None
@@ -558,11 +693,12 @@ def classify_classical(x, space, n: int, tol: float = DEFAULT_TOL,
         window = min(default_window(n), max(1, n - 1))
     if not (0 < window < n):
         raise TruncationError(f"window must satisfy 0 < window < {n}, got {window}")
-    v = truncate(x, n) if isinstance(x, Sequence) else x
-    if isinstance(v, FiniteVector):
-        if v.overflow:
+    if isinstance(x, Sequence):
+        vals = x.floats(n)
+    elif isinstance(x, FiniteVector):
+        if x.overflow:
             return Verdict.INCONCLUSIVE
-        vals = v.as_floats()[:n]
+        vals = x.as_floats()[:n]
     else:
-        vals = np.asarray(v, dtype=float)[:n]
+        vals = np.asarray(x, dtype=float)[:n]
     return classify_values(vals, tag, tol, window)

@@ -36,6 +36,33 @@ def test_transform_float_mode(capsys):
     assert json.loads(out)["values"] == [1.0, 1.0, 1.0]
 
 
+def test_transform_float_overflow_is_reported(capsys):
+    argv = ("transform", "--matrix", "omega", "--seq", "power:400", "--n",
+            "200", "--mode", "float")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert out.splitlines()[-1] == "# overflow at index 6"
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["overflow_at"] == 6
+    assert all(v >= 1.0 for v in doc["values"][:5])
+    assert doc["values"][5:] == [0.0] * 195
+
+
+@pytest.mark.parametrize("tol", ("nan", "inf", "-inf", "0", "-1e-3", "x"))
+@pytest.mark.parametrize("argv", (
+    ("check-class", "--matrix", "cesaro", "--from", "c", "--to", "c"),
+    ("dual", "--space", "c0(omega)", "--a", "power:1"),
+    ("regularity", "--matrix", "cesaro"),
+), ids=lambda argv: argv[0] if isinstance(argv, tuple) else argv)
+def test_bad_tolerance_exit_3(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol])
+    assert exc.value.code == 3
+    assert "tol" in capsys.readouterr().err
+
+
 def test_check_class_exit_codes(capsys):
     assert run(capsys, "check-class", "--matrix", "cesaro",
                "--from", "c0", "--to", "c")[0] == 0

@@ -16,7 +16,7 @@ from seqspace.conditions import (
     target_transfer_matrix,
 )
 from seqspace.errors import SpecError, UnsupportedClassError
-from seqspace.matrices import matrix_from_spec
+from seqspace.matrices import CesaroMeans, matrix_from_spec
 from seqspace.verdicts import Verdict
 
 
@@ -191,6 +191,13 @@ def test_oracle_seed_determinism():
     b = oracle_check("cesaro", "c0", "c", seed=5)
     assert a.witnesses == b.witnesses
     assert [p.verdict for p in a.samples] == [p.verdict for p in b.samples]
+
+
+def test_oracle_images_are_cached_per_seed():
+    fresh = oracle_check(CesaroMeans(), "c0", "c", seed=2).to_dict()
+    shared = CesaroMeans()
+    oracle_check(shared, "c0", "c", seed=1)
+    assert oracle_check(shared, "c0", "c", seed=2).to_dict() == fresh
 
 
 def test_oracle_samples_cover_domains():

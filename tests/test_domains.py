@@ -87,6 +87,11 @@ def test_space_membership():
     assert info["limit"].kind.value == "oscillates"
 
 
+def test_space_membership_overflow_is_inconclusive():
+    assert space_membership("geometric:2", "c0", 2000) is Verdict.INCONCLUSIVE
+    assert space_membership("power:400", "linf", 200) is Verdict.INCONCLUSIVE
+
+
 def test_basis_elements():
     assert basis_element("omega", 2) == {2: Fraction(1, 2), 3: Fraction(-1, 3)}
     assert basis_element("gamma", 1) == {1: 1, 2: -2}
