@@ -240,11 +240,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         verdict = _RUNNERS[args.command](args)
-    except SeqspaceError as exc:
+    except (SeqspaceError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except IndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Exit codes 0..2 are verdicts, so a failure the package did not
+        # anticipate must still leave with 3, not a traceback's 1.
+        text = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {text}", file=sys.stderr)
         return 3
     if verdict is None:
         return 0

@@ -21,11 +21,12 @@ bounded pairings (the gamma dual) ask for ``linf``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import FloatRangeError, SpecError
 from .matrices import InfiniteMatrix, _exact_div
 from .sequences import FiniteVector, Sequence, finite_vector, make_sequence
 from .verdicts import Verdict
@@ -73,9 +74,23 @@ class DualTriangle(InfiniteMatrix):
             lo = len(self._sf)
             hint = self.a.support_hint
             hi = m if hint is None else max(lo, min(m, hint))
-            fresh = [float(self._scaled(k)) for k in range(lo + 1, hi + 1)]
+            fresh = [self._scaled_float(k) for k in range(lo + 1, hi + 1)]
             self._sf = np.concatenate([self._sf, fresh, np.zeros(m - hi)])
         return self._sf[:m]
+
+    def _scaled_float(self, k: int) -> float:
+        """``float(self._scaled(k))``.  A rational ``a_k`` takes one correctly
+        rounded int division, which is what ``float`` of a ``Fraction`` is."""
+        ak = self.a(k)
+        omega = self.weight_mode == "omega"
+        try:
+            if isinstance(ak, (int, Fraction)):
+                num, den = ak.numerator, ak.denominator
+                return num / (den * k) if omega else (num * k) / den
+            return float(ak / k if omega else k * ak)
+        except OverflowError:
+            raise FloatRangeError(
+                f"{self.name}: scaled term {k} is too large for a float") from None
 
     def row_floats(self, n, m):
         out = np.zeros(m)

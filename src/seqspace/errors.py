@@ -21,6 +21,10 @@ class ZeroDiagonalError(SeqspaceError):
         super().__init__(f"triangle diagonal entry is zero at row {row}")
 
 
+class FloatRangeError(SeqspaceError):
+    """A term needed as a float is too large for one."""
+
+
 class RowSeriesError(SeqspaceError):
     """A row series failed its convergence check at the summation cutoff."""
 

@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    FloatRangeError,
     RowSeriesError,
     SpecError,
     TruncationError,
@@ -53,6 +54,19 @@ ROW_CUTOFF_CAP = 200000
 def _check_index(n: int, k: int) -> None:
     if n < 1 or k < 1:
         raise IndexError(f"matrix indices must be >= 1, got ({n}, {k})")
+
+
+def _term_floats(values, first: int, what: str) -> list:
+    """``float(v)`` for each value, the terms numbered from ``first``; a term
+    too large for a float raises :class:`FloatRangeError` naming it."""
+    out = []
+    for k, v in enumerate(values, first):
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise FloatRangeError(
+                f"{what}_{k} is too large for a float") from None
+    return out
 
 
 class InfiniteMatrix:
@@ -365,6 +379,8 @@ class RieszMeans(InfiniteMatrix):
         self.weights = weights
         self._t: list = []       # exact weights, 1-based via offset
         self._T: list = [0]      # exact partial sums, _T[n] = t_1 + ... + t_n
+        self._tfl = np.empty(0)  # float(t_1..), float(T_1..), grown together
+        self._Tfl = np.empty(0)
 
     def _ensure(self, n: int) -> None:
         while len(self._t) < n:
@@ -394,10 +410,16 @@ class RieszMeans(InfiniteMatrix):
         return num / den
 
     def _tf(self, m: int):
-        self._ensure(m)
-        t = np.array([float(v) for v in self._t[:m]])
-        big_t = np.array([float(v) for v in self._T[1:m + 1]])
-        return t, big_t
+        """(t_1..t_m, T_1..T_m) as floats."""
+        lo = len(self._tfl)
+        if lo < m:
+            self._ensure(m)
+            t = _term_floats(self._t[lo:m], lo + 1, "riesz weight t")
+            big_t = _term_floats(self._T[lo + 1:m + 1], lo + 1,
+                                 "riesz partial sum T")
+            self._tfl = np.concatenate([self._tfl, t])
+            self._Tfl = np.concatenate([self._Tfl, big_t])
+        return self._tfl[:m], self._Tfl[:m]
 
     def row_floats(self, n, m):
         t, big_t = self._tf(max(n, m))
@@ -413,7 +435,10 @@ class RieszMeans(InfiniteMatrix):
 
     def _build_truncation_floats(self, size):
         t, big_t = self._tf(size)
-        return np.tril(t[None, :] / big_t[:, None])
+        out = np.zeros((size, size))
+        for n in range(1, size + 1):
+            np.divide(t[:n], big_t[n - 1], out=out[n - 1, :n])
+        return out
 
     def _apply_floats(self, xf):
         t, big_t = self._tf(len(xf))
@@ -481,15 +506,21 @@ class EulerMeans(InfiniteMatrix):
         return np.where(safe, np.exp(logs), 0.0)
 
     def _build_truncation_floats(self, size):
+        # Row n is row_floats' sum, term by term in the same order, over
+        # k = 1..n; (n - k) runs backwards through the same steps as (k - 1).
         lf = self._logfact(size)
-        n = np.arange(1, size + 1)[:, None].astype(int)
-        k = np.arange(1, size + 1)[None, :].astype(int)
-        mask = k <= n
-        kk = np.where(mask, k, 1)
-        logs = (lf[n - 1] - lf[kk - 1] - lf[np.where(mask, n - kk, 0)]
-                + (n - kk) * math.log(1 - float(self.r))
-                + (kk - 1) * math.log(float(self.r)))
-        return np.exp(np.where(mask, logs, -np.inf))
+        steps = np.arange(size)
+        tail = steps * math.log(1 - float(self.r))
+        head = steps * math.log(float(self.r))
+        out = np.zeros((size, size))
+        for n in range(1, size + 1):
+            row = out[n - 1, :n]
+            np.subtract(lf[n - 1], lf[:n], out=row)
+            row -= lf[n - 1::-1]
+            row += tail[n - 1::-1]
+            row += head[:n]
+            np.exp(row, out=row)
+        return out
 
 
 class TaylorTransform(InfiniteMatrix):
@@ -538,10 +569,14 @@ class TaylorTransform(InfiniteMatrix):
         factors = np.concatenate(([c], r * j / (j - n + 1)))
         return np.multiply.accumulate(factors)[1:]
 
-    def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> int:
-        """Smallest K with the row mass beyond K at most ``tail_mass``,
-        searched up to ``n + ROW_CUTOFF_CAP``."""
+    def row_series(self, n: int,
+                   tail_mass: float = 1e-16) -> tuple[int, np.ndarray]:
+        """Row n out to its cutoff: ``(K, entries)``, where K is the smallest
+        column with the row mass beyond K at most ``tail_mass``, searched up
+        to ``n + ROW_CUTOFF_CAP``, and ``entries`` are the row's floats at
+        columns n..K, equal to ``row_floats(n, K)[n - 1:]``."""
         c = (1 - float(self.r)) ** n        # coefficient at k = n
+        parts = [np.array([c])]
         cum = c
         k = n
         cap = n + ROW_CUTOFF_CAP
@@ -552,11 +587,18 @@ class TaylorTransform(InfiniteMatrix):
             cums = np.add.accumulate(np.concatenate(([cum], cs)))[1:]
             done = np.flatnonzero(~(1.0 - cums > tail_mass))
             if done.size:
-                return k + 1 + int(done[0])
+                parts.append(cs[:done[0] + 1])
+                k += 1 + int(done[0])
+                break
+            parts.append(cs)
             k += count
             c, cum = cs[-1], cums[-1]
             chunk *= 2
-        return k
+        return k, np.concatenate(parts)
+
+    def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> int:
+        """The cutoff K of :meth:`row_series`."""
+        return self.row_series(n, tail_mass)[0]
 
     def row_floats(self, n, m):
         out = np.zeros(m)
@@ -564,6 +606,20 @@ class TaylorTransform(InfiniteMatrix):
             c = (1 - float(self.r)) ** n
             out[n - 1] = c
             out[n:] = self._next_entries(n, n, c, m - n)
+        return out
+
+    def _build_truncation_floats(self, size):
+        # Row n is row_floats' recurrence: the same factors r j / (j - n + 1),
+        # multiplied in the same order, written in place past the diagonal.
+        r = float(self.r)
+        rj = r * np.arange(size, dtype=float)
+        steps = np.arange(1, size, dtype=float)
+        out = np.zeros((size, size))
+        for n in range(1, size + 1):
+            row = out[n - 1, n - 1:]
+            row[0] = (1 - r) ** n
+            np.divide(rj[n:], steps[:size - n], out=row[1:])
+            np.multiply.accumulate(row, out=row)
         return out
 
     def col_floats(self, k, rows):
@@ -904,17 +960,19 @@ def apply(a, x, n: int, mode: str = "exact",
     # float mode
     origin = f"{a.name}({x.label})"
     if row_infinite:
-        cutoff_fn = getattr(a, "row_cutoff", None)
-        if cutoff_fn is None:
+        series = getattr(a, "row_series", None)
+        if series is None:
             raise RowSeriesError(
                 f"matrix {a.name!r} has rows with unbounded support and no "
                 "tail cutoff; cannot transform")
-        top = cutoff_fn(n, tail_mass)
+        last = series(n, tail_mass)
+        top = last[0]
         xf = x.floats(top)
         out = np.empty(n)
         for row in range(1, n + 1):
-            hi = cutoff_fn(row, tail_mass)
-            coeffs = a.row_floats(row, hi)
+            hi, entries = last if row == n else series(row, tail_mass)
+            coeffs = np.zeros(hi)
+            coeffs[row - 1:] = entries
             out[row - 1] = coeffs[:min(hi, top)] @ xf[:min(hi, top)]
         return finite_vector(out, origin=origin)
 
@@ -954,35 +1012,3 @@ def truncate_matrix(a, size: int, mode: str = "exact"):
             row[k - 1] = a.entry(n, k)
         out.append(row)
     return out
-
-
-def row_sum_floats(a: InfiniteMatrix, n: int, width: Optional[int] = None) -> float:
-    """Signed row sum of row ``n`` over columns up to ``width`` (or row end)."""
-    hi = a.row_end(n)
-    if hi is None:
-        hi = width if width is not None else _infinite_row_end(a, n)
-    elif width is not None:
-        hi = min(hi, width)
-    if hi < a.row_start(n):
-        return 0.0
-    return float(a.row_floats(n, hi).sum())
-
-
-def row_abs_sum_floats(a: InfiniteMatrix, n: int, width: Optional[int] = None) -> float:
-    """Absolute row sum of row ``n`` over columns up to ``width`` (or row end)."""
-    hi = a.row_end(n)
-    if hi is None:
-        hi = width if width is not None else _infinite_row_end(a, n)
-    elif width is not None:
-        hi = min(hi, width)
-    if hi < a.row_start(n):
-        return 0.0
-    return float(np.abs(a.row_floats(n, hi)).sum())
-
-
-def _infinite_row_end(a: InfiniteMatrix, n: int) -> int:
-    cutoff_fn = getattr(a, "row_cutoff", None)
-    if cutoff_fn is None:
-        raise RowSeriesError(
-            f"matrix {a.name!r} has rows with unbounded support and no tail cutoff")
-    return cutoff_fn(n)

@@ -131,3 +131,31 @@ def test_json_output_is_deterministic(capsys):
         assert main(list(argv)) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("argv, term", (
+    (("dual", "--space", "c0(omega)", "--a", "geometric:5000"), "scaled term 84"),
+    (("check-class", "--matrix", "riesz:power:200", "--from", "c", "--to", "c"),
+     "riesz weight t_35"),
+    (("transform", "--matrix", "riesz:geometric:3", "--seq", "harmonic",
+      "--n", "800", "--mode", "float"), "riesz weight t_647"),
+), ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_term_out_of_float_range_exit_3(capsys, argv, term):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and term in err
+    assert "too large for a float" in err and len(err.splitlines()) == 1
+
+
+def test_unexpected_exception_exit_3(capsys, monkeypatch):
+    import seqspace.cli as cli
+
+    def broken(args):
+        raise RuntimeError("something\nbroke")
+
+    monkeypatch.setitem(cli._RUNNERS, "regularity", broken)
+    rc, out, err = run(capsys, "regularity", "--matrix", "cesaro")
+    assert rc == 3
+    assert out == ""
+    assert err == "error: RuntimeError: something broke\n"

@@ -10,7 +10,7 @@ import pytest
 
 from seqspace.conditions import _column_mass, _Engine
 from seqspace.duality import dual_transfer_matrix
-from seqspace.matrices import ROW_CUTOFF_CAP, matrix_from_spec
+from seqspace.matrices import ROW_CUTOFF_CAP, apply, matrix_from_spec
 from seqspace.sequences import Sequence, make_sequence
 
 
@@ -136,8 +136,87 @@ def test_taylor_rows_match_the_scalar_recurrence():
     assert same_bits(t.row_floats(2, top), taylor_row_reference(t, 2, top))
 
 
+def taylor_apply_reference(t, x, n, tail_mass=1e-16):
+    """Float ``apply`` as two passes per row: the cutoff, then the row."""
+    top = t.row_cutoff(n, tail_mass)
+    xf = x.floats(top)
+    out = np.empty(n)
+    for row in range(1, n + 1):
+        hi = t.row_cutoff(row, tail_mass)
+        coeffs = t.row_floats(row, hi)
+        out[row - 1] = coeffs[:min(hi, top)] @ xf[:min(hi, top)]
+    return out
+
+
+def test_taylor_apply_evaluates_each_row_once():
+    for r in ("1/10", "1/4", "1/2"):
+        t = matrix_from_spec(f"taylor:{r}")
+        for n in (1, 2, 9, 20):
+            top, entries = t.row_series(n)
+            assert same_bits(entries, t.row_floats(n, top)[n - 1:]), (r, n)
+        for spec in ("harmonic", "geometric:1/2", "alternating"):
+            x = make_sequence(spec)
+            for n in (1, 7, 20):
+                got = apply(t, x, n, mode="float").entries
+                assert same_bits(got, taylor_apply_reference(t, x, n)), (r, spec, n)
+        x = make_sequence("const:1")
+        got = apply(t, x, 5, mode="float", tail_mass=1e-6).entries
+        assert same_bits(got, taylor_apply_reference(t, x, 5, 1e-6)), r
+
+
 # ---------------------------------------------------------------------------
-# DualTriangle tables
+# Euler, Taylor and Riesz tables
+# ---------------------------------------------------------------------------
+
+
+def euler_table_reference(e, size):
+    """The log-binomial formula on the whole square, masked to the triangle."""
+    lf = e._logfact(size)
+    n = np.arange(1, size + 1)[:, None].astype(int)
+    k = np.arange(1, size + 1)[None, :].astype(int)
+    mask = k <= n
+    kk = np.where(mask, k, 1)
+    logs = (lf[n - 1] - lf[kk - 1] - lf[np.where(mask, n - kk, 0)]
+            + (n - kk) * math.log(1 - float(e.r))
+            + (kk - 1) * math.log(float(e.r)))
+    return np.exp(np.where(mask, logs, -np.inf))
+
+
+def riesz_table_reference(a, size):
+    t = np.array([float(a.weight(k)) for k in range(1, size + 1)])
+    big_t = np.array([float(a.partial_sum(n)) for n in range(1, size + 1)])
+    return np.tril(t[None, :] / big_t[:, None])
+
+
+TABLE_PARAMS = ("1/2", "1/10", "1/3", "3/8", "5/12", "7/10", "9/10", "11/16",
+                "15/16")
+TABLE_SIZES = (1, 2, 8, 600, 2000)
+
+
+@pytest.mark.parametrize("r", TABLE_PARAMS)
+def test_euler_and_taylor_tables_match_the_reference(r):
+    # Dict specs are not cached, so each table is dropped after its check.
+    for size in TABLE_SIZES:
+        e = matrix_from_spec({"kind": "euler", "r": r})
+        assert same_bits(e.truncation_floats(size),
+                         euler_table_reference(e, size)), (r, size)
+        t = matrix_from_spec({"kind": "taylor", "r": r})
+        rows = np.vstack([t.row_floats(n, size) for n in range(1, size + 1)])
+        assert same_bits(t.truncation_floats(size), rows), (r, size)
+
+
+def test_riesz_tables_match_the_reference():
+    for weights in ("power:1", "power:8", "harmonic"):
+        for size in TABLE_SIZES:
+            a = matrix_from_spec({"kind": "riesz", "weights": weights})
+            assert same_bits(a.truncation_floats(size),
+                             riesz_table_reference(a, size)), (weights, size)
+            rows = np.vstack([a.row_floats(n, size) for n in range(1, size + 1)])
+            assert same_bits(a.truncation_floats(size), rows), (weights, size)
+
+
+# ---------------------------------------------------------------------------
+# DualTriangle scaled terms and tables
 # ---------------------------------------------------------------------------
 
 
@@ -151,6 +230,27 @@ def dual_table_reference(u, size):
         out[n - 1] = sf[n - 1]
         rows.append(out)
     return np.vstack(rows)
+
+
+def scaled_floats_reference(u, m):
+    """Each scaled term made exact, then converted; zeros past the support."""
+    hint = u.a.support_hint
+    hi = m if hint is None else min(m, hint)
+    return [float(u._scaled(k)) for k in range(1, hi + 1)] + [0.0] * (m - hi)
+
+
+DUAL_TERMS = sorted({f"geometric:{sign}{Fraction(p, q)}" for q in range(1, 10)
+                     for p in range(1, 2 * q + 1) for sign in ("", "-")})
+DUAL_TERMS += ["harmonic", "power:-3", "list:3,-1/2,7/5,0,9"]
+
+
+@pytest.mark.parametrize("mode", ("omega", "gamma"))
+def test_dual_scaled_floats_match_the_exact_terms(mode):
+    for spec in DUAL_TERMS:
+        u = dual_transfer_matrix(spec, mode)
+        assert same_bits(u._scaled_floats(4), scaled_floats_reference(u, 4)), spec
+        assert same_bits(u._scaled_floats(601),
+                         scaled_floats_reference(u, 601)), spec
 
 
 @pytest.mark.parametrize("mode", ("omega", "gamma"))

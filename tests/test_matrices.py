@@ -19,8 +19,6 @@ from seqspace.matrices import (
     inverse_of,
     invert_triangle,
     matrix_from_spec,
-    row_abs_sum_floats,
-    row_sum_floats,
     truncate_matrix,
 )
 from seqspace.sequences import make_sequence, sequence_from_values
@@ -204,11 +202,12 @@ def test_fast_float_paths_match_entries():
             assert np.allclose(dense, slow, atol=1e-13), name
 
 
-def test_row_sum_helpers():
+def test_row_sums():
     omega = matrix_from_spec("omega")
-    assert row_sum_floats(omega, 4) == 10.0
-    assert row_abs_sum_floats(matrix_from_spec("gamma-inv"), 4) == 8.0
-    assert row_sum_floats(matrix_from_spec("taylor:1/2"), 3) == \
+    assert omega.row_floats(4, 4).sum() == 10.0
+    assert np.abs(matrix_from_spec("gamma-inv").row_floats(4, 4)).sum() == 8.0
+    taylor = matrix_from_spec("taylor:1/2")
+    assert taylor.row_floats(3, taylor.row_cutoff(3)).sum() == \
         pytest.approx(1.0, abs=1e-12)
 
 
