@@ -1,0 +1,140 @@
+"""One bounded cache for everything seqspace computes more than once.
+
+Matrices resolved from specs, transfer matrices, dense float tables, the row
+features and prefix traces read from them, condition reports, row-pairing
+verdicts and oracle images all live in one least-recently-used store, capped
+in bytes by :data:`CAP_BYTES`.  Every entry is charged its ``nbytes`` (zero
+for values without arrays) plus :data:`ENTRY_OVERHEAD`, so small values
+cannot pile up without bound either.
+
+Eviction takes the least recently used entry, with one exception: entries
+larger than a quarter of the cap (the tables of large truncations) go first,
+all but the most recent one, so that one large table of a finished
+computation does not push out the small tables many computations share.
+When the size of a table is known before it is built, room is made first,
+so the table it replaces is freed before the new one is allocated.
+
+Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
+the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
+factors' keys for products and inverses, and a serial number for every other
+matrix.  Serial numbers are never reused, so two matrices that happen to
+share a label never share an entry, and the entries of a serial-keyed matrix
+are dropped once the matrix is gone.  No cached value refers back to a matrix
+that refers to the cache, so an evicted table is freed at once.
+"""
+
+from __future__ import annotations
+
+import weakref
+from collections import OrderedDict
+from itertools import count
+
+#: Bytes the cache may hold: one DENSE_LIMIT table plus the working set of
+#: the default class truncation.
+CAP_BYTES = 64 * 2 ** 20
+#: Bytes charged to every entry on top of its arrays.
+ENTRY_OVERHEAD = 4096
+
+_entries: OrderedDict = OrderedDict()   # key -> (value, charged bytes)
+_large: OrderedDict = OrderedDict()     # keys of the large entries, same order
+_counts = {"hits": 0, "misses": 0, "evictions": 0}
+_held = 0
+_serials = count(1)
+_by_serial: dict = {}   # serial -> keys of the entries naming it
+_dead: list = []        # serials whose matrices are gone
+
+
+def serial_key(owner) -> tuple:
+    """A key for ``owner`` that no other object has or will have.  Once
+    ``owner`` is gone, the entries keyed by it are dropped."""
+    serial = next(_serials)
+    # Only a note here: the callback may run in the middle of a lookup.
+    weakref.finalize(owner, _dead.append, serial)
+    return ("serial", serial)
+
+
+def lookup(key: tuple, build, nbytes: int = 0):
+    """The cached value for ``key``, made by ``build()`` on a miss.
+
+    ``nbytes``, when given, is the size of the value's arrays, known before
+    the build: room for it is made first.
+    """
+    global _held
+    while _dead:
+        for gone in _by_serial.pop(_dead.pop(), ()):
+            _forget(gone)
+    got = _entries.get(key)
+    if got is not None:
+        _entries.move_to_end(key)
+        if key in _large:
+            _large.move_to_end(key)
+        _counts["hits"] += 1
+        return got[0]
+    _counts["misses"] += 1
+    if nbytes:
+        _make_room(ENTRY_OVERHEAD + nbytes)
+    value = build()
+    charge = ENTRY_OVERHEAD + int(getattr(value, "nbytes", 0))
+    _entries[key] = (value, charge)
+    _held += charge
+    if charge > CAP_BYTES // 4:
+        _large[key] = None
+    for serial in _serials_in(key):
+        _by_serial.setdefault(serial, set()).add(key)
+    _make_room(0)
+    return value
+
+
+def _serials_in(key) -> list:
+    if not isinstance(key, tuple):
+        return []
+    if len(key) == 2 and key[0] == "serial":
+        return [key[1]]
+    return [serial for part in key for serial in _serials_in(part)]
+
+
+def _make_room(incoming: int) -> None:
+    """Evict until ``incoming`` more bytes fit.  An incoming large entry
+    becomes the most recent large one, so then every held large entry may
+    go before the small ones."""
+    keep = 0 if incoming > CAP_BYTES // 4 else 1
+    while _entries and _held + incoming > CAP_BYTES:
+        if len(_large) > keep:
+            victim = next(iter(_large))
+        else:
+            victim = next(k for k in _entries
+                          if k not in _large or len(_entries) == 1)
+        _forget(victim)
+        _counts["evictions"] += 1
+
+
+def _forget(key) -> None:
+    global _held
+    got = _entries.pop(key, None)
+    if got is None:
+        return
+    _held -= got[1]
+    _large.pop(key, None)
+    for serial in _serials_in(key):
+        keys = _by_serial.get(serial)
+        if keys is not None:
+            keys.discard(key)
+            if not keys:
+                del _by_serial[serial]
+
+
+def stats() -> dict:
+    """Hits, misses and evictions since the last :func:`clear`, and the
+    bytes charged to and the number of the entries held now.  Entries dropped
+    with their serial-keyed matrix are not evictions."""
+    return dict(_counts, bytes=_held, entries=len(_entries))
+
+
+def clear() -> None:
+    """Drop every entry and reset the counters."""
+    global _held
+    _entries.clear()
+    _large.clear()
+    _by_serial.clear()
+    _held = 0
+    _counts.update(hits=0, misses=0, evictions=0)

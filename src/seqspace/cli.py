@@ -235,9 +235,14 @@ _RUNNERS = {
 }
 
 
+_parser: Optional[_Parser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use, then kept for the process
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         verdict = _RUNNERS[args.command](args)
     except (SeqspaceError, IndexError) as exc:

@@ -26,14 +26,15 @@ from typing import Optional
 
 import numpy as np
 
+from . import cache
 from .domains import preimage_sequence, space_from_spec, space_membership
 from .duality import dual_transfer_matrix
 from .errors import SpecError, TruncationError, UnsupportedClassError
 from .matrices import (
     DENSE_LIMIT,
-    ComposedMatrix,
     InfiniteMatrix,
     apply,
+    compose,
     inverse_of,
     matrix_from_spec,
 )
@@ -256,8 +257,18 @@ def _class_window(n: int) -> int:
     return max(24, n // 10)
 
 
+#: Elements per block when a row feature reduces the dense table: the
+#: temporaries stay this small whatever the truncation.
+FEATURE_BLOCK = 1 << 15
+
+
 class _Engine:
-    """Shared trace computations for one (matrix, truncation) pair."""
+    """Trace computations for one (matrix, truncation) pair.
+
+    An engine is made per evaluation and holds nothing but the table it
+    reads; every array worth keeping goes to the evaluation cache, keyed by
+    the matrix and only what the array depends on.
+    """
 
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
         if n < 8:
@@ -269,93 +280,82 @@ class _Engine:
         self.tol = tol
         self.window = window
         self.dense = n <= DENSE_LIMIT
-        self.row_tail_note = ""
         if a.row_end(n) is None:
-            self.row_limit = self._complete_row_limit()
-            if self.row_limit < n:
-                self.row_tail_note = (
-                    f"row traces restricted to rows 1..{self.row_limit}, whose "
-                    f"tails are captured inside the {n}-column window")
+            self.row_limit, self.row_tail_note = cache.lookup(
+                ("row-limit", a.key, n), self._complete_row_limit)
         else:
-            self.row_limit = n
-        self._cache: dict = {}
+            self.row_limit, self.row_tail_note = n, ""
+        self._table = None
+        self._rows = None
 
     # -- helpers ---------------------------------------------------------
 
-    def _complete_row_limit(self) -> int:
+    def _complete_row_limit(self) -> tuple:
+        """(last row whose tail fits in the window, note for row traces)."""
         cut = getattr(self.a, "row_cutoff", None)
         if cut is None:
-            self.row_tail_note = ("rows have unbounded support with no tail "
-                                  "cutoff; row traces use the leading window only")
-            return self.n
+            return self.n, ("rows have unbounded support with no tail "
+                            "cutoff; row traces use the leading window only")
         lo, hi = 1, self.n
         if cut(1) > self.n:
-            return 0
-        while lo < hi:
+            lo = 0
+        while 0 < lo < hi:
             mid = (lo + hi + 1) // 2
             if cut(mid) <= self.n:
                 lo = mid
             else:
                 hi = mid - 1
-        return lo
+        if lo == self.n:
+            return lo, ""
+        return lo, (f"row traces restricted to rows 1..{lo}, whose tails are "
+                    f"captured inside the {self.n}-column window")
 
     def table(self) -> np.ndarray:
-        t = self._cache.get("table")
-        if t is None:
+        if self._table is None:
             if not self.dense:
                 raise TruncationError(
                     f"dense table unavailable at truncation {self.n}")
-            t = self.a.truncation_floats(self.n)
-            self._cache["table"] = t
-        return t
+            self._table = self.a.truncation_floats(self.n)
+        return self._table
 
     def row_indices(self) -> np.ndarray:
-        idx = self._cache.get("row_idx")
-        if idx is None:
+        if self._rows is None:
             if self.dense:
-                idx = np.arange(1, self.row_limit + 1)
+                self._rows = np.arange(1, self.row_limit + 1)
             else:
                 top = self.row_limit
                 head = np.unique(np.geomspace(
                     1, max(1, top - self.window), num=96).astype(int))
                 tail = np.arange(max(1, top - self.window + 1), top + 1)
-                idx = np.unique(np.concatenate([head, tail]))
-            self._cache["row_idx"] = idx
-        return idx
+                self._rows = np.unique(np.concatenate([head, tail]))
+        return self._rows
 
     def _row_feature(self, kind: str) -> np.ndarray:
-        got = self._cache.get(kind)
-        if got is not None:
-            return got
         if self.dense:
-            t = self.table()[:self.row_limit]
+            return cache.lookup(
+                ("row-feature", self.a.key, self.n, kind),
+                lambda: _reduce_rows(self.table()[:self.row_limit], kind))
+        return cache.lookup(("row-feature", self.a.key, self.n, kind,
+                             self.window), lambda: self._sampled_feature(kind))
+
+    def _sampled_feature(self, kind: str) -> np.ndarray:
+        rows = self.row_indices()
+        out = np.empty(len(rows))
+        for i, nn in enumerate(rows):
+            nn = int(nn)
+            hi = self.a.row_end(nn)
+            hi = self.n if hi is None else min(hi, self.n)
+            if hi < 1:
+                out[i] = 0.0
+                continue
+            row = self.a.row_floats(nn, hi)
             if kind == "row_abs":
-                vals = np.abs(t).sum(axis=1)
+                out[i] = np.abs(row).sum()
             elif kind == "row_sum":
-                vals = t.sum(axis=1)
-            else:  # row_diff_abs
-                padded = np.hstack([t, np.zeros((t.shape[0], 1))])
-                vals = np.abs(np.diff(padded, axis=1)).sum(axis=1)
-        else:
-            rows = self.row_indices()
-            out = np.empty(len(rows))
-            for i, nn in enumerate(rows):
-                nn = int(nn)
-                hi = self.a.row_end(nn)
-                hi = self.n if hi is None else min(hi, self.n)
-                if hi < 1:
-                    out[i] = 0.0
-                    continue
-                row = self.a.row_floats(nn, hi)
-                if kind == "row_abs":
-                    out[i] = np.abs(row).sum()
-                elif kind == "row_sum":
-                    out[i] = row.sum()
-                else:
-                    out[i] = np.abs(np.diff(np.append(row, 0.0))).sum()
-            vals = out
-        self._cache[kind] = vals
-        return vals
+                out[i] = row.sum()
+            else:
+                out[i] = np.abs(np.diff(np.append(row, 0.0))).sum()
+        return out
 
     def row_trace(self, kind: str):
         return self.row_indices(), self._row_feature(kind)
@@ -366,25 +366,20 @@ class _Engine:
         return self.a.col_floats(k, np.arange(1, self.n + 1))
 
     def column_sample(self) -> list:
-        got = self._cache.get("cols")
-        if got is None:
-            # Columns too close to the truncation edge cannot have settled for
-            # matrices whose mass travels with the row index, so the sample is
-            # capped well inside the window.
-            cap = min(self.n - 2 * self.window, self.n // 3)
-            ks = list(range(1, 9)) + [12, 16, 24, 32, 48, 64, 96, 128, 192, 256]
-            got = sorted({k for k in ks if 1 <= k <= cap})
-            self._cache["cols"] = got
-        return got
+        # Columns too close to the truncation edge cannot have settled for
+        # matrices whose mass travels with the row index, so the sample is
+        # capped well inside the window.
+        cap = min(self.n - 2 * self.window, self.n // 3)
+        ks = list(range(1, 9)) + [12, 16, 24, 32, 48, 64, 96, 128, 192, 256]
+        return sorted({k for k in ks if 1 <= k <= cap})
 
     def final_rows(self, diff: bool) -> np.ndarray:
         """Stacked trailing complete rows (for column-limit estimates)."""
-        key = "final_diff" if diff else "final_rows"
-        got = self._cache.get(key)
-        if got is None:
-            depth = min(EQ_STACK_ROWS, self.window, self.row_limit)
+        depth = min(EQ_STACK_ROWS, self.window, self.row_limit)
+
+        def build():
             if self.dense:
-                block = self.table()[self.row_limit - depth:self.row_limit]
+                block = self.table()[self.row_limit - depth:self.row_limit].copy()
             else:
                 rows = range(self.row_limit - depth + 1, self.row_limit + 1)
                 block = np.vstack([self.a.row_floats(int(r), self.n)
@@ -392,29 +387,52 @@ class _Engine:
             if diff:
                 padded = np.hstack([block, np.zeros((block.shape[0], 1))])
                 block = np.diff(padded, axis=1) * -1.0
-            got = block
-            self._cache[key] = got
-        return got
+            return block
+        return cache.lookup(("final-rows", self.a.key, self.n, depth, diff),
+                            build)
 
-    def prefix_table(self) -> np.ndarray:
-        got = self._cache.get("prefix")
-        if got is None:
-            got = np.cumsum(self.table(), axis=0)
-            self._cache["prefix"] = got
-        return got
+    def prefix_trace(self, tail: bool) -> np.ndarray:
+        """Per row n, the absolute mass of the column prefix sums through
+        row n, or with ``tail`` of the column tails from row n on, cut at
+        the window edge."""
+        both = cache.lookup(("prefix-traces", self.a.key, self.n),
+                            self._prefix_traces)
+        return both[1 if tail else 0]
+
+    def _prefix_traces(self) -> np.ndarray:
+        sums = np.cumsum(self.table(), axis=0)
+        out = np.empty((2, self.n))
+        out[0] = _reduce_rows(sums, "row_abs")
+        total = sums[-1].copy()
+        np.subtract(total, sums, out=sums)  # row n: the tail after row n
+        out[1, 0] = _reduce_rows(total[None, :], "row_abs")[0]
+        out[1, 1:] = _reduce_rows(sums[:-1], "row_abs")
+        return out
 
 
-def _engine_for(a: InfiniteMatrix, n: int, tol: float, window: int) -> _Engine:
-    store = getattr(a, "_engines", None)
-    if store is None:
-        store = {}
-        setattr(a, "_engines", store)
-    key = (n, repr(tol), window)
-    eng = store.get(key)
-    if eng is None:
-        eng = _Engine(a, n, tol, window)
-        store[key] = eng
-    return eng
+def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
+    """One feature per row of ``t``: its sum ("row_sum"), absolute sum
+    ("row_abs") or the absolute sum of its adjacent differences, closed by
+    a zero ("row_diff_abs").  Each row is reduced over its full width, as a
+    reduction of the whole table would, but through one reused block buffer
+    instead of table-sized temporaries."""
+    if kind == "row_sum":
+        return t.sum(axis=1)
+    rows, width = t.shape
+    out = np.empty(rows)
+    step = max(1, FEATURE_BLOCK // width)
+    buf = np.empty((min(step, rows), width))
+    for i in range(0, rows, step):
+        block = t[i:i + step]
+        part = buf[:len(block)]
+        if kind == "row_abs":
+            np.abs(block, out=part)
+        else:
+            np.subtract(block[:, 1:], block[:, :-1], out=part[:, :-1])
+            np.subtract(0.0, block[:, -1], out=part[:, -1])
+            np.abs(part, out=part)
+        part.sum(axis=1, out=out[i:i + len(block)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +651,7 @@ def _eval_bounded_row_limits(eng: _Engine) -> ConditionReport:
 
 def _eval_bounded_prefix_columns(eng: _Engine) -> ConditionReport:
     eng, note = _prefix_engine(eng)
-    s = eng.prefix_table()
-    vals = np.abs(s).sum(axis=1)
+    vals = eng.prefix_trace(tail=False)
     idx = np.arange(1, eng.n + 1)
     verdict, info = analyze_sup(idx, vals, eng.tol, eng.window)
     return _report("bounded-prefix-columns", verdict,
@@ -657,10 +674,7 @@ def _eval_total_sum_converges(eng: _Engine) -> ConditionReport:
 
 def _eval_null_tail_columns(eng: _Engine) -> ConditionReport:
     eng, note = _prefix_engine(eng)
-    s = eng.prefix_table()
-    total = s[-1][None, :]
-    shifted = np.vstack([np.zeros((1, s.shape[1])), s[:-1]])
-    vals = np.abs(total - shifted).sum(axis=1)
+    vals = eng.prefix_trace(tail=True)
     idx = np.arange(1, eng.n + 1)
     lv = analyze_limit(idx, vals, eng.tol, eng.window)
     verdict = null_limit_verdict(lv, eng.tol)
@@ -675,7 +689,7 @@ def _prefix_engine(eng: _Engine):
         return eng, ""
     reduced = min(eng.n, PREFIX_TRUNCATION)
     note = f"evaluated at reduced truncation {reduced}; "
-    return _engine_for(eng.a, reduced, eng.tol, _class_window(reduced)), note
+    return _Engine(eng.a, reduced, eng.tol, _class_window(reduced)), note
 
 
 def _limit_note(lv) -> str:
@@ -712,8 +726,9 @@ def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
                      window: Optional[int] = None) -> ConditionReport:
     """Evaluate one named condition on a matrix at a truncation.
 
-    Results are memoized on the matrix instance per (condition, n, tol,
-    window), so repeated class checks share the work.
+    Reports are kept in the evaluation cache under the matrix key and
+    (condition, n, tol, window), so repeated class checks share the work
+    while the cache holds them.
     """
     a = matrix_from_spec(a)
     if condition not in _EVALUATORS:
@@ -721,21 +736,16 @@ def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
         raise SpecError(f"unknown condition {condition!r}; known: {known}")
     if window is None:
         window = _class_window(n)
-    cache = getattr(a, "_condition_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(a, "_condition_cache", cache)
-    key = (condition, n, repr(tol), window)
-    got = cache.get(key)
-    if got is None:
-        eng = _engine_for(a, n, tol, window)
+
+    def build():
+        eng = _Engine(a, n, tol, window)
         got = _EVALUATORS[condition](eng)
         if eng.row_tail_note and "row" in condition:
             got = ConditionReport(got.condition, got.verdict, got.observed,
                                   (got.note + "; " + eng.row_tail_note).strip("; "),
                                   got.truncation, got.extras)
-        cache[key] = got
-    return got
+        return got
+    return cache.lookup(("condition", a.key, condition, n, tol, window), build)
 
 
 def condition_trace(a, feature: str, n: int = DEFAULT_CLASS_N,
@@ -749,7 +759,7 @@ def condition_trace(a, feature: str, n: int = DEFAULT_CLASS_N,
     a = matrix_from_spec(a)
     if window is None:
         window = _class_window(n)
-    eng = _engine_for(a, n, CLASS_TOL, window)
+    eng = _Engine(a, n, CLASS_TOL, window)
     idx, vals = eng.row_trace(kinds[feature])
     return np.asarray(idx), np.asarray(vals)
 
@@ -762,49 +772,27 @@ def condition_trace(a, feature: str, n: int = DEFAULT_CLASS_N,
 def source_transfer_matrix(a, domain_matrix) -> InfiniteMatrix:
     """The matrix acting on the transformed coordinates of a source domain:
     the composition ``A  (inverse of the domain triangle)``."""
-    a = matrix_from_spec(a)
-    b = matrix_from_spec(domain_matrix)
-    cache = getattr(a, "_transfer_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(a, "_transfer_cache", cache)
-    key = ("source", b.name)
-    got = cache.get(key)
-    if got is None:
-        got = ComposedMatrix(a, inverse_of(b))
-        cache[key] = got
-    return got
+    return compose(a, inverse_of(domain_matrix))
 
 
 def target_transfer_matrix(a, domain_matrix) -> InfiniteMatrix:
     """The matrix whose rows are the domain coordinates of the images:
     the composition ``(domain triangle)  A``."""
-    a = matrix_from_spec(a)
-    b = matrix_from_spec(domain_matrix)
-    cache = getattr(a, "_transfer_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(a, "_transfer_cache", cache)
-    key = ("target", b.name)
-    got = cache.get(key)
-    if got is None:
-        got = ComposedMatrix(b, a)
-        cache[key] = got
-    return got
+    return compose(domain_matrix, a)
 
 
 def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
                          window: int, row_bound: int) -> dict:
     """Check that the leading rows of ``a`` pair summably with the source
     domain (each row must lie in the domain's beta dual)."""
-    cache = getattr(a, "_row_pairing_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(a, "_row_pairing_cache", cache)
-    key = (str(space), n, repr(tol), window, row_bound)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    return cache.lookup(
+        ("row-pairing", a.key, space.tag, space.matrix.key, n, tol, window,
+         row_bound),
+        lambda: _pair_rows(a, space, n, tol, window, row_bound))
+
+
+def _pair_rows(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
+               window: int, row_bound: int) -> dict:
     verdicts = {}
     for nn in range(1, row_bound + 1):
         hint = a.row_end(nn)
@@ -816,10 +804,8 @@ def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
     overall = conjoin(verdicts.values())
     weakest = next((r for r, v in verdicts.items()
                     if v is not Verdict.SATISFIED), None)
-    got = {"verdict": overall, "rows_checked": row_bound,
-           "weakest_row": weakest}
-    cache[key] = got
-    return got
+    return {"verdict": overall, "rows_checked": row_bound,
+            "weakest_row": weakest}
 
 
 # ---------------------------------------------------------------------------
@@ -929,18 +915,12 @@ def oracle_samples(space, seed: int = 0) -> list:
     return out
 
 
-def _cached_image(a: InfiniteMatrix, label: str, x: Sequence, n: int,
-                  seed: int):
-    cache = getattr(a, "_image_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(a, "_image_cache", cache)
-    key = (label, n, seed)
-    got = cache.get(key)
-    if got is None:
-        got = apply(a, x, n, mode="float")
-        cache[key] = got
-    return got
+def _cached_image(a: InfiniteMatrix, space: SpaceId, label: str, x: Sequence,
+                  n: int, seed: int):
+    """``apply(a, x, n)`` for the sample ``label`` of ``space`` at ``seed``."""
+    domain = space.matrix.key if space.is_domain else None
+    return cache.lookup(("image", a.key, domain, label, n, seed),
+                        lambda: apply(a, x, n, mode="float"))
 
 
 def _probe_note(info: dict) -> str:
@@ -971,7 +951,7 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
         window = _class_window(n)
     probes = []
     for label, x in oracle_samples(from_space, seed):
-        img = _cached_image(a, label, x, n, seed)
+        img = _cached_image(a, from_space, label, x, n, seed)
         if img.overflow:
             probes.append(SampleProbe(
                 label, Verdict.INCONCLUSIVE,

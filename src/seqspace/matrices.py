@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import cache
 from .errors import (
     FloatRangeError,
     RowSeriesError,
@@ -70,14 +71,19 @@ def _term_floats(values, first: int, what: str) -> list:
 
 
 class InfiniteMatrix:
-    """Base class: entry rule + support hints + cached float truncations."""
+    """Base class: entry rule + support hints + cached float truncations.
+
+    ``key`` names the matrix in the evaluation cache (:mod:`seqspace.cache`):
+    a serial number unless the matrix was resolved from a spec or is a
+    product or inverse of keyed factors.
+    """
 
     def __init__(self, name: str, params: Optional[dict] = None,
                  triangle: bool = False):
         self.name = name
         self.params = dict(params or {})
         self.triangle = triangle
-        self._float_cache: dict[int, np.ndarray] = {}
+        self.key = cache.serial_key(self)
 
     # -- entry rule -------------------------------------------------------
 
@@ -125,12 +131,12 @@ class InfiniteMatrix:
             raise TruncationError(
                 f"dense float truncation capped at {DENSE_LIMIT}; "
                 f"use row_floats/col_floats for size {size}")
-        got = self._float_cache.get(size)
-        if got is None:
-            got = self._build_truncation_floats(size)
-            got.setflags(write=False)
-            self._float_cache[size] = got
-        return got
+        def build():
+            table = self._build_truncation_floats(size)
+            table.setflags(write=False)
+            return table
+        return cache.lookup(("table", self.key, size), build,
+                            nbytes=8 * size * size)
 
     # -- optional fast transforms ------------------------------------------
 
@@ -698,6 +704,7 @@ class ComposedMatrix(InfiniteMatrix):
                          triangle=left.triangle and right.triangle)
         self.left = left
         self.right = right
+        self.key = ("compose", left.key, right.key)
 
     def entry(self, n, k):
         _check_index(n, k)
@@ -738,8 +745,11 @@ class ComposedMatrix(InfiniteMatrix):
 
 
 def compose(left, right) -> ComposedMatrix:
-    """The matrix product ``left @ right`` as a lazy matrix."""
-    return ComposedMatrix(matrix_from_spec(left), matrix_from_spec(right))
+    """The matrix product ``left @ right`` as a lazy matrix: one object per
+    pair of factor keys while the evaluation cache holds it."""
+    left, right = matrix_from_spec(left), matrix_from_spec(right)
+    return cache.lookup(("matrix", ("compose", left.key, right.key)),
+                        lambda: ComposedMatrix(left, right))
 
 
 class InverseTriangle(InfiniteMatrix):
@@ -751,6 +761,7 @@ class InverseTriangle(InfiniteMatrix):
                             "only triangles are inverted here")
         super().__init__(f"{base.name}-inverse", triangle=True)
         self.base = base
+        self.key = ("inverse", base.key)
         self._cols: dict[int, list] = {}
 
     def _column(self, k: int, n: int) -> list:
@@ -835,7 +846,19 @@ _PARAMETERLESS = {
     "cesaro-inv": cesaro_inverse_matrix,
 }
 
-_SPEC_CACHE: dict[str, InfiniteMatrix] = {}
+def _spec_matrix(key: str, make) -> InfiniteMatrix:
+    """The matrix with canonical spec ``key``, shared through the cache."""
+    def build():
+        made = make()
+        made.key = key
+        return made
+    return cache.lookup(("matrix", key), build)
+
+
+def _parametrized(kind: str, value) -> InfiniteMatrix:
+    r = exact_number(value)
+    family = EulerMeans if kind == "euler" else TaylorTransform
+    return _spec_matrix(f"{kind}:{r}", lambda: family(r))
 
 
 def matrix_from_spec(spec) -> InfiniteMatrix:
@@ -844,42 +867,38 @@ def matrix_from_spec(spec) -> InfiniteMatrix:
     String forms: ``"omega"``, ``"gamma"``, ``"omega-inv"``, ``"gamma-inv"``,
     ``"identity"``, ``"zero"``, ``"cesaro"``, ``"euler:0.5"``,
     ``"taylor:0.5"``, ``"riesz:<sequence shorthand>"`` (e.g. ``riesz:const:1``).
-    Dict forms use ``{"kind": name, ...params}``.  Parameterless names and
-    string forms are cached, so repeated lookups share float caches.
+    Dict forms use ``{"kind": name, ...params}``.  Every form but a dict
+    ``riesz`` with non-string weights gets a canonical key (``"euler:0.5"``,
+    ``"euler:1/2"`` and ``{"kind": "euler", "r": "1/2"}`` all give
+    ``"euler:1/2"``), and lookups share one matrix per key while the
+    evaluation cache holds it.
     """
     if isinstance(spec, InfiniteMatrix):
         return spec
     if isinstance(spec, str):
-        key = spec.strip().lower().replace("_", "-")
-        got = _SPEC_CACHE.get(key)
-        if got is not None:
-            return got
-        head, _, rest = key.partition(":")
+        head, _, rest = spec.strip().lower().replace("_", "-").partition(":")
         if head in _PARAMETERLESS:
             if rest:
                 raise SpecError(f"matrix {head!r} takes no parameter")
-            made = _PARAMETERLESS[head]()
-        elif head == "euler":
-            made = EulerMeans(exact_number(rest or "1/2"))
-        elif head == "taylor":
-            made = TaylorTransform(exact_number(rest or "1/2"))
-        elif head == "riesz":
-            made = RieszMeans(make_sequence(rest) if rest
-                              else make_sequence("const:1"))
-        else:
-            raise SpecError(f"unknown matrix {spec!r}")
-        _SPEC_CACHE[key] = made
-        return made
+            return _spec_matrix(head, _PARAMETERLESS[head])
+        if head in ("euler", "taylor"):
+            return _parametrized(head, rest or "1/2")
+        if head == "riesz":
+            weights = rest or "const:1"
+            return _spec_matrix(f"riesz:{weights}",
+                                lambda: RieszMeans(make_sequence(weights)))
+        raise SpecError(f"unknown matrix {spec!r}")
     if isinstance(spec, dict):
         kind = str(spec.get("kind", "")).strip().lower().replace("_", "-")
         if kind in _PARAMETERLESS:
             return matrix_from_spec(kind)
-        if kind == "euler":
-            return EulerMeans(exact_number(spec.get("r", "1/2")))
-        if kind == "taylor":
-            return TaylorTransform(exact_number(spec.get("r", "1/2")))
+        if kind in ("euler", "taylor"):
+            return _parametrized(kind, spec.get("r", "1/2"))
         if kind == "riesz":
-            return RieszMeans(make_sequence(spec.get("weights", "const:1")))
+            weights = spec.get("weights", "const:1")
+            if isinstance(weights, str):
+                return matrix_from_spec(f"riesz:{weights}")
+            return RieszMeans(make_sequence(weights))
         raise SpecError(f"unknown matrix kind {spec.get('kind')!r}")
     raise SpecError(f"cannot build a matrix from {type(spec).__name__}")
 

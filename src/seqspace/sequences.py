@@ -369,6 +369,11 @@ class FiniteVector:
             raise IndexError(f"index {k} outside 1..{len(self.entries)}")
         return self.entries[k - 1]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of a float vector's array; 0 for exact vectors."""
+        return self.entries.nbytes if isinstance(self.entries, np.ndarray) else 0
+
     def as_floats(self) -> np.ndarray:
         if isinstance(self.entries, np.ndarray):
             return self.entries

@@ -1,0 +1,162 @@
+"""The evaluation cache: counters, canonical and serial keys, eviction that
+frees at once, and memory that stays bounded over a stream of new matrices."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+import weakref
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from seqspace import cache
+from seqspace.conditions import check_class, target_transfer_matrix
+from seqspace.duality import DualTriangle
+from seqspace.matrices import matrix_from_spec
+from seqspace.sequences import Sequence
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True)
+def empty_cache():
+    cache.clear()
+    yield
+    cache.clear()
+
+
+def test_stats_count_hits_misses_and_evictions(monkeypatch):
+    monkeypatch.setattr(cache, "CAP_BYTES", 3 * (cache.ENTRY_OVERHEAD + 800))
+    built = []
+
+    def make(tag):
+        built.append(tag)
+        return np.zeros(100)
+
+    for tag in ("a", "b", "a", "c", "a", "d"):
+        cache.lookup((tag,), lambda: make(tag))
+    # a, b, c fill the cap; a is reused twice; d evicts b, the least recent.
+    assert built == ["a", "b", "c", "d"]
+    assert cache.stats() == {"hits": 2, "misses": 4, "evictions": 1,
+                             "bytes": 3 * (cache.ENTRY_OVERHEAD + 800),
+                             "entries": 3}
+    cache.lookup(("b",), lambda: make("b"))
+    assert built[-1] == "b" and cache.stats()["evictions"] == 2
+    cache.clear()
+    assert cache.stats() == {"hits": 0, "misses": 0, "evictions": 0,
+                             "bytes": 0, "entries": 0}
+
+
+def test_large_entries_go_first_but_the_newest_stays(monkeypatch):
+    monkeypatch.setattr(cache, "CAP_BYTES", 10 * 2 ** 20)
+    big = 3 * 2 ** 20   # above a quarter of the cap
+    cache.lookup(("small",), lambda: np.zeros(2 ** 17))
+    cache.lookup(("big", 1), lambda: np.zeros(big // 8), nbytes=big)
+    cache.lookup(("big", 2), lambda: np.zeros(big // 8), nbytes=big)
+    # A third large entry evicts the oldest large one, not the older small one.
+    cache.lookup(("big", 3), lambda: np.zeros(big // 8), nbytes=big)
+    held = set(cache._entries)
+    assert ("small",) in held and ("big", 1) not in held
+    assert {("big", 2), ("big", 3)} <= held
+
+
+def test_evicted_table_is_freed_at_once(monkeypatch):
+    """No reference cycle keeps an evicted table alive until the cyclic
+    garbage collector runs, transfer matrices included."""
+    gc.collect()
+    gc.disable()
+    try:
+        check_class("euler:1/3", "c", "c(omega)")
+        check_class("euler:1/3", "c0(omega)", "c")
+        a = matrix_from_spec("euler:1/3")
+        refs = [weakref.ref(a.truncation_floats(600)),
+                weakref.ref(target_transfer_matrix(a, "omega")
+                            .truncation_floats(600))]
+        del a
+        assert all(r() is not None for r in refs)
+        monkeypatch.setattr(cache, "CAP_BYTES", 2 * cache.ENTRY_OVERHEAD)
+        cache.lookup(("filler",), lambda: None)
+        assert cache.stats()["evictions"] > 0
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_same_label_over_different_rows_never_shares_an_entry():
+    rows = [Sequence(lambda k, s=s: Fraction(s, k * k), label="row[1]")
+            for s in (1, 2)]
+    first, second = (DualTriangle(x, "omega") for x in rows)
+    assert first.name == second.name and first.key != second.key
+    assert np.array_equal(2 * first.truncation_floats(50),
+                          second.truncation_floats(50))
+    one, two = (check_class(t, "c0", "c").condition_reports[0]
+                for t in (first, second))
+    assert two.observed == 2 * one.observed
+
+
+def test_entries_of_a_gone_matrix_are_dropped():
+    t = DualTriangle(Sequence(lambda k: Fraction(1, k), label="row[1]"),
+                     "omega")
+    check_class(t, "c0", "c")
+    held = cache.stats()["entries"]
+    del t
+    gc.collect()
+    cache.lookup(("probe",), lambda: None)
+    assert cache.stats()["entries"] < held
+
+
+def test_three_spellings_of_one_matrix_hit_one_entry():
+    spellings = ("euler:1/2", "euler:0.5", {"kind": "euler", "r": "1/2"})
+    got = [matrix_from_spec(s) for s in spellings]
+    assert got[0] is got[1] is got[2]
+    assert got[0].key == "euler:1/2"
+    assert cache.stats() == {"hits": 2, "misses": 1, "evictions": 0,
+                             "bytes": cache.ENTRY_OVERHEAD, "entries": 1}
+    first = matrix_from_spec("euler:1/2").truncation_floats(40)
+    assert matrix_from_spec("euler:0.5").truncation_floats(40) is first
+
+
+STREAM = """
+import json, resource
+from fractions import Fraction
+from seqspace import cache, check_class
+
+
+def peak_mb():
+    # A child's ru_maxrss starts at its parent's peak on Linux, so the
+    # child's own high-water mark is read where the system gives it.
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+ratios = sorted({Fraction(p, q) for q in range(2, 40) for p in range(1, q)})
+ratios = [r for r in ratios if r >= Fraction(5, 12)][:200]
+assert len(ratios) == 200
+most = 0
+for r in ratios:
+    check_class(f"euler:{r}", "c", "c")
+    most = max(most, cache.stats()["bytes"])
+print(json.dumps({"most": most, "cap": cache.CAP_BYTES, "peak_mb": peak_mb()}))
+"""
+
+
+def test_a_stream_of_new_matrices_stays_bounded():
+    """200 distinct Euler means, each checked on (c : c) in a fresh process:
+    the cache stays within its cap and the process under 160 MB (each
+    check used to keep its 600 x 600 table for good, 585 MB in all)."""
+    out = subprocess.run([sys.executable, "-c", STREAM], capture_output=True,
+                         text=True, check=True, timeout=600,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["most"] <= got["cap"]
+    assert got["peak_mb"] < 160

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqspace.conditions import _column_mass, _Engine
+from seqspace.conditions import _column_mass, _Engine, _reduce_rows
 from seqspace.duality import dual_transfer_matrix
 from seqspace.matrices import ROW_CUTOFF_CAP, apply, matrix_from_spec
 from seqspace.sequences import Sequence, make_sequence
@@ -305,3 +305,52 @@ def test_column_mass_matches_the_column_loop():
             got = _column_mass(block, first_row, eng.n, 1e-7)
             want = column_mass_reference(block, first_row, eng.n, 1e-7)
             assert same_bits(got, want), (name, diff)
+
+
+# ---------------------------------------------------------------------------
+# Row features and prefix traces
+# ---------------------------------------------------------------------------
+
+
+def row_feature_reference(t, kind):
+    """The whole-table reductions the blocked features replaced."""
+    if kind == "row_abs":
+        return np.abs(t).sum(axis=1)
+    if kind == "row_sum":
+        return t.sum(axis=1)
+    padded = np.hstack([t, np.zeros((t.shape[0], 1))])
+    return np.abs(np.diff(padded, axis=1)).sum(axis=1)
+
+
+def prefix_traces_reference(t):
+    s = np.cumsum(t, axis=0)
+    total = s[-1][None, :]
+    shifted = np.vstack([np.zeros((1, s.shape[1])), s[:-1]])
+    return np.abs(s).sum(axis=1), np.abs(total - shifted).sum(axis=1)
+
+
+FEATURE_FAMILIES = ("identity", "omega", "gamma", "omega-inv", "gamma-inv",
+                    "cesaro", "euler:1/2", "taylor:1/4", "riesz:power:3")
+
+
+@pytest.mark.parametrize("name", FEATURE_FAMILIES)
+def test_row_features_match_whole_table_reductions(name):
+    a = matrix_from_spec(name)
+    sizes = (1, 2, 57, 600) + ((2000,) if name in ("euler:1/2", "gamma") else ())
+    for size in sizes:
+        t = a.truncation_floats(size)
+        for rows in (size, size // 2):
+            for kind in ("row_abs", "row_sum", "row_diff_abs"):
+                got = _reduce_rows(t[:rows], kind)
+                assert same_bits(got, row_feature_reference(t[:rows], kind)), \
+                    (name, size, rows, kind)
+
+
+@pytest.mark.parametrize("name", FEATURE_FAMILIES)
+def test_prefix_traces_match_the_prefix_table(name):
+    a = matrix_from_spec(name)
+    for size in (8, 57, 600):
+        eng = _Engine(a, size, 1.5e-3, max(1, size // 10))
+        heads, tails = prefix_traces_reference(a.truncation_floats(size))
+        assert same_bits(eng.prefix_trace(tail=False), heads), (name, size)
+        assert same_bits(eng.prefix_trace(tail=True), tails), (name, size)

@@ -5,8 +5,10 @@ acceptance grid at seed 0, the headline, conditions, row-pairing and oracle
 verdicts, each condition's verdict and observed value, each oracle sample's
 verdict and ``routes_agree``; and the exact stdout bytes of a few CLI calls.
 Observed values are compared with a relative tolerance of 1e-12, everything
-else exactly.  Regenerate (only for a deliberate behaviour change, listed in
-CHANGES.md) with
+else exactly.  The grid is also built with the evaluation cache capped small
+enough to evict between matrices, and must give the same records.
+Regenerate (only for a deliberate behaviour change, listed in CHANGES.md)
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from seqspace import cache
 from seqspace.cli import main
 from seqspace.conditions import check_class
 from seqspace.errors import UnsupportedClassError
@@ -90,9 +93,7 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-def test_grid_matches_golden(golden):
-    got = grid_records()
-    want = golden["grid"]
+def assert_grid_matches(got, want):
     assert len(want) == 608
     assert sorted(got) == sorted(want)
     for cell, rec in want.items():
@@ -109,6 +110,24 @@ def test_grid_matches_golden(golden):
             else:
                 assert obs == pytest.approx(ref, rel=OBSERVED_REL_TOL,
                                             abs=0.0), (cell, cond)
+
+
+def test_grid_matches_golden(golden):
+    assert_grid_matches(grid_records(), golden["grid"])
+
+
+def test_grid_matches_golden_under_eviction(golden, monkeypatch):
+    """Every cached value is rebuilt the same way: with room for about two
+    600 x 600 tables, tables, reports and images are evicted within and
+    between matrices, and the records do not change."""
+    monkeypatch.setattr(cache, "CAP_BYTES", 8 * 2 ** 20)
+    cache.clear()
+    try:
+        got = grid_records()
+        assert cache.stats()["evictions"] > 0
+    finally:
+        cache.clear()
+    assert_grid_matches(got, golden["grid"])
 
 
 def test_cli_bytes_match_golden(golden):
