@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import cache
-from .domains import preimage_sequence, space_from_spec, space_membership
+from .domains import preimage_sequence, space_from_spec
 from .duality import dual_transfer_matrix
 from .errors import SpecError, TruncationError, UnsupportedClassError
 from .matrices import (
@@ -43,7 +43,9 @@ from .sequences import (
     Sequence,
     SpaceId,
     analyze_limit,
+    analyze_limits,
     analyze_sup,
+    classify_traces,
     limit_exists_verdict,
     make_sequence,
     null_limit_verdict,
@@ -360,10 +362,12 @@ class _Engine:
     def row_trace(self, kind: str):
         return self.row_indices(), self._row_feature(kind)
 
-    def column_values(self, k: int) -> np.ndarray:
+    def columns(self, ks: np.ndarray) -> np.ndarray:
+        """The columns ``ks`` over rows 1..n, one per row of the result."""
         if self.dense:
-            return self.table()[:, k - 1]
-        return self.a.col_floats(k, np.arange(1, self.n + 1))
+            return self.table().T[ks - 1]
+        rows = np.arange(1, self.n + 1)
+        return np.vstack([self.a.col_floats(int(k), rows) for k in ks])
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -491,18 +495,17 @@ def _eval_bounded_row_diffs(eng: _Engine) -> ConditionReport:
                    half_span_growth=info.get("half_span_growth"))
 
 
-def _per_column(eng: _Engine, cond: str, transform, judge) -> ConditionReport:
-    """Conjoin a per-column judgement over the sampled columns."""
+def _per_column(eng: _Engine, cond: str, traces, judge) -> ConditionReport:
+    """Conjoin a per-column judgement over the sampled columns; ``traces``
+    maps the sampled column indices to their stacked traces."""
     cols = eng.column_sample()
     if not cols:
         return _report(cond, Verdict.INCONCLUSIVE, None,
                        "truncation too small to sample columns", eng.n)
-    verdicts = {}
-    for k in cols:
-        trace = transform(k)
-        lv = analyze_limit(np.arange(1, len(trace) + 1), trace,
-                           eng.tol, eng.window)
-        verdicts[k] = judge(lv)
+    stack = traces(np.array(cols))
+    limits = analyze_limits(np.arange(1, stack.shape[1] + 1), stack,
+                            eng.tol, eng.window)
+    verdicts = {k: judge(lv) for k, lv in zip(cols, limits)}
     overall = conjoin(verdicts.values())
     bad = [k for k, v in verdicts.items() if v is Verdict.VIOLATED]
     open_ = [k for k, v in verdicts.items() if v is Verdict.INCONCLUSIVE]
@@ -516,26 +519,26 @@ def _per_column(eng: _Engine, cond: str, transform, judge) -> ConditionReport:
 
 
 def _eval_columns_converge(eng: _Engine) -> ConditionReport:
-    return _per_column(eng, "columns-converge", eng.column_values,
+    return _per_column(eng, "columns-converge", eng.columns,
                        limit_exists_verdict)
 
 
 def _eval_null_columns(eng: _Engine) -> ConditionReport:
-    return _per_column(eng, "null-columns", eng.column_values,
+    return _per_column(eng, "null-columns", eng.columns,
                        lambda lv: null_limit_verdict(lv, eng.tol))
 
 
 def _eval_row_diffs_converge(eng: _Engine) -> ConditionReport:
-    def diff_col(k):
-        return eng.column_values(k) - eng.column_values(k + 1)
-    return _per_column(eng, "row-diffs-converge", diff_col,
+    def diff_cols(ks):
+        return eng.columns(ks) - eng.columns(ks + 1)
+    return _per_column(eng, "row-diffs-converge", diff_cols,
                        limit_exists_verdict)
 
 
 def _eval_column_sums_converge(eng: _Engine) -> ConditionReport:
-    def prefix_col(k):
-        return np.cumsum(eng.column_values(k))
-    return _per_column(eng, "column-sums-converge", prefix_col,
+    def prefix_cols(ks):
+        return np.cumsum(eng.columns(ks), axis=1)
+    return _per_column(eng, "column-sums-converge", prefix_cols,
                        limit_exists_verdict)
 
 
@@ -617,13 +620,16 @@ def _eval_null_rows(eng: _Engine) -> ConditionReport:
     if not rows:
         return _report("null-rows", Verdict.INCONCLUSIVE, None,
                        "no complete rows inside the window", eng.n)
-    verdicts = []
-    for nn in rows:
-        row = eng.a.row_floats(nn, eng.n)
-        lv = analyze_limit(np.arange(1, eng.n + 1), row, eng.tol, eng.window)
-        verdicts.append(null_limit_verdict(lv, eng.tol))
+    verdicts = [null_limit_verdict(lv, eng.tol)
+                for lv in _row_limits(eng, rows)]
     return _report("null-rows", conjoin(verdicts), None,
                    f"checked rows {rows}", eng.n)
+
+
+def _row_limits(eng: _Engine, rows: list) -> list:
+    """Limit verdicts along the given rows, over columns 1..n."""
+    stack = np.vstack([eng.a.row_floats(nn, eng.n) for nn in rows])
+    return analyze_limits(np.arange(1, eng.n + 1), stack, eng.tol, eng.window)
 
 
 def _eval_bounded_row_limits(eng: _Engine) -> ConditionReport:
@@ -635,15 +641,10 @@ def _eval_bounded_row_limits(eng: _Engine) -> ConditionReport:
     if not rows:
         return _report("bounded-row-limits", Verdict.INCONCLUSIVE, None,
                        "no complete rows inside the window", eng.n)
-    limits = []
-    verdicts = []
-    for nn in rows:
-        row = eng.a.row_floats(nn, eng.n)
-        lv = analyze_limit(np.arange(1, eng.n + 1), row, eng.tol, eng.window)
-        verdicts.append(limit_exists_verdict(lv))
-        if lv.kind is LimitKind.CONVERGES:
-            limits.append(abs(lv.value))
-    overall = conjoin(verdicts)
+    row_limits = _row_limits(eng, rows)
+    limits = [abs(lv.value) for lv in row_limits
+              if lv.kind is LimitKind.CONVERGES]
+    overall = conjoin(limit_exists_verdict(lv) for lv in row_limits)
     observed = max(limits) if limits else None
     return _report("bounded-row-limits", overall, observed,
                    f"row limits estimated on rows {rows}", eng.n)
@@ -949,17 +950,27 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     to_space = space_from_spec(to_space)
     if window is None:
         window = _class_window(n)
-    probes = []
-    for label, x in oracle_samples(from_space, seed):
+    battery = cache.lookup(
+        ("battery", from_space.matrix.key if from_space.is_domain else None,
+         from_space.tag, seed),
+        lambda: oracle_samples(from_space, seed))
+    probes = [None] * len(battery)
+    judged, traces = [], []
+    for i, (label, x) in enumerate(battery):
         img = _cached_image(a, from_space, label, x, n, seed)
+        if to_space.is_domain and not img.overflow:
+            img = apply(to_space.matrix, img, n, mode="float")
         if img.overflow:
-            probes.append(SampleProbe(
+            probes[i] = SampleProbe(
                 label, Verdict.INCONCLUSIVE,
-                f"transform overflowed at index {img.overflow_index}"))
-            continue
-        verdict, info = space_membership(img, to_space, n, tol=tol,
-                                         window=window, detail=True)
-        probes.append(SampleProbe(label, verdict, _probe_note(info)))
+                f"transform overflowed at index {img.overflow_index}")
+        else:
+            judged.append(i)
+            traces.append(img.entries)
+    if traces:
+        for i, (verdict, info) in zip(judged, classify_traces(
+                np.array(traces), to_space.tag, tol, window)):
+            probes[i] = SampleProbe(battery[i][0], verdict, _probe_note(info))
     witnesses = tuple(p.label for p in probes if p.verdict is Verdict.VIOLATED)
     decisive = [p for p in probes if p.verdict is not Verdict.INCONCLUSIVE]
     members = [p for p in decisive if p.verdict is Verdict.SATISFIED]

@@ -74,20 +74,41 @@ class DualTriangle(InfiniteMatrix):
             lo = len(self._sf)
             hint = self.a.support_hint
             hi = m if hint is None else max(lo, min(m, hint))
-            fresh = [self._scaled_float(k) for k in range(lo + 1, hi + 1)]
+            fresh = [self._scaled_float(k, *parts)
+                     for k, parts in zip(range(lo + 1, hi + 1),
+                                         self._term_parts(lo + 1, hi))]
             self._sf = np.concatenate([self._sf, fresh, np.zeros(m - hi)])
         return self._sf[:m]
 
-    def _scaled_float(self, k: int) -> float:
-        """``float(self._scaled(k))``.  A rational ``a_k`` takes one correctly
-        rounded int division, which is what ``float`` of a ``Fraction`` is."""
-        ak = self.a(k)
+    def _term_parts(self, lo: int, hi: int):
+        """``a_lo .. a_hi``, each as (numerator, denominator) in lowest terms
+        when rational and as (value, None) when a float.  The terms of a
+        geometric ``a`` are running products of the ratio's numerator and
+        denominator, which stay coprime."""
+        r = self.a.ratio
+        if r is not None:
+            p, q = r.numerator, r.denominator
+            num, den = p ** (lo - 1), q ** (lo - 1)
+            for _ in range(lo, hi + 1):
+                num, den = num * p, den * q
+                yield num, den
+            return
+        for k in range(lo, hi + 1):
+            ak = self.a(k)
+            if isinstance(ak, (int, Fraction)):
+                yield ak.numerator, ak.denominator
+            else:
+                yield ak, None
+
+    def _scaled_float(self, k: int, num, den) -> float:
+        """``float(self._scaled(k))`` from the parts of ``a_k``.  A rational
+        ``a_k`` takes one correctly rounded int division, which is what
+        ``float`` of a ``Fraction`` is."""
         omega = self.weight_mode == "omega"
         try:
-            if isinstance(ak, (int, Fraction)):
-                num, den = ak.numerator, ak.denominator
+            if den is not None:
                 return num / (den * k) if omega else (num * k) / den
-            return float(ak / k if omega else k * ak)
+            return float(num / k if omega else k * num)
         except OverflowError:
             raise FloatRangeError(
                 f"{self.name}: scaled term {k} is too large for a float") from None

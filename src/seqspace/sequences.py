@@ -97,13 +97,16 @@ class Sequence:
     sequence is treated as identically zero beyond that index and the rule is
     never consulted there.  ``vector``, when given, is the rule's vectorized
     form: ``vector(m)`` returns the float64 array ``x_1..x_m`` and is only
-    asked for ``m`` within the support (see :meth:`floats`).
+    asked for ``m`` within the support (see :meth:`floats`).  ``ratio`` is
+    set on geometric sequences, ``x_k = ratio**k``, so that exact terms can
+    be stepped through by running products instead of fresh powers.
     """
 
     rule: Callable[[int], Scalar]
     support_hint: Optional[int] = None
     label: str = "sequence"
     vector: Optional[Callable[[int], np.ndarray]] = None
+    ratio: Optional[Scalar] = None
 
     def __call__(self, k: int) -> Scalar:
         if k < 1:
@@ -238,7 +241,7 @@ def _builtin_sequence(name: str, params: dict) -> Sequence:
         def rule(k):
             return r**k
         return Sequence(rule, label=f"geometric:{r}",
-                        vector=_geometric_floats(r, rule))
+                        vector=_geometric_floats(r, rule), ratio=r)
     if name in ("alternating", "alt"):
         return Sequence(lambda k: (-1) ** k, label="alternating",
                         vector=lambda m: np.where(np.arange(1, m + 1) % 2,
@@ -445,94 +448,183 @@ class LimitVerdict:
     note: str = ""
 
 
-def _fit_slope(log_idx: np.ndarray, vals: np.ndarray) -> float:
-    """Least-squares slope of vals against log(index)."""
-    if len(vals) < 2 or np.ptp(log_idx) == 0:
-        return 0.0
-    x = log_idx - log_idx.mean()
+#: The outcomes of the limit heuristic: (kind, note) by outcome code.
+_SETTLED, _UNDECIDED, _DIVERGENT, _ALTERNATING, _DECAYING, _SWINGING = range(6)
+_OUTCOMES = (
+    (LimitKind.CONVERGES, ""),
+    (LimitKind.INCONCLUSIVE, ""),
+    (LimitKind.DIVERGES, "monotone growth with sustained slope"),
+    (LimitKind.OSCILLATES, "alternating differences, amplitude not decaying"),
+    (LimitKind.INCONCLUSIVE,
+     "alternating differences with decaying amplitude"),
+    (LimitKind.OSCILLATES, "sustained swings with growing peaks"),
+)
+_NON_FINITE = LimitVerdict(LimitKind.INCONCLUSIVE, None, math.inf, 0.0,
+                           note="non-finite values in trace")
+
+
+def _rows(block: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The rows ``which`` of ``block``: a view when they are all of them."""
+    return block if len(which) == len(block) else block[which]
+
+
+def _row_means(block: np.ndarray) -> np.ndarray:
+    """``block.mean(axis=1)``, without its Python-level overhead: the same
+    pairwise sum per row, divided by the row length."""
+    return np.add.reduce(block, axis=1) / block.shape[1]
+
+
+def _slopes(log_idx: np.ndarray, block: np.ndarray, means=None) -> np.ndarray:
+    """Least-squares slope of each row of ``block`` against ``log_idx``.
+
+    ``means`` are the row means when the caller has them.  Each slope is
+    ``dot(x, row - mean) / dot(x, x)`` with ``x`` the centred log indices;
+    the stacked 1 x w @ w x 1 products go to the same BLAS ``ddot`` as
+    ``np.dot`` of one row, so a row's slope does not depend on its batch.
+    """
+    if len(log_idx) < 2 or \
+            np.maximum.reduce(log_idx) == np.minimum.reduce(log_idx):
+        return np.zeros(len(block))
+    x = log_idx - np.add.reduce(log_idx) / len(log_idx)
     denom = float(np.dot(x, x))
     if denom == 0.0:
-        return 0.0
-    return float(np.dot(x, vals - vals.mean()) / denom)
+        return np.zeros(len(block))
+    if means is None:
+        means = _row_means(block)
+    centred = block - means[:, None]
+    return (centred[:, None, :] @ x[:, None])[:, 0, 0] / denom
 
 
-def analyze_limit(indices, values, tol: float, window: int) -> LimitVerdict:
-    """Limit heuristic on a (possibly non-contiguous) trace.
+def _turns(diffs: np.ndarray) -> np.ndarray:
+    """Per row, how many adjacent pairs of nonzero differences have a
+    negative product.  The product is of the differences themselves, so a
+    pair whose product underflows to zero is no turn."""
+    nonzero = diffs != 0
+    flat = diffs[nonzero]                 # each row's nonzero ones, in order
+    row = np.nonzero(nonzero)[0]
+    turn = (flat[1:] * flat[:-1] < 0) & (row[1:] == row[:-1])
+    return np.bincount(row[1:][turn], minlength=len(diffs))
 
-    ``indices`` are the 1-based positions the ``values`` were observed at; the
-    trailing ``window`` points are the evidence.  The decision order is
-    converged (spread within tol), divergent (monotone, sustained slope vs
-    log n, moving away from zero), oscillating (alternating differences with
-    non-decaying amplitude), else inconclusive.
+
+def _diverges(s_head: float, s_tail: float, last: float, tol: float) -> bool:
+    """The divergence rule for a monotone trailing window: its slope holds
+    up from the first half to the second, is not too flat, and carries the
+    last value away from zero."""
+    sustained = abs(s_head) > 0 and abs(s_tail) >= SLOPE_SUSTAIN * abs(s_head)
+    away = (s_tail > 0 and last > tol) or (s_tail < 0 and last < -tol)
+    return sustained and abs(s_tail) >= DIVERGENCE_SLOPE and away
+
+
+def analyze_limits(indices, traces, tol: float, window: int) -> list:
+    """Limit heuristic on a stack of traces observed at the same positions.
+
+    ``indices`` are the 1-based positions, shared by every row of the 2-D
+    ``traces``; the trailing ``window`` points of a row are its evidence.
+    The decision order is converged (spread within tol), divergent
+    (monotone, sustained slope vs log n, moving away from zero), oscillating
+    (alternating differences with non-decaying amplitude, or slow swings
+    with growing peaks), else inconclusive.  Each stage runs on the rows the
+    stages before it left open.  Returns one ``LimitVerdict`` per row, the
+    same as the row would get alone.
     """
     idx = np.asarray(indices, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if len(vals) != len(idx):
+    vals = np.asarray(traces, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != len(idx):
         raise TruncationError("indices and values must have equal length")
-    if not (0 < window <= len(vals)):
-        raise TruncationError(f"window must be in 1..{len(vals)}, got {window}")
+    length = vals.shape[1]
+    if not (0 < window <= length):
+        raise TruncationError(f"window must be in 1..{length}, got {window}")
     if tol <= 0:
         raise TruncationError(f"tolerance must be positive, got {tol}")
-    if not np.all(np.isfinite(vals)):
-        return LimitVerdict(LimitKind.INCONCLUSIVE, None, math.inf, 0.0,
-                            note="non-finite values in trace")
+    out = [_NON_FINITE] * len(vals)
+    rows = range(len(vals))
+    finite = np.isfinite(vals)
+    if not np.logical_and.reduce(finite, axis=None):
+        rows = np.flatnonzero(np.logical_and.reduce(finite, axis=1))
+        vals = vals[rows]
+        if not len(rows):
+            return out
+        rows = rows.tolist()
 
-    tail_i = idx[-window:]
-    tail_v = vals[-window:]
-    spread = float(tail_v.max() - tail_v.min())
-    log_tail = np.log(tail_i)
-    slope = _fit_slope(log_tail, tail_v)
+    tail = vals[:, -window:]
+    spread = np.maximum.reduce(tail, axis=1) - np.minimum.reduce(tail, axis=1)
+    means = _row_means(tail)
+    log_tail = np.log(idx[-window:])
+    slope = _slopes(log_tail, tail, means)
+    code = np.zeros(len(vals), dtype=np.intp)     # _SETTLED
+    live = (~(spread <= tol)).nonzero()[0]      # a NaN tol settles nothing
 
-    if spread <= tol:
-        return LimitVerdict(LimitKind.CONVERGES, float(tail_v.mean()), spread, slope)
+    if len(live):
+        code[live] = _UNDECIDED
+        block = _rows(tail, live)
+        diffs = block[:, 1:] - block[:, :-1]
+        mono = ((np.minimum.reduce(diffs, axis=1, initial=0.0) >= 0)
+                | (np.maximum.reduce(diffs, axis=1, initial=0.0) <= 0)
+                ).nonzero()[0]
+        if len(mono):
+            half = max(2, window // 2)
+            up = _rows(block, mono)
+            s_head = _slopes(log_tail[:half], up[:, :half])
+            s_tail = (_slopes(log_tail[half:], up[:, half:])
+                      if window - half >= 2 else slope[live[mono]])
+            hit = [m for m, head, tail_slope, last in zip(
+                       mono.tolist(), s_head.tolist(), s_tail.tolist(),
+                       up[:, -1].tolist())
+                   if _diverges(head, tail_slope, last, tol)]
+            if hit:
+                code[live[hit]] = _DIVERGENT
+                rest = np.ones(len(live), dtype=bool)
+                rest[hit] = False
+                live, diffs = live[rest], diffs[rest]
 
-    diffs = np.diff(tail_v)
-    half = max(2, window // 2)
-    s_head = _fit_slope(log_tail[:half], tail_v[:half])
-    s_tail = _fit_slope(log_tail[half:], tail_v[half:]) if window - half >= 2 else slope
-
-    monotone_up = bool(np.all(diffs >= 0))
-    monotone_down = bool(np.all(diffs <= 0))
-    if monotone_up or monotone_down:
-        sustained = abs(s_head) > 0 and abs(s_tail) >= SLOPE_SUSTAIN * abs(s_head)
-        away = (s_tail > 0 and tail_v[-1] > tol) or (s_tail < 0 and tail_v[-1] < -tol)
-        if sustained and abs(s_tail) >= DIVERGENCE_SLOPE and away:
-            return LimitVerdict(LimitKind.DIVERGES, None, spread, slope,
-                                note="monotone growth with sustained slope")
-
-    nz = diffs[diffs != 0]
-    if len(nz) >= 3:
-        flips = np.sum(nz[1:] * nz[:-1] < 0)
-        if flips >= ALTERNATION_FRACTION * (len(nz) - 1):
-            mid = len(vals) // 2
-            ref = vals[max(0, mid - window):mid] if mid >= 4 else tail_v
-            amp_ref = float(ref.max() - ref.min()) if len(ref) >= 4 else spread
-            if amp_ref <= tol or spread >= OSC_SUSTAIN * amp_ref:
-                return LimitVerdict(LimitKind.OSCILLATES, None, spread, slope,
-                                    note="alternating differences, amplitude not decaying")
-            return LimitVerdict(LimitKind.INCONCLUSIVE, None, spread, slope,
-                                note="alternating differences with decaying amplitude")
+    if len(live):
+        count = np.count_nonzero(diffs, axis=1)
+        alt = count >= 3
+        if alt.any():
+            alt[alt] = _turns(diffs[alt]) >= \
+                ALTERNATION_FRACTION * (count[alt] - 1)
+        if alt.any():
+            hit = live[alt]
+            mid = length // 2
+            ref = (vals[hit, max(0, mid - window):mid] if mid >= 4
+                   else tail[hit])
+            amp_ref = (ref.max(axis=1) - ref.min(axis=1) if ref.shape[1] >= 4
+                       else spread[hit])
+            steady = (amp_ref <= tol) | (spread[hit] >= OSC_SUSTAIN * amp_ref)
+            code[hit] = np.where(steady, _ALTERNATING, _DECAYING)
+            live = live[~alt]
 
     # Slow swings: several direction changes across the trailing double
     # window, swing-dominated rather than drifting, with tail peaks clearly
     # above the mid-trace peaks.  A trace with a limit cannot keep doing this.
-    span = vals[-min(2 * window, len(vals)):]
-    span_d = np.diff(span)
-    span_nz = span_d[span_d != 0]
-    turns = int(np.sum(span_nz[1:] * span_nz[:-1] < 0)) if len(span_nz) >= 2 else 0
-    mid = len(vals) // 2
+    mid = length // 2
     lo, hi = max(0, mid - window // 2), mid + window // 2
-    if (turns >= 2 and hi <= len(vals) - 2 * window and hi - lo >= 4
-            and spread > CLEAR_MARGIN * tol
-            and spread >= abs(float(tail_v.mean()))):
-        peak_tail = float(np.abs(span).max())
-        peak_mid = float(np.abs(vals[lo:hi]).max())
-        if peak_tail > CLEAR_MARGIN * tol and \
-                peak_tail >= SWING_GROWTH * max(peak_mid, tol):
-            return LimitVerdict(LimitKind.OSCILLATES, None, spread, slope,
-                                note="sustained swings with growing peaks")
+    if len(live) and hi <= length - 2 * window and hi - lo >= 4:
+        live = live[(spread[live] > CLEAR_MARGIN * tol)
+                    & (spread[live] >= np.abs(means[live]))]
+        if len(live):
+            held = _rows(vals, live)
+            span = held[:, -min(2 * window, length):]
+            peak_tail = np.abs(span).max(axis=1)
+            peak_mid = np.abs(held[:, lo:hi]).max(axis=1)
+            swings = (_turns(span[:, 1:] - span[:, :-1]) >= 2) \
+                & (peak_tail > CLEAR_MARGIN * tol) \
+                & (peak_tail >= SWING_GROWTH * np.fmax(peak_mid, tol))
+            code[live[swings]] = _SWINGING
 
-    return LimitVerdict(LimitKind.INCONCLUSIVE, None, spread, slope)
+    for r, c, s, sl, mean in zip(rows, code.tolist(), spread.tolist(),
+                                 slope.tolist(), means.tolist()):
+        kind, note = _OUTCOMES[c]
+        out[r] = LimitVerdict(kind, mean if c == _SETTLED else None, s, sl,
+                              note)
+    return out
+
+
+def analyze_limit(indices, values, tol: float, window: int) -> LimitVerdict:
+    """Limit heuristic on one (possibly non-contiguous) trace; see
+    :func:`analyze_limits`."""
+    return analyze_limits(indices, np.asarray(values, dtype=float)[None], tol,
+                          window)[0]
 
 
 def detect_limit(v: FiniteVector, tol: float = DEFAULT_TOL,
@@ -560,8 +652,9 @@ def detect_limit(v: FiniteVector, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def analyze_sup(indices, values, tol: float, window: int):
-    """Decide whether a trace looks bounded: (verdict, info).
+def analyze_sups(indices, traces, tol: float, window: int) -> list:
+    """Decide whether each row of a stack of traces observed at the same
+    positions looks bounded: one (verdict, info) per row.
 
     Satisfied means the running sup has plateaued over the trailing *half* of
     the index range (a multiplicative span, so slow logarithmic growth is not
@@ -570,22 +663,49 @@ def analyze_sup(indices, values, tol: float, window: int):
     The bound is observed at truncation, never proven.
     """
     idx = np.asarray(indices, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        return Verdict.INCONCLUSIVE, {"note": "non-finite values in trace"}
-    if not (0 < window <= len(vals)):
-        raise TruncationError(f"window must be in 1..{len(vals)}, got {window}")
-    running = np.maximum.accumulate(vals)
-    sup = float(running[-1])
-    half = np.searchsorted(idx, idx[-1] / 2.0, side="right") - 1
-    half = max(0, min(half, len(vals) - 1))
-    growth = float(running[-1] - running[half])
-    info = {"sup_observed": sup, "half_span_growth": growth,
-            "truncation_limited": True}
-    if growth <= tol * max(1.0, abs(sup)):
-        info["note"] = "running sup plateaued over the trailing half-span"
-        return Verdict.SATISFIED, info
-    lv = analyze_limit(idx, running, tol, window)
+    vals = np.asarray(traces, dtype=float)
+    out = [None] * len(vals)
+    rows = range(len(vals))
+    finite = np.isfinite(vals)
+    if not np.logical_and.reduce(finite, axis=None):
+        finite = np.logical_and.reduce(finite, axis=1)
+        for r in (~finite).nonzero()[0].tolist():
+            out[r] = (Verdict.INCONCLUSIVE,
+                      {"note": "non-finite values in trace"})
+        rows = finite.nonzero()[0]
+        vals = vals[rows]
+        rows = rows.tolist()
+        if not rows:
+            return out
+    if not (0 < window <= vals.shape[1]):
+        raise TruncationError(
+            f"window must be in 1..{vals.shape[1]}, got {window}")
+    running = np.maximum.accumulate(vals, axis=1)
+    half = int(idx.searchsorted(idx[-1] / 2.0, side="right")) - 1
+    half = max(0, min(half, vals.shape[1] - 1))
+    growths = (running[:, -1] - running[:, half]).tolist()
+    sups = running[:, -1].tolist()
+    moving = [i for i, (s, g) in enumerate(zip(sups, growths))
+              if not g <= tol * max(1.0, abs(s))]
+    limits = {}
+    if moving:
+        limits = dict(zip(moving, analyze_limits(
+            idx, _rows(running, moving), tol, window)))
+    for i, (r, s, g) in enumerate(zip(rows, sups, growths)):
+        info = {"sup_observed": s, "half_span_growth": g,
+                "truncation_limited": True}
+        lv = limits.get(i)
+        if lv is None:
+            info["note"] = "running sup plateaued over the trailing half-span"
+            out[r] = (Verdict.SATISFIED, info)
+        else:
+            out[r] = _sup_verdict(lv, info)
+    return out
+
+
+def _sup_verdict(lv: LimitVerdict, info: dict) -> tuple:
+    """The verdict on a running sup that has not plateaued, read from its
+    limit verdict."""
     info["trend_slope"] = lv.trend_slope
     if lv.kind is LimitKind.CONVERGES:
         info["note"] = "running sup reads as convergent"
@@ -595,6 +715,13 @@ def analyze_sup(indices, values, tol: float, window: int):
         return Verdict.VIOLATED, info
     info["note"] = "running sup still moving; cannot decide at this truncation"
     return Verdict.INCONCLUSIVE, info
+
+
+def analyze_sup(indices, values, tol: float, window: int):
+    """Boundedness probe of one trace: (verdict, info); see
+    :func:`analyze_sups`."""
+    return analyze_sups(indices, np.asarray(values, dtype=float)[None], tol,
+                        window)[0]
 
 
 def null_limit_verdict(lv: LimitVerdict, tol: float) -> Verdict:
@@ -620,32 +747,41 @@ def limit_exists_verdict(lv: LimitVerdict) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def classify_traces(traces, tag: str, tol: float, window: int) -> list:
+    """Membership probes of a stack of equally long traces in a classical
+    space (one of :data:`CLASSICAL_TAGS`): one (verdict, info) per row."""
+    tag = tag.lower()
+    vals = np.asarray(traces, dtype=float)
+    idx = np.arange(1, vals.shape[1] + 1)
+    if tag in ("c0", "c", "cs"):
+        probe = np.cumsum(vals, axis=1) if tag == "cs" else vals
+        out = []
+        for lv in analyze_limits(idx, probe, tol, window):
+            if tag == "c0":
+                out.append((null_limit_verdict(lv, tol), {"limit": lv}))
+            elif tag == "c":
+                out.append((limit_exists_verdict(lv), {"limit": lv}))
+            else:
+                out.append((limit_exists_verdict(lv),
+                            {"limit": lv, "probe": "limit of partial sums"}))
+        return out
+    if tag == "linf":
+        return analyze_sups(idx, np.abs(vals), tol, window)
+    if tag == "bs":
+        out = analyze_sups(idx, np.abs(np.cumsum(vals, axis=1)), tol, window)
+        for _, info in out:
+            info["probe"] = "running sup of partial sums"
+        return out
+    raise SpecError(f"unknown classical space tag {tag!r}")
+
+
 def classify_values(values: np.ndarray, tag: str, tol: float, window: int,
                     detail: bool = False):
-    """Membership probe of a finite trace in a classical space."""
-    tag = tag.lower()
-    vals = np.asarray(values, dtype=float)
-    idx = np.arange(1, len(vals) + 1)
-    if tag == "c0":
-        lv = analyze_limit(idx, vals, tol, window)
-        verdict = null_limit_verdict(lv, tol)
-        info = {"limit": lv}
-    elif tag == "c":
-        lv = analyze_limit(idx, vals, tol, window)
-        verdict = limit_exists_verdict(lv)
-        info = {"limit": lv}
-    elif tag == "linf":
-        verdict, info = analyze_sup(idx, np.abs(vals), tol, window)
-    elif tag == "bs":
-        verdict, info = analyze_sup(idx, np.abs(np.cumsum(vals)), tol, window)
-        info["probe"] = "running sup of partial sums"
-    elif tag == "cs":
-        lv = analyze_limit(idx, np.cumsum(vals), tol, window)
-        verdict = limit_exists_verdict(lv)
-        info = {"limit": lv, "probe": "limit of partial sums"}
-    else:
-        raise SpecError(f"unknown classical space tag {tag!r}")
-    return (verdict, info) if detail else verdict
+    """Membership probe of a finite trace in a classical space; see
+    :func:`classify_traces`."""
+    got = classify_traces(np.asarray(values, dtype=float)[None], tag, tol,
+                          window)[0]
+    return got if detail else got[0]
 
 
 # ---------------------------------------------------------------------------

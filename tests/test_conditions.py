@@ -200,6 +200,26 @@ def test_oracle_images_are_cached_per_seed():
     assert oracle_check(shared, "c0", "c", seed=2).to_dict() == fresh
 
 
+def test_oracle_battery_is_built_once_per_space_and_seed(monkeypatch):
+    from seqspace import cache, conditions
+
+    built = []
+
+    def counting(space, seed=0):
+        built.append((str(space), seed))
+        return oracle_samples(space, seed)
+    monkeypatch.setattr(conditions, "oracle_samples", counting)
+    cache.clear()
+    want = oracle_check("omega", "c0(gamma)", "linf", n=60, seed=3).to_dict()
+    oracle_check("cesaro", "c0(gamma)", "c", n=60, seed=3)
+    oracle_check("cesaro", "c0(gamma)", "c", n=60, seed=4)
+    oracle_check("cesaro", "c0(omega)", "c", n=60, seed=4)
+    assert built == [("c0(gamma)", 3), ("c0(gamma)", 4), ("c0(omega)", 4)]
+    cache.clear()
+    assert oracle_check("omega", "c0(gamma)", "linf", n=60,
+                        seed=3).to_dict() == want
+
+
 def test_oracle_samples_cover_domains():
     labels = [label for label, _ in oracle_samples("c0(gamma)")]
     assert all(label.startswith("gamma-preimage:") for label in labels)

@@ -7,11 +7,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from seqspace import sequences as seq
 from seqspace.conditions import _column_mass, _Engine, _reduce_rows
 from seqspace.duality import dual_transfer_matrix
 from seqspace.matrices import ROW_CUTOFF_CAP, apply, matrix_from_spec
-from seqspace.sequences import Sequence, make_sequence
+from seqspace.sequences import (
+    LimitKind,
+    LimitVerdict,
+    Sequence,
+    analyze_limit,
+    analyze_limits,
+    analyze_sup,
+    analyze_sups,
+    classify_traces,
+    classify_values,
+    limit_exists_verdict,
+    make_sequence,
+    null_limit_verdict,
+)
+from seqspace.verdicts import Verdict
 
 
 def same_bits(got, want) -> bool:
@@ -354,3 +371,246 @@ def test_prefix_traces_match_the_prefix_table(name):
         heads, tails = prefix_traces_reference(a.truncation_floats(size))
         assert same_bits(eng.prefix_trace(tail=False), heads), (name, size)
         assert same_bits(eng.prefix_trace(tail=True), tails), (name, size)
+
+
+# ---------------------------------------------------------------------------
+# Batched trace analysis
+# ---------------------------------------------------------------------------
+#
+# The per-trace heuristics the batch kernel replaced, kept verbatim as the
+# reference: each row of a batch must get exactly what it got alone.
+
+
+def fit_slope_reference(log_idx, vals):
+    if len(vals) < 2 or np.ptp(log_idx) == 0:
+        return 0.0
+    x = log_idx - log_idx.mean()
+    denom = float(np.dot(x, x))
+    if denom == 0.0:
+        return 0.0
+    return float(np.dot(x, vals - vals.mean()) / denom)
+
+
+def analyze_limit_reference(indices, values, tol, window):
+    idx = np.asarray(indices, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        return LimitVerdict(LimitKind.INCONCLUSIVE, None, math.inf, 0.0,
+                            note="non-finite values in trace")
+    tail_i = idx[-window:]
+    tail_v = vals[-window:]
+    spread = float(tail_v.max() - tail_v.min())
+    log_tail = np.log(tail_i)
+    slope = fit_slope_reference(log_tail, tail_v)
+    if spread <= tol:
+        return LimitVerdict(LimitKind.CONVERGES, float(tail_v.mean()), spread,
+                            slope)
+    diffs = np.diff(tail_v)
+    half = max(2, window // 2)
+    s_head = fit_slope_reference(log_tail[:half], tail_v[:half])
+    s_tail = (fit_slope_reference(log_tail[half:], tail_v[half:])
+              if window - half >= 2 else slope)
+    if bool(np.all(diffs >= 0)) or bool(np.all(diffs <= 0)):
+        sustained = abs(s_head) > 0 and \
+            abs(s_tail) >= seq.SLOPE_SUSTAIN * abs(s_head)
+        away = (s_tail > 0 and tail_v[-1] > tol) or \
+            (s_tail < 0 and tail_v[-1] < -tol)
+        if sustained and abs(s_tail) >= seq.DIVERGENCE_SLOPE and away:
+            return LimitVerdict(LimitKind.DIVERGES, None, spread, slope,
+                                note="monotone growth with sustained slope")
+    nz = diffs[diffs != 0]
+    if len(nz) >= 3:
+        flips = np.sum(nz[1:] * nz[:-1] < 0)
+        if flips >= seq.ALTERNATION_FRACTION * (len(nz) - 1):
+            mid = len(vals) // 2
+            ref = vals[max(0, mid - window):mid] if mid >= 4 else tail_v
+            amp_ref = float(ref.max() - ref.min()) if len(ref) >= 4 else spread
+            if amp_ref <= tol or spread >= seq.OSC_SUSTAIN * amp_ref:
+                return LimitVerdict(
+                    LimitKind.OSCILLATES, None, spread, slope,
+                    note="alternating differences, amplitude not decaying")
+            return LimitVerdict(
+                LimitKind.INCONCLUSIVE, None, spread, slope,
+                note="alternating differences with decaying amplitude")
+    span = vals[-min(2 * window, len(vals)):]
+    span_d = np.diff(span)
+    span_nz = span_d[span_d != 0]
+    turns = int(np.sum(span_nz[1:] * span_nz[:-1] < 0)) \
+        if len(span_nz) >= 2 else 0
+    mid = len(vals) // 2
+    lo, hi = max(0, mid - window // 2), mid + window // 2
+    if (turns >= 2 and hi <= len(vals) - 2 * window and hi - lo >= 4
+            and spread > seq.CLEAR_MARGIN * tol
+            and spread >= abs(float(tail_v.mean()))):
+        peak_tail = float(np.abs(span).max())
+        peak_mid = float(np.abs(vals[lo:hi]).max())
+        if peak_tail > seq.CLEAR_MARGIN * tol and \
+                peak_tail >= seq.SWING_GROWTH * max(peak_mid, tol):
+            return LimitVerdict(LimitKind.OSCILLATES, None, spread, slope,
+                                note="sustained swings with growing peaks")
+    return LimitVerdict(LimitKind.INCONCLUSIVE, None, spread, slope)
+
+
+def analyze_sup_reference(indices, values, tol, window):
+    idx = np.asarray(indices, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        return Verdict.INCONCLUSIVE, {"note": "non-finite values in trace"}
+    running = np.maximum.accumulate(vals)
+    sup = float(running[-1])
+    half = np.searchsorted(idx, idx[-1] / 2.0, side="right") - 1
+    half = max(0, min(half, len(vals) - 1))
+    growth = float(running[-1] - running[half])
+    info = {"sup_observed": sup, "half_span_growth": growth,
+            "truncation_limited": True}
+    if growth <= tol * max(1.0, abs(sup)):
+        info["note"] = "running sup plateaued over the trailing half-span"
+        return Verdict.SATISFIED, info
+    lv = analyze_limit_reference(idx, running, tol, window)
+    info["trend_slope"] = lv.trend_slope
+    if lv.kind is LimitKind.CONVERGES:
+        info["note"] = "running sup reads as convergent"
+        return Verdict.SATISFIED, info
+    if lv.kind is LimitKind.DIVERGES and lv.trend_slope > 0:
+        info["note"] = "running sup grows with sustained trend"
+        return Verdict.VIOLATED, info
+    info["note"] = "running sup still moving; cannot decide at this truncation"
+    return Verdict.INCONCLUSIVE, info
+
+
+def classify_values_reference(vals, tag, tol, window):
+    idx = np.arange(1, len(vals) + 1)
+    if tag == "c0":
+        lv = analyze_limit_reference(idx, vals, tol, window)
+        return null_limit_verdict(lv, tol), {"limit": lv}
+    if tag == "c":
+        lv = analyze_limit_reference(idx, vals, tol, window)
+        return limit_exists_verdict(lv), {"limit": lv}
+    if tag == "linf":
+        return analyze_sup_reference(idx, np.abs(vals), tol, window)
+    if tag == "bs":
+        verdict, info = analyze_sup_reference(idx, np.abs(np.cumsum(vals)),
+                                              tol, window)
+        info["probe"] = "running sup of partial sums"
+        return verdict, info
+    lv = analyze_limit_reference(idx, np.cumsum(vals), tol, window)
+    return limit_exists_verdict(lv), {"limit": lv,
+                                      "probe": "limit of partial sums"}
+
+
+def float_bits(v):
+    return None if v is None else (type(v), np.float64(v).tobytes())
+
+
+def limit_bits(lv):
+    return (lv.kind, lv.note, float_bits(lv.value), float_bits(lv.tail_spread),
+            float_bits(lv.trend_slope))
+
+
+def probe_bits(got):
+    """A (verdict, info) pair with every float compared by its bits, and the
+    info keys in order."""
+    verdict, info = got
+    return verdict, [(k, limit_bits(v) if isinstance(v, LimitVerdict)
+                      else float_bits(v) if isinstance(v, float) else v)
+                     for k, v in info.items()]
+
+
+def _row(draw, length):
+    """One trace, built to reach every stage of the heuristic."""
+    k = np.arange(1.0, length + 1)
+    kind = draw(st.sampled_from(
+        ("floats", "runs", "tiny", "alternating", "alternating", "swings",
+         "swings", "monotone", "plateau", "non-finite")))
+    if kind == "floats":
+        return np.array(draw(st.lists(
+            st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0, 1e-300)),
+            min_size=length, max_size=length)))
+    if kind == "runs":      # piecewise constant: runs of zero differences
+        steps = draw(st.lists(
+            st.sampled_from((0.0, 0.0, 0.0, 1.0, -1.0, 1e-3)),
+            min_size=length, max_size=length))
+        return np.cumsum(steps) * draw(st.sampled_from((1.0, 1e-4, 7.5)))
+    if kind == "tiny":      # differences whose products underflow
+        steps = draw(st.lists(st.sampled_from((0.0, 1.0, -1.0, 3.0, -2.0)),
+                              min_size=length, max_size=length))
+        scale = draw(st.sampled_from((1e-180, 3e-170, 1e-160, 2.0 ** -600)))
+        return draw(st.sampled_from((0.0, 0.5))) + np.cumsum(steps) * scale
+    p = draw(st.sampled_from((-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)))
+    c = draw(st.sampled_from((1.0, -2.0, 1e-3, 1e-5)))
+    if kind == "alternating":
+        return c * np.where(k % 2 == 0, 1.0, -1.0) * k ** p
+    if kind == "swings":
+        f = draw(st.sampled_from((1.0, 4.0, 12.0, 30.0)))
+        return c * np.sin(f * np.sqrt(k)) * k ** p
+    if kind == "monotone":
+        return c * (np.log(k) if p == 0.0 else k ** p)
+    if kind == "plateau":
+        return c + np.where(k > draw(st.integers(1, length)), 0.0, 1.0 / k)
+    row = np.array(draw(st.lists(st.floats(-10, 10), min_size=length,
+                                 max_size=length)))
+    row[draw(st.integers(0, length - 1))] = draw(
+        st.sampled_from((math.inf, -math.inf, math.nan)))
+    return row
+
+
+@st.composite
+def trace_stacks(draw):
+    """(indices, traces, tol, window) with shared indices: short traces
+    (swing test off), windows below 4 and with ``window - half < 2``."""
+    length = draw(st.integers(1, 120))
+    window = draw(st.integers(1, min(length, 12)) | st.integers(1, length))
+    if draw(st.booleans()):
+        idx = np.arange(1, length + 1)
+    else:   # increasing positions with gaps, or repeated positions
+        steps = draw(st.lists(st.integers(0, 40), min_size=length,
+                              max_size=length))
+        idx = 1 + np.cumsum(steps)
+    rows = draw(st.integers(1, 6))
+    traces = np.array([_row(draw, length) for _ in range(rows)])
+    tol = draw(st.sampled_from((1e-12, 1e-9, 1e-3, 1.5e-3, 0.1, 1.0,
+                                math.inf, math.nan))
+               | st.floats(1e-15, 10.0))
+    return idx, traces, tol, window
+
+
+KERNEL_SETTINGS = settings(max_examples=200, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+@KERNEL_SETTINGS
+@given(trace_stacks())
+def test_analyze_limits_equals_the_per_trace_heuristic(case):
+    idx, traces, tol, window = case
+    batch = analyze_limits(idx, traces, tol, window)
+    assert len(batch) == len(traces)
+    for row, got in zip(traces, batch):
+        want = analyze_limit_reference(idx, row, tol, window)
+        assert limit_bits(got) == limit_bits(want)
+        assert limit_bits(analyze_limit(idx, row, tol, window)) == \
+            limit_bits(want)
+
+
+@KERNEL_SETTINGS
+@given(trace_stacks())
+def test_analyze_sups_equals_the_per_trace_probe(case):
+    idx, traces, tol, window = case
+    batch = analyze_sups(idx, traces, tol, window)
+    for row, got in zip(traces, batch):
+        want = analyze_sup_reference(idx, row, tol, window)
+        assert probe_bits(got) == probe_bits(want)
+        assert probe_bits(analyze_sup(idx, row, tol, window)) == \
+            probe_bits(want)
+
+
+@KERNEL_SETTINGS
+@given(trace_stacks(), st.sampled_from(seq.CLASSICAL_TAGS))
+def test_classify_traces_equals_classify_values(case, tag):
+    _, traces, tol, window = case
+    batch = classify_traces(traces, tag, tol, window)
+    for row, got in zip(traces, batch):
+        want = classify_values_reference(row, tag, tol, window)
+        assert probe_bits(got) == probe_bits(want)
+        assert probe_bits(classify_values(row, tag, tol, window,
+                                          detail=True)) == probe_bits(want)
+        assert classify_values(row, tag, tol, window) is want[0]
