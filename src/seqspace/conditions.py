@@ -32,6 +32,7 @@ from .duality import dual_transfer_matrix
 from .errors import SpecError, TruncationError, UnsupportedClassError
 from .matrices import (
     DENSE_LIMIT,
+    ROW_CUTOFF_CAP,
     InfiniteMatrix,
     apply,
     compose,
@@ -259,6 +260,16 @@ def _class_window(n: int) -> int:
     return max(24, n // 10)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise TruncationError(f"tolerance must be finite and positive, got {tol}")
+
+
+class _TooFewRows(TruncationError):
+    """Fewer complete rows than a row trace's trailing window: the row-trace
+    conditions are inconclusive, with the message as their note."""
+
+
 #: Elements per block when a row feature reduces the dense table: the
 #: temporaries stay this small whatever the truncation.
 FEATURE_BLOCK = 1 << 15
@@ -282,35 +293,45 @@ class _Engine:
         self.tol = tol
         self.window = window
         self.dense = n <= DENSE_LIMIT
+        self.row_limit, self.row_tail_note, self._cap_note = n, "", ""
         if a.row_end(n) is None:
-            self.row_limit, self.row_tail_note = cache.lookup(
-                ("row-limit", a.key, n), self._complete_row_limit)
-        else:
-            self.row_limit, self.row_tail_note = n, ""
+            self.row_limit, capped = cache.lookup(("row-limit", a.key, n),
+                                                  self._complete_row_limit)
+            if capped is None:
+                self.row_tail_note = ("rows have unbounded support with no "
+                                      "tail cutoff; row traces use the "
+                                      "leading window only")
+            elif self.row_limit < n:
+                if capped:
+                    self._cap_note = (
+                        f"; row {n}'s tail cutoff was capped at "
+                        f"{ROW_CUTOFF_CAP} columns past the diagonal")
+                self.row_tail_note = (
+                    f"row traces restricted to rows 1..{self.row_limit}, whose "
+                    f"tails are captured inside the {n}-column window"
+                    + self._cap_note)
         self._table = None
         self._rows = None
 
     # -- helpers ---------------------------------------------------------
 
     def _complete_row_limit(self) -> tuple:
-        """(last row whose tail fits in the window, note for row traces)."""
-        cut = getattr(self.a, "row_cutoff", None)
-        if cut is None:
-            return self.n, ("rows have unbounded support with no tail "
-                            "cutoff; row traces use the leading window only")
-        lo, hi = 1, self.n
-        if cut(1) > self.n:
-            lo = 0
-        while 0 < lo < hi:
+        """(the last row m such that rows 1..m are complete inside the
+        window, whether row n's cutoff reached the cap), with None in
+        place of the latter when the rows have no cutoff."""
+        complete = self.a.row_complete
+        if complete(1, self.n) is None:
+            return self.n, None
+        lo, hi = 0, self.n
+        while lo < hi:      # rows stay complete up to some row, then not
             mid = (lo + hi + 1) // 2
-            if cut(mid) <= self.n:
+            if complete(mid, self.n):
                 lo = mid
             else:
                 hi = mid - 1
-        if lo == self.n:
-            return lo, ""
-        return lo, (f"row traces restricted to rows 1..{lo}, whose tails are "
-                    f"captured inside the {self.n}-column window")
+        capped = (lo < self.n
+                  and self.a.row_cutoff(self.n) >= self.n + ROW_CUTOFF_CAP)
+        return lo, capped
 
     def table(self) -> np.ndarray:
         if self._table is None:
@@ -321,6 +342,11 @@ class _Engine:
         return self._table
 
     def row_indices(self) -> np.ndarray:
+        if self.row_limit < self.window:
+            raise _TooFewRows(
+                f"only {self.row_limit} complete rows inside the "
+                f"{self.n}-column window, fewer than the {self.window}-point "
+                "trailing window of a row trace" + self._cap_note)
         if self._rows is None:
             if self.dense:
                 self._rows = np.arange(1, self.row_limit + 1)
@@ -731,6 +757,7 @@ def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
     (condition, n, tol, window), so repeated class checks share the work
     while the cache holds them.
     """
+    _check_tol(tol)
     a = matrix_from_spec(a)
     if condition not in _EVALUATORS:
         known = ", ".join(sorted(_EVALUATORS))
@@ -740,7 +767,10 @@ def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
 
     def build():
         eng = _Engine(a, n, tol, window)
-        got = _EVALUATORS[condition](eng)
+        try:
+            got = _EVALUATORS[condition](eng)
+        except _TooFewRows as short:
+            return _report(condition, Verdict.INCONCLUSIVE, None, str(short), n)
         if eng.row_tail_note and "row" in condition:
             got = ConditionReport(got.condition, got.verdict, got.observed,
                                   (got.note + "; " + eng.row_tail_note).strip("; "),
@@ -945,6 +975,7 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     otherwise.  This is sampled evidence, not a proof — its role is to
     cross-check the conditions route.
     """
+    _check_tol(tol)
     a = matrix_from_spec(a)
     from_space = space_from_spec(from_space)
     to_space = space_from_spec(to_space)
@@ -1007,6 +1038,7 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     "both".  With "both", the headline verdict is the conditions verdict and
     the oracle is attached for cross-checking.
     """
+    _check_tol(tol)
     a = matrix_from_spec(a)
     f = space_from_spec(from_space)
     t = space_from_spec(to_space)
@@ -1102,17 +1134,21 @@ class RegularityReport:
     n: int
     tol: float
     window: int
+    row_sum_note: str = ""
 
     def to_dict(self) -> dict:
+        row_sums = {
+            "verdict": str(self.row_sum_verdict),
+            "limit": self.row_sum_limit,
+            "target": 1.0,
+        }
+        if self.row_sum_note:
+            row_sums["note"] = self.row_sum_note
         return {
             "verdict": str(self.verdict),
             "bounded_rows": self.bounded_rows.to_dict(),
             "null_columns": self.null_columns.to_dict(),
-            "row_sums": {
-                "verdict": str(self.row_sum_verdict),
-                "limit": self.row_sum_limit,
-                "target": 1.0,
-            },
+            "row_sums": row_sums,
             "n": self.n,
             "tol": self.tol,
             "window": self.window,
@@ -1126,14 +1162,19 @@ def regularity_report(a, n: int = 2000, tol: float = CLASS_TOL,
     Nothing is assumed: all three parts are measured, including for matrices
     whose regularity is textbook knowledge.
     """
+    _check_tol(tol)
     a = matrix_from_spec(a)
     if window is None:
         window = _class_window(n)
     c1 = condition_report(a, "bounded-rows", n, tol, window)
     c5 = condition_report(a, "null-columns", n, tol, window)
-    idx, vals = condition_trace(a, "row-sum", n, window)
-    lv = analyze_limit(idx, vals, tol, window)
-    if lv.kind is LimitKind.CONVERGES:
+    lv, rows_note = None, ""
+    try:
+        idx, vals = condition_trace(a, "row-sum", n, window)
+        lv = analyze_limit(idx, vals, tol, window)
+    except _TooFewRows as short:
+        rows_note = str(short)
+    if lv is not None and lv.kind is LimitKind.CONVERGES:
         limit = float(lv.value)
         gap = abs(limit - 1.0)
         if gap <= max(tol, 4 * (lv.tail_spread + abs(lv.trend_slope))):
@@ -1143,7 +1184,7 @@ def regularity_report(a, n: int = 2000, tol: float = CLASS_TOL,
                 rows_v = Verdict.INCONCLUSIVE
         else:
             rows_v = Verdict.VIOLATED
-    elif lv.kind is LimitKind.INCONCLUSIVE:
+    elif lv is None or lv.kind is LimitKind.INCONCLUSIVE:
         limit, rows_v = None, Verdict.INCONCLUSIVE
     else:
         limit, rows_v = None, Verdict.VIOLATED
@@ -1151,5 +1192,5 @@ def regularity_report(a, n: int = 2000, tol: float = CLASS_TOL,
     return RegularityReport(
         verdict=overall, bounded_rows=c1, null_columns=c5,
         row_sum_verdict=rows_v, row_sum_limit=limit,
-        n=n, tol=tol, window=window,
+        n=n, tol=tol, window=window, row_sum_note=rows_note,
     )

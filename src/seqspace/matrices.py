@@ -23,6 +23,7 @@ rational; float fast paths are available for large truncations.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -48,7 +49,8 @@ from .sequences import (
 
 #: Largest truncation kept as a dense cached float array.
 DENSE_LIMIT = 2400
-#: Columns past the diagonal that ``TaylorTransform.row_cutoff`` searches.
+#: Columns past the diagonal that ``TaylorTransform.row_cutoff`` searches: a
+#: guard, reached only by rows whose certified cutoff lies beyond it.
 ROW_CUTOFF_CAP = 200000
 
 
@@ -104,6 +106,17 @@ class InfiniteMatrix:
 
     def col_end(self, k: int) -> Optional[int]:
         return None
+
+    def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> Optional[int]:
+        """A column past which row n carries at most ``tail_mass`` of its
+        mass: its last nonzero column here, None when unbounded."""
+        return self.row_end(n)
+
+    def row_complete(self, n: int, width: int) -> Optional[bool]:
+        """Whether row n is known to float accuracy from its first
+        ``width`` columns; None when its cutoff is unknown."""
+        cut = self.row_cutoff(n)
+        return None if cut is None else cut <= width
 
     # -- float paths ------------------------------------------------------
 
@@ -575,41 +588,70 @@ class TaylorTransform(InfiniteMatrix):
         factors = np.concatenate(([c], r * j / (j - n + 1)))
         return np.multiply.accumulate(factors)[1:]
 
-    def row_series(self, n: int,
-                   tail_mass: float = 1e-16) -> tuple[int, np.ndarray]:
-        """Row n out to its cutoff: ``(K, entries)``, where K is the smallest
-        column with the row mass beyond K at most ``tail_mass``, searched up
-        to ``n + ROW_CUTOFF_CAP``, and ``entries`` are the row's floats at
-        columns n..K, equal to ``row_floats(n, K)[n - 1:]``."""
-        c = (1 - float(self.r)) ** n        # coefficient at k = n
-        parts = [np.array([c])]
-        cum = c
-        k = n
-        cap = n + ROW_CUTOFF_CAP
-        chunk = 1024
-        while 1.0 - cum > tail_mass and k < cap:
-            count = min(chunk, cap - k)
-            cs = self._next_entries(n, k, c, count)
-            cums = np.add.accumulate(np.concatenate(([cum], cs)))[1:]
-            done = np.flatnonzero(~(1.0 - cums > tail_mass))
-            if done.size:
-                parts.append(cs[:done[0] + 1])
-                k += 1 + int(done[0])
-                break
-            parts.append(cs)
-            k += count
-            c, cum = cs[-1], cums[-1]
-            chunk *= 2
-        return k, np.concatenate(parts)
+    def row_lead(self, n: int) -> float:
+        """Row n's float at its first column k = n: ``(1 - r)**n``."""
+        return (1 - float(self.r)) ** n
 
     def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> int:
-        """The cutoff K of :meth:`row_series`."""
-        return self.row_series(n, tail_mass)[0]
+        """The certified cutoff K of row n: the first column past the
+        row's mode where the mass beyond K is at most ``tail_mass``, or
+        ``n + ROW_CUTOFF_CAP`` when no column up to that one is certified.
+
+        Past the mode the term ratio ``rho_j = r j / (j - n + 1)`` is below
+        one and falls toward r, so the mass beyond K is at most
+        ``a_{n,K} rho_K / (1 - rho_K) = a_{n,K} r K / (K (1 - r) - (n - 1))``.
+        The bound is evaluated in log space, so it holds whether or not
+        ``(1 - r)**n`` is a representable float.
+        """
+        if not tail_mass > 0:
+            raise TruncationError(
+                f"tail mass must be positive, got {tail_mass}")
+        cap = n + ROW_CUTOFF_CAP
+        # The first column with rho < 1, from the exact parameter.
+        k = max(n, math.floor((n - 1) / (1 - self.r)) + 1)
+        if k >= cap:
+            return cap
+        r = float(self.r)
+        log_r = math.log(r)
+        log_a = (math.lgamma(k) - math.lgamma(n) - math.lgamma(k - n + 1)
+                 + n * math.log1p(-r) + (k - n) * log_r)    # log a_{n,k}
+        goal = math.log(tail_mass)
+        chunk = 1024
+        while k <= cap:
+            j = np.arange(k, k + min(chunk, cap - k + 1), dtype=float)
+            log_rho = log_r + np.log(j) - np.log(j - (n - 1))
+            logs = np.concatenate(([log_a], log_rho[:-1]))
+            np.add.accumulate(logs, out=logs)               # log a_{n,j}
+            with np.errstate(invalid="ignore", divide="ignore"):
+                bound = logs + log_r + np.log(j) - np.log(j * (1 - r) - (n - 1))
+            hit = np.flatnonzero(bound <= goal)
+            if hit.size:
+                return k + int(hit[0])
+            log_a = logs[-1] + log_rho[-1]
+            k += len(j)
+            chunk *= 2
+        return cap
+
+    def row_series(self, n: int,
+                   tail_mass: float = 1e-16) -> tuple[int, np.ndarray]:
+        """Row n out to its certified cutoff: ``(K, entries)``, with K from
+        :meth:`row_cutoff` and ``entries`` the row's floats at columns
+        n..K, equal to ``row_floats(n, K)[n - 1:]``."""
+        top = self.row_cutoff(n, tail_mass)
+        c = self.row_lead(n)
+        return top, np.concatenate(([c], self._next_entries(n, n, c, top - n)))
+
+    def row_complete(self, n: int, width: int) -> bool:
+        """Row n is known to float accuracy from its first ``width``
+        columns: its certified cutoff fits and its leading float is normal,
+        so the recurrence from it loses no precision."""
+        return (self.row_cutoff(n) <= width
+                and self.row_lead(n) >= sys.float_info.min)
 
     def row_floats(self, n, m):
         out = np.zeros(m)
         if m >= n:
-            c = (1 - float(self.r)) ** n
+            c = self.row_lead(n)
             out[n - 1] = c
             out[n:] = self._next_entries(n, n, c, m - n)
         return out
@@ -737,6 +779,18 @@ class ComposedMatrix(InfiniteMatrix):
         if any(e is None for e in ends):
             return None
         return max(ends, default=0)
+
+    # Row n of the product draws on the right factor's rows up to the left
+    # factor's last column.  Right factors with cutoffs (Taylor's) have
+    # cutoffs that do not decrease with the row, so the last one decides.
+
+    def row_cutoff(self, n, tail_mass=1e-16):
+        last = self.left.row_end(n)
+        return None if last is None else self.right.row_cutoff(last, tail_mass)
+
+    def row_complete(self, n, width):
+        last = self.left.row_end(n)
+        return None if last is None else self.right.row_complete(last, width)
 
     def _build_truncation_floats(self, size):
         # Exact inside the window when the left factor is row-finite within it
@@ -947,7 +1001,8 @@ def apply(a, x, n: int, mode: str = "exact",
     ``mode="exact"`` keeps rational arithmetic and requires row-finite support
     (any triangle qualifies).  ``mode="float"`` uses the vectorized fast paths.
     For row-infinite matrices with a mass cutoff (``taylor``), the float path
-    extends each row until the dropped tail mass is below ``tail_mass``.
+    extends each row to its certified cutoff, past which the row's mass is
+    at most ``tail_mass``; each row series is kept in the evaluation cache.
     """
     a = matrix_from_spec(a)
     x = make_sequence(x)
@@ -984,12 +1039,20 @@ def apply(a, x, n: int, mode: str = "exact",
             raise RowSeriesError(
                 f"matrix {a.name!r} has rows with unbounded support and no "
                 "tail cutoff; cannot transform")
-        last = series(n, tail_mass)
-        top = last[0]
+
+        def entries_of(row):     # columns row..K of the row, K its cutoff
+            def build():
+                entries = series(row, tail_mass)[1]
+                entries.setflags(write=False)
+                return entries
+            return cache.lookup(("row-series", a.key, row, tail_mass), build)
+
+        top = n - 1 + len(entries_of(n))
         xf = x.floats(top)
         out = np.empty(n)
         for row in range(1, n + 1):
-            hi, entries = last if row == n else series(row, tail_mass)
+            entries = entries_of(row)
+            hi = row - 1 + len(entries)
             coeffs = np.zeros(hi)
             coeffs[row - 1:] = entries
             out[row - 1] = coeffs[:min(hi, top)] @ xf[:min(hi, top)]

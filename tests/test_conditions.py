@@ -1,10 +1,19 @@
+import contextlib
+import io
+import json
+import sys
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import pytest
 
+from seqspace import cli
 from seqspace.conditions import (
     CONDITION_DESCRIPTIONS,
     DEFAULT_CLASS_N,
     PAIR_CONDITIONS,
+    _Engine,
     check_class,
     condition_report,
     condition_trace,
@@ -15,7 +24,7 @@ from seqspace.conditions import (
     supported_pairs,
     target_transfer_matrix,
 )
-from seqspace.errors import SpecError, UnsupportedClassError
+from seqspace.errors import SpecError, TruncationError, UnsupportedClassError
 from seqspace.matrices import CesaroMeans, matrix_from_spec
 from seqspace.verdicts import Verdict
 
@@ -270,3 +279,87 @@ def test_regularity_identity():
     assert r.verdict is Verdict.SATISFIED
     assert r.row_sum_limit == 1.0
     assert r.to_dict()["row_sums"]["target"] == 1.0
+
+
+def test_non_finite_tolerances_are_rejected():
+    for tol in (float("inf"), float("nan"), 0.0, -1e-3):
+        with pytest.raises(TruncationError, match="finite and positive"):
+            check_class("cesaro", "c", "c", tol=tol)
+        with pytest.raises(TruncationError, match="finite and positive"):
+            condition_report("cesaro", "bounded-rows", tol=tol)
+        with pytest.raises(TruncationError, match="finite and positive"):
+            oracle_check("cesaro", "c", "c", tol=tol)
+        with pytest.raises(TruncationError, match="finite and positive"):
+            regularity_report("cesaro", n=600, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Taylor transforms: certified row tails (Stieglitz-Tietz 1977: every T_r
+# with 0 < r < 1 is regular, so it maps c into c and c0 into c)
+# ---------------------------------------------------------------------------
+
+
+def taylor_params(max_q: int) -> list:
+    return sorted({Fraction(p, q) for q in range(2, max_q + 1)
+                   for p in range(1, q) if gcd(p, q) == 1})
+
+
+def test_taylor_known_answers_on_c():
+    params = taylor_params(32)
+    assert len(params) == 323
+    for r in params:
+        spec = f"taylor:{r}"
+        got = check_class(spec, "c", "c").verdict
+        if r < Fraction(1, 2):
+            assert got is Verdict.SATISFIED, spec
+        assert got is not Verdict.VIOLATED, spec
+        assert check_class(spec, "c0", "c").verdict is not Verdict.VIOLATED, spec
+    assert sum(r < Fraction(1, 2) for r in params) == 161
+
+
+def test_taylor_regularity_is_never_violated():
+    for r in taylor_params(12):
+        assert regularity_report(f"taylor:{r}").verdict is not Verdict.VIOLATED, r
+
+
+def test_taylor_with_too_few_complete_rows_is_inconclusive():
+    rep = check_class("taylor:9/10", "c", "c")
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    for part in rep.condition_reports:
+        if part.condition in ("bounded-rows", "row-sums-converge"):
+            assert part.verdict is Verdict.INCONCLUSIVE
+            assert part.note.startswith("only 10 complete rows"), part.note
+    reg = regularity_report("taylor:9/10")
+    assert reg.row_sum_verdict is Verdict.INCONCLUSIVE
+    assert reg.row_sum_note.startswith("only 99 complete rows")
+
+
+def test_capped_taylor_rows_say_so():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["regularity", "--matrix", "taylor:999/1000", "--json"])
+    assert code == 2
+    doc = json.loads(out.getvalue())
+    assert "capped" in doc["bounded_rows"]["note"]
+    assert "capped" in doc["row_sums"]["note"]
+
+
+def test_complete_taylor_rows_start_with_a_normal_float():
+    near = [Fraction(3, 5), Fraction(5, 8), Fraction(7, 11), Fraction(12, 19),
+            Fraction(17, 27), Fraction(19, 30), Fraction(19, 32)]
+    for r in near:                  # about 1 - 1/e
+        t = matrix_from_spec(f"taylor:{r}")
+        last = _Engine(t, 2400, 1.5e-3, 240).row_limit
+        assert t.row_lead(last) >= sys.float_info.min, r
+    # Where a cutoff would still fit, a subnormal leading float ends the
+    # complete rows: (1/2)**1023 is below the normal range.
+    t = matrix_from_spec("taylor:1/2")
+    assert t.row_cutoff(1023) <= 4000
+    assert _Engine(t, 4000, 1.5e-3, 400).row_limit == 1022
+
+
+def test_composed_taylor_transfer_routes_agree():
+    for r in ("1/6", "1/2", "1/10"):
+        rep = check_class(f"taylor:{r}", "c", "c(omega)", route="both")
+        assert rep.conditions_verdict is Verdict.VIOLATED, r
+        assert rep.routes_agree() is True, r

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from seqspace import sequences as seq
 from seqspace.conditions import _column_mass, _Engine, _reduce_rows
 from seqspace.duality import dual_transfer_matrix
-from seqspace.matrices import ROW_CUTOFF_CAP, apply, matrix_from_spec
+from seqspace.matrices import (
+    ROW_CUTOFF_CAP,
+    TaylorTransform,
+    apply,
+    matrix_from_spec,
+)
 from seqspace.sequences import (
     LimitKind,
     LimitVerdict,
@@ -114,14 +119,18 @@ def taylor_row_reference(t, n, m):
 
 
 def taylor_cutoff_reference(t, n, tail_mass=1e-16):
+    """The certified cutoff one column at a time: the first column K past
+    the row's mode with a_{n,K} r K / (K (1 - r) - (n - 1)) <= tail_mass,
+    each log a_{n,K} from lgamma."""
     r = float(t.r)
-    c = (1 - r) ** n
-    cum = c
-    k = n
-    while 1.0 - cum > tail_mass and k < n + 200000:
-        c *= r * k / (k - n + 1)
+    k = max(n, math.floor((n - 1) / (1 - t.r)) + 1)
+    while k < n + ROW_CUTOFF_CAP:
+        log_a = (math.lgamma(k) - math.lgamma(n) - math.lgamma(k - n + 1)
+                 + n * math.log1p(-r) + (k - n) * math.log(r))
+        if (log_a + math.log(r * k) - math.log(k * (1 - r) - (n - 1))
+                <= math.log(tail_mass)):
+            return k
         k += 1
-        cum += c
     return k
 
 
@@ -137,7 +146,7 @@ def test_taylor_cutoffs_match_the_scalar_recurrence():
             assert t.row_cutoff(n) == want, (r, n)
             capped += want == n + ROW_CUTOFF_CAP
         assert t.row_cutoff(40, 1e-6) == taylor_cutoff_reference(t, 40, 1e-6)
-    assert capped > 0  # some rows run to the cap
+    assert capped == 0  # every row is certified well before the cap
 
 
 def test_taylor_rows_match_the_scalar_recurrence():
@@ -149,9 +158,44 @@ def test_taylor_rows_match_the_scalar_recurrence():
                                  taylor_row_reference(t, n, m)), (r, n, m)
     t = matrix_from_spec("taylor:1/3")
     top = t.row_cutoff(2)
-    assert top == 2 + ROW_CUTOFF_CAP
+    assert top == taylor_cutoff_reference(t, 2) < 2 + ROW_CUTOFF_CAP
     assert same_bits(t.row_floats(2, top), taylor_row_reference(t, 2, top))
 
+
+def taylor_log_row(r, n, stop):
+    """log a_{n,k} for k = n, n+1, ..., from lgamma, out to the first column
+    past the mode where it is below ``stop``."""
+    out, k = [], n
+    while True:
+        log_a = (math.lgamma(k) - math.lgamma(n) - math.lgamma(k - n + 1)
+                 + n * math.log1p(-r) + (k - n) * math.log(r))
+        out.append(log_a)
+        if k * (1 - r) > n - 1 and log_a < stop:
+            return out
+        k += 1
+
+
+def test_taylor_cutoffs_are_certified():
+    # The mass beyond K summed directly (in log space, never as 1 - sum)
+    # is within tail_mass, and K is at most 10 % past the first column
+    # where that holds.
+    tail_mass = 1e-16
+    for r in ("1/10", "1/3", "1/2", "2/3", "9/10"):
+        t = matrix_from_spec(f"taylor:{r}")
+        for n in (1, 2, 9, 300, 2000):
+            logs = taylor_log_row(float(t.r), n, math.log(tail_mass) - 60)
+
+            def tail(k):          # the mass at columns k+1, k+2, ...
+                return math.fsum(math.exp(v) for v in logs[k - n + 1:])
+
+            top = t.row_cutoff(n, tail_mass)
+            assert tail(top) <= tail_mass, (r, n, top)
+            lo, hi = n, top       # the first column with a small tail
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if tail(mid) <= tail_mass else (mid + 1, hi)
+            assert top <= 1.1 * lo, (r, n, top, lo)
+            assert top - n <= 1.1 * (lo - n) + 1, (r, n, top, lo)
 
 def taylor_apply_reference(t, x, n, tail_mass=1e-16):
     """Float ``apply`` as two passes per row: the cutoff, then the row."""
@@ -179,6 +223,19 @@ def test_taylor_apply_evaluates_each_row_once():
         x = make_sequence("const:1")
         got = apply(t, x, 5, mode="float", tail_mass=1e-6).entries
         assert same_bits(got, taylor_apply_reference(t, x, 5, 1e-6)), r
+
+
+def test_taylor_apply_builds_each_row_series_once(monkeypatch):
+    t = TaylorTransform(Fraction(1, 3))
+    real, calls = t.row_series, []
+
+    def counted(n, tail_mass=1e-16):
+        calls.append(n)
+        return real(n, tail_mass)
+    monkeypatch.setattr(t, "row_series", counted)
+    for spec in ("harmonic", "alternating", "const:1"):
+        apply(t, spec, 40, mode="float")
+    assert sorted(calls) == list(range(1, 41))
 
 
 # ---------------------------------------------------------------------------
