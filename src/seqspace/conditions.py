@@ -35,6 +35,7 @@ from .matrices import (
     ROW_CUTOFF_CAP,
     InfiniteMatrix,
     apply,
+    apply_many,
     compose,
     inverse_of,
     matrix_from_spec,
@@ -614,15 +615,19 @@ def _column_mass(block: np.ndarray, first_row: int, n: int,
     mass = [np.abs(full.mean(axis=1))]
     spreads = [[spread],
                np.ptp(full, axis=1) if depth > 1 else np.zeros(len(full))]
+    # The ufunc reductions are the ones ``below.mean()`` and ``np.ptp``
+    # make, without their method dispatch.
+    add, high, low = np.add.reduce, np.maximum.reduce, np.minimum.reduce
     for k in range(first_row, n + 1):
         col = block[:, k - 1]
         below = col[k - first_row + 1:]
-        if len(below) == 0:
+        size = len(below)
+        if size == 0:
             mass.append([abs(col[-1])])
             spreads.append([abs(col[-1])])
         else:
-            mass.append([abs(below.mean())])
-            spreads.append([np.ptp(below) if len(below) > 1 else 0.0])
+            mass.append([abs(add(below) / size)])
+            spreads.append([high(below) - low(below) if size > 1 else 0.0])
     # Running totals in column order: the sums of a sequential loop.
     return (float(np.add.accumulate(np.concatenate(mass))[-1]),
             float(np.add.accumulate(np.concatenate(spreads))[-1]))
@@ -815,23 +820,44 @@ def target_transfer_matrix(a, domain_matrix) -> InfiniteMatrix:
 def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
                          window: int, row_bound: int) -> dict:
     """Check that the leading rows of ``a`` pair summably with the source
-    domain (each row must lie in the domain's beta dual)."""
-    return cache.lookup(
-        ("row-pairing", a.key, space.tag, space.matrix.key, n, tol, window,
-         row_bound),
-        lambda: _pair_rows(a, space, n, tol, window, row_bound))
+    domain: each row must lie in the domain's beta dual, so its dual
+    triangle (:func:`dual_transfer_matrix`) must map the base space into c.
+
+    One cache entry per (matrix, domain, n, tol, window, row_bound) keeps,
+    for each row, the verdict of every condition judged so far on its dual
+    triangle, and the result for each base space asked so far.  c0, c and
+    linf over one domain ask overlapping conditions of the same triangles,
+    so they share those verdicts; a base space's verdict for a row is the
+    conjunction of its own conditions.  A dual triangle is built only when
+    a verdict it needs is missing.  It is serial-keyed, so its table and
+    traces leave the cache when it is gone.
+    """
+    rows, results = cache.lookup(("row-pairing", a.key, space.matrix.key, n,
+                                  tol, window, row_bound), lambda: ({}, {}))
+    got = results.get(space.tag)
+    if got is None:
+        got = results[space.tag] = _pair_rows(a, space, n, tol, window,
+                                              row_bound, rows)
+    return got
 
 
 def _pair_rows(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
-               window: int, row_bound: int) -> dict:
+               window: int, row_bound: int, rows: dict) -> dict:
+    """The row-pairing result for ``space``.  ``rows`` maps each row to
+    the verdicts judged so far on its dual triangle, by condition; only the
+    missing ones are judged, and they are added there."""
+    conds = PAIR_CONDITIONS[(space.tag, "c")]
     verdicts = {}
     for nn in range(1, row_bound + 1):
-        hint = a.row_end(nn)
-        row_seq = Sequence(lambda k, nn=nn: a.entry(nn, k),
-                           support_hint=hint, label=f"row[{nn}]")
-        transfer = dual_transfer_matrix(row_seq, space.matrix)
-        rep = check_class(transfer, space.tag, "c", n=n, tol=tol, window=window)
-        verdicts[nn] = rep.verdict
+        known = rows.setdefault(nn, {})
+        missing = [c for c in conds if c not in known]
+        if missing:
+            row_seq = Sequence(lambda k, nn=nn: a.entry(nn, k),
+                               support_hint=a.row_end(nn), label=f"row[{nn}]")
+            transfer = dual_transfer_matrix(row_seq, space.matrix)
+            for c in missing:
+                known[c] = condition_report(transfer, c, n, tol, window).verdict
+        verdicts[nn] = conjoin(known[c] for c in conds)
     overall = conjoin(verdicts.values())
     weakest = next((r for r, v in verdicts.items()
                     if v is not Verdict.SATISFIED), None)
@@ -985,12 +1011,16 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
         ("battery", from_space.matrix.key if from_space.is_domain else None,
          from_space.tag, seed),
         lambda: oracle_samples(from_space, seed))
+    images = [_cached_image(a, from_space, label, x, n, seed)
+              for label, x in battery]
+    inside = [i for i, img in enumerate(images) if not img.overflow]
+    if to_space.is_domain and inside:
+        stack = np.array([images[i].entries for i in inside])
+        for i, img in zip(inside, apply_many(to_space.matrix, stack)):
+            images[i] = img
     probes = [None] * len(battery)
     judged, traces = [], []
-    for i, (label, x) in enumerate(battery):
-        img = _cached_image(a, from_space, label, x, n, seed)
-        if to_space.is_domain and not img.overflow:
-            img = apply(to_space.matrix, img, n, mode="float")
+    for i, ((label, _), img) in enumerate(zip(battery, images)):
         if img.overflow:
             probes[i] = SampleProbe(
                 label, Verdict.INCONCLUSIVE,

@@ -126,8 +126,20 @@ class DualTriangle(InfiniteMatrix):
 
     def _build_truncation_floats(self, size):
         sf = self._scaled_floats(size + 1)
-        out = np.tril(np.broadcast_to(sf[:size] - sf[1:size + 1], (size, size)))
-        np.fill_diagonal(out, sf[:size])
+        hint = self.a.support_hint
+        if hint is None or hint >= size:
+            out = np.tril(np.broadcast_to(sf[:size] - sf[1:size + 1],
+                                          (size, size)))
+            np.fill_diagonal(out, sf[:size])
+            return out
+        # Past the support of ``a`` the scaled terms are +0.0, so columns
+        # after ``hint`` and the diagonal below it hold 0.0 - 0.0 = +0.0:
+        # only the first ``hint`` columns need writing.
+        width = max(hint, 0)
+        out = np.zeros((size, size))
+        out[:, :width] = np.tril(np.broadcast_to(
+            sf[:width] - sf[1:width + 1], (size, width)))
+        out[range(width), range(width)] = sf[:width]
         return out
 
     def col_floats(self, k, rows):

@@ -44,6 +44,7 @@ from .sequences import (
     Sequence,
     exact_number,
     finite_vector,
+    finite_vectors,
     make_sequence,
 )
 
@@ -154,7 +155,9 @@ class InfiniteMatrix:
     # -- optional fast transforms ------------------------------------------
 
     def _apply_floats(self, xf: np.ndarray) -> Optional[np.ndarray]:
-        """(Ax)_{1..len(xf)} when a vectorized form exists, else None."""
+        """(Ax)_{1..m} for each x stacked in ``xf`` along its last axis, of
+        length m, when a vectorized form exists, else None.  A stacked x
+        gets the same bits as alone."""
         return None
 
     def _apply_exact(self, xs: list) -> Optional[list]:
@@ -278,7 +281,7 @@ class WeightedSums(InfiniteMatrix):
         return np.tril(np.broadcast_to(self._weights_floats(size), (size, size)))
 
     def _apply_floats(self, xf):
-        return np.cumsum(self._weights_floats(len(xf)) * xf)
+        return np.cumsum(self._weights_floats(xf.shape[-1]) * xf, axis=-1)
 
     def _apply_exact(self, xs):
         return list(accumulate(self.weights(k + 1) * x for k, x in enumerate(xs)))
@@ -342,9 +345,9 @@ class Bidiagonal(InfiniteMatrix):
         return out
 
     def _apply_floats(self, xf):
-        d, s = self._diagonals_floats(len(xf))
+        d, s = self._diagonals_floats(xf.shape[-1])
         out = d * xf
-        out[1:] += s * xf[:-1]
+        out[..., 1:] += s * xf[..., :-1]
         return out
 
     def _apply_exact(self, xs):
@@ -378,7 +381,7 @@ class CesaroMeans(InfiniteMatrix):
         return np.tril(np.broadcast_to(inv_n[:, None], (size, size)))
 
     def _apply_floats(self, xf):
-        return np.cumsum(xf) / np.arange(1, len(xf) + 1)
+        return np.cumsum(xf, axis=-1) / np.arange(1, xf.shape[-1] + 1)
 
     def _apply_exact(self, xs):
         return [s / Fraction(n) if isinstance(s, (int, Fraction)) else s / n
@@ -460,8 +463,8 @@ class RieszMeans(InfiniteMatrix):
         return out
 
     def _apply_floats(self, xf):
-        t, big_t = self._tf(len(xf))
-        return np.cumsum(t * xf) / big_t
+        t, big_t = self._tf(xf.shape[-1])
+        return np.cumsum(t * xf, axis=-1) / big_t
 
     def _apply_exact(self, xs):
         self._ensure(len(xs))
@@ -636,10 +639,21 @@ class TaylorTransform(InfiniteMatrix):
                    tail_mass: float = 1e-16) -> tuple[int, np.ndarray]:
         """Row n out to its certified cutoff: ``(K, entries)``, with K from
         :meth:`row_cutoff` and ``entries`` the row's floats at columns
-        n..K, equal to ``row_floats(n, K)[n - 1:]``."""
+        n..K.  When the leading float ``(1 - r)**n`` is normal they equal
+        ``row_floats(n, K)[n - 1:]``.  Otherwise the recurrence from it
+        would lose the row (from a lead of 0.0 every entry is 0.0), so the
+        entries are taken in log space: ``n log(1 - r)`` plus the running
+        sum of ``log(r j / (j - n + 1))``, exponentiated."""
         top = self.row_cutoff(n, tail_mass)
         c = self.row_lead(n)
-        return top, np.concatenate(([c], self._next_entries(n, n, c, top - n)))
+        if c >= sys.float_info.min:
+            return top, np.concatenate(
+                ([c], self._next_entries(n, n, c, top - n)))
+        r = float(self.r)
+        j = np.arange(n, top, dtype=float)
+        logs = np.concatenate(([n * math.log1p(-r)],
+                               math.log(r) + np.log(j) - np.log(j - (n - 1))))
+        return top, np.exp(np.add.accumulate(logs))
 
     def row_complete(self, n: int, width: int) -> bool:
         """Row n is known to float accuracy from its first ``width``
@@ -1070,6 +1084,24 @@ def apply(a, x, n: int, mode: str = "exact",
             coeffs = a.row_floats(row, n)
             out[row - 1] = coeffs @ xf
     return finite_vector(out, origin=origin)
+
+
+def apply_many(a, xf: np.ndarray) -> list:
+    """``apply(a, x, n, mode="float")`` for each row x of the 2-D float
+    array ``xf``, n its width, bit for bit.
+
+    A vectorized form takes the whole stack in one call, and its results
+    are checked for overflow together.  Any other matrix is applied to one
+    row at a time: a stacked product of its table could round differently.
+    """
+    a = matrix_from_spec(a)
+    rows, n = xf.shape
+    fast = None
+    if rows and n >= 1 and a.row_end(n) is not None:
+        fast = a._apply_floats(xf)
+    if fast is None:
+        return [apply(a, FiniteVector(x), n, mode="float") for x in xf]
+    return finite_vectors(fast, origin=f"{a.name}(vector)")
 
 
 def truncate_matrix(a, size: int, mode: str = "exact"):

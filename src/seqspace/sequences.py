@@ -390,13 +390,7 @@ def finite_vector(values, origin: str = "") -> FiniteVector:
     gives an exact vector (a tuple).
     """
     if isinstance(values, np.ndarray):
-        arr = np.array(values, dtype=float)
-        bad = ~np.isfinite(arr)
-        first_bad = int(np.argmax(bad)) + 1 if bad.any() else None
-        arr[bad] = 0.0
-        arr.setflags(write=False)
-        return FiniteVector(arr, origin=origin, overflow=first_bad is not None,
-                            overflow_index=first_bad)
+        return finite_vectors([values], origin)[0]
     out = []
     overflow = False
     first_bad = None
@@ -410,6 +404,23 @@ def finite_vector(values, origin: str = "") -> FiniteVector:
             out.append(v)
     return FiniteVector(tuple(out), origin=origin, overflow=overflow,
                         overflow_index=first_bad)
+
+
+def finite_vectors(stack, origin: str = "") -> list:
+    """``finite_vector(row, origin)`` for each row of a 2-D float stack,
+    checked for non-finite values in one pass.  The vectors' entries are the
+    rows of one read-only copy of the stack."""
+    arr = np.array(stack, dtype=float)
+    bad = ~np.isfinite(arr)
+    first_bad = [None] * len(arr)
+    if bad.any():
+        for i in np.flatnonzero(bad.any(axis=1)):
+            first_bad[i] = int(np.argmax(bad[i])) + 1
+        arr[bad] = 0.0
+    arr.setflags(write=False)
+    return [FiniteVector(row, origin=origin, overflow=first is not None,
+                         overflow_index=first)
+            for row, first in zip(arr, first_bad)]
 
 
 def truncate(x: Sequence, n: int) -> FiniteVector:

@@ -8,12 +8,15 @@ from math import gcd
 import numpy as np
 import pytest
 
-from seqspace import cli
+from seqspace import cache, cli, conditions
 from seqspace.conditions import (
+    CLASS_TOL,
     CONDITION_DESCRIPTIONS,
     DEFAULT_CLASS_N,
     PAIR_CONDITIONS,
+    _class_window,
     _Engine,
+    _probe_note,
     check_class,
     condition_report,
     condition_trace,
@@ -25,7 +28,10 @@ from seqspace.conditions import (
     target_transfer_matrix,
 )
 from seqspace.errors import SpecError, TruncationError, UnsupportedClassError
-from seqspace.matrices import CesaroMeans, matrix_from_spec
+from seqspace.domains import space_from_spec
+from seqspace.duality import DualTriangle
+from seqspace.matrices import CesaroMeans, RuleMatrix, apply, matrix_from_spec
+from seqspace.sequences import classify_traces
 from seqspace.verdicts import Verdict
 
 
@@ -229,6 +235,84 @@ def test_oracle_battery_is_built_once_per_space_and_seed(monkeypatch):
                         seed=3).to_dict() == want
 
 
+def oracle_probes_reference(a, f, t, seed, n=DEFAULT_CLASS_N, tol=CLASS_TOL):
+    """The oracle's probes with every judged image taken through the target
+    domain's triangle on its own: (label, verdict, note) per sample."""
+    t = space_from_spec(t)
+    battery = oracle_samples(f, seed)
+    probes, judged, traces = {}, [], []
+    for label, x in battery:
+        img = apply(a, x, n, mode="float")
+        if t.is_domain and not img.overflow:
+            img = apply(t.matrix, img, n, mode="float")
+        if img.overflow:
+            probes[label] = (Verdict.INCONCLUSIVE,
+                             f"transform overflowed at index {img.overflow_index}")
+        else:
+            judged.append(label)
+            traces.append(img.entries)
+    if traces:
+        for label, (verdict, info) in zip(judged, classify_traces(
+                np.array(traces), t.tag, tol, _class_window(n))):
+            probes[label] = (verdict, _probe_note(info))
+    return [(label, *probes[label]) for label, _ in battery]
+
+
+GRID_MATRICES = ("identity", "omega", "gamma", "omega-inv", "gamma-inv",
+                 "cesaro", "euler:1/2", "zero")
+DOMAIN_TARGETS = ("c0(omega)", "c(omega)", "linf(omega)",
+                  "c0(gamma)", "c(gamma)", "linf(gamma)")
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+def test_batched_target_images_match_per_image_probes(seed):
+    for name in GRID_MATRICES:
+        for f in ("c0", "c", "linf", "bs", "cs"):
+            for t in DOMAIN_TARGETS:
+                if (f, t.split("(")[0]) not in PAIR_CONDITIONS:
+                    continue
+                got = oracle_check(name, f, t, seed=seed).samples
+                assert [(p.label, p.verdict, p.note) for p in got] == \
+                    oracle_probes_reference(name, f, t, seed), (name, f, t)
+
+
+def test_a_target_overflow_keeps_its_note():
+    # Images of size 1e306 that only the omega triangle's running sums
+    # take past the float range.
+    huge = RuleMatrix(lambda n, k: 10 ** 306 if n == k else 0, name="huge",
+                      triangle=True)
+    with np.errstate(all="ignore"):
+        want = oracle_probes_reference(huge, "c", "c(omega)", 0)
+        got = oracle_check(huge, "c", "c(omega)").samples
+    assert ("const:1", Verdict.INCONCLUSIVE,
+            "transform overflowed at index 19") in want
+    assert [(p.label, p.verdict, p.note) for p in got] == want
+
+
+def test_row_duals_are_judged_once_per_domain(monkeypatch):
+    judged = []
+    for name, evaluate in list(conditions._EVALUATORS.items()):
+        def counted(eng, name=name, evaluate=evaluate):
+            if isinstance(eng.a, DualTriangle):
+                judged.append(name)
+            return evaluate(eng)
+        monkeypatch.setitem(conditions._EVALUATORS, name, counted)
+    cold = {}
+    for tag in ("c", "linf"):
+        cache.clear()
+        cold[tag] = check_class("cesaro", f"{tag}(omega)", "c").to_dict()
+    cache.clear()
+    judged.clear()
+    check_class("cesaro", "c0(omega)", "c")
+    assert sorted(judged) == ["bounded-rows"] * 6 + ["columns-converge"] * 6
+    for tag, only in (("c", "row-sums-converge"),
+                      ("linf", "abs-rows-match-columns")):
+        judged.clear()
+        warm = check_class("cesaro", f"{tag}(omega)", "c").to_dict()
+        assert judged == [only] * 6, tag
+        assert warm == cold[tag], tag
+
+
 def test_oracle_samples_cover_domains():
     labels = [label for label, _ in oracle_samples("c0(gamma)")]
     assert all(label.startswith("gamma-preimage:") for label in labels)
@@ -356,6 +440,14 @@ def test_complete_taylor_rows_start_with_a_normal_float():
     t = matrix_from_spec("taylor:1/2")
     assert t.row_cutoff(1023) <= 4000
     assert _Engine(t, 4000, 1.5e-3, 400).row_limit == 1022
+
+
+def test_taylor_images_past_the_normal_range_are_judged():
+    # Rows 324..600 of taylor:9/10 start from (1/10)**n = 0.0; their images
+    # of the constant 1 must still read 1, so (c : c0) has a witness.
+    rep = check_class("taylor:9/10", "c", "c0", route="both")
+    assert rep.oracle.verdict is Verdict.VIOLATED
+    assert "const:1" in rep.oracle.witnesses
 
 
 def test_composed_taylor_transfer_routes_agree():

@@ -3,6 +3,7 @@ replaced, kept here as the reference.  The arithmetic is the same operations
 in the same order, so every comparison is bit for bit."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,11 @@ from seqspace.matrices import (
     ROW_CUTOFF_CAP,
     TaylorTransform,
     apply,
+    apply_many,
     matrix_from_spec,
 )
 from seqspace.sequences import (
+    FiniteVector,
     LimitKind,
     LimitVerdict,
     Sequence,
@@ -29,6 +32,8 @@ from seqspace.sequences import (
     analyze_sups,
     classify_traces,
     classify_values,
+    finite_vector,
+    finite_vectors,
     limit_exists_verdict,
     make_sequence,
     null_limit_verdict,
@@ -238,6 +243,26 @@ def test_taylor_apply_builds_each_row_series_once(monkeypatch):
     assert sorted(calls) == list(range(1, 41))
 
 
+def test_taylor_rows_past_the_normal_range_keep_their_mass():
+    # (1/10)**n is subnormal from n = 308 and 0.0 from n = 324, yet every
+    # row of T_{9/10} is a probability mass: T maps 1 to 1.
+    t = matrix_from_spec("taylor:9/10")
+    ones = apply(t, "const:1", 600, mode="float").entries
+    assert np.abs(ones - 1.0).max() < 1e-9
+    for n in (307, 308, 323, 324, 600):
+        top, entries = t.row_series(n)
+        logs = np.array([math.lgamma(k) - math.lgamma(n)
+                         - math.lgamma(k - n + 1) + n * math.log1p(-0.9)
+                         + (k - n) * math.log(0.9)
+                         for k in range(n, top + 1)])
+        normal = logs > math.log(sys.float_info.min)
+        assert np.abs(np.log(entries[normal]) - logs[normal]).max() < 1e-9, n
+        assert abs(math.fsum(entries) - 1.0) < 1e-9, n
+    # A row whose leading float is normal keeps the recurrence's bits.
+    top, entries = t.row_series(307)
+    assert same_bits(entries, t.row_floats(307, top)[306:])
+
+
 # ---------------------------------------------------------------------------
 # Euler, Taylor and Riesz tables
 # ---------------------------------------------------------------------------
@@ -343,6 +368,90 @@ def test_dual_table_is_the_stack_of_its_rows(mode):
             assert same_bits(table, rows), (a.label, size)
 
 
+def dual_tril_reference(u, size):
+    """The full-width builder: the differences of the scaled terms under
+    the diagonal of a size-by-size ``np.tril``, the terms on it."""
+    sf = u._scaled_floats(size + 1)
+    out = np.tril(np.broadcast_to(sf[:size] - sf[1:size + 1], (size, size)))
+    np.fill_diagonal(out, sf[:size])
+    return out
+
+
+@pytest.mark.parametrize("mode", ("omega", "gamma"))
+def test_dual_table_on_its_support_matches_the_full_builder(mode):
+    # Terms of both signs, zeros (one of them -0.0) and a float inside the
+    # support.
+    terms = (Fraction(3), Fraction(-1, 2), 0, Fraction(7, 5), -0.0, 2.5,
+             Fraction(-9, 4))
+
+    def rule(k):
+        return terms[(k - 1) % len(terms)]
+    for size in (1, 2, 8, 600):
+        for hint in (None, 0, 1, 2, 6, size - 1, size, size + 1, size + 7):
+            if hint is not None and hint < 0:
+                continue
+            u = dual_transfer_matrix(Sequence(rule, support_hint=hint), mode)
+            got = u.truncation_floats(size)
+            assert same_bits(got, dual_tril_reference(u, size)), (size, hint)
+
+
+# ---------------------------------------------------------------------------
+# Float transforms of a stack of vectors
+# ---------------------------------------------------------------------------
+
+
+STACK_MATRICES = ("identity", "zero", "omega", "gamma", "omega-inv",
+                  "gamma-inv", "cesaro", "riesz:power:2", "euler:1/2",
+                  "taylor:1/4")
+
+
+@pytest.mark.parametrize("name", STACK_MATRICES)
+def test_apply_many_matches_one_vector_at_a_time(name):
+    # Rows like the oracle's images, and rows that overflow only once
+    # transformed (running sums of 1e306, or 1e308 times the index).
+    rng = np.random.default_rng(11)
+    a = matrix_from_spec(name)
+    for n in (1, 2, 37, 600):
+        rows = [rng.standard_normal(n) * scale
+                for scale in (1.0, 1e-3, 1e200, 1e-300)]
+        rows += [np.full(n, 1e306), np.full(n, 1e308), 1.0 / np.arange(1, n + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = apply_many(a, np.array(rows))
+            wants = [apply(a, FiniteVector(x), n, mode="float") for x in rows]
+        assert len(got) == len(rows)
+        for g, want in zip(got, wants):
+            assert same_bits(g.entries, want.entries), (name, n)
+            assert (g.overflow, g.overflow_index, g.origin) == (
+                want.overflow, want.overflow_index, want.origin), (name, n)
+    assert apply_many(a, np.empty((0, 5))) == []
+
+
+def finite_vector_reference(values):
+    """One float vector checked on its own, as before stacks."""
+    arr = np.array(values, dtype=float)
+    bad = ~np.isfinite(arr)
+    first_bad = int(np.argmax(bad)) + 1 if bad.any() else None
+    arr[bad] = 0.0
+    return arr, first_bad
+
+
+def test_finite_vectors_match_one_vector_at_a_time():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((7, 40))
+    stack[1, 0] = np.inf
+    stack[2, [5, 9]] = [np.nan, -np.inf]
+    stack[3, 39] = -np.inf
+    stack[4] = np.nan
+    for got, row in zip(finite_vectors(stack, "s"), stack):
+        want, first = finite_vector_reference(row)
+        assert same_bits(got.entries, want)
+        assert (got.overflow, got.overflow_index) == (first is not None, first)
+        assert not got.entries.flags.writeable and got.origin == "s"
+        one = finite_vector(row)
+        assert same_bits(one.entries, want) and one.overflow_index == first
+    assert np.isnan(stack[4]).all()     # the input is not written
+
+
 # ---------------------------------------------------------------------------
 # Column mass of the equality conditions
 # ---------------------------------------------------------------------------
@@ -379,6 +488,37 @@ def test_column_mass_matches_the_column_loop():
             got = _column_mass(block, first_row, eng.n, 1e-7)
             want = column_mass_reference(block, first_row, eng.n, 1e-7)
             assert same_bits(got, want), (name, diff)
+
+
+@st.composite
+def column_blocks(draw):
+    """(block, first_row, n, spread) as the equality conditions pass them:
+    ``depth`` stacked rows ending at row ``first_row + depth - 1 <= n``."""
+    depth = draw(st.integers(1, 12))
+    n = draw(st.integers(depth, 40))
+    first_row = draw(st.sampled_from((1, n - depth + 1))
+                     | st.integers(1, n - depth + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("normal", "zeros", "sparse", "ties")))
+    block = rng.standard_normal((depth, n))
+    if kind == "zeros":         # +0.0 and -0.0
+        block = np.where(block < 0, -0.0, 0.0)
+    elif kind == "sparse":
+        block[rng.random(block.shape) < 0.7] = 0.0
+    elif kind == "ties":        # repeated values in a column
+        block = np.round(block)
+    scale = draw(st.sampled_from((1.0, 1e200, 1e-200, 3e-300)))
+    spread = draw(st.sampled_from((0.0, 1e-7, 0.125)))
+    return block * scale, first_row, n, spread
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_blocks())
+def test_column_mass_equals_the_column_loop(case):
+    block, first_row, n, spread = case
+    got = _column_mass(block, first_row, n, spread)
+    want = column_mass_reference(block, first_row, n, spread)
+    assert same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
