@@ -364,27 +364,15 @@ class _Engine:
             return cache.lookup(
                 ("row-feature", self.a.key, self.n, kind),
                 lambda: _reduce_rows(self.table()[:self.row_limit], kind))
-        return cache.lookup(("row-feature", self.a.key, self.n, kind,
-                             self.window), lambda: self._sampled_feature(kind))
+        return cache.lookup(
+            ("row-feature", self.a.key, self.n, kind, self.window),
+            lambda: _reduce_rows(self._sampled_rows(), kind))
 
-    def _sampled_feature(self, kind: str) -> np.ndarray:
-        rows = self.row_indices()
-        out = np.empty(len(rows))
-        for i, nn in enumerate(rows):
-            nn = int(nn)
-            hi = self.a.row_end(nn)
-            hi = self.n if hi is None else min(hi, self.n)
-            if hi < 1:
-                out[i] = 0.0
-                continue
-            row = self.a.row_floats(nn, hi)
-            if kind == "row_abs":
-                out[i] = np.abs(row).sum()
-            elif kind == "row_sum":
-                out[i] = row.sum()
-            else:
-                out[i] = np.abs(np.diff(np.append(row, 0.0))).sum()
-        return out
+    def _sampled_rows(self) -> np.ndarray:
+        """The sampled rows over columns 1..n, read as one block."""
+        return cache.lookup(
+            ("sampled-rows", self.a.key, self.n, self.window),
+            lambda: self.a.block(self.row_indices(), self.n))
 
     def row_trace(self, kind: str):
         return self.row_indices(), self._row_feature(kind)
@@ -392,9 +380,10 @@ class _Engine:
     def columns(self, ks: np.ndarray) -> np.ndarray:
         """The columns ``ks`` over rows 1..n, one per row of the result."""
         if self.dense:
-            return self.table().T[ks - 1]
-        rows = np.arange(1, self.n + 1)
-        return np.vstack([self.a.col_floats(int(k), rows) for k in ks])
+            t = self.table()
+        else:
+            t = self.a.block(np.arange(1, self.n + 1), int(ks.max()))
+        return t.T[ks - 1]
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -409,12 +398,12 @@ class _Engine:
         depth = min(EQ_STACK_ROWS, self.window, self.row_limit)
 
         def build():
+            lo = self.row_limit - depth
             if self.dense:
-                block = self.table()[self.row_limit - depth:self.row_limit].copy()
+                block = self.table()[lo:self.row_limit].copy()
             else:
-                rows = range(self.row_limit - depth + 1, self.row_limit + 1)
-                block = np.vstack([self.a.row_floats(int(r), self.n)
-                                   for r in rows])
+                block = self.a.block(np.arange(lo + 1, self.row_limit + 1),
+                                     self.n)
             if diff:
                 padded = np.hstack([block, np.zeros((block.shape[0], 1))])
                 block = np.diff(padded, axis=1) * -1.0
@@ -659,7 +648,7 @@ def _eval_null_rows(eng: _Engine) -> ConditionReport:
 
 def _row_limits(eng: _Engine, rows: list) -> list:
     """Limit verdicts along the given rows, over columns 1..n."""
-    stack = np.vstack([eng.a.row_floats(nn, eng.n) for nn in rows])
+    stack = eng.a.block(np.array(rows), eng.n)
     return analyze_limits(np.arange(1, eng.n + 1), stack, eng.tol, eng.window)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError, SpecError
 from .matrices import (
+    DENSE_LIMIT,
     InfiniteMatrix,
     apply,
     inverse_of,
@@ -307,9 +308,10 @@ def _section_image_table(a: InfiniteMatrix, x, n: int) -> np.ndarray:
     """C[j-1, m-1] = (A x^[m])_j for 1 <= j, m <= n (floats)."""
     x = make_sequence(x)
     xf = x.floats(n)
-    t = a.truncation_floats(n) if n <= 2400 else None
-    if t is None:
-        raise PreconditionError("section tables are capped at truncation 2400")
+    if n > DENSE_LIMIT:
+        raise PreconditionError(
+            f"section tables are capped at truncation {DENSE_LIMIT}")
+    t = a.truncation_floats(n)
     c = np.cumsum(t * xf[None, :], axis=1)
     # (A x^[m])_j equals the full row sum once m >= j; cumsum gives exactly that.
     return c

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FloatRangeError, SpecError
-from .matrices import InfiniteMatrix, _exact_div
+from .matrices import InfiniteMatrix, _exact_div, _lower, _put_band
 from .sequences import FiniteVector, Sequence, finite_vector, make_sequence
 from .verdicts import Verdict
 
@@ -113,41 +113,22 @@ class DualTriangle(InfiniteMatrix):
             raise FloatRangeError(
                 f"{self.name}: scaled term {k} is too large for a float") from None
 
-    def row_floats(self, n, m):
-        out = np.zeros(m)
-        width = min(n, m)
-        if width < 1:
-            return out
-        sf = self._scaled_floats(width + 1)
-        out[:width] = sf[:width] - sf[1:width + 1]
-        if m >= n:
-            out[n - 1] = sf[n - 1]
-        return out
-
-    def _build_truncation_floats(self, size):
-        sf = self._scaled_floats(size + 1)
-        hint = self.a.support_hint
-        if hint is None or hint >= size:
-            out = np.tril(np.broadcast_to(sf[:size] - sf[1:size + 1],
-                                          (size, size)))
-            np.fill_diagonal(out, sf[:size])
-            return out
-        # Past the support of ``a`` the scaled terms are +0.0, so columns
-        # after ``hint`` and the diagonal below it hold 0.0 - 0.0 = +0.0:
-        # only the first ``hint`` columns need writing.
-        width = max(hint, 0)
-        out = np.zeros((size, size))
-        out[:, :width] = np.tril(np.broadcast_to(
-            sf[:width] - sf[1:width + 1], (size, width)))
-        out[range(width), range(width)] = sf[:width]
-        return out
-
-    def col_floats(self, k, rows):
+    def block(self, rows, m):
         rows = np.asarray(rows)
-        sf = self._scaled_floats(k + 1)
-        below = sf[k - 1] - sf[k]
-        return np.where(rows < k, 0.0,
-                        np.where(rows == k, sf[k - 1], below))
+        sf = self._scaled_floats(m + 1)
+        hint = self.a.support_hint
+        if hint is None or hint >= m:
+            width = m
+            out = _lower(rows, m, sf[:m] - sf[1:m + 1])
+        else:
+            # Past the support of ``a`` the scaled terms are +0.0, so
+            # columns after ``hint`` and the diagonal below it hold
+            # 0.0 - 0.0 = +0.0: only the first ``hint`` columns need writing.
+            width = max(hint, 0)
+            out = np.zeros((len(rows), m))
+            out[:, :width] = _lower(rows, width, sf[:width] - sf[1:width + 1])
+        _put_band(out, rows, 0, sf, width)
+        return out
 
 
 def dual_transfer_matrix(a, domain_matrix="omega") -> DualTriangle:

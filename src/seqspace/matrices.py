@@ -73,6 +73,33 @@ def _term_floats(values, first: int, what: str) -> list:
     return out
 
 
+def _lower(rows: np.ndarray, m: int, values) -> np.ndarray:
+    """``values``, broadcast over rows ``rows`` and columns 1..m, on and
+    below the diagonal, and +0.0 above it: ``np.tril`` for any rows.  The
+    mask compares indices in the smallest integer type, as ``np.tri`` does:
+    an int64 mask takes four times as long."""
+    small = np.min_scalar_type(max(m, int(rows[-1])))
+    below = np.arange(1, m + 1, dtype=small) <= rows.astype(small)[:, None]
+    return np.where(below, values, 0.0)
+
+
+def _put_band(out: np.ndarray, rows: np.ndarray, lag: int, values,
+              width: Optional[int] = None) -> None:
+    """Set column n - lag of each row n of ``out`` (numbered by ``rows``) to
+    ``values[n - lag - 1]``, where that column lies in 1..width (all of
+    ``out`` by default).  Consecutive rows, as in a table, take one strided
+    write, as ``np.eye`` makes its diagonal."""
+    m = out.shape[1]
+    top = (m if width is None else width) + lag
+    lo, hi = np.searchsorted(rows, (lag + 1, top + 1)).tolist()
+    cols = rows[lo:hi] - (lag + 1)
+    if hi > lo and cols[-1] - cols[0] == hi - 1 - lo:
+        c = int(cols[0])
+        out.ravel()[lo * m + c:hi * m:m + 1] = values[c:c + hi - lo]
+    else:
+        out.ravel()[np.arange(lo * m, hi * m, m) + cols] = values[cols]
+
+
 class InfiniteMatrix:
     """Base class: entry rule + support hints + cached float truncations.
 
@@ -121,32 +148,30 @@ class InfiniteMatrix:
 
     # -- float paths ------------------------------------------------------
 
-    def row_floats(self, n: int, m: int) -> np.ndarray:
-        """Entries ``a_{n,1..m}`` as floats (zeros outside support)."""
-        out = np.zeros(m)
-        hi = self.row_end(n)
-        hi = m if hi is None else min(hi, m)
-        for k in range(self.row_start(n), hi + 1):
-            out[k - 1] = float(self.entry(n, k))
+    def block(self, rows, m: int) -> np.ndarray:
+        """Rows ``rows`` (strictly increasing, 1-based) over columns 1..m as
+        a float array: the one float kernel every float read derives from.
+        Here each entry on the support is converted on its own."""
+        out = np.zeros((len(rows), m))
+        for i, n in enumerate(rows):
+            n = int(n)
+            hi = self.row_end(n)
+            hi = m if hi is None else min(hi, m)
+            for k in range(self.row_start(n), hi + 1):
+                out[i, k - 1] = float(self.entry(n, k))
         return out
 
-    def col_floats(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """Entries ``a_{n,k}`` as floats for the given 1-based rows."""
-        return np.array([float(self.entry(int(n), k)) for n in rows], dtype=float)
-
-    def _build_truncation_floats(self, size: int) -> np.ndarray:
-        return np.vstack([self.row_floats(n, size) for n in range(1, size + 1)])
-
     def truncation_floats(self, size: int) -> np.ndarray:
-        """The leading size-by-size window as a cached float array."""
+        """The leading size-by-size window, ``block(1..size, size)``, as a
+        cached read-only array."""
         if size < 1:
             raise TruncationError(f"truncation size must be >= 1, got {size}")
         if size > DENSE_LIMIT:
             raise TruncationError(
                 f"dense float truncation capped at {DENSE_LIMIT}; "
-                f"use row_floats/col_floats for size {size}")
+                f"read windows of size {size} through block(rows, m)")
         def build():
-            table = self._build_truncation_floats(size)
+            table = self.block(np.arange(1, size + 1), size)
             table.setflags(write=False)
             return table
         return cache.lookup(("table", self.key, size), build,
@@ -196,17 +221,10 @@ class Identity(InfiniteMatrix):
     def col_end(self, k):
         return k
 
-    def row_floats(self, n, m):
-        out = np.zeros(m)
-        if n <= m:
-            out[n - 1] = 1.0
+    def block(self, rows, m):
+        out = np.zeros((len(rows), m))
+        _put_band(out, np.asarray(rows), 0, np.ones(m))
         return out
-
-    def col_floats(self, k, rows):
-        return (np.asarray(rows) == k).astype(float)
-
-    def _build_truncation_floats(self, size):
-        return np.eye(size)
 
     def _apply_floats(self, xf):
         return xf.copy()
@@ -232,14 +250,8 @@ class ZeroMatrix(InfiniteMatrix):
     def col_end(self, k):
         return 0
 
-    def row_floats(self, n, m):
-        return np.zeros(m)
-
-    def col_floats(self, k, rows):
-        return np.zeros(len(rows))
-
-    def _build_truncation_floats(self, size):
-        return np.zeros((size, size))
+    def block(self, rows, m):
+        return np.zeros((len(rows), m))
 
     def _apply_floats(self, xf):
         return np.zeros_like(xf)
@@ -265,20 +277,8 @@ class WeightedSums(InfiniteMatrix):
         _check_index(n, k)
         return self.weights(k) if k <= n else 0
 
-    def row_floats(self, n, m):
-        w = self._weights_floats(m)
-        if n >= m:
-            return w.copy()
-        out = np.zeros(m)
-        out[:n] = w[:n]
-        return out
-
-    def col_floats(self, k, rows):
-        wk = float(self.weights(k))
-        return np.where(np.asarray(rows) >= k, wk, 0.0)
-
-    def _build_truncation_floats(self, size):
-        return np.tril(np.broadcast_to(self._weights_floats(size), (size, size)))
+    def block(self, rows, m):
+        return _lower(np.asarray(rows), m, self._weights_floats(m))
 
     def _apply_floats(self, xf):
         return np.cumsum(self._weights_floats(xf.shape[-1]) * xf, axis=-1)
@@ -321,27 +321,12 @@ class Bidiagonal(InfiniteMatrix):
     def col_end(self, k):
         return k + 1
 
-    def row_floats(self, n, m):
-        d, s = self._diagonals_floats(n)
-        out = np.zeros(m)
-        if n <= m:
-            out[n - 1] = d[n - 1]
-        if 2 <= n and n - 1 <= m:
-            out[n - 2] = s[n - 2]
-        return out
-
-    def col_floats(self, k, rows):
+    def block(self, rows, m):
         rows = np.asarray(rows)
-        d, s = self._diagonals_floats(k + 1)
-        out = np.zeros(len(rows), dtype=float)
-        out[rows == k] = d[k - 1]
-        out[rows == k + 1] = s[k - 1]
-        return out
-
-    def _build_truncation_floats(self, size):
-        d, s = self._diagonals_floats(size)
-        out = np.diag(d)
-        out[np.arange(1, size), np.arange(size - 1)] = s
+        d, s = self._diagonals_floats(min(int(rows[-1]), m + 1))
+        out = np.zeros((len(rows), m))
+        _put_band(out, rows, 0, d)
+        _put_band(out, rows, 1, s)
         return out
 
     def _apply_floats(self, xf):
@@ -367,18 +352,9 @@ class CesaroMeans(InfiniteMatrix):
         _check_index(n, k)
         return Fraction(1, n) if k <= n else 0
 
-    def row_floats(self, n, m):
-        out = np.zeros(m)
-        out[:min(n, m)] = 1.0 / n
-        return out
-
-    def col_floats(self, k, rows):
-        rows = np.asarray(rows, dtype=float)
-        return np.where(rows >= k, 1.0 / rows, 0.0)
-
-    def _build_truncation_floats(self, size):
-        inv_n = 1.0 / np.arange(1, size + 1)
-        return np.tril(np.broadcast_to(inv_n[:, None], (size, size)))
+    def block(self, rows, m):
+        rows = np.asarray(rows)
+        return _lower(rows, m, (1.0 / rows)[:, None])
 
     def _apply_floats(self, xf):
         return np.cumsum(xf, axis=-1) / np.arange(1, xf.shape[-1] + 1)
@@ -443,23 +419,12 @@ class RieszMeans(InfiniteMatrix):
             self._Tfl = np.concatenate([self._Tfl, big_t])
         return self._tfl[:m], self._Tfl[:m]
 
-    def row_floats(self, n, m):
-        t, big_t = self._tf(max(n, m))
-        out = np.zeros(m)
-        out[:min(n, m)] = t[:min(n, m)] / big_t[n - 1]
-        return out
-
-    def col_floats(self, k, rows):
-        rows = np.asarray(rows)
-        t, big_t = self._tf(int(rows.max()))
-        vals = t[k - 1] / big_t[rows - 1]
-        return np.where(rows >= k, vals, 0.0)
-
-    def _build_truncation_floats(self, size):
-        t, big_t = self._tf(size)
-        out = np.zeros((size, size))
-        for n in range(1, size + 1):
-            np.divide(t[:n], big_t[n - 1], out=out[n - 1, :n])
+    def block(self, rows, m):
+        t, big_t = self._tf(max(int(rows[-1]), m))
+        out = np.zeros((len(rows), m))
+        for i, n in enumerate(np.asarray(rows).tolist()):
+            w = n if n < m else m
+            np.divide(t[:w], big_t[n - 1], out=out[i, :w])
         return out
 
     def _apply_floats(self, xf):
@@ -506,41 +471,25 @@ class EulerMeans(InfiniteMatrix):
         r = self.r
         return math.comb(n - 1, k - 1) * (1 - r) ** (n - k) * r ** (k - 1)
 
-    def row_floats(self, n, m):
-        lf = self._logfact(n)
-        lo = min(n, m)
-        k = np.arange(1, lo + 1)
-        logs = (lf[n - 1] - lf[k - 1] - lf[n - k]
-                + (n - k) * math.log(1 - float(self.r))
-                + (k - 1) * math.log(float(self.r)))
-        out = np.zeros(m)
-        out[:lo] = np.exp(logs)
-        return out
-
-    def col_floats(self, k, rows):
-        rows = np.asarray(rows)
-        lf = self._logfact(int(rows.max()))
-        safe = rows >= k
-        nn = np.where(safe, rows, k)
-        logs = (lf[nn - 1] - lf[k - 1] - lf[nn - k]
-                + (nn - k) * math.log(1 - float(self.r))
-                + (k - 1) * math.log(float(self.r)))
-        return np.where(safe, np.exp(logs), 0.0)
-
-    def _build_truncation_floats(self, size):
-        # Row n is row_floats' sum, term by term in the same order, over
-        # k = 1..n; (n - k) runs backwards through the same steps as (k - 1).
-        lf = self._logfact(size)
-        steps = np.arange(size)
-        tail = steps * math.log(1 - float(self.r))
+    def block(self, rows, m):
+        # Row n is exp of log(n-1)! - log(k-1)! - log(n-k)! + (n-k) log(1-r)
+        # + (k-1) log r, summed term by term in that order over k = 1..n.
+        # The (n - k) terms are read forwards from reversed arrays:
+        # back[top - n + j] = log(n-1-j)! and tail[top - n + j] the step n-1-j.
+        top = int(rows[-1])
+        lf = self._logfact(top)
+        back = lf[top - 1::-1]
+        steps = np.arange(top)
+        tail = steps[::-1] * math.log(1 - float(self.r))
         head = steps * math.log(float(self.r))
-        out = np.zeros((size, size))
-        for n in range(1, size + 1):
-            row = out[n - 1, :n]
-            np.subtract(lf[n - 1], lf[:n], out=row)
-            row -= lf[n - 1::-1]
-            row += tail[n - 1::-1]
-            row += head[:n]
+        out = np.zeros((len(rows), m))
+        for i, n in enumerate(np.asarray(rows).tolist()):
+            w = n if n < m else m
+            row = out[i, :w]
+            np.subtract(lf[n - 1], lf[:w], out=row)
+            row -= back[top - n:top - n + w]
+            row += tail[top - n:top - n + w]
+            row += head[:w]
             np.exp(row, out=row)
         return out
 
@@ -578,18 +527,6 @@ class TaylorTransform(InfiniteMatrix):
 
     def col_end(self, k):
         return k
-
-    def _next_entries(self, n: int, k: int, c: float, count: int) -> np.ndarray:
-        """Row n's floats at columns k+1..k+count, continuing the recurrence
-        ``a_{n,j+1} = a_{n,j} * (r j / (j - n + 1))`` from ``c = a_{n,k}``.
-
-        The product runs in the recurrence's order, so the result is the same
-        to the bit as multiplying one column at a time.
-        """
-        r = float(self.r)
-        j = np.arange(k, k + count, dtype=float)
-        factors = np.concatenate(([c], r * j / (j - n + 1)))
-        return np.multiply.accumulate(factors)[1:]
 
     def row_lead(self, n: int) -> float:
         """Row n's float at its first column k = n: ``(1 - r)**n``."""
@@ -639,16 +576,15 @@ class TaylorTransform(InfiniteMatrix):
                    tail_mass: float = 1e-16) -> tuple[int, np.ndarray]:
         """Row n out to its certified cutoff: ``(K, entries)``, with K from
         :meth:`row_cutoff` and ``entries`` the row's floats at columns
-        n..K.  When the leading float ``(1 - r)**n`` is normal they equal
-        ``row_floats(n, K)[n - 1:]``.  Otherwise the recurrence from it
+        n..K.  When the leading float ``(1 - r)**n`` is normal they are
+        ``block([n], K)[0, n - 1:]``.  Otherwise the recurrence from it
         would lose the row (from a lead of 0.0 every entry is 0.0), so the
         entries are taken in log space: ``n log(1 - r)`` plus the running
         sum of ``log(r j / (j - n + 1))``, exponentiated."""
         top = self.row_cutoff(n, tail_mass)
-        c = self.row_lead(n)
-        if c >= sys.float_info.min:
-            return top, np.concatenate(
-                ([c], self._next_entries(n, n, c, top - n)))
+        if self.row_lead(n) >= sys.float_info.min:
+            # A copy, so that the cache holds and charges columns n..K only.
+            return top, self.block([n], top)[0, n - 1:].copy()
         r = float(self.r)
         j = np.arange(n, top, dtype=float)
         logs = np.concatenate(([n * math.log1p(-r)],
@@ -662,37 +598,25 @@ class TaylorTransform(InfiniteMatrix):
         return (self.row_cutoff(n) <= width
                 and self.row_lead(n) >= sys.float_info.min)
 
-    def row_floats(self, n, m):
-        out = np.zeros(m)
-        if m >= n:
-            c = self.row_lead(n)
-            out[n - 1] = c
-            out[n:] = self._next_entries(n, n, c, m - n)
-        return out
-
-    def _build_truncation_floats(self, size):
-        # Row n is row_floats' recurrence: the same factors r j / (j - n + 1),
-        # multiplied in the same order, written in place past the diagonal.
+    def block(self, rows, m):
+        # Row n from its lead (1 - r)**n by the recurrence
+        # a_{n,j+1} = a_{n,j} * (r j / (j - n + 1)), multiplied in place in
+        # the recurrence's order past the diagonal.
         r = float(self.r)
-        rj = r * np.arange(size, dtype=float)
-        steps = np.arange(1, size, dtype=float)
-        out = np.zeros((size, size))
-        for n in range(1, size + 1):
-            row = out[n - 1, n - 1:]
-            row[0] = (1 - r) ** n
-            np.divide(rj[n:], steps[:size - n], out=row[1:])
-            np.multiply.accumulate(row, out=row)
+        rj = r * np.arange(m, dtype=float)
+        steps = np.arange(1, m, dtype=float)
+        out = np.zeros((len(rows), m))
+        for i, n in enumerate(np.asarray(rows).tolist()):
+            if n <= m:
+                row = out[i, n - 1:]
+                row[0] = (1 - r) ** n    # row_lead(n)
+                np.divide(rj[n:], steps[:m - n], out=row[1:])
+                np.multiply.accumulate(row, out=row)
         return out
-
-    def col_floats(self, k, rows):
-        rows = np.asarray(rows)
-        vals = np.array([float(self.entry(int(n), k)) if n <= k else 0.0
-                         for n in rows])
-        return vals
 
 
 # ---------------------------------------------------------------------------
-# Wrappers: explicit rules, dense data, composition, inversion
+# Wrappers: explicit rules, composition, inversion
 # ---------------------------------------------------------------------------
 
 
@@ -727,29 +651,6 @@ class RuleMatrix(InfiniteMatrix):
 
     def col_end(self, k):
         return self._col_span(k)[1] if self._col_span else None
-
-
-class DenseMatrix(InfiniteMatrix):
-    """A finite table of entries, zero outside it.  Mostly for tests."""
-
-    def __init__(self, table, name: str = "dense"):
-        rows = [list(r) for r in table]
-        width = max((len(r) for r in rows), default=0)
-        self._table = [r + [0] * (width - len(r)) for r in rows]
-        self._width = width
-        super().__init__(name, triangle=False)
-
-    def entry(self, n, k):
-        _check_index(n, k)
-        if n <= len(self._table) and k <= self._width:
-            return self._table[n - 1][k - 1]
-        return 0
-
-    def row_end(self, n):
-        return self._width if n <= len(self._table) else 0
-
-    def col_end(self, k):
-        return len(self._table) if k <= self._width else 0
 
 
 class ComposedMatrix(InfiniteMatrix):
@@ -806,10 +707,29 @@ class ComposedMatrix(InfiniteMatrix):
         last = self.left.row_end(n)
         return None if last is None else self.right.row_complete(last, width)
 
-    def _build_truncation_floats(self, size):
-        # Exact inside the window when the left factor is row-finite within it
-        # (true for triangles); otherwise a leading-window approximation.
-        return self.left.truncation_floats(size) @ self.right.truncation_floats(size)
+    def block(self, rows, m):
+        # The inner index runs over the window 1..s, s its larger side: exact
+        # when the left factor is row-finite within it (true for triangles),
+        # otherwise a leading-window approximation.  A window that fits is
+        # read from the product of the factors' cached tables, so a partial
+        # read has the table's bits.  A larger one is multiplied in chunks of
+        # rows and of the inner index, none above a DENSE_LIMIT-square table.
+        rows = np.asarray(rows)
+        s = max(int(rows[-1]), m)
+        if s <= DENSE_LIMIT:
+            if len(rows) < s or m < s:
+                return self.truncation_floats(s)[rows - 1, :m]
+            return self.left.truncation_floats(s) @ self.right.truncation_floats(s)
+        area = DENSE_LIMIT * DENSE_LIMIT
+        row_step, inner_step = max(1, area // s), max(1, area // m)
+        out = np.zeros((len(rows), m))
+        for i in range(0, len(rows), row_step):
+            left = self.left.block(rows[i:i + row_step], s)
+            for j in range(0, s, inner_step):
+                inner = np.arange(j + 1, min(j + inner_step, s) + 1)
+                out[i:i + row_step] += (left[:, j:j + inner_step]
+                                        @ self.right.block(inner, m))
+        return out
 
 
 def compose(left, right) -> ComposedMatrix:
@@ -1079,10 +999,10 @@ def apply(a, x, n: int, mode: str = "exact",
     if n <= DENSE_LIMIT:
         out = a.truncation_floats(n) @ xf
     else:
-        out = np.empty(n)
-        for row in range(1, n + 1):
-            coeffs = a.row_floats(row, n)
-            out[row - 1] = coeffs @ xf
+        step = max(1, DENSE_LIMIT * DENSE_LIMIT // n)
+        out = np.concatenate([
+            a.block(np.arange(lo, min(lo + step, n + 1)), n) @ xf
+            for lo in range(1, n + 1, step)])
     return finite_vector(out, origin=origin)
 
 

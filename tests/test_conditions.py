@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -30,7 +31,13 @@ from seqspace.conditions import (
 from seqspace.errors import SpecError, TruncationError, UnsupportedClassError
 from seqspace.domains import space_from_spec
 from seqspace.duality import DualTriangle
-from seqspace.matrices import CesaroMeans, RuleMatrix, apply, matrix_from_spec
+from seqspace.matrices import (
+    DENSE_LIMIT,
+    CesaroMeans,
+    RuleMatrix,
+    apply,
+    matrix_from_spec,
+)
 from seqspace.sequences import classify_traces
 from seqspace.verdicts import Verdict
 
@@ -455,3 +462,31 @@ def test_composed_taylor_transfer_routes_agree():
         rep = check_class(f"taylor:{r}", "c", "c(omega)", route="both")
         assert rep.conditions_verdict is Verdict.VIOLATED, r
         assert rep.routes_agree() is True, r
+
+
+# ---------------------------------------------------------------------------
+# the sampled path above DENSE_LIMIT
+# ---------------------------------------------------------------------------
+
+SAMPLED_CELLS = (("cesaro", "c0(omega)", "c"), ("euler:1/2", "c", "c(omega)"),
+                 ("taylor:1/4", "c", "c"))
+
+
+def verdicts_of(rep) -> tuple:
+    return (rep.verdict, rep.oracle.verdict,
+            tuple(c.verdict for c in rep.condition_reports))
+
+
+def test_sampled_path_gives_the_dense_verdicts():
+    # One row past DENSE_LIMIT the engine reads sampled rows and columns
+    # through block(); its verdicts are those of the dense tables.
+    cache.clear()
+    start = time.perf_counter()
+    sampled = [check_class(*cell, n=DENSE_LIMIT + 1, route="both")
+               for cell in SAMPLED_CELLS]
+    took = time.perf_counter() - start
+    for cell, rep in zip(SAMPLED_CELLS, sampled):
+        dense = check_class(*cell, n=DENSE_LIMIT, route="both")
+        assert verdicts_of(rep) == verdicts_of(dense), cell
+        assert rep.routes_agree() is True, cell
+    assert took < 10.0, took

@@ -64,11 +64,11 @@ def test_dual_triangle_float_paths():
     t = dual_transfer_matrix("power:2", "omega")
     for n in (1, 3, 9):
         slow = np.array([float(t.entry(n, k)) for k in range(1, 13)])
-        assert np.allclose(t.row_floats(n, 12), slow, atol=1e-14)
+        assert np.allclose(t.block([n], 12)[0], slow, atol=1e-14)
     rows = np.array([1, 2, 5, 11])
     for k in (1, 4):
         slow = np.array([float(t.entry(int(n), k)) for n in rows])
-        assert np.allclose(t.col_floats(k, rows), slow, atol=1e-14)
+        assert np.allclose(t.block(rows, k)[:, k - 1], slow, atol=1e-14)
 
 
 def test_dual_membership_verdicts():

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from seqspace import matrices as mat
 from seqspace import sequences as seq
 from seqspace.conditions import _column_mass, _Engine, _reduce_rows
-from seqspace.duality import dual_transfer_matrix
+from seqspace.duality import DualTriangle, dual_transfer_matrix
 from seqspace.matrices import (
     ROW_CUTOFF_CAP,
     TaylorTransform,
@@ -159,12 +160,12 @@ def test_taylor_rows_match_the_scalar_recurrence():
         t = matrix_from_spec(f"taylor:{r}")
         for n in (1, 2, 9, 300):
             for m in (1, n, n + 1, 700, 5000):
-                assert same_bits(t.row_floats(n, m),
+                assert same_bits(t.block([n], m)[0],
                                  taylor_row_reference(t, n, m)), (r, n, m)
     t = matrix_from_spec("taylor:1/3")
     top = t.row_cutoff(2)
     assert top == taylor_cutoff_reference(t, 2) < 2 + ROW_CUTOFF_CAP
-    assert same_bits(t.row_floats(2, top), taylor_row_reference(t, 2, top))
+    assert same_bits(t.block([2], top)[0], taylor_row_reference(t, 2, top))
 
 
 def taylor_log_row(r, n, stop):
@@ -209,7 +210,7 @@ def taylor_apply_reference(t, x, n, tail_mass=1e-16):
     out = np.empty(n)
     for row in range(1, n + 1):
         hi = t.row_cutoff(row, tail_mass)
-        coeffs = t.row_floats(row, hi)
+        coeffs = t.block([row], hi)[0]
         out[row - 1] = coeffs[:min(hi, top)] @ xf[:min(hi, top)]
     return out
 
@@ -219,7 +220,7 @@ def test_taylor_apply_evaluates_each_row_once():
         t = matrix_from_spec(f"taylor:{r}")
         for n in (1, 2, 9, 20):
             top, entries = t.row_series(n)
-            assert same_bits(entries, t.row_floats(n, top)[n - 1:]), (r, n)
+            assert same_bits(entries, t.block([n], top)[0, n - 1:]), (r, n)
         for spec in ("harmonic", "geometric:1/2", "alternating"):
             x = make_sequence(spec)
             for n in (1, 7, 20):
@@ -260,7 +261,7 @@ def test_taylor_rows_past_the_normal_range_keep_their_mass():
         assert abs(math.fsum(entries) - 1.0) < 1e-9, n
     # A row whose leading float is normal keeps the recurrence's bits.
     top, entries = t.row_series(307)
-    assert same_bits(entries, t.row_floats(307, top)[306:])
+    assert same_bits(entries, t.block([307], top)[0, 306:])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,7 @@ def test_euler_and_taylor_tables_match_the_reference(r):
         assert same_bits(e.truncation_floats(size),
                          euler_table_reference(e, size)), (r, size)
         t = matrix_from_spec({"kind": "taylor", "r": r})
-        rows = np.vstack([t.row_floats(n, size) for n in range(1, size + 1)])
+        rows = np.vstack([t.block([n], size)[0] for n in range(1, size + 1)])
         assert same_bits(t.truncation_floats(size), rows), (r, size)
 
 
@@ -310,7 +311,7 @@ def test_riesz_tables_match_the_reference():
             a = matrix_from_spec({"kind": "riesz", "weights": weights})
             assert same_bits(a.truncation_floats(size),
                              riesz_table_reference(a, size)), (weights, size)
-            rows = np.vstack([a.row_floats(n, size) for n in range(1, size + 1)])
+            rows = np.vstack([a.block([n], size)[0] for n in range(1, size + 1)])
             assert same_bits(a.truncation_floats(size), rows), (weights, size)
 
 
@@ -364,7 +365,7 @@ def test_dual_table_is_the_stack_of_its_rows(mode):
             u = dual_transfer_matrix(a, mode)
             table = u.truncation_floats(size)
             assert same_bits(table, dual_table_reference(u, size)), (a.label, size)
-            rows = np.vstack([u.row_floats(n, size) for n in range(1, size + 1)])
+            rows = np.vstack([u.block([n], size)[0] for n in range(1, size + 1)])
             assert same_bits(table, rows), (a.label, size)
 
 
@@ -393,6 +394,243 @@ def test_dual_table_on_its_support_matches_the_full_builder(mode):
             u = dual_transfer_matrix(Sequence(rule, support_hint=hint), mode)
             got = u.truncation_floats(size)
             assert same_bits(got, dual_tril_reference(u, size)), (size, hint)
+
+
+# ---------------------------------------------------------------------------
+# One float kernel: block(rows, m)
+# ---------------------------------------------------------------------------
+# Each class once built its table with its own kernel.  Those builders are
+# kept here as references: ``truncation_floats`` is now the cached
+# ``block(1..size, size)`` and must equal them bit for bit.
+
+
+def identity_table_reference(a, size):
+    return np.eye(size)
+
+
+def zero_table_reference(a, size):
+    return np.zeros((size, size))
+
+
+def weighted_sums_table_reference(a, size):
+    return np.tril(np.broadcast_to(a._weights_floats(size), (size, size)))
+
+
+def bidiagonal_table_reference(a, size):
+    d, s = a._diagonals_floats(size)
+    out = np.diag(d)
+    out[np.arange(1, size), np.arange(size - 1)] = s
+    return out
+
+
+def cesaro_table_reference(a, size):
+    inv_n = 1.0 / np.arange(1, size + 1)
+    return np.tril(np.broadcast_to(inv_n[:, None], (size, size)))
+
+
+def riesz_rows_table_reference(a, size):
+    t, big_t = a._tf(size)
+    out = np.zeros((size, size))
+    for n in range(1, size + 1):
+        np.divide(t[:n], big_t[n - 1], out=out[n - 1, :n])
+    return out
+
+
+def euler_rows_table_reference(e, size):
+    lf = e._logfact(size)
+    steps = np.arange(size)
+    tail = steps * math.log(1 - float(e.r))
+    head = steps * math.log(float(e.r))
+    out = np.zeros((size, size))
+    for n in range(1, size + 1):
+        row = out[n - 1, :n]
+        np.subtract(lf[n - 1], lf[:n], out=row)
+        row -= lf[n - 1::-1]
+        row += tail[n - 1::-1]
+        row += head[:n]
+        np.exp(row, out=row)
+    return out
+
+
+def taylor_table_reference(t, size):
+    r = float(t.r)
+    rj = r * np.arange(size, dtype=float)
+    steps = np.arange(1, size, dtype=float)
+    out = np.zeros((size, size))
+    for n in range(1, size + 1):
+        row = out[n - 1, n - 1:]
+        row[0] = (1 - r) ** n
+        np.divide(rj[n:], steps[:size - n], out=row[1:])
+        np.multiply.accumulate(row, out=row)
+    return out
+
+
+def dual_support_table_reference(u, size):
+    sf = u._scaled_floats(size + 1)
+    hint = u.a.support_hint
+    if hint is None or hint >= size:
+        return dual_tril_reference(u, size)
+    width = max(hint, 0)
+    out = np.zeros((size, size))
+    out[:, :width] = np.tril(np.broadcast_to(
+        sf[:width] - sf[1:width + 1], (size, width)))
+    out[range(width), range(width)] = sf[:width]
+    return out
+
+
+def composed_table_reference(a, size):
+    return a.left.truncation_floats(size) @ a.right.truncation_floats(size)
+
+
+def entry_table_reference(a, size):
+    out = np.zeros((size, size))
+    for n in range(1, size + 1):
+        hi = a.row_end(n)
+        hi = size if hi is None else min(hi, size)
+        for k in range(a.row_start(n), hi + 1):
+            out[n - 1, k - 1] = float(a.entry(n, k))
+    return out
+
+
+TABLE_REFERENCES = {
+    mat.Identity: identity_table_reference,
+    mat.ZeroMatrix: zero_table_reference,
+    mat.WeightedSums: weighted_sums_table_reference,
+    mat.Bidiagonal: bidiagonal_table_reference,
+    mat.CesaroMeans: cesaro_table_reference,
+    mat.RieszMeans: riesz_rows_table_reference,
+    mat.EulerMeans: euler_rows_table_reference,
+    mat.TaylorTransform: taylor_table_reference,
+    DualTriangle: dual_support_table_reference,
+    mat.ComposedMatrix: composed_table_reference,
+    mat.RuleMatrix: entry_table_reference,
+    mat.InverseTriangle: entry_table_reference,
+}
+
+KERNEL_SPECS = ("identity", "zero", "omega", "gamma", "omega-inv", "gamma-inv",
+                "cesaro", "cesaro-inv", "euler:1/2", "euler:1/10", "euler:9/10",
+                "taylor:1/2", "taylor:1/10", "taylor:9/10", "riesz:power:2",
+                "riesz:harmonic")
+
+
+def kernel_matrices():
+    """(label, fresh matrix) for every class with a float kernel."""
+    def spec(name):
+        kind, _, param = name.partition(":")
+        if kind == "riesz":
+            return mat.RieszMeans(make_sequence(param))
+        if kind in ("euler", "taylor"):
+            family = mat.EulerMeans if kind == "euler" else mat.TaylorTransform
+            return family(Fraction(param))
+        return matrix_from_spec(name)
+    for name in KERNEL_SPECS:
+        yield name, lambda name=name: spec(name)
+    yield "riesz-inverse", lambda: mat.inverse_of(
+        mat.RieszMeans(make_sequence("harmonic")))
+    row = matrix_from_spec("euler:1/2")
+    for mode in ("omega", "gamma"):
+        yield f"dual[{mode}](harmonic)", \
+            lambda mode=mode: dual_transfer_matrix("harmonic", mode)
+        yield f"dual[{mode}](geometric)", \
+            lambda mode=mode: dual_transfer_matrix("geometric:-2/3", mode)
+        yield f"dual[{mode}](row[5])", lambda mode=mode: dual_transfer_matrix(
+            Sequence(lambda k: row.entry(5, k), support_hint=5,
+                     label="row[5]"), mode)
+    yield "omega*euler", lambda: mat.ComposedMatrix(
+        matrix_from_spec("omega"), matrix_from_spec("euler:1/2"))
+    yield "euler*omega-inv", lambda: mat.ComposedMatrix(
+        matrix_from_spec("euler:1/2"), matrix_from_spec("omega-inv"))
+    yield "band rule", lambda: mat.RuleMatrix(
+        lambda n, k: Fraction(n + k, 7 * n), name="band", triangle=True,
+        row_span=lambda n: (max(1, n - 2), n))
+    yield "band inverse", lambda: mat.invert_triangle(mat.RuleMatrix(
+        lambda n, k: Fraction(n, k + 1), name="rule", triangle=True))
+
+
+KERNELS = dict(kernel_matrices())
+
+
+def test_every_matrix_class_has_a_table_reference():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+    package = {cls for cls in subclasses(mat.InfiniteMatrix)
+               if cls.__module__.startswith("seqspace.")}
+    assert package == set(TABLE_REFERENCES)
+    assert {type(make()) for make in KERNELS.values()} == package
+
+
+@pytest.mark.parametrize("label", sorted(KERNELS))
+def test_tables_match_the_per_class_builders(label):
+    for size in (1, 2, 8, 600):
+        a = KERNELS[label]()
+        if isinstance(a, mat.InverseTriangle) and size > 64:
+            continue     # generic inverses are exact Fractions: cubic time
+        got = a.truncation_floats(size)
+        want = TABLE_REFERENCES[type(a)](a, size)
+        assert same_bits(got, want), (label, size)
+
+
+@st.composite
+def block_reads(draw):
+    """A class, a strictly increasing set of rows in 1..64 and a width."""
+    label = draw(st.sampled_from(sorted(k for k in KERNELS if "*" not in k)))
+    rows = sorted(draw(st.sets(st.integers(1, 64), min_size=1, max_size=64)))
+    return label, np.array(rows), draw(st.integers(1, 64))
+
+
+_block_tables = {}
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(block_reads())
+def test_block_reads_rows_and_columns_of_the_table(case):
+    # Composed matrices are left out: a window of theirs is the product of
+    # the factor tables of that window, so it is read from its own table.
+    label, rows, m = case
+    if label not in _block_tables:
+        a = KERNELS[label]()
+        _block_tables[label] = a, np.array(a.truncation_floats(64))
+    a, table = _block_tables[label]
+    assert same_bits(a.block(rows, m), table[rows - 1, :m]), (label, m)
+    assert same_bits(a.block(rows, m)[:, m - 1], table[rows - 1, m - 1])
+
+
+def test_composed_blocks_read_their_window_table():
+    for label in ("omega*euler", "euler*omega-inv"):
+        a = KERNELS[label]()
+        table = np.array(a.truncation_floats(40))
+        assert same_bits(a.block(np.arange(1, 41), 40), table)
+        for rows, m in (([3], 40), ([1, 7, 40], 12), ([2, 5], 40)):
+            rows = np.array(rows)
+            want = a.truncation_floats(max(rows[-1], m))[rows - 1, :m]
+            assert same_bits(a.block(rows, m), want), (label, rows, m)
+
+
+def test_composed_blocks_past_the_dense_limit_are_the_product():
+    # Above DENSE_LIMIT the product runs in chunks over the inner index;
+    # the sums agree with one product of the factor blocks to rounding.
+    a = mat.compose("omega", "euler:1/2")
+    n = mat.DENSE_LIMIT + 37
+    rows = np.array([1, 2, 500, n - 1, n])
+    got = a.block(rows, n)
+    inner = np.arange(1, n + 1)
+    want = a.left.block(rows, n) @ a.right.block(inner, n)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    cols = a.block(inner, 9)
+    assert np.allclose(cols[rows - 1], want[:, :9], rtol=1e-12, atol=0)
+
+
+def test_float_apply_past_the_dense_limit_reads_blocks():
+    n = mat.DENSE_LIMIT + 5
+    x = make_sequence("harmonic")
+    for a in (matrix_from_spec("euler:1/2"), mat.compose("omega", "cesaro")):
+        got = apply(a, x, n, mode="float").entries
+        rows = np.vstack([a.block([k], n)[0] for k in (1, 2, n)])
+        want = rows @ x.floats(n)
+        assert np.allclose(got[[0, 1, n - 1]], want, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

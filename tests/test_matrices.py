@@ -12,7 +12,6 @@ from seqspace.errors import (
 )
 from seqspace.matrices import (
     DENSE_LIMIT,
-    DenseMatrix,
     RuleMatrix,
     apply,
     compose,
@@ -86,7 +85,7 @@ def test_taylor_rows():
     assert t.entry(1, 3) == Fraction(1, 8)
     cut = t.row_cutoff(1, 1e-16)
     assert 50 <= cut <= 60
-    row = t.row_floats(1, cut)
+    row = t.block([1], cut)[0]
     assert row.sum() == pytest.approx(1.0, abs=1e-15)
     # rows are probability masses, so constant input is fixed
     out = apply(t, "const:1", 8, mode="float")
@@ -177,13 +176,6 @@ def test_compose_unbounded_inner_sum_rejected():
     assert prod.entry(1, 1) == Fraction(1, 2) * 1 + Fraction(1, 4) * Fraction(-1, 2)
 
 
-def test_dense_matrix():
-    d = DenseMatrix([[1, 2], [0, 3]])
-    assert d.entry(1, 2) == 2
-    assert d.entry(3, 1) == 0
-    assert d.row_end(2) == 2 and d.row_end(5) == 0
-
-
 def test_fast_float_paths_match_entries():
     rows = np.array([1, 2, 3, 5, 9, 17, 30])
     for name in ("omega", "gamma", "omega-inv", "gamma-inv", "cesaro",
@@ -191,10 +183,10 @@ def test_fast_float_paths_match_entries():
         a = matrix_from_spec(name)
         for n in (1, 2, 7, 19):
             slow = np.array([float(a.entry(n, k)) for k in range(1, 31)])
-            assert np.allclose(a.row_floats(n, 30), slow, atol=1e-13), (name, n)
+            assert np.allclose(a.block([n], 30)[0], slow, atol=1e-13), (name, n)
         for k in (1, 3, 11):
             slow = np.array([float(a.entry(int(n), k)) for n in rows])
-            assert np.allclose(a.col_floats(k, rows), slow, atol=1e-13), (name, k)
+            assert np.allclose(a.block(rows, k)[:, k - 1], slow, atol=1e-13), (name, k)
         if a.row_end(1) is not None:
             dense = a.truncation_floats(30)
             slow = np.array([[float(a.entry(n, k)) for k in range(1, 31)]
@@ -204,10 +196,10 @@ def test_fast_float_paths_match_entries():
 
 def test_row_sums():
     omega = matrix_from_spec("omega")
-    assert omega.row_floats(4, 4).sum() == 10.0
-    assert np.abs(matrix_from_spec("gamma-inv").row_floats(4, 4)).sum() == 8.0
+    assert omega.block([4], 4)[0].sum() == 10.0
+    assert np.abs(matrix_from_spec("gamma-inv").block([4], 4)[0]).sum() == 8.0
     taylor = matrix_from_spec("taylor:1/2")
-    assert taylor.row_floats(3, taylor.row_cutoff(3)).sum() == \
+    assert taylor.block([3], taylor.row_cutoff(3))[0].sum() == \
         pytest.approx(1.0, abs=1e-12)
 
 
