@@ -1,11 +1,11 @@
 """One bounded cache for everything seqspace computes more than once.
 
 Matrices resolved from specs, transfer matrices, dense float tables, the row
-features and prefix traces read from them, condition reports, row-pairing
-verdicts, oracle images and Taylor row series all live in one
-least-recently-used store, capped in bytes by :data:`CAP_BYTES`.  Every
-entry is charged its ``nbytes`` (zero for values without arrays) plus
-:data:`ENTRY_OVERHEAD`, so small values cannot pile up without bound either.
+features read from them, condition reports, row-pairing verdicts, oracle
+images and Taylor row series all live in one least-recently-used store,
+capped in bytes by :data:`CAP_BYTES`.  Every entry is charged its ``nbytes``
+(zero for values without arrays) plus :data:`ENTRY_OVERHEAD`, so small values
+cannot pile up without bound either.
 
 Eviction takes the least recently used entry, with one exception: entries
 larger than a quarter of the cap (the tables of large truncations) go first,

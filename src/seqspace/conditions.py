@@ -60,9 +60,6 @@ from .verdicts import Verdict, conjoin
 # (1/n tails, 1/log n tails) inconclusive rather than wrongly decided.
 DEFAULT_CLASS_N = 600
 CLASS_TOL = 1.5e-3
-#: Prefix-sum conditions need a full dense window; above this size they are
-#: evaluated at this reduced truncation (with a note in the report).
-PREFIX_TRUNCATION = 1200
 #: Rows stacked for the equality conditions' column-limit estimates.
 EQ_STACK_ROWS = 120
 
@@ -77,11 +74,9 @@ CONDITION_DESCRIPTIONS = {
     "abs-rows-match-columns":
         "the absolute row sums converge to the total mass of the column limits",
     "null-columns": "every column tends to zero",
-    "bounded-prefix-columns":
-        "the absolute sums of column prefix sums stay bounded",
-    "column-sums-converge": "every column is summable",
-    "total-sum-converges": "the iterated sum over rows then columns converges",
-    "null-tail-columns": "the absolute mass of the column tail sums vanishes",
+    "rows-converge-in-l1":
+        "the absolute sums of each row's difference from the last complete "
+        "row tend to zero",
     "null-rows": "each row tends to zero along the columns",
     "null-row-sums": "the row sums tend to zero",
     "null-abs-rows": "the absolute row sums tend to zero",
@@ -98,17 +93,10 @@ CONDITION_DESCRIPTIONS = {
 PAIR_CONDITIONS = {
     ("c0", "linf"): ("bounded-rows",),
     ("c0", "c"): ("bounded-rows", "columns-converge"),
-    ("c0", "bs"): ("bounded-prefix-columns",),
-    ("c0", "cs"): ("bounded-prefix-columns", "column-sums-converge"),
     ("c", "linf"): ("bounded-rows",),
     ("c", "c"): ("bounded-rows", "columns-converge", "row-sums-converge"),
-    ("c", "bs"): ("bounded-prefix-columns",),
-    ("c", "cs"): ("bounded-prefix-columns", "column-sums-converge",
-                  "total-sum-converges"),
     ("linf", "linf"): ("bounded-rows",),
     ("linf", "c"): ("columns-converge", "abs-rows-match-columns"),
-    ("linf", "bs"): ("bounded-prefix-columns",),
-    ("linf", "cs"): ("null-tail-columns",),
     ("linf", "c0"): ("null-abs-rows",),
     ("c", "c0"): ("bounded-rows", "null-columns", "null-row-sums"),
     ("bs", "c0"): ("null-rows", "null-row-diffs"),
@@ -118,6 +106,16 @@ PAIR_CONDITIONS = {
     ("bs", "linf"): ("null-rows", "bounded-row-diffs"),
     ("cs", "linf"): ("bounded-row-diffs", "bounded-row-limits"),
 }
+
+#: bs and cs are the domains linf(sigma) and c(sigma) of the summation
+#: triangle sigma, so (X : bs) is (X : linf) and (X : cs) is (X : c), both
+#: judged on the target transfer sigma*A.  (linf : cs) takes Schur's form of
+#: (linf : c) instead: the rows converge in l1.
+SIGMA_TARGETS = {"bs": "linf", "cs": "c"}
+PAIR_CONDITIONS.update({(f, t): PAIR_CONDITIONS[(f, base)]
+                        for f in ("c0", "c", "linf")
+                        for t, base in SIGMA_TARGETS.items()})
+PAIR_CONDITIONS[("linf", "cs")] = ("rows-converge-in-l1",)
 
 
 def supported_pairs() -> list:
@@ -411,31 +409,14 @@ class _Engine:
         return cache.lookup(("final-rows", self.a.key, self.n, depth, diff),
                             build)
 
-    def prefix_trace(self, tail: bool) -> np.ndarray:
-        """Per row n, the absolute mass of the column prefix sums through
-        row n, or with ``tail`` of the column tails from row n on, cut at
-        the window edge."""
-        both = cache.lookup(("prefix-traces", self.a.key, self.n),
-                            self._prefix_traces)
-        return both[1 if tail else 0]
-
-    def _prefix_traces(self) -> np.ndarray:
-        sums = np.cumsum(self.table(), axis=0)
-        out = np.empty((2, self.n))
-        out[0] = _reduce_rows(sums, "row_abs")
-        total = sums[-1].copy()
-        np.subtract(total, sums, out=sums)  # row n: the tail after row n
-        out[1, 0] = _reduce_rows(total[None, :], "row_abs")[0]
-        out[1, 1:] = _reduce_rows(sums[:-1], "row_abs")
-        return out
-
 
 def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
     """One feature per row of ``t``: its sum ("row_sum"), absolute sum
-    ("row_abs") or the absolute sum of its adjacent differences, closed by
-    a zero ("row_diff_abs").  Each row is reduced over its full width, as a
-    reduction of the whole table would, but through one reused block buffer
-    instead of table-sized temporaries."""
+    ("row_abs"), the absolute sum of its difference from the last row of
+    ``t`` ("row_dist") or the absolute sum of its adjacent differences,
+    closed by a zero ("row_diff_abs").  Each row is reduced over its full
+    width, as a reduction of the whole table would, but through one reused
+    block buffer instead of table-sized temporaries."""
     if kind == "row_sum":
         return t.sum(axis=1)
     rows, width = t.shape
@@ -447,6 +428,9 @@ def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
         part = buf[:len(block)]
         if kind == "row_abs":
             np.abs(block, out=part)
+        elif kind == "row_dist":
+            np.subtract(t[-1], block, out=part)
+            np.abs(part, out=part)
         else:
             np.subtract(block[:, 1:], block[:, :-1], out=part[:, :-1])
             np.subtract(0.0, block[:, -1], out=part[:, -1])
@@ -551,13 +535,6 @@ def _eval_row_diffs_converge(eng: _Engine) -> ConditionReport:
                        limit_exists_verdict)
 
 
-def _eval_column_sums_converge(eng: _Engine) -> ConditionReport:
-    def prefix_cols(ks):
-        return np.cumsum(eng.columns(ks), axis=1)
-    return _per_column(eng, "column-sums-converge", prefix_cols,
-                       limit_exists_verdict)
-
-
 def _equality_condition(eng: _Engine, cond: str, kind: str,
                         diff: bool) -> ConditionReport:
     """Shared logic for the two 'left limit equals column mass' conditions."""
@@ -631,6 +608,16 @@ def _eval_diff_rows_match_columns(eng: _Engine) -> ConditionReport:
                                "row_diff_abs", True)
 
 
+def _eval_rows_converge_in_l1(eng: _Engine) -> ConditionReport:
+    # Each row against the last complete one, which stands in for the
+    # limit row; the last row's own distance, zero, is left out.
+    idx, vals = eng.row_trace("row_dist")
+    lv = analyze_limit(idx[:-1], vals[:-1], eng.tol, eng.window)
+    verdict = null_limit_verdict(lv, eng.tol)
+    return _report("rows-converge-in-l1", verdict, lv.value,
+                   _limit_note(lv), eng.n, kind=lv.kind.value)
+
+
 def _eval_null_rows(eng: _Engine) -> ConditionReport:
     if eng.a.row_end(eng.n) is not None:
         return _report("null-rows", Verdict.SATISFIED, 0.0,
@@ -670,49 +657,6 @@ def _eval_bounded_row_limits(eng: _Engine) -> ConditionReport:
                    f"row limits estimated on rows {rows}", eng.n)
 
 
-def _eval_bounded_prefix_columns(eng: _Engine) -> ConditionReport:
-    eng, note = _prefix_engine(eng)
-    vals = eng.prefix_trace(tail=False)
-    idx = np.arange(1, eng.n + 1)
-    verdict, info = analyze_sup(idx, vals, eng.tol, eng.window)
-    return _report("bounded-prefix-columns", verdict,
-                   info.get("sup_observed"),
-                   (note + info.get("note", "")).strip(), eng.n,
-                   half_span_growth=info.get("half_span_growth"))
-
-
-def _eval_total_sum_converges(eng: _Engine) -> ConditionReport:
-    eng, note = _prefix_engine(eng)
-    idx = eng.row_indices()
-    if eng.dense:
-        vals = np.cumsum(eng._row_feature("row_sum"))
-    else:  # pragma: no cover - prefix engine is always dense
-        raise TruncationError("total-sum trace needs the dense path")
-    lv = analyze_limit(idx, vals, eng.tol, eng.window)
-    return _report("total-sum-converges", limit_exists_verdict(lv), lv.value,
-                   (note + _limit_note(lv)).strip(), eng.n, kind=lv.kind.value)
-
-
-def _eval_null_tail_columns(eng: _Engine) -> ConditionReport:
-    eng, note = _prefix_engine(eng)
-    vals = eng.prefix_trace(tail=True)
-    idx = np.arange(1, eng.n + 1)
-    lv = analyze_limit(idx, vals, eng.tol, eng.window)
-    verdict = null_limit_verdict(lv, eng.tol)
-    return _report("null-tail-columns", verdict, lv.value,
-                   (note + "tail sums cut at the window edge; "
-                    + _limit_note(lv)).strip(), eng.n, kind=lv.kind.value)
-
-
-def _prefix_engine(eng: _Engine):
-    """Prefix-sum conditions need the dense table; shrink if necessary."""
-    if eng.dense:
-        return eng, ""
-    reduced = min(eng.n, PREFIX_TRUNCATION)
-    note = f"evaluated at reduced truncation {reduced}; "
-    return _Engine(eng.a, reduced, eng.tol, _class_window(reduced)), note
-
-
 def _limit_note(lv) -> str:
     if lv.kind is LimitKind.CONVERGES:
         return f"trace settles near {lv.value:.6g}"
@@ -727,10 +671,7 @@ _EVALUATORS = {
     "row-sums-converge": _eval_row_sums_converge,
     "abs-rows-match-columns": _eval_abs_rows_match_columns,
     "null-columns": _eval_null_columns,
-    "bounded-prefix-columns": _eval_bounded_prefix_columns,
-    "column-sums-converge": _eval_column_sums_converge,
-    "total-sum-converges": _eval_total_sum_converges,
-    "null-tail-columns": _eval_null_tail_columns,
+    "rows-converge-in-l1": _eval_rows_converge_in_l1,
     "null-rows": _eval_null_rows,
     "null-row-sums": _eval_null_row_sums,
     "null-abs-rows": _eval_null_abs_rows,
@@ -1052,6 +993,9 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     omega/gamma triangles (conditions run on the source transfer matrix, and
     the leading rows are checked against the domain's beta dual), or a target
     domain over any triangle (conditions run on the target transfer matrix).
+    A bs or cs target is the domain linf(sigma) or c(sigma) of the summation
+    triangle: sigma is composed onto the transfer, and the conditions of the
+    (X : linf) or (X : c) pair run on that product (:data:`SIGMA_TARGETS`).
 
     ``route`` selects the evidence: "conditions" (default), "oracle", or
     "both".  With "both", the headline verdict is the conditions verdict and
@@ -1079,7 +1023,6 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
             + ", ".join(supported_pairs()))
 
     notes = []
-    transfer_desc = None
     row_pairing = None
     target = a
     if f.is_domain:
@@ -1088,16 +1031,16 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
                 "source domains are supported over the omega and gamma "
                 f"triangles, not {f.matrix.name!r}")
         target = source_transfer_matrix(a, f.matrix)
-        transfer_desc = target.describe()
         notes.append(
             "conditions evaluated on the source transfer matrix "
             f"{target.name}")
-    elif t.is_domain:
-        target = target_transfer_matrix(a, t.matrix)
-        transfer_desc = target.describe()
+    if t.is_domain or t.tag in SIGMA_TARGETS:
+        target = target_transfer_matrix(
+            target, t.matrix if t.is_domain else "sigma")
         notes.append(
             "conditions evaluated on the target transfer matrix "
             f"{target.name}")
+    transfer_desc = None if target is a else target.describe()
 
     reports = ()
     conditions_verdict = None

@@ -11,6 +11,9 @@ Built-in families:
 * ``omega`` — running sums weighted by the index, ``a_nk = k`` for ``k <= n``
 * ``gamma`` — running sums weighted by the reciprocal index, ``a_nk = 1/k``
 * ``omega-inv`` / ``gamma-inv`` — their bidiagonal inverses
+* ``sigma`` — the summation triangle, ``a_nk = 1`` for ``k <= n``, whose
+  domains of linf and c are bs and cs; ``sigma-inv`` — its bidiagonal
+  inverse, the backward differences
 * ``cesaro`` — arithmetic means, ``a_nk = 1/n`` for ``k <= n``
 * ``euler:r`` — binomial means of order ``r`` in (0, 1)
 * ``riesz:<weights>`` — weighted means ``t_k / (t_1 + ... + t_n)``
@@ -458,10 +461,12 @@ class EulerMeans(InfiniteMatrix):
         self._lf = np.zeros(1)  # log-factorials, _lf[i] = log(i!)
 
     def _logfact(self, m: int) -> np.ndarray:
+        # The whole running sum is taken again when the array grows: a
+        # sequential cumsum's prefix is the shorter sum, so a table has the
+        # same bits whatever size was built before it.
         if len(self._lf) < m + 1:
-            lo = len(self._lf)
-            ext = np.log(np.arange(lo, m + 1, dtype=float))
-            self._lf = np.concatenate([self._lf, self._lf[-1] + np.cumsum(ext)])
+            logs = np.log(np.arange(1, m + 1, dtype=float))
+            self._lf = np.concatenate([[0.0], np.cumsum(logs)])
         return self._lf
 
     def entry(self, n, k):
@@ -719,7 +724,13 @@ class ComposedMatrix(InfiniteMatrix):
         if s <= DENSE_LIMIT:
             if len(rows) < s or m < s:
                 return self.truncation_floats(s)[rows - 1, :m]
-            return self.left.truncation_floats(s) @ self.right.truncation_floats(s)
+            right = self.right.truncation_floats(s)
+            if self.left.key == "sigma":
+                # sigma*B's rows are B's running column sums.  np.cumsum adds
+                # each column in row order, as the running sums are defined,
+                # in O(s^2) where the matmul takes O(s^3).
+                return np.cumsum(right, axis=0)
+            return self.left.truncation_floats(s) @ right
         area = DENSE_LIMIT * DENSE_LIMIT
         row_step, inner_step = max(1, area // s), max(1, area // m)
         out = np.zeros((len(rows), m))
@@ -819,6 +830,15 @@ def gamma_inverse_matrix() -> Bidiagonal:
     return Bidiagonal(lambda n: n, lambda n: -n, "gamma-inv")
 
 
+def sigma_matrix() -> WeightedSums:
+    return WeightedSums(Sequence(lambda k: 1, label="ones",
+                                vector=lambda m: np.ones(m)), "sigma")
+
+
+def sigma_inverse_matrix() -> Bidiagonal:
+    return Bidiagonal(lambda n: 1, lambda n: -1, "sigma-inv")
+
+
 def cesaro_inverse_matrix() -> Bidiagonal:
     return Bidiagonal(lambda n: n, lambda n: -(n - 1), "cesaro-inv")
 
@@ -830,6 +850,8 @@ _PARAMETERLESS = {
     "gamma": gamma_matrix,
     "omega-inv": omega_inverse_matrix,
     "gamma-inv": gamma_inverse_matrix,
+    "sigma": sigma_matrix,
+    "sigma-inv": sigma_inverse_matrix,
     "cesaro": CesaroMeans,
     "cesaro-inv": cesaro_inverse_matrix,
 }
@@ -853,8 +875,9 @@ def matrix_from_spec(spec) -> InfiniteMatrix:
     """Resolve a matrix spec: an instance, a name string, or a dict.
 
     String forms: ``"omega"``, ``"gamma"``, ``"omega-inv"``, ``"gamma-inv"``,
-    ``"identity"``, ``"zero"``, ``"cesaro"``, ``"euler:0.5"``,
-    ``"taylor:0.5"``, ``"riesz:<sequence shorthand>"`` (e.g. ``riesz:const:1``).
+    ``"sigma"``, ``"sigma-inv"``, ``"identity"``, ``"zero"``, ``"cesaro"``,
+    ``"euler:0.5"``, ``"taylor:0.5"``, ``"riesz:<sequence shorthand>"`` (e.g.
+    ``riesz:const:1``).
     Dict forms use ``{"kind": name, ...params}``.  Every form but a dict
     ``riesz`` with non-string weights gets a canonical key (``"euler:0.5"``,
     ``"euler:1/2"`` and ``{"kind": "euler", "r": "1/2"}`` all give
@@ -896,6 +919,8 @@ _INVERSE_NAMES = {
     "omega-inv": "omega",
     "gamma": "gamma-inv",
     "gamma-inv": "gamma",
+    "sigma": "sigma-inv",
+    "sigma-inv": "sigma",
     "identity": "identity",
     "cesaro": "cesaro-inv",
 }
@@ -904,9 +929,9 @@ _INVERSE_NAMES = {
 def inverse_of(a) -> InfiniteMatrix:
     """Inverse of a triangle, using the closed-form partner when one is known.
 
-    Builtin pairs (omega/omega-inv, gamma/gamma-inv, cesaro, identity, riesz)
-    resolve to explicit bidiagonal or weighted-sum matrices; anything else
-    falls back to :func:`invert_triangle`.
+    Builtin pairs (omega/omega-inv, gamma/gamma-inv, sigma/sigma-inv, cesaro,
+    identity, riesz) resolve to explicit bidiagonal or weighted-sum matrices;
+    anything else falls back to :func:`invert_triangle`.
     """
     a = matrix_from_spec(a)
     partner = _INVERSE_NAMES.get(a.name)

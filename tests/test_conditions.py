@@ -98,10 +98,12 @@ def test_gamma_row_diff_conditions():
 
 
 def test_prefix_column_conditions():
-    assert condition_report("omega-inv",
-                            "bounded-prefix-columns").verdict is Verdict.SATISFIED
-    assert condition_report("gamma-inv",
-                            "null-tail-columns").verdict is Verdict.VIOLATED
+    # On sigma*A the column prefix sums of A are rows: (c0 : bs) asks them
+    # to stay bounded, and (linf : cs) asks them to converge in l1.
+    assert condition_report(target_transfer_matrix("omega-inv", "sigma"),
+                            "bounded-rows").verdict is Verdict.SATISFIED
+    assert condition_report(target_transfer_matrix("gamma-inv", "sigma"),
+                            "rows-converge-in-l1").verdict is Verdict.VIOLATED
 
 
 def test_condition_report_memoized():
@@ -144,8 +146,10 @@ def test_check_class_honest_inconclusive_resolves_with_depth():
 
 
 def test_check_class_unsupported():
-    with pytest.raises(UnsupportedClassError):
-        check_class("identity", "c0", "c0")
+    for f, t in (("c0", "c0"), ("bs", "bs"), ("bs", "cs"), ("cs", "bs"),
+                 ("cs", "cs")):
+        with pytest.raises(UnsupportedClassError):
+            check_class("identity", f, t)
     with pytest.raises(UnsupportedClassError):
         check_class("identity", "c0(omega)", "c0(omega)")
     with pytest.raises(UnsupportedClassError):
@@ -464,6 +468,18 @@ def test_composed_taylor_transfer_routes_agree():
         assert rep.routes_agree() is True, r
 
 
+def test_taylor_bs_and_cs_targets_read_complete_rows():
+    # Every row of T_r sums to 1, so row n of sigma*T_r sums to n: T_r maps
+    # none of c0, c and linf into bs or cs.  Read over complete rows only,
+    # the bounded-rows condition on sigma*T_r says so with the oracle.
+    for f, t in (("c0", "cs"), ("c0", "bs"), ("c", "bs"), ("linf", "bs")):
+        rep = check_class("taylor:1/4", f, t, route="both")
+        assert rep.conditions_verdict is Verdict.VIOLATED, (f, t)
+        assert rep.routes_agree() is True, (f, t)
+    rep = check_class("taylor:1/4", "linf", "cs", route="both")
+    assert rep.conditions_verdict is Verdict.INCONCLUSIVE
+
+
 # ---------------------------------------------------------------------------
 # the sampled path above DENSE_LIMIT
 # ---------------------------------------------------------------------------
@@ -490,3 +506,13 @@ def test_sampled_path_gives_the_dense_verdicts():
         assert verdicts_of(rep) == verdicts_of(dense), cell
         assert rep.routes_agree() is True, cell
     assert took < 10.0, took
+
+
+def test_sigma_targets_run_at_the_truncation_asked_for():
+    # Above DENSE_LIMIT the conditions on sigma*A read sampled rows too.
+    n = DENSE_LIMIT + 600
+    rep = check_class("euler:1/2", "c0(omega)", "bs", n=n)
+    assert rep.verdict is Verdict.SATISFIED
+    for part in rep.condition_reports:
+        assert part.truncation == n
+        assert "reduced" not in part.note

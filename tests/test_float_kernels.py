@@ -15,6 +15,7 @@ from seqspace import matrices as mat
 from seqspace import sequences as seq
 from seqspace.conditions import _column_mass, _Engine, _reduce_rows
 from seqspace.duality import DualTriangle, dual_transfer_matrix
+from seqspace.errors import TruncationError
 from seqspace.matrices import (
     ROW_CUTOFF_CAP,
     TaylorTransform,
@@ -293,9 +294,19 @@ TABLE_PARAMS = ("1/2", "1/10", "1/3", "3/8", "5/12", "7/10", "9/10", "11/16",
 TABLE_SIZES = (1, 2, 8, 600, 2000)
 
 
+def test_euler_tables_do_not_depend_on_the_tables_built_before():
+    # Two new matrices, each with its own log-factorials; one grows them
+    # from 600 to 2000.
+    grown = mat.EulerMeans(Fraction(1, 2))
+    grown.truncation_floats(600)
+    fresh = mat.EulerMeans(Fraction(1, 2))
+    assert same_bits(grown.truncation_floats(2000), fresh.truncation_floats(2000))
+
+
 @pytest.mark.parametrize("r", TABLE_PARAMS)
 def test_euler_and_taylor_tables_match_the_reference(r):
-    # Dict specs are not cached, so each table is dropped after its check.
+    # Dict specs resolve to the shared spec matrices, whose tables stay in
+    # the evaluation cache until they are evicted.
     for size in TABLE_SIZES:
         e = matrix_from_spec({"kind": "euler", "r": r})
         assert same_bits(e.truncation_floats(size),
@@ -479,7 +490,16 @@ def dual_support_table_reference(u, size):
 
 
 def composed_table_reference(a, size):
-    return a.left.truncation_floats(size) @ a.right.truncation_floats(size)
+    right = a.right.truncation_floats(size)
+    if a.left.key == "sigma":
+        # Row n of sigma*B is row n - 1 plus row n of B.
+        out = np.zeros((size, size))
+        total = np.zeros(size)
+        for n in range(size):
+            total = total + right[n]
+            out[n] = total
+        return out
+    return a.left.truncation_floats(size) @ right
 
 
 def entry_table_reference(a, size):
@@ -508,9 +528,9 @@ TABLE_REFERENCES = {
 }
 
 KERNEL_SPECS = ("identity", "zero", "omega", "gamma", "omega-inv", "gamma-inv",
-                "cesaro", "cesaro-inv", "euler:1/2", "euler:1/10", "euler:9/10",
-                "taylor:1/2", "taylor:1/10", "taylor:9/10", "riesz:power:2",
-                "riesz:harmonic")
+                "sigma", "sigma-inv", "cesaro", "cesaro-inv", "euler:1/2",
+                "euler:1/10", "euler:9/10", "taylor:1/2", "taylor:1/10",
+                "taylor:9/10", "riesz:power:2", "riesz:harmonic")
 
 
 def kernel_matrices():
@@ -540,6 +560,8 @@ def kernel_matrices():
         matrix_from_spec("omega"), matrix_from_spec("euler:1/2"))
     yield "euler*omega-inv", lambda: mat.ComposedMatrix(
         matrix_from_spec("euler:1/2"), matrix_from_spec("omega-inv"))
+    yield "sigma*taylor", lambda: mat.ComposedMatrix(
+        matrix_from_spec("sigma"), matrix_from_spec("taylor:1/4"))
     yield "band rule", lambda: mat.RuleMatrix(
         lambda n, k: Fraction(n + k, 7 * n), name="band", triangle=True,
         row_span=lambda n: (max(1, n - 2), n))
@@ -800,12 +822,24 @@ def test_row_features_match_whole_table_reductions(name):
 
 @pytest.mark.parametrize("name", FEATURE_FAMILIES)
 def test_prefix_traces_match_the_prefix_table(name):
+    # sigma*T's table is T's column prefix sums.  Over its complete rows,
+    # its absolute row sums are the prefix trace, and the distances of the
+    # rows from the last one are the tail trace after each row but the first.
     a = matrix_from_spec(name)
+    sa = mat.compose("sigma", a)
     for size in (8, 57, 600):
-        eng = _Engine(a, size, 1.5e-3, max(1, size // 10))
-        heads, tails = prefix_traces_reference(a.truncation_floats(size))
-        assert same_bits(eng.prefix_trace(tail=False), heads), (name, size)
-        assert same_bits(eng.prefix_trace(tail=True), tails), (name, size)
+        t = a.truncation_floats(size)
+        assert same_bits(sa.truncation_floats(size), np.cumsum(t, axis=0)), \
+            (name, size)
+        eng = _Engine(sa, size, 1.5e-3, max(1, size // 10))
+        if eng.row_limit < eng.window:      # taylor:1/4 at size 8
+            with pytest.raises(TruncationError):
+                eng.row_trace("row_abs")
+            continue
+        heads, tails = prefix_traces_reference(t[:eng.row_limit])
+        assert same_bits(eng.row_trace("row_abs")[1], heads), (name, size)
+        assert same_bits(eng.row_trace("row_dist")[1][:-1], tails[1:]), \
+            (name, size)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ def test_builtin_entries():
     gamma = matrix_from_spec("gamma")
     assert gamma.entry(3, 2) == Fraction(1, 2)
     assert matrix_from_spec("cesaro").entry(4, 2) == Fraction(1, 4)
+    sigma = matrix_from_spec("sigma")
+    assert [sigma.entry(4, k) for k in (1, 4, 5)] == [1, 1, 0]
 
 
 def test_bidiagonal_inverse_entries():
@@ -47,6 +49,8 @@ def test_bidiagonal_inverse_entries():
     ci = matrix_from_spec("cesaro-inv")
     assert ci.entry(4, 4) == 4
     assert ci.entry(4, 3) == -3
+    si = matrix_from_spec("sigma-inv")
+    assert [si.entry(4, k) for k in (2, 3, 4)] == [0, -1, 1]
 
 
 def test_euler_rows_exact():
@@ -132,7 +136,7 @@ def test_truncation_floats_cache_and_cap():
 
 
 def test_compose_is_identity_for_inverse_pairs():
-    for name in ("omega", "gamma", "cesaro"):
+    for name in ("omega", "gamma", "sigma", "cesaro"):
         prod = compose(name, inverse_of(name))
         for n in range(1, 7):
             for k in range(1, 7):
@@ -142,7 +146,7 @@ def test_compose_is_identity_for_inverse_pairs():
 
 
 def test_invert_triangle_matches_closed_forms():
-    for name in ("omega", "gamma", "cesaro"):
+    for name in ("omega", "gamma", "sigma", "cesaro"):
         closed = matrix_from_spec(f"{name}-inv")
         sub = invert_triangle(name)
         for n in range(1, 9):
@@ -154,6 +158,8 @@ def test_inverse_of_uses_closed_forms():
     assert inverse_of("omega").name == "omega-inv"
     assert inverse_of("omega-inv").name == "omega"
     assert inverse_of("identity").name == "identity"
+    assert inverse_of("sigma").name == "sigma-inv"
+    assert inverse_of("sigma-inv").name == "sigma"
 
 
 def test_zero_diagonal_rejected():
