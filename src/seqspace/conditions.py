@@ -259,6 +259,17 @@ def _class_window(n: int) -> int:
     return max(24, n // 10)
 
 
+def _default_window(n: int) -> int:
+    """The default window of the conditions route at truncation n.  Its
+    traces need the window below n, which the default is from n = 25 on."""
+    window = _class_window(n)
+    if window >= n:
+        raise TruncationError(
+            f"truncation {n} is too small for the default {window}-point "
+            f"window: the smallest truncation it accepts is {window + 1}")
+    return window
+
+
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise TruncationError(f"tolerance must be finite and positive, got {tol}")
@@ -272,6 +283,17 @@ class _TooFewRows(TruncationError):
 #: Elements per block when a row feature reduces the dense table: the
 #: temporaries stay this small whatever the truncation.
 FEATURE_BLOCK = 1 << 15
+
+
+def _first_sum_block(n: int) -> int:
+    """The first block of numpy's pairwise sum over n contiguous floats:
+    the length is halved, rounded down to a multiple of 8, until at most
+    128 remain.  Within the block eight running sums take every eighth
+    term.  So when a row's terms past a multiple of 8 inside the block are
+    +0.0, its sum is that of its leading terms up to the sign of a zero."""
+    while n > 128:
+        n = n // 2 - (n // 2) % 8
+    return n
 
 
 class _Engine:
@@ -309,6 +331,14 @@ class _Engine:
                     f"row traces restricted to rows 1..{self.row_limit}, whose "
                     f"tails are captured inside the {n}-column window"
                     + self._cap_note)
+        # A matrix that is +0.0 past a known column is read on its leading
+        # columns when their reductions keep the full rows' bits.
+        self.width = n
+        last = a.last_column()
+        if self.dense and last is not None:
+            narrow = max(8, -(-last // 8) * 8)
+            if narrow < n and narrow <= _first_sum_block(n):
+                self.width = narrow
         self._table = None
         self._rows = None
 
@@ -333,12 +363,24 @@ class _Engine:
         return lo, capped
 
     def table(self) -> np.ndarray:
+        """Rows 1..n over columns 1..width: the whole truncation, or its
+        leading columns when every later one is +0.0."""
         if self._table is None:
             if not self.dense:
                 raise TruncationError(
                     f"dense table unavailable at truncation {self.n}")
-            self._table = self.a.truncation_floats(self.n)
+            if self.width < self.n:
+                self._table = cache.lookup(
+                    ("table", self.a.key, self.n, self.width),
+                    self._narrow_table, nbytes=8 * self.n * self.width)
+            else:
+                self._table = self.a.truncation_floats(self.n)
         return self._table
+
+    def _narrow_table(self) -> np.ndarray:
+        table = self.a.block(np.arange(1, self.n + 1), self.width)
+        table.setflags(write=False)
+        return table
 
     def row_indices(self) -> np.ndarray:
         if self.row_limit < self.window:
@@ -359,12 +401,19 @@ class _Engine:
 
     def _row_feature(self, kind: str) -> np.ndarray:
         if self.dense:
-            return cache.lookup(
-                ("row-feature", self.a.key, self.n, kind),
-                lambda: _reduce_rows(self.table()[:self.row_limit], kind))
+            return cache.lookup(("row-feature", self.a.key, self.n, kind),
+                                lambda: self._dense_feature(kind))
         return cache.lookup(
             ("row-feature", self.a.key, self.n, kind, self.window),
             lambda: _reduce_rows(self._sampled_rows(), kind))
+
+    def _dense_feature(self, kind: str) -> np.ndarray:
+        feature = _reduce_rows(self.table()[:self.row_limit], kind)
+        if self.width < self.n:
+            # The full row's sum adds +0.0 blocks to the narrow one, which
+            # turn a -0.0 into +0.0 and leave any other value as it is.
+            feature += 0.0
+        return feature
 
     def _sampled_rows(self) -> np.ndarray:
         """The sampled rows over columns 1..n, read as one block."""
@@ -377,11 +426,16 @@ class _Engine:
 
     def columns(self, ks: np.ndarray) -> np.ndarray:
         """The columns ``ks`` over rows 1..n, one per row of the result."""
-        if self.dense:
-            t = self.table()
-        else:
+        if not self.dense:
             t = self.a.block(np.arange(1, self.n + 1), int(ks.max()))
-        return t.T[ks - 1]
+            return t.T[ks - 1]
+        t = self.table()
+        if ks.max() <= t.shape[1]:
+            return t.T[ks - 1]
+        out = np.zeros((len(ks), self.n))     # past the width: +0.0
+        inside = ks <= t.shape[1]
+        out[inside] = t.T[ks[inside] - 1]
+        return out
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -392,7 +446,8 @@ class _Engine:
         return sorted({k for k in ks if 1 <= k <= cap})
 
     def final_rows(self, diff: bool) -> np.ndarray:
-        """Stacked trailing complete rows (for column-limit estimates)."""
+        """Stacked trailing complete rows over the table's width (for
+        column-limit estimates)."""
         depth = min(EQ_STACK_ROWS, self.window, self.row_limit)
 
         def build():
@@ -571,7 +626,9 @@ def _column_mass(block: np.ndarray, first_row: int, n: int,
     """Column-limit estimates from the stacked rows ``first_row..`` of
     ``block``: (sum of |mean| of the rows strictly below each column 1..n,
     ``spread`` plus the sum of their ranges).  A column with no row below it
-    contributes its last entry's magnitude to both.
+    contributes its last entry's magnitude to both.  A block narrower than
+    n stands for rows whose later columns are zero: those columns would
+    only add +0.0 to the running totals, so the loop stops at its width.
     """
     depth = block.shape[0]
     # Columns before first_row have every stacked row below them: one
@@ -584,7 +641,7 @@ def _column_mass(block: np.ndarray, first_row: int, n: int,
     # The ufunc reductions are the ones ``below.mean()`` and ``np.ptp``
     # make, without their method dispatch.
     add, high, low = np.add.reduce, np.maximum.reduce, np.minimum.reduce
-    for k in range(first_row, n + 1):
+    for k in range(first_row, min(n, block.shape[1]) + 1):
         col = block[:, k - 1]
         below = col[k - first_row + 1:]
         size = len(below)
@@ -698,7 +755,7 @@ def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
         known = ", ".join(sorted(_EVALUATORS))
         raise SpecError(f"unknown condition {condition!r}; known: {known}")
     if window is None:
-        window = _class_window(n)
+        window = _default_window(n)
 
     def build():
         eng = _Engine(a, n, tol, window)
@@ -724,7 +781,7 @@ def condition_trace(a, feature: str, n: int = DEFAULT_CLASS_N,
         raise SpecError(f"unknown trace feature {feature!r}")
     a = matrix_from_spec(a)
     if window is None:
-        window = _class_window(n)
+        window = _default_window(n)
     eng = _Engine(a, n, CLASS_TOL, window)
     idx, vals = eng.row_trace(kinds[feature])
     return np.asarray(idx), np.asarray(vals)
@@ -1005,10 +1062,10 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     a = matrix_from_spec(a)
     f = space_from_spec(from_space)
     t = space_from_spec(to_space)
-    if window is None:
-        window = _class_window(n)
     if route not in ("conditions", "oracle", "both"):
         raise SpecError(f"unknown route {route!r}")
+    if window is None:
+        window = _class_window(n) if route == "oracle" else _default_window(n)
     if f.is_domain and t.is_domain:
         raise UnsupportedClassError(
             "pairs with a matrix domain on both sides are not supported; "
@@ -1127,7 +1184,7 @@ def regularity_report(a, n: int = 2000, tol: float = CLASS_TOL,
     _check_tol(tol)
     a = matrix_from_spec(a)
     if window is None:
-        window = _class_window(n)
+        window = _default_window(n)
     c1 = condition_report(a, "bounded-rows", n, tol, window)
     c5 = condition_report(a, "null-columns", n, tol, window)
     lv, rows_note = None, ""

@@ -39,6 +39,14 @@ class DualTriangle(InfiniteMatrix):
 
     ``weight_mode`` selects the domain family: "omega" divides by the index,
     "gamma" multiplies by it.
+
+    When ``a`` has a support hint w, every column past w is +0.0
+    (:meth:`last_column`), and the conditions engine reads the dense table
+    as its leading L = max(8, 8 ceil(w/8)) columns when that width fits in
+    the first block of numpy's pairwise sum over a full row.  Then the
+    narrow reductions equal the full-width ones bit for bit, up to a -0.0
+    the +0.0 tail would have turned into +0.0.  A triangle keeps its serial
+    cache key: its tables and traces leave the evaluation cache with it.
     """
 
     def __init__(self, a: Sequence, weight_mode: str):
@@ -72,7 +80,7 @@ class DualTriangle(InfiniteMatrix):
         """The scaled terms 1..m as floats; zero past the support of ``a``."""
         if len(self._sf) < m:
             lo = len(self._sf)
-            hint = self.a.support_hint
+            hint = self.last_column()
             hi = m if hint is None else max(lo, min(m, hint))
             fresh = [self._scaled_float(k, *parts)
                      for k, parts in zip(range(lo + 1, hi + 1),
@@ -113,18 +121,25 @@ class DualTriangle(InfiniteMatrix):
             raise FloatRangeError(
                 f"{self.name}: scaled term {k} is too large for a float") from None
 
+    def last_column(self) -> Optional[int]:
+        """The support of ``a``.  Past it the scaled terms are +0.0, so
+        every later column, its diagonal entry included, holds +0.0 (a
+        difference 0.0 - 0.0 under the diagonal).  Row n of a triangle A
+        is zero past column n, so the triangle paired with it carries all
+        its values in its first n columns."""
+        hint = self.a.support_hint
+        return None if hint is None else max(hint, 0)
+
     def block(self, rows, m):
         rows = np.asarray(rows)
         sf = self._scaled_floats(m + 1)
-        hint = self.a.support_hint
-        if hint is None or hint >= m:
+        width = self.last_column()
+        if width is None or width >= m:
             width = m
             out = _lower(rows, m, sf[:m] - sf[1:m + 1])
         else:
-            # Past the support of ``a`` the scaled terms are +0.0, so
-            # columns after ``hint`` and the diagonal below it hold
-            # 0.0 - 0.0 = +0.0: only the first ``hint`` columns need writing.
-            width = max(hint, 0)
+            # Only the first ``width`` columns need writing: the rest
+            # hold +0.0 (see last_column).
             out = np.zeros((len(rows), m))
             out[:, :width] = _lower(rows, width, sf[:width] - sf[1:width + 1])
         _put_band(out, rows, 0, sf, width)

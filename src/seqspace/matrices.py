@@ -138,6 +138,12 @@ class InfiniteMatrix:
     def col_end(self, k: int) -> Optional[int]:
         return None
 
+    def last_column(self) -> Optional[int]:
+        """The last column that any row can reach: every entry past it is
+        +0.0 in every float read.  None (the default) when no such column
+        is known.  A dense reader may then take the leading columns only."""
+        return None
+
     def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> Optional[int]:
         """A column past which row n carries at most ``tail_mass`` of its
         mass: its last nonzero column here, None when unbounded."""
@@ -718,7 +724,8 @@ class ComposedMatrix(InfiniteMatrix):
         # otherwise a leading-window approximation.  A window that fits is
         # read from the product of the factors' cached tables, so a partial
         # read has the table's bits.  A larger one is multiplied in chunks of
-        # rows and of the inner index, none above a DENSE_LIMIT-square table.
+        # rows and of the inner index, none above a DENSE_LIMIT-square table;
+        # a sigma product takes running sums over chunks of rows instead.
         rows = np.asarray(rows)
         s = max(int(rows[-1]), m)
         if s <= DENSE_LIMIT:
@@ -732,6 +739,8 @@ class ComposedMatrix(InfiniteMatrix):
                 return np.cumsum(right, axis=0)
             return self.left.truncation_floats(s) @ right
         area = DENSE_LIMIT * DENSE_LIMIT
+        if self.left.key == "sigma":
+            return self._running_sums(rows, m, max(1, area // m))
         row_step, inner_step = max(1, area // s), max(1, area // m)
         out = np.zeros((len(rows), m))
         for i in range(0, len(rows), row_step):
@@ -740,6 +749,25 @@ class ComposedMatrix(InfiniteMatrix):
                 inner = np.arange(j + 1, min(j + inner_step, s) + 1)
                 out[i:i + row_step] += (left[:, j:j + inner_step]
                                         @ self.right.block(inner, m))
+        return out
+
+    def _running_sums(self, rows: np.ndarray, m: int, step: int) -> np.ndarray:
+        """Rows ``rows`` of sigma*B over columns 1..m: running sums of B's
+        rows, taken over chunks of ``step`` rows with the last sum carried
+        into the next chunk's first row.  Each sum is formed as
+        ``np.cumsum(B's rows, axis=0)`` forms it, carry + row for row."""
+        top = int(rows[-1])
+        out = np.empty((len(rows), m))
+        carry = None
+        for lo in range(1, top + 1, step):
+            hi = min(lo + step, top + 1)
+            part = self.right.block(np.arange(lo, hi), m)
+            if carry is not None:
+                part[0] += carry
+            np.cumsum(part, axis=0, out=part)
+            carry = part[-1]
+            i, j = np.searchsorted(rows, (lo, hi))
+            out[i:j] = part[rows[i:j] - lo]
         return out
 
 

@@ -118,6 +118,18 @@ def test_errors_exit_3(capsys):
                      "--seq", "const:1", "--n", "2")
     assert rc == 3
     assert "error:" in err
+    # Below n = 25 the default window does not fit: the message names the
+    # truncation and the smallest one the default accepts.
+    for argv in (("check-class", "--matrix", "cesaro", "--from", "c0",
+                  "--to", "c"),
+                 ("regularity", "--matrix", "cesaro"),
+                 ("dual", "--space", "c0(omega)", "--a", "power:1")):
+        for n in ("8", "24"):
+            rc, out, err = run(capsys, *argv, "--n", n)
+            assert rc == 3 and out == "", argv
+            assert err == (f"error: truncation {n} is too small for the "
+                           "default 24-point window: the smallest truncation "
+                           "it accepts is 25\n"), argv
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 3

@@ -324,6 +324,22 @@ def test_row_duals_are_judged_once_per_domain(monkeypatch):
         assert warm == cold[tag], tag
 
 
+def test_row_duals_are_read_on_their_support(monkeypatch):
+    # A row of cesaro has at most 6 nonzero terms in the 6 paired rows, so
+    # every dual table is read 8 columns wide, never the full 600.
+    widths = []
+    block = DualTriangle.block
+
+    def spy(self, rows, m):
+        widths.append(m)
+        return block(self, rows, m)
+    monkeypatch.setattr(DualTriangle, "block", spy)
+    cache.clear()
+    for tag in ("c0", "c", "linf"):
+        check_class("cesaro", f"{tag}(omega)", "c")
+    assert widths and max(widths) <= 8
+
+
 def test_oracle_samples_cover_domains():
     labels = [label for label, _ in oracle_samples("c0(gamma)")]
     assert all(label.startswith("gamma-preimage:") for label in labels)

@@ -645,6 +645,23 @@ def test_composed_blocks_past_the_dense_limit_are_the_product():
     assert np.allclose(cols[rows - 1], want[:, :9], rtol=1e-12, atol=0)
 
 
+def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
+    # Above DENSE_LIMIT sigma*B's rows are B's running row sums, taken over
+    # chunks of B's rows: bit for bit np.cumsum, the definition at or below
+    # the limit.
+    a = mat.compose("sigma", "cesaro")
+    rows = np.array([1, 2, 3, 500, 1199, 1200, 1201, 2399, 2400, 2401, 2500])
+    want = np.cumsum(a.right.block(np.arange(1, 2501), 300), axis=0)
+    assert same_bits(a.block(rows, 300), want[rows - 1])
+    # A small limit makes chunks of 12 rows, so most sums carry one over.
+    monkeypatch.setattr(mat, "DENSE_LIMIT", 60)
+    for name in ("cesaro", "euler:1/2", "gamma-inv"):
+        a = mat.compose("sigma", name)
+        want = np.cumsum(a.right.block(np.arange(1, 201), 300), axis=0)
+        for rows in (np.arange(1, 201), np.array([1, 12, 13, 24, 25, 199])):
+            assert same_bits(a.block(rows, 300), want[rows - 1]), name
+
+
 def test_float_apply_past_the_dense_limit_reads_blocks():
     n = mat.DENSE_LIMIT + 5
     x = make_sequence("harmonic")
@@ -840,6 +857,100 @@ def test_prefix_traces_match_the_prefix_table(name):
         assert same_bits(eng.row_trace("row_abs")[1], heads), (name, size)
         assert same_bits(eng.row_trace("row_dist")[1][:-1], tails[1:]), \
             (name, size)
+
+
+# ---------------------------------------------------------------------------
+# Row-pairing triangles read on their support
+# ---------------------------------------------------------------------------
+# A matrix whose columns past ``last_column()`` are +0.0 is read as its
+# leading L = max(8, 8 ceil(w/8)) columns when L < n and L fits in the first
+# block of numpy's pairwise sum over a row of n.  Every trace must be the
+# one the full table gives, zeros' signs included.
+
+#: The first pairwise-sum block over a row of n floats, for each size used.
+FIRST_SUM_BLOCK = {25: 25, 57: 57, 128: 128, 129: 64, 600: 72, 601: 72}
+PAIRING_MATRICES = ("identity", "omega", "gamma", "omega-inv", "gamma-inv",
+                    "cesaro", "euler:1/2", "zero")
+#: Float terms with zeros of both signs, cycled over a sequence's support.
+SIGNED_TERMS = (-0.0, 2.5, -0.0, -1.25, 0.0, -3e-300, 7.0, -0.0, 1e-3)
+
+
+class NegativeZeros(mat.InfiniteMatrix):
+    """-0.0 in columns 1..w of every row and +0.0 past them.  The full rows
+    sum to +0.0, and so must the narrow ones, whether or not a reduction
+    of -0.0 terms keeps the sign."""
+
+    def __init__(self, w):
+        super().__init__(f"negative-zeros[{w}]")
+        self.w = w
+
+    def last_column(self):
+        return self.w
+
+    def block(self, rows, m):
+        out = np.zeros((len(rows), m))
+        out[:, :min(self.w, m)] = -0.0
+        return out
+
+
+def pairing_triangles():
+    """(label, matrix, w) for the dual triangles of rows 1..9 of the grid
+    matrices, of signed float sequences with supports w, and the -0.0
+    matrices."""
+    for name in PAIRING_MATRICES:
+        a = matrix_from_spec(name)
+        for nn in range(1, 10):
+            row = Sequence(lambda k, a=a, nn=nn: a.entry(nn, k),
+                           support_hint=a.row_end(nn), label=f"row[{nn}]")
+            for mode in ("omega", "gamma"):
+                yield f"{name} row {nn} {mode}", \
+                    dual_transfer_matrix(row, mode), row.support_hint
+    for w in (0, 1, 6, 7, 8, 9, 16, 17, 72, 73):
+        terms = Sequence(lambda k: SIGNED_TERMS[(k - 1) % len(SIGNED_TERMS)],
+                         support_hint=w, label=f"signed[{w}]")
+        for mode in ("omega", "gamma"):
+            yield f"signed {w} {mode}", dual_transfer_matrix(terms, mode), w
+        yield f"negative zeros {w}", NegativeZeros(w), w
+
+
+def final_rows_reference(t, lo, hi, diff):
+    block = t[lo:hi].copy()
+    if diff:
+        padded = np.hstack([block, np.zeros((block.shape[0], 1))])
+        block = np.diff(padded, axis=1) * -1.0
+    return block
+
+
+@pytest.mark.parametrize("n", sorted(FIRST_SUM_BLOCK))
+def test_narrow_reads_match_the_full_table(n):
+    for label, a, w in pairing_triangles():
+        eng = _Engine(a, n, 1.5e-3, max(24, n // 10))
+        narrow = max(8, -(-w // 8) * 8)
+        fits = narrow < n and narrow <= FIRST_SUM_BLOCK[n]
+        assert eng.width == (narrow if fits else n), (label, n)
+        if w == 73 and n != 128:
+            assert eng.width == n, (label, n)
+        full = a.truncation_floats(n)
+        assert not full[:, eng.width:].any(), (label, n)
+        for kind in ("row_abs", "row_sum", "row_dist", "row_diff_abs"):
+            want = _reduce_rows(full[:eng.row_limit], kind)
+            assert same_bits(eng.row_trace(kind)[1], want), (label, n, kind)
+        ks = np.arange(1, n + 1)
+        assert same_bits(eng.columns(ks), full.T), (label, n)
+        ks = np.arange(1, 9)
+        assert same_bits(eng.columns(ks), full.T[ks - 1]), (label, n)
+        depth = min(120, eng.window, eng.row_limit)
+        lo = eng.row_limit - depth
+        for diff in (False, True):
+            got = eng.final_rows(diff)
+            want = final_rows_reference(full, lo, eng.row_limit, diff)
+            assert got.shape == (depth, eng.width), (label, n)
+            assert same_bits(got, want[:, :eng.width]), (label, n, diff)
+            assert not want[:, eng.width:].any(), (label, n, diff)
+            for spread in (0.0, -0.0, 1e-7):
+                assert same_bits(_column_mass(got, lo + 1, n, spread),
+                                 _column_mass(want, lo + 1, n, spread)), \
+                    (label, n, diff, spread)
 
 
 # ---------------------------------------------------------------------------
