@@ -259,14 +259,16 @@ def _class_window(n: int) -> int:
     return max(24, n // 10)
 
 
-def _default_window(n: int) -> int:
-    """The default window of the conditions route at truncation n.  Its
-    traces need the window below n, which the default is from n = 25 on."""
+def _default_window(n: int, route: str = "conditions") -> int:
+    """The default window of a route at truncation n.  The conditions
+    route's traces need the window below n, which the default is from
+    n = 25 on; the oracle's images need it at most n, from n = 24 on."""
     window = _class_window(n)
-    if window >= n:
+    smallest = window if route == "oracle" else window + 1
+    if n < smallest:
         raise TruncationError(
             f"truncation {n} is too small for the default {window}-point "
-            f"window: the smallest truncation it accepts is {window + 1}")
+            f"window: the smallest truncation it accepts is {smallest}")
     return window
 
 
@@ -993,7 +995,7 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     from_space = space_from_spec(from_space)
     to_space = space_from_spec(to_space)
     if window is None:
-        window = _class_window(n)
+        window = _default_window(n, "oracle")
     battery = cache.lookup(
         ("battery", from_space.matrix.key if from_space.is_domain else None,
          from_space.tag, seed),
@@ -1065,7 +1067,7 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     if route not in ("conditions", "oracle", "both"):
         raise SpecError(f"unknown route {route!r}")
     if window is None:
-        window = _class_window(n) if route == "oracle" else _default_window(n)
+        window = _default_window(n, route)
     if f.is_domain and t.is_domain:
         raise UnsupportedClassError(
             "pairs with a matrix domain on both sides are not supported; "

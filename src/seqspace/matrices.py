@@ -194,6 +194,12 @@ class InfiniteMatrix:
         gets the same bits as alone."""
         return None
 
+    def _rmul_floats(self, xf: np.ndarray) -> Optional[np.ndarray]:
+        """(xA)_{1..m}, the inner sum over 1..m, for each row x stacked in
+        ``xf`` along its last axis, of length m, when a vectorized form
+        exists, else None: the row-side counterpart of ``_apply_floats``."""
+        return None
+
     def _apply_exact(self, xs: list) -> Optional[list]:
         """Exact (Ax)_{1..len(xs)} when a linear-time form exists, else None."""
         return None
@@ -290,7 +296,11 @@ class WeightedSums(InfiniteMatrix):
         return _lower(np.asarray(rows), m, self._weights_floats(m))
 
     def _apply_floats(self, xf):
-        return np.cumsum(self._weights_floats(xf.shape[-1]) * xf, axis=-1)
+        # The sums are taken in place, here and in the other means: on a
+        # stack as large as a table, a second temporary costs more than
+        # the sums.
+        out = self._weights_floats(xf.shape[-1]) * xf
+        return np.cumsum(out, axis=-1, out=out)
 
     def _apply_exact(self, xs):
         return list(accumulate(self.weights(k + 1) * x for k, x in enumerate(xs)))
@@ -344,6 +354,13 @@ class Bidiagonal(InfiniteMatrix):
         out[..., 1:] += s * xf[..., :-1]
         return out
 
+    def _rmul_floats(self, xf):
+        # (xA)_k = x_k d(k) + x_{k+1} s(k+1), one term at k = m.
+        d, s = self._diagonals_floats(xf.shape[-1])
+        out = xf * d
+        out[..., :-1] += xf[..., 1:] * s
+        return out
+
     def _apply_exact(self, xs):
         out = [self.diag(1) * xs[0]] if xs else []
         for n in range(2, len(xs) + 1):
@@ -366,7 +383,9 @@ class CesaroMeans(InfiniteMatrix):
         return _lower(rows, m, (1.0 / rows)[:, None])
 
     def _apply_floats(self, xf):
-        return np.cumsum(xf, axis=-1) / np.arange(1, xf.shape[-1] + 1)
+        out = np.cumsum(xf, axis=-1)
+        out /= np.arange(1, xf.shape[-1] + 1)
+        return out
 
     def _apply_exact(self, xs):
         return [s / Fraction(n) if isinstance(s, (int, Fraction)) else s / n
@@ -438,7 +457,10 @@ class RieszMeans(InfiniteMatrix):
 
     def _apply_floats(self, xf):
         t, big_t = self._tf(xf.shape[-1])
-        return np.cumsum(t * xf, axis=-1) / big_t
+        out = t * xf
+        np.cumsum(out, axis=-1, out=out)
+        out /= big_t
+        return out
 
     def _apply_exact(self, xs):
         self._ensure(len(xs))
@@ -722,24 +744,19 @@ class ComposedMatrix(InfiniteMatrix):
         # The inner index runs over the window 1..s, s its larger side: exact
         # when the left factor is row-finite within it (true for triangles),
         # otherwise a leading-window approximation.  A window that fits is
-        # read from the product of the factors' cached tables, so a partial
-        # read has the table's bits.  A larger one is multiplied in chunks of
-        # rows and of the inner index, none above a DENSE_LIMIT-square table;
-        # a sigma product takes running sums over chunks of rows instead.
+        # read from the product table (see _table), so a partial read has
+        # the table's bits.  A larger one is multiplied in chunks of rows and
+        # of the inner index, none above a DENSE_LIMIT-square table; a
+        # running-sums left factor takes running sums over chunks of rows
+        # instead.
         rows = np.asarray(rows)
         s = max(int(rows[-1]), m)
         if s <= DENSE_LIMIT:
             if len(rows) < s or m < s:
                 return self.truncation_floats(s)[rows - 1, :m]
-            right = self.right.truncation_floats(s)
-            if self.left.key == "sigma":
-                # sigma*B's rows are B's running column sums.  np.cumsum adds
-                # each column in row order, as the running sums are defined,
-                # in O(s^2) where the matmul takes O(s^3).
-                return np.cumsum(right, axis=0)
-            return self.left.truncation_floats(s) @ right
+            return self._table(s)
         area = DENSE_LIMIT * DENSE_LIMIT
-        if self.left.key == "sigma":
+        if isinstance(self.left, WeightedSums):
             return self._running_sums(rows, m, max(1, area // m))
         row_step, inner_step = max(1, area // s), max(1, area // m)
         out = np.zeros((len(rows), m))
@@ -751,17 +768,35 @@ class ComposedMatrix(InfiniteMatrix):
                                         @ self.right.block(inner, m))
         return out
 
+    def _table(self, s: int) -> np.ndarray:
+        """The s-by-s product table, in O(s^2) from a structured factor: the
+        left factor's vectorized form applied to the right table's columns
+        in one stacked call, else a bidiagonal right factor's two-term form
+        on the left table's rows, else the matmul of the two tables.  The
+        table is C-contiguous, as every other table: a row sum of a
+        Fortran-ordered copy can round differently."""
+        right = self.right.truncation_floats(s)
+        cols = self.left._apply_floats(right.T)
+        if cols is not None:
+            return np.ascontiguousarray(cols.T)
+        left = self.left.truncation_floats(s)
+        table = self.right._rmul_floats(left)
+        return left @ right if table is None else table
+
     def _running_sums(self, rows: np.ndarray, m: int, step: int) -> np.ndarray:
-        """Rows ``rows`` of sigma*B over columns 1..m: running sums of B's
-        rows, taken over chunks of ``step`` rows with the last sum carried
-        into the next chunk's first row.  Each sum is formed as
-        ``np.cumsum(B's rows, axis=0)`` forms it, carry + row for row."""
+        """Rows ``rows`` of W*B over columns 1..m, W the running sums with
+        weights w: running sums of B's rows scaled by w, taken over chunks
+        of ``step`` rows with the last sum carried into the next chunk's
+        first row.  Each sum is formed as ``np.cumsum(w * B's columns)``
+        forms it, carry + w_n b_n for row n."""
         top = int(rows[-1])
+        w = self.left._weights_floats(top)
         out = np.empty((len(rows), m))
         carry = None
         for lo in range(1, top + 1, step):
             hi = min(lo + step, top + 1)
             part = self.right.block(np.arange(lo, hi), m)
+            part *= w[lo - 1:hi - 1, None]
             if carry is not None:
                 part[0] += carry
             np.cumsum(part, axis=0, out=part)

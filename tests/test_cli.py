@@ -119,17 +119,22 @@ def test_errors_exit_3(capsys):
     assert rc == 3
     assert "error:" in err
     # Below n = 25 the default window does not fit: the message names the
-    # truncation and the smallest one the default accepts.
-    for argv in (("check-class", "--matrix", "cesaro", "--from", "c0",
-                  "--to", "c"),
-                 ("regularity", "--matrix", "cesaro"),
-                 ("dual", "--space", "c0(omega)", "--a", "power:1")):
-        for n in ("8", "24"):
+    # truncation and the smallest one the default accepts.  The oracle's
+    # images may be as long as the window, so its default fits from n = 24.
+    check = ("check-class", "--matrix", "cesaro", "--from", "c0", "--to", "c")
+    for argv, sizes, smallest in (
+            (check, ("8", "24"), 25),
+            (check + ("--route", "both"), ("8", "24"), 25),
+            (check + ("--route", "oracle"), ("8", "23"), 24),
+            (("regularity", "--matrix", "cesaro"), ("8", "24"), 25),
+            (("dual", "--space", "c0(omega)", "--a", "power:1"), ("8", "24"),
+             25)):
+        for n in sizes:
             rc, out, err = run(capsys, *argv, "--n", n)
             assert rc == 3 and out == "", argv
             assert err == (f"error: truncation {n} is too small for the "
                            "default 24-point window: the smallest truncation "
-                           "it accepts is 25\n"), argv
+                           f"it accepts is {smallest}\n"), argv
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 3

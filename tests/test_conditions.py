@@ -219,6 +219,20 @@ def test_oracle_seed_determinism():
     assert [p.verdict for p in a.samples] == [p.verdict for p in b.samples]
 
 
+def test_oracle_default_window_names_the_smallest_truncation():
+    # The default window is not the caller's: a truncation too small for it
+    # is named with the smallest one the default accepts.
+    for n in (8, 23):
+        with pytest.raises(TruncationError) as err:
+            oracle_check("cesaro", "c0", "c", n=n)
+        assert str(err.value) == (
+            f"truncation {n} is too small for the default 24-point window: "
+            "the smallest truncation it accepts is 24")
+    assert oracle_check("cesaro", "c0", "c", n=24).decisive > 0
+    with pytest.raises(TruncationError, match=r"window must be in 1\.\.8"):
+        oracle_check("cesaro", "c0", "c", n=8, window=24)
+
+
 def test_oracle_images_are_cached_per_seed():
     fresh = oracle_check(CesaroMeans(), "c0", "c", seed=2).to_dict()
     shared = CesaroMeans()

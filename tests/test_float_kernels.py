@@ -490,16 +490,29 @@ def dual_support_table_reference(u, size):
 
 
 def composed_table_reference(a, size):
+    # A left factor with a vectorized form is applied to one column of the
+    # right table at a time; a bidiagonal right factor gives two terms per
+    # entry, a_nk d_k + a_n,k+1 s_k+1, inside the window; any other pair is
+    # the matmul of the two tables.
     right = a.right.truncation_floats(size)
-    if a.left.key == "sigma":
-        # Row n of sigma*B is row n - 1 plus row n of B.
+    if a.left._apply_floats(right[:, 0].copy()) is not None:
         out = np.zeros((size, size))
-        total = np.zeros(size)
-        for n in range(size):
-            total = total + right[n]
-            out[n] = total
+        for k in range(size):
+            out[:, k] = a.left._apply_floats(right[:, k].copy())
         return out
-    return a.left.truncation_floats(size) @ right
+    left = a.left.truncation_floats(size)
+    if isinstance(a.right, mat.Bidiagonal):
+        d, s = a.right._diagonals_floats(size)
+        d, s = d.tolist(), s.tolist() + [0.0]
+        out = np.zeros((size, size))
+        for n, row in enumerate(left.tolist()):
+            for k in range(size):
+                term = row[k] * d[k]
+                if k + 1 < size:
+                    term = term + row[k + 1] * s[k]
+                out[n, k] = term
+        return out
+    return left @ right
 
 
 def entry_table_reference(a, size):
@@ -562,6 +575,14 @@ def kernel_matrices():
         matrix_from_spec("euler:1/2"), matrix_from_spec("omega-inv"))
     yield "sigma*taylor", lambda: mat.ComposedMatrix(
         matrix_from_spec("sigma"), matrix_from_spec("taylor:1/4"))
+    # Both rules apply; the left factor's vectorized form decides.
+    yield "riesz*gamma-inv", lambda: mat.ComposedMatrix(
+        mat.RieszMeans(make_sequence("power:2")), matrix_from_spec("gamma-inv"))
+    # The identity's copy of the right table's columns is Fortran-ordered.
+    yield "identity*omega-inv", lambda: mat.ComposedMatrix(
+        matrix_from_spec("identity"), matrix_from_spec("omega-inv"))
+    yield "euler*euler", lambda: mat.ComposedMatrix(
+        matrix_from_spec("euler:1/2"), matrix_from_spec("euler:1/10"))
     yield "band rule", lambda: mat.RuleMatrix(
         lambda n, k: Fraction(n + k, 7 * n), name="band", triangle=True,
         row_span=lambda n: (max(1, n - 2), n))
@@ -592,6 +613,8 @@ def test_tables_match_the_per_class_builders(label):
         got = a.truncation_floats(size)
         want = TABLE_REFERENCES[type(a)](a, size)
         assert same_bits(got, want), (label, size)
+        # Row reductions of a Fortran-ordered table can round differently.
+        assert got.flags.c_contiguous, (label, size)
 
 
 @st.composite
@@ -632,34 +655,44 @@ def test_composed_blocks_read_their_window_table():
 
 
 def test_composed_blocks_past_the_dense_limit_are_the_product():
-    # Above DENSE_LIMIT the product runs in chunks over the inner index;
-    # the sums agree with one product of the factor blocks to rounding.
-    a = mat.compose("omega", "euler:1/2")
+    # Above DENSE_LIMIT the product runs in chunks over the inner index, or
+    # as running sums for a running-sums left factor; the sums agree with
+    # one product of the factor blocks to rounding.
     n = mat.DENSE_LIMIT + 37
     rows = np.array([1, 2, 500, n - 1, n])
-    got = a.block(rows, n)
     inner = np.arange(1, n + 1)
-    want = a.left.block(rows, n) @ a.right.block(inner, n)
-    assert np.allclose(got, want, rtol=1e-12, atol=0)
-    cols = a.block(inner, 9)
-    assert np.allclose(cols[rows - 1], want[:, :9], rtol=1e-12, atol=0)
+    for left, right in (("omega", "euler:1/2"), ("cesaro", "euler:1/2")):
+        a = mat.compose(left, right)
+        got = a.block(rows, n)
+        want = a.left.block(rows, n) @ a.right.block(inner, n)
+        assert np.allclose(got, want, rtol=1e-12, atol=0), (left, right)
+        cols = a.block(inner, 9)
+        assert np.allclose(cols[rows - 1], want[:, :9], rtol=1e-12, atol=0), \
+            (left, right)
 
 
 def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
-    # Above DENSE_LIMIT sigma*B's rows are B's running row sums, taken over
-    # chunks of B's rows: bit for bit np.cumsum, the definition at or below
-    # the limit.
-    a = mat.compose("sigma", "cesaro")
+    # Above DENSE_LIMIT the rows of W*B, W running sums with weights w
+    # (sigma, omega, gamma), are the running sums of B's rows scaled by w,
+    # taken over chunks of B's rows: bit for bit np.cumsum(w * B), the
+    # table at or below the limit.
+    def reference(a, top, m):
+        w = a.left._weights_floats(top)[:, None]
+        return np.cumsum(w * a.right.block(np.arange(1, top + 1), m), axis=0)
+
     rows = np.array([1, 2, 3, 500, 1199, 1200, 1201, 2399, 2400, 2401, 2500])
-    want = np.cumsum(a.right.block(np.arange(1, 2501), 300), axis=0)
-    assert same_bits(a.block(rows, 300), want[rows - 1])
+    for left in ("sigma", "omega", "gamma"):
+        a = mat.compose(left, "cesaro")
+        assert same_bits(a.block(rows, 300), reference(a, 2500, 300)[rows - 1])
     # A small limit makes chunks of 12 rows, so most sums carry one over.
     monkeypatch.setattr(mat, "DENSE_LIMIT", 60)
-    for name in ("cesaro", "euler:1/2", "gamma-inv"):
-        a = mat.compose("sigma", name)
-        want = np.cumsum(a.right.block(np.arange(1, 201), 300), axis=0)
-        for rows in (np.arange(1, 201), np.array([1, 12, 13, 24, 25, 199])):
-            assert same_bits(a.block(rows, 300), want[rows - 1]), name
+    for left in ("sigma", "omega", "gamma"):
+        for name in ("cesaro", "euler:1/2", "gamma-inv"):
+            a = mat.compose(left, name)
+            want = reference(a, 200, 300)
+            for rows in (np.arange(1, 201), np.array([1, 12, 13, 24, 25, 199])):
+                assert same_bits(a.block(rows, 300), want[rows - 1]), \
+                    (left, name)
 
 
 def test_float_apply_past_the_dense_limit_reads_blocks():
