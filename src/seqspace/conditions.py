@@ -77,16 +77,8 @@ CONDITION_DESCRIPTIONS = {
     "rows-converge-in-l1":
         "the absolute sums of each row's difference from the last complete "
         "row tend to zero",
-    "null-rows": "each row tends to zero along the columns",
     "null-row-sums": "the row sums tend to zero",
     "null-abs-rows": "the absolute row sums tend to zero",
-    "null-row-diffs": "the absolute sums of adjacent-column differences vanish",
-    "bounded-row-diffs":
-        "the absolute sums of adjacent-column differences stay bounded",
-    "row-diffs-converge": "adjacent-column differences converge per column",
-    "diff-rows-match-columns":
-        "the difference row sums converge to the total mass of their column limits",
-    "bounded-row-limits": "the along-row limits stay bounded over the rows",
 }
 
 #: Characterizing conditions per (source, target) pair of classical spaces.
@@ -99,22 +91,21 @@ PAIR_CONDITIONS = {
     ("linf", "c"): ("columns-converge", "abs-rows-match-columns"),
     ("linf", "c0"): ("null-abs-rows",),
     ("c", "c0"): ("bounded-rows", "null-columns", "null-row-sums"),
-    ("bs", "c0"): ("null-rows", "null-row-diffs"),
-    ("cs", "c0"): ("null-columns", "bounded-row-diffs"),
-    ("bs", "c"): ("null-rows", "row-diffs-converge", "diff-rows-match-columns"),
-    ("cs", "c"): ("bounded-row-diffs", "columns-converge"),
-    ("bs", "linf"): ("null-rows", "bounded-row-diffs"),
-    ("cs", "linf"): ("bounded-row-diffs", "bounded-row-limits"),
 }
 
 #: bs and cs are the domains linf(sigma) and c(sigma) of the summation
-#: triangle sigma, so (X : bs) is (X : linf) and (X : cs) is (X : c), both
-#: judged on the target transfer sigma*A.  (linf : cs) takes Schur's form of
-#: (linf : c) instead: the rows converge in l1.
-SIGMA_TARGETS = {"bs": "linf", "cs": "c"}
+#: triangle sigma.  As a target, (X : bs) is (X : linf) and (X : cs) is
+#: (X : c), judged on the target transfer sigma*A; (linf : cs) takes Schur's
+#: form of (linf : c) instead: the rows converge in l1.  As a source, (bs : Y)
+#: is (linf : Y) and (cs : Y) is (c : Y), judged on the source transfer
+#: A*sigma^-1 with A's rows paired against sigma.
+SIGMA = {"bs": "linf", "cs": "c"}
 PAIR_CONDITIONS.update({(f, t): PAIR_CONDITIONS[(f, base)]
                         for f in ("c0", "c", "linf")
-                        for t, base in SIGMA_TARGETS.items()})
+                        for t, base in SIGMA.items()})
+PAIR_CONDITIONS.update({(f, t): PAIR_CONDITIONS[(base, t)]
+                        for f, base in SIGMA.items()
+                        for t in ("c0", "c", "linf")})
 PAIR_CONDITIONS[("linf", "cs")] = ("rows-converge-in-l1",)
 
 
@@ -259,17 +250,21 @@ def _class_window(n: int) -> int:
     return max(24, n // 10)
 
 
-def _default_window(n: int, route: str = "conditions") -> int:
-    """The default window of a route at truncation n.  The conditions
-    route's traces need the window below n, which the default is from
-    n = 25 on; the oracle's images need it at most n, from n = 24 on."""
+def _default_window(n: int) -> int:
+    """The default window at truncation n.  Every trace, a row, a column or
+    an oracle image, needs the window below n, which the default is from
+    n = 25 on."""
     window = _class_window(n)
-    smallest = window if route == "oracle" else window + 1
-    if n < smallest:
+    if n <= window:
         raise TruncationError(
             f"truncation {n} is too small for the default {window}-point "
-            f"window: the smallest truncation it accepts is {smallest}")
+            f"window: the smallest truncation it accepts is {window + 1}")
     return window
+
+
+def _check_window(window: int, n: int) -> None:
+    if not (0 < window < n):
+        raise TruncationError(f"window must satisfy 0 < window < {n}")
 
 
 def _check_tol(tol: float) -> None:
@@ -309,8 +304,7 @@ class _Engine:
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
         if n < 8:
             raise TruncationError(f"class checks need a truncation >= 8, got {n}")
-        if not (0 < window < n):
-            raise TruncationError(f"window must satisfy 0 < window < {n}")
+        _check_window(window, n)
         self.a = a
         self.n = n
         self.tol = tol
@@ -447,7 +441,7 @@ class _Engine:
         ks = list(range(1, 9)) + [12, 16, 24, 32, 48, 64, 96, 128, 192, 256]
         return sorted({k for k in ks if 1 <= k <= cap})
 
-    def final_rows(self, diff: bool) -> np.ndarray:
+    def final_rows(self) -> np.ndarray:
         """Stacked trailing complete rows over the table's width (for
         column-limit estimates)."""
         depth = min(EQ_STACK_ROWS, self.window, self.row_limit)
@@ -455,25 +449,17 @@ class _Engine:
         def build():
             lo = self.row_limit - depth
             if self.dense:
-                block = self.table()[lo:self.row_limit].copy()
-            else:
-                block = self.a.block(np.arange(lo + 1, self.row_limit + 1),
-                                     self.n)
-            if diff:
-                padded = np.hstack([block, np.zeros((block.shape[0], 1))])
-                block = np.diff(padded, axis=1) * -1.0
-            return block
-        return cache.lookup(("final-rows", self.a.key, self.n, depth, diff),
-                            build)
+                return self.table()[lo:self.row_limit].copy()
+            return self.a.block(np.arange(lo + 1, self.row_limit + 1), self.n)
+        return cache.lookup(("final-rows", self.a.key, self.n, depth), build)
 
 
 def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
     """One feature per row of ``t``: its sum ("row_sum"), absolute sum
-    ("row_abs"), the absolute sum of its difference from the last row of
-    ``t`` ("row_dist") or the absolute sum of its adjacent differences,
-    closed by a zero ("row_diff_abs").  Each row is reduced over its full
-    width, as a reduction of the whole table would, but through one reused
-    block buffer instead of table-sized temporaries."""
+    ("row_abs") or the absolute sum of its difference from the last row of
+    ``t`` ("row_dist").  Each row is reduced over its full width, as a
+    reduction of the whole table would, but through one reused block buffer
+    instead of table-sized temporaries."""
     if kind == "row_sum":
         return t.sum(axis=1)
     rows, width = t.shape
@@ -485,12 +471,8 @@ def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
         part = buf[:len(block)]
         if kind == "row_abs":
             np.abs(block, out=part)
-        elif kind == "row_dist":
-            np.subtract(t[-1], block, out=part)
-            np.abs(part, out=part)
         else:
-            np.subtract(block[:, 1:], block[:, :-1], out=part[:, :-1])
-            np.subtract(0.0, block[:, -1], out=part[:, -1])
+            np.subtract(t[-1], block, out=part)
             np.abs(part, out=part)
         part.sum(axis=1, out=out[i:i + len(block)])
     return out
@@ -536,22 +518,6 @@ def _eval_null_row_sums(eng: _Engine) -> ConditionReport:
                    _limit_note(lv), eng.n, kind=lv.kind.value)
 
 
-def _eval_null_row_diffs(eng: _Engine) -> ConditionReport:
-    idx, vals = eng.row_trace("row_diff_abs")
-    lv = analyze_limit(idx, vals, eng.tol, eng.window)
-    verdict = null_limit_verdict(lv, eng.tol)
-    return _report("null-row-diffs", verdict, lv.value,
-                   _limit_note(lv), eng.n, kind=lv.kind.value)
-
-
-def _eval_bounded_row_diffs(eng: _Engine) -> ConditionReport:
-    idx, vals = eng.row_trace("row_diff_abs")
-    verdict, info = analyze_sup(idx, vals, eng.tol, eng.window)
-    return _report("bounded-row-diffs", verdict, info.get("sup_observed"),
-                   info.get("note", ""), eng.n,
-                   half_span_growth=info.get("half_span_growth"))
-
-
 def _per_column(eng: _Engine, cond: str, traces, judge) -> ConditionReport:
     """Conjoin a per-column judgement over the sampled columns; ``traces``
     maps the sampled column indices to their stacked traces."""
@@ -585,17 +551,10 @@ def _eval_null_columns(eng: _Engine) -> ConditionReport:
                        lambda lv: null_limit_verdict(lv, eng.tol))
 
 
-def _eval_row_diffs_converge(eng: _Engine) -> ConditionReport:
-    def diff_cols(ks):
-        return eng.columns(ks) - eng.columns(ks + 1)
-    return _per_column(eng, "row-diffs-converge", diff_cols,
-                       limit_exists_verdict)
-
-
-def _equality_condition(eng: _Engine, cond: str, kind: str,
-                        diff: bool) -> ConditionReport:
-    """Shared logic for the two 'left limit equals column mass' conditions."""
-    idx, vals = eng.row_trace(kind)
+def _eval_abs_rows_match_columns(eng: _Engine) -> ConditionReport:
+    """The absolute row sums' limit equals the column limits' total mass."""
+    cond = "abs-rows-match-columns"
+    idx, vals = eng.row_trace("row_abs")
     lv = analyze_limit(idx, vals, eng.tol, eng.window)
     if lv.kind in (LimitKind.DIVERGES, LimitKind.OSCILLATES):
         return _report(cond, Verdict.VIOLATED, None,
@@ -604,7 +563,7 @@ def _equality_condition(eng: _Engine, cond: str, kind: str,
         return _report(cond, Verdict.INCONCLUSIVE, None,
                        "left side undecided at this truncation", eng.n)
     left = lv.value
-    block = eng.final_rows(diff)
+    block = eng.final_rows()
     first_row = eng.row_limit - block.shape[0] + 1
     rhs, uncertainty = _column_mass(block, first_row, eng.n, lv.tail_spread)
     gap = abs(left - rhs)
@@ -658,15 +617,6 @@ def _column_mass(block: np.ndarray, first_row: int, n: int,
             float(np.add.accumulate(np.concatenate(spreads))[-1]))
 
 
-def _eval_abs_rows_match_columns(eng: _Engine) -> ConditionReport:
-    return _equality_condition(eng, "abs-rows-match-columns", "row_abs", False)
-
-
-def _eval_diff_rows_match_columns(eng: _Engine) -> ConditionReport:
-    return _equality_condition(eng, "diff-rows-match-columns",
-                               "row_diff_abs", True)
-
-
 def _eval_rows_converge_in_l1(eng: _Engine) -> ConditionReport:
     # Each row against the last complete one, which stands in for the
     # limit row; the last row's own distance, zero, is left out.
@@ -675,45 +625,6 @@ def _eval_rows_converge_in_l1(eng: _Engine) -> ConditionReport:
     verdict = null_limit_verdict(lv, eng.tol)
     return _report("rows-converge-in-l1", verdict, lv.value,
                    _limit_note(lv), eng.n, kind=lv.kind.value)
-
-
-def _eval_null_rows(eng: _Engine) -> ConditionReport:
-    if eng.a.row_end(eng.n) is not None:
-        return _report("null-rows", Verdict.SATISFIED, 0.0,
-                       "rows have finite support, so each row ends in zeros",
-                       eng.n)
-    rows = [r for r in (2, 3, 5, 9, 17, 33) if r <= eng.row_limit]
-    if not rows:
-        return _report("null-rows", Verdict.INCONCLUSIVE, None,
-                       "no complete rows inside the window", eng.n)
-    verdicts = [null_limit_verdict(lv, eng.tol)
-                for lv in _row_limits(eng, rows)]
-    return _report("null-rows", conjoin(verdicts), None,
-                   f"checked rows {rows}", eng.n)
-
-
-def _row_limits(eng: _Engine, rows: list) -> list:
-    """Limit verdicts along the given rows, over columns 1..n."""
-    stack = eng.a.block(np.array(rows), eng.n)
-    return analyze_limits(np.arange(1, eng.n + 1), stack, eng.tol, eng.window)
-
-
-def _eval_bounded_row_limits(eng: _Engine) -> ConditionReport:
-    if eng.a.row_end(eng.n) is not None:
-        return _report("bounded-row-limits", Verdict.SATISFIED, 0.0,
-                       "rows have finite support, so every row limit is zero",
-                       eng.n)
-    rows = [r for r in (2, 3, 5, 9, 17, 33) if r <= eng.row_limit]
-    if not rows:
-        return _report("bounded-row-limits", Verdict.INCONCLUSIVE, None,
-                       "no complete rows inside the window", eng.n)
-    row_limits = _row_limits(eng, rows)
-    limits = [abs(lv.value) for lv in row_limits
-              if lv.kind is LimitKind.CONVERGES]
-    overall = conjoin(limit_exists_verdict(lv) for lv in row_limits)
-    observed = max(limits) if limits else None
-    return _report("bounded-row-limits", overall, observed,
-                   f"row limits estimated on rows {rows}", eng.n)
 
 
 def _limit_note(lv) -> str:
@@ -731,14 +642,8 @@ _EVALUATORS = {
     "abs-rows-match-columns": _eval_abs_rows_match_columns,
     "null-columns": _eval_null_columns,
     "rows-converge-in-l1": _eval_rows_converge_in_l1,
-    "null-rows": _eval_null_rows,
     "null-row-sums": _eval_null_row_sums,
     "null-abs-rows": _eval_null_abs_rows,
-    "null-row-diffs": _eval_null_row_diffs,
-    "bounded-row-diffs": _eval_bounded_row_diffs,
-    "row-diffs-converge": _eval_row_diffs_converge,
-    "diff-rows-match-columns": _eval_diff_rows_match_columns,
-    "bounded-row-limits": _eval_bounded_row_limits,
 }
 
 
@@ -775,10 +680,9 @@ def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
 
 def condition_trace(a, feature: str, n: int = DEFAULT_CLASS_N,
                     window: Optional[int] = None):
-    """Raw (indices, values) trace of a row feature: one of "row-abs-sum",
-    "row-sum", "row-diff-abs-sum".  Useful for inspection and tests."""
-    kinds = {"row-abs-sum": "row_abs", "row-sum": "row_sum",
-             "row-diff-abs-sum": "row_diff_abs"}
+    """Raw (indices, values) trace of a row feature: "row-abs-sum" or
+    "row-sum".  Useful for inspection and tests."""
+    kinds = {"row-abs-sum": "row_abs", "row-sum": "row_sum"}
     if feature not in kinds:
         raise SpecError(f"unknown trace feature {feature!r}")
     a = matrix_from_spec(a)
@@ -995,7 +899,8 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     from_space = space_from_spec(from_space)
     to_space = space_from_spec(to_space)
     if window is None:
-        window = _default_window(n, "oracle")
+        window = _default_window(n)
+    _check_window(window, n)
     battery = cache.lookup(
         ("battery", from_space.matrix.key if from_space.is_domain else None,
          from_space.tag, seed),
@@ -1052,9 +957,11 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     omega/gamma triangles (conditions run on the source transfer matrix, and
     the leading rows are checked against the domain's beta dual), or a target
     domain over any triangle (conditions run on the target transfer matrix).
-    A bs or cs target is the domain linf(sigma) or c(sigma) of the summation
-    triangle: sigma is composed onto the transfer, and the conditions of the
-    (X : linf) or (X : c) pair run on that product (:data:`SIGMA_TARGETS`).
+    bs and cs are the domains linf(sigma) and c(sigma) of the summation
+    triangle (:data:`SIGMA`), on either side: a bs or cs source runs the
+    (linf : Y) or (c : Y) conditions on A*sigma^-1, with A's rows paired
+    against sigma, and a bs or cs target runs the (X : linf) or (X : c)
+    conditions on sigma*A.
 
     ``route`` selects the evidence: "conditions" (default), "oracle", or
     "both".  With "both", the headline verdict is the conditions verdict and
@@ -1067,7 +974,7 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     if route not in ("conditions", "oracle", "both"):
         raise SpecError(f"unknown route {route!r}")
     if window is None:
-        window = _default_window(n, route)
+        window = _default_window(n)
     if f.is_domain and t.is_domain:
         raise UnsupportedClassError(
             "pairs with a matrix domain on both sides are not supported; "
@@ -1081,19 +988,22 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
             f"no characterization for ({f} : {t}); supported classical pairs: "
             + ", ".join(supported_pairs()))
 
+    if f.is_domain and f.matrix.name not in ("omega", "gamma"):
+        raise UnsupportedClassError(
+            "source domains are supported over the omega and gamma "
+            f"triangles, not {f.matrix.name!r}")
+    source = (SpaceId(SIGMA[f.tag], matrix_from_spec("sigma"))
+              if f.tag in SIGMA else f)
+
     notes = []
     row_pairing = None
     target = a
-    if f.is_domain:
-        if f.matrix.name not in ("omega", "gamma"):
-            raise UnsupportedClassError(
-                "source domains are supported over the omega and gamma "
-                f"triangles, not {f.matrix.name!r}")
-        target = source_transfer_matrix(a, f.matrix)
+    if source.is_domain:
+        target = source_transfer_matrix(a, source.matrix)
         notes.append(
             "conditions evaluated on the source transfer matrix "
             f"{target.name}")
-    if t.is_domain or t.tag in SIGMA_TARGETS:
+    if t.is_domain or t.tag in SIGMA:
         target = target_transfer_matrix(
             target, t.matrix if t.is_domain else "sigma")
         notes.append(
@@ -1107,8 +1017,9 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
         reports = tuple(condition_report(target, c, n, tol, window)
                         for c in conds)
         parts = [r.verdict for r in reports]
-        if f.is_domain:
-            row_pairing = _row_pairing_verdict(a, f, n, tol, window, row_bound)
+        if source.is_domain:
+            row_pairing = _row_pairing_verdict(a, source, n, tol, window,
+                                               row_bound)
             parts.append(row_pairing["verdict"])
         conditions_verdict = conjoin(parts)
 

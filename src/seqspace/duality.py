@@ -1,21 +1,20 @@
 """Dual descriptions of matrix domains.
 
-For the running-weighted-sum domains, a scalar sequence ``a`` pairs with the
-domain through the series ``sum_k a_k x_k``.  Abel summation turns the partial
-sums of that series into a triangle acting on the transformed coordinates
-``y = Ax``:
+A scalar sequence ``a`` pairs with a matrix domain through the series
+``sum_k a_k x_k``.  When the domain's triangle has a bidiagonal inverse, with
+diagonal d and subdiagonal s, Abel summation turns the partial sums of that
+series into one triangle acting on the transformed coordinates ``y = Ax``:
 
-* omega domains (weights ``k``):
-  ``u_nk = a_k/k - a_{k+1}/(k+1)`` for ``k < n`` and ``u_nn = a_n/n``,
-* gamma domains (weights ``1/k``):
-  ``v_nk = k a_k - (k+1) a_{k+1}`` for ``k < n`` and ``v_nn = n a_n``,
+  ``u_nk = a_k d_k + a_{k+1} s_{k+1}`` for ``k < n`` and ``u_nn = a_n d_n``,
 
 so that the n-th partial sum of ``sum a_k x_k`` equals the n-th entry of the
-triangle applied to ``y``.  The identity is exact at every truncation and is
-what the tests check.  Membership of ``a`` in the generalized duals then
-reduces to a mapping-class question for the triangle: rows summable against
-the domain (the beta dual) ask the triangle to map the base space into ``c``;
-bounded pairings (the gamma dual) ask for ``linf``.
+triangle applied to ``y``: ``a_k/k - a_{k+1}/(k+1)`` below the diagonal for
+omega, ``k a_k - (k+1) a_{k+1}`` for gamma, ``a_k - a_{k+1}`` for sigma.  The
+identity is exact at every truncation and is what the tests check.
+Membership of ``a`` in the generalized duals then reduces to a mapping-class
+question for the triangle: rows summable against the domain (the beta dual)
+ask the triangle to map the base space into ``c``; bounded pairings (the
+gamma dual) ask for ``linf``.
 """
 
 from __future__ import annotations
@@ -27,18 +26,36 @@ from typing import Optional
 import numpy as np
 
 from .errors import FloatRangeError, SpecError
-from .matrices import InfiniteMatrix, _exact_div, _lower, _put_band
+from .matrices import (Bidiagonal, InfiniteMatrix, _check_index, _exact_div,
+                       _lower, _put_band, inverse_of)
 from .sequences import FiniteVector, Sequence, finite_vector, make_sequence
 from .verdicts import Verdict
 
 DUAL_KINDS = ("beta", "gamma")
 
 
-class DualTriangle(InfiniteMatrix):
-    """The Abel-summation triangle attached to a scalar sequence ``a``.
+def _times(x, pair):
+    """``x`` times a term given as (numerator, denominator), or (value, None)
+    for a float, exactly: ``x / k`` for the pair (1, k)."""
+    num, den = pair
+    return x * num if den is None or den == 1 else _exact_div(x * num, den)
 
-    ``weight_mode`` selects the domain family: "omega" divides by the index,
-    "gamma" multiplies by it.
+
+def _float_times(num, den, pair) -> float:
+    """``num / den`` times a term given as ``pair``, ``den`` None for a
+    float: one correctly rounded division when all four are integers."""
+    wn, wd = pair
+    if den is not None and wd is not None:
+        return (num * wn) / (den * wd)
+    x = num if den is None else num / den
+    return float(x * wn if wd is None else x * wn / wd)
+
+
+class DualTriangle(InfiniteMatrix):
+    """The Abel-summation triangle of a scalar sequence ``a`` over a domain
+    whose inverse is the bidiagonal ``inverse``.  Its floats come from the
+    terms ``p_k = a_k d_k`` and ``q_k = a_k s_k``; where ``s_k = -d_k``
+    (omega, gamma, sigma) ``q_k`` is ``-p_k``, exact in floats.
 
     When ``a`` has a support hint w, every column past w is +0.0
     (:meth:`last_column`), and the conditions engine reads the dense table
@@ -49,44 +66,47 @@ class DualTriangle(InfiniteMatrix):
     cache key: its tables and traces leave the evaluation cache with it.
     """
 
-    def __init__(self, a: Sequence, weight_mode: str):
-        if weight_mode not in ("omega", "gamma"):
-            raise SpecError(f"unknown weight mode {weight_mode!r}")
-        super().__init__(f"dual[{weight_mode}]({a.label})", triangle=True)
+    def __init__(self, a: Sequence, inverse: Bidiagonal):
+        if not isinstance(inverse, Bidiagonal):
+            raise SpecError("dual descriptions need a domain with a "
+                            f"bidiagonal inverse; {inverse.name!r} is not")
+        domain = inverse.name.removesuffix("-inv")
+        super().__init__(f"dual[{domain}]({a.label})", triangle=True)
         self.a = a
-        self.weight_mode = weight_mode
-        self._vals: dict[int, object] = {}
-        self._sf = np.empty(0)
-
-    def _scaled(self, k: int):
-        """a_k / k for omega mode; k * a_k for gamma mode."""
-        got = self._vals.get(k)
-        if got is None:
-            ak = self.a(k)
-            got = _exact_div(ak, k) if self.weight_mode == "omega" else k * ak
-            self._vals[k] = got
-        return got
+        self.inverse = inverse
+        self._p = np.empty(0)    # _p[k-1] = a_k d_k
+        self._q = np.empty(0)    # _q[k-1] = a_k s_k
 
     def entry(self, n, k):
-        if n < 1 or k < 1:
-            raise IndexError(f"matrix indices must be >= 1, got ({n}, {k})")
+        _check_index(n, k)
         if k > n:
             return 0
-        if k == n:
-            return self._scaled(n)
-        return self._scaled(k) - self._scaled(k + 1)
+        d, s = self.inverse.pairs(k + 1)
+        term = _times(self.a(k), d[k - 1])
+        return term if k == n else term + _times(self.a(k + 1), s[k])
 
-    def _scaled_floats(self, m: int) -> np.ndarray:
-        """The scaled terms 1..m as floats; zero past the support of ``a``."""
-        if len(self._sf) < m:
-            lo = len(self._sf)
+    def _terms(self, m: int) -> tuple:
+        """(p_1..p_m, q_1..q_m) as floats.  Past the support of ``a`` p is
+        +0.0 and q is -0.0, so that p_k + q_{k+1} is p_k bit for bit."""
+        if len(self._p) < m:
+            lo = len(self._p)
             hint = self.last_column()
             hi = m if hint is None else max(lo, min(m, hint))
-            fresh = [self._scaled_float(k, *parts)
-                     for k, parts in zip(range(lo + 1, hi + 1),
-                                         self._term_parts(lo + 1, hi))]
-            self._sf = np.concatenate([self._sf, fresh, np.zeros(m - hi)])
-        return self._sf[:m]
+            d, s = self.inverse.pairs(hi)
+            p, q, k = [], [], lo
+            try:
+                for k, (num, den) in enumerate(self._term_parts(lo + 1, hi), lo):
+                    pk = _float_times(num, den, d[k])
+                    p.append(pk)
+                    q.append(-pk if s[k] == (-d[k][0], d[k][1])
+                             else _float_times(num, den, s[k]))
+            except OverflowError:
+                raise FloatRangeError(
+                    f"{self.name}: scaled term {k + 1} is too large for a float"
+                ) from None
+            self._p = np.concatenate([self._p, p, np.zeros(m - hi)])
+            self._q = np.concatenate([self._q, q, np.full(m - hi, -0.0)])
+        return self._p[:m], self._q[:m]
 
     def _term_parts(self, lo: int, hi: int):
         """``a_lo .. a_hi``, each as (numerator, denominator) in lowest terms
@@ -108,57 +128,35 @@ class DualTriangle(InfiniteMatrix):
             else:
                 yield ak, None
 
-    def _scaled_float(self, k: int, num, den) -> float:
-        """``float(self._scaled(k))`` from the parts of ``a_k``.  A rational
-        ``a_k`` takes one correctly rounded int division, which is what
-        ``float`` of a ``Fraction`` is."""
-        omega = self.weight_mode == "omega"
-        try:
-            if den is not None:
-                return num / (den * k) if omega else (num * k) / den
-            return float(num / k if omega else k * num)
-        except OverflowError:
-            raise FloatRangeError(
-                f"{self.name}: scaled term {k} is too large for a float") from None
-
     def last_column(self) -> Optional[int]:
-        """The support of ``a``.  Past it the scaled terms are +0.0, so
-        every later column, its diagonal entry included, holds +0.0 (a
-        difference 0.0 - 0.0 under the diagonal).  Row n of a triangle A
-        is zero past column n, so the triangle paired with it carries all
-        its values in its first n columns."""
+        """The support of ``a``.  Past it p is +0.0 and q is -0.0, so every
+        later column, its diagonal entry included, holds +0.0.  Row n of a
+        triangle A is zero past column n, so the triangle paired with it
+        carries all its values in its first n columns."""
         hint = self.a.support_hint
         return None if hint is None else max(hint, 0)
 
     def block(self, rows, m):
         rows = np.asarray(rows)
-        sf = self._scaled_floats(m + 1)
+        p, q = self._terms(m + 1)
         width = self.last_column()
         if width is None or width >= m:
             width = m
-            out = _lower(rows, m, sf[:m] - sf[1:m + 1])
+            out = _lower(rows, m, p[:m] + q[1:m + 1])
         else:
             # Only the first ``width`` columns need writing: the rest
             # hold +0.0 (see last_column).
             out = np.zeros((len(rows), m))
-            out[:, :width] = _lower(rows, width, sf[:width] - sf[1:width + 1])
-        _put_band(out, rows, 0, sf, width)
+            out[:, :width] = _lower(rows, width, p[:width] + q[1:width + 1])
+        _put_band(out, rows, 0, p, width)
         return out
 
 
 def dual_transfer_matrix(a, domain_matrix="omega") -> DualTriangle:
     """The triangle whose rows are the partial sums of ``sum a_k x_k`` in the
-    transformed coordinates of the given domain ("omega" or "gamma")."""
-    a = make_sequence(a)
-    if isinstance(domain_matrix, InfiniteMatrix):
-        mode = domain_matrix.name
-    else:
-        mode = str(domain_matrix).strip().lower()
-    if mode not in ("omega", "gamma"):
-        raise SpecError(
-            "dual descriptions are available for the omega and gamma domains, "
-            f"not {mode!r}")
-    return DualTriangle(a, mode)
+    transformed coordinates of a domain whose :func:`inverse_of` is
+    bidiagonal (omega, gamma, sigma, cesaro, Riesz)."""
+    return DualTriangle(make_sequence(a), inverse_of(domain_matrix))
 
 
 def weighted_partial_sums(a, x, n: int) -> FiniteVector:
@@ -203,10 +201,10 @@ def dual_membership(a, space, kind: str = "beta", n: Optional[int] = None,
     """Probe whether the scalar sequence ``a`` belongs to the generalized
     beta- or gamma-dual of a matrix domain.
 
-    ``space`` must be a domain over the omega or gamma triangle (for example
-    ``"c0(omega)"`` or ``"linf(gamma)"``).  The probe builds the dual triangle
-    for ``a`` and runs the mapping-class conditions for (base space : c) for
-    the beta dual, or (base space : linf) for the gamma dual.
+    ``space`` must be a domain over a triangle with a bidiagonal inverse
+    (for example ``"c0(omega)"`` or ``"linf(gamma)"``).  The probe builds the
+    dual triangle for ``a`` and runs the mapping-class conditions for (base
+    space : c) for the beta dual, or (base space : linf) for the gamma dual.
     """
     from .conditions import check_class
     from .domains import space_from_spec

@@ -315,6 +315,8 @@ class Bidiagonal(InfiniteMatrix):
         self.sub = sub
         self._df = np.empty(0)   # _df[n-1] = d(n)
         self._sf = np.zeros(1)   # _sf[n-1] = s(n) for n >= 2
+        self._dp: list = []          # _dp[n-1] = d(n) as a pair
+        self._sp: list = [(0, 1)]    # _sp[n-1] = s(n) as a pair for n >= 2
 
     def _diagonals_floats(self, m: int):
         """(d(1..m), s(2..m)) as floats."""
@@ -325,6 +327,16 @@ class Bidiagonal(InfiniteMatrix):
             self._sf = np.concatenate(
                 [self._sf, [float(self.sub(n)) for n in range(max(lo, 1) + 1, m + 1)]])
         return self._df[:m], self._sf[1:m]
+
+    def pairs(self, m: int) -> tuple:
+        """(d(1..m), s(1..m)) as lists of (numerator, denominator) pairs in
+        lowest terms, a float term as (value, None), each computed once;
+        s(1), outside the matrix, is (0, 1).  The lists may run past m."""
+        for n in range(len(self._dp) + 1, m + 1):
+            self._dp.append(_pair(self.diag(n)))
+            if n > 1:
+                self._sp.append(_pair(self.sub(n)))
+        return self._dp, self._sp
 
     def entry(self, n, k):
         _check_index(n, k)
@@ -366,6 +378,12 @@ class Bidiagonal(InfiniteMatrix):
         for n in range(2, len(xs) + 1):
             out.append(self.diag(n) * xs[n - 1] + self.sub(n) * xs[n - 2])
         return out
+
+
+def _pair(value) -> tuple:
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    return value, None
 
 
 class CesaroMeans(InfiniteMatrix):
@@ -731,24 +749,37 @@ class ComposedMatrix(InfiniteMatrix):
     # Row n of the product draws on the right factor's rows up to the left
     # factor's last column.  Right factors with cutoffs (Taylor's) have
     # cutoffs that do not decrease with the row, so the last one decides.
+    # A row-infinite left factor times a bidiagonal has column k made of
+    # the left row's columns k and k + 1: its row is known from one column
+    # more than the left factor's.
 
     def row_cutoff(self, n, tail_mass=1e-16):
         last = self.left.row_end(n)
-        return None if last is None else self.right.row_cutoff(last, tail_mass)
+        if last is not None:
+            return self.right.row_cutoff(last, tail_mass)
+        if isinstance(self.right, Bidiagonal):
+            cut = self.left.row_cutoff(n, tail_mass)
+            return None if cut is None else cut + 1
+        return None
 
     def row_complete(self, n, width):
         last = self.left.row_end(n)
-        return None if last is None else self.right.row_complete(last, width)
+        if last is not None:
+            return self.right.row_complete(last, width)
+        if isinstance(self.right, Bidiagonal):
+            return self.left.row_complete(n, width - 1)
+        return None
 
     def block(self, rows, m):
         # The inner index runs over the window 1..s, s its larger side: exact
         # when the left factor is row-finite within it (true for triangles),
         # otherwise a leading-window approximation.  A window that fits is
         # read from the product table (see _table), so a partial read has
-        # the table's bits.  A larger one is multiplied in chunks of rows and
-        # of the inner index, none above a DENSE_LIMIT-square table; a
-        # running-sums left factor takes running sums over chunks of rows
-        # instead.
+        # the table's bits.  A larger one is read in chunks of rows, none
+        # above a DENSE_LIMIT-square table: a running-sums left factor takes
+        # running sums, a bidiagonal right factor its two-term form on the
+        # left factor's rows read one column wider, and any other pair is
+        # multiplied in chunks of the inner index too.
         rows = np.asarray(rows)
         s = max(int(rows[-1]), m)
         if s <= DENSE_LIMIT:
@@ -758,6 +789,12 @@ class ComposedMatrix(InfiniteMatrix):
         area = DENSE_LIMIT * DENSE_LIMIT
         if isinstance(self.left, WeightedSums):
             return self._running_sums(rows, m, max(1, area // m))
+        if isinstance(self.right, Bidiagonal):
+            step = max(1, area // (m + 1))
+            return np.vstack([
+                self.right._rmul_floats(
+                    self.left.block(rows[i:i + step], m + 1))[:, :m]
+                for i in range(0, len(rows), step)])
         row_step, inner_step = max(1, area // s), max(1, area // m)
         out = np.zeros((len(rows), m))
         for i in range(0, len(rows), row_step):

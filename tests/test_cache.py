@@ -89,7 +89,8 @@ def test_evicted_table_is_freed_at_once(monkeypatch):
 def test_same_label_over_different_rows_never_shares_an_entry():
     rows = [Sequence(lambda k, s=s: Fraction(s, k * k), label="row[1]")
             for s in (1, 2)]
-    first, second = (DualTriangle(x, "omega") for x in rows)
+    first, second = (DualTriangle(x, matrix_from_spec("omega-inv"))
+                     for x in rows)
     assert first.name == second.name and first.key != second.key
     assert np.array_equal(2 * first.truncation_floats(50),
                           second.truncation_floats(50))
@@ -100,7 +101,7 @@ def test_same_label_over_different_rows_never_shares_an_entry():
 
 def test_entries_of_a_gone_matrix_are_dropped():
     t = DualTriangle(Sequence(lambda k: Fraction(1, k), label="row[1]"),
-                     "omega")
+                     matrix_from_spec("omega-inv"))
     check_class(t, "c0", "c")
     held = cache.stats()["entries"]
     del t

@@ -118,14 +118,13 @@ def test_errors_exit_3(capsys):
                      "--seq", "const:1", "--n", "2")
     assert rc == 3
     assert "error:" in err
-    # Below n = 25 the default window does not fit: the message names the
-    # truncation and the smallest one the default accepts.  The oracle's
-    # images may be as long as the window, so its default fits from n = 24.
+    # Below n = 25 the default window does not fit on either route: the
+    # message names the truncation and the smallest one the default accepts.
     check = ("check-class", "--matrix", "cesaro", "--from", "c0", "--to", "c")
     for argv, sizes, smallest in (
             (check, ("8", "24"), 25),
             (check + ("--route", "both"), ("8", "24"), 25),
-            (check + ("--route", "oracle"), ("8", "23"), 24),
+            (check + ("--route", "oracle"), ("8", "24"), 25),
             (("regularity", "--matrix", "cesaro"), ("8", "24"), 25),
             (("dual", "--space", "c0(omega)", "--a", "power:1"), ("8", "24"),
              25)):

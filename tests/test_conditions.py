@@ -15,6 +15,7 @@ from seqspace.conditions import (
     CONDITION_DESCRIPTIONS,
     DEFAULT_CLASS_N,
     PAIR_CONDITIONS,
+    SIGMA,
     _class_window,
     _Engine,
     _probe_note,
@@ -36,6 +37,7 @@ from seqspace.matrices import (
     CesaroMeans,
     RuleMatrix,
     apply,
+    compose,
     matrix_from_spec,
 )
 from seqspace.sequences import classify_traces
@@ -64,9 +66,11 @@ def test_pair_table_key_rows():
         ("bounded-rows", "columns-converge", "row-sums-converge")
     assert PAIR_CONDITIONS[("linf", "c")] == \
         ("columns-converge", "abs-rows-match-columns")
-    assert PAIR_CONDITIONS[("bs", "c0")] == ("null-rows", "null-row-diffs")
-    assert PAIR_CONDITIONS[("cs", "linf")] == \
-        ("bounded-row-diffs", "bounded-row-limits")
+    # bs and cs sources are linf(sigma) and c(sigma)
+    for f, base in SIGMA.items():
+        for t in ("c0", "c", "linf"):
+            assert PAIR_CONDITIONS[(f, t)] == PAIR_CONDITIONS[(base, t)]
+    assert PAIR_CONDITIONS[("bs", "c0")] == ("null-abs-rows",)
 
 
 # ---------------------------------------------------------------------------
@@ -75,24 +79,31 @@ def test_pair_table_key_rows():
 
 
 def test_row_diff_traces():
-    # identity: |1 - 0| + |0 - 1| = 2 per row (row 1 has only one step)
-    idx, vals = condition_trace("identity", "row-diff-abs-sum", 200)
+    # The rows of A*sigma^-1 are A's rows' adjacent differences, closed by
+    # the diagonal term.  identity: |1 - 0| + |0 - 1| = 2 per row (row 1 has
+    # only one step)
+    idx, vals = condition_trace(compose("identity", "sigma-inv"),
+                                "row-abs-sum", 200)
     assert vals[0] == 1.0
     assert np.all(vals[1:] == 2.0)
     # running sums: steps of size 1 up to the diagonal, then the drop of n
-    idx2, vals2 = condition_trace("omega", "row-diff-abs-sum", 200)
+    idx2, vals2 = condition_trace(compose("omega", "sigma-inv"),
+                                  "row-abs-sum", 200)
     assert np.array_equal(vals2, 2.0 * idx2 - 1.0)
-    with pytest.raises(SpecError):
-        condition_trace("omega", "row-product", 200)
+    for feature in ("row-product", "row-diff-abs-sum"):
+        with pytest.raises(SpecError):
+            condition_trace("omega", feature, 200)
 
 
 def test_gamma_row_diff_conditions():
     # the telescoping diff-sum of the gamma rows is exactly 1 for every n,
-    # so "tends to 0" fails decisively while "stays bounded" holds
-    rep = condition_report("gamma", "null-row-diffs")
+    # so the absolute row sums of gamma*sigma^-1 do not tend to 0 while
+    # they stay bounded: gamma maps bs into linf but not into c0
+    transfer = compose("gamma", "sigma-inv")
+    rep = condition_report(transfer, "null-abs-rows")
     assert rep.verdict is Verdict.VIOLATED
     assert rep.observed == pytest.approx(1.0, abs=1e-12)
-    rep2 = condition_report("gamma", "bounded-row-diffs")
+    rep2 = condition_report(transfer, "bounded-rows")
     assert rep2.verdict is Verdict.SATISFIED
     assert rep2.observed == pytest.approx(1.0, abs=1e-12)
 
@@ -222,15 +233,19 @@ def test_oracle_seed_determinism():
 def test_oracle_default_window_names_the_smallest_truncation():
     # The default window is not the caller's: a truncation too small for it
     # is named with the smallest one the default accepts.
-    for n in (8, 23):
+    # Its images need the window below n, as every trace of the conditions
+    # route does: at n = 24 the trailing window would be the whole image.
+    for n in (8, 24):
         with pytest.raises(TruncationError) as err:
             oracle_check("cesaro", "c0", "c", n=n)
         assert str(err.value) == (
             f"truncation {n} is too small for the default 24-point window: "
-            "the smallest truncation it accepts is 24")
-    assert oracle_check("cesaro", "c0", "c", n=24).decisive > 0
-    with pytest.raises(TruncationError, match=r"window must be in 1\.\.8"):
-        oracle_check("cesaro", "c0", "c", n=8, window=24)
+            "the smallest truncation it accepts is 25")
+    assert oracle_check("cesaro", "c0", "c", n=25).verdict is Verdict.SATISFIED
+    for n, window in ((8, 24), (40, 40)):
+        with pytest.raises(TruncationError,
+                           match=rf"window must satisfy 0 < window < {n}"):
+            oracle_check("cesaro", "c0", "c", n=n, window=window)
 
 
 def test_oracle_images_are_cached_per_seed():
@@ -508,6 +523,37 @@ def test_taylor_bs_and_cs_targets_read_complete_rows():
         assert rep.routes_agree() is True, (f, t)
     rep = check_class("taylor:1/4", "linf", "cs", route="both")
     assert rep.conditions_verdict is Verdict.INCONCLUSIVE
+
+
+def test_taylor_source_transfers_read_complete_rows():
+    # Column k of T*B, B bidiagonal, is made of T's columns k and k + 1, so
+    # the product's rows are complete where T's are, one column later.
+    for r in ("1/4", "1/2", "9/10"):
+        t = matrix_from_spec(f"taylor:{r}")
+        own = _Engine(t, DEFAULT_CLASS_N, CLASS_TOL, 60).row_limit
+        for inv in ("sigma-inv", "omega-inv", "gamma-inv"):
+            got = _Engine(compose(t, inv), DEFAULT_CLASS_N, CLASS_TOL,
+                          60).row_limit
+            assert abs(got - own) <= 1, (r, inv, got, own)
+    rep = check_class("taylor:1/4", "linf(gamma)", "c0", route="both")
+    assert rep.conditions_verdict is Verdict.VIOLATED
+    assert rep.routes_agree() is True
+
+
+def test_bs_and_cs_sources_are_sigma_domains():
+    # (bs : Y) is (linf : Y) and (cs : Y) is (c : Y) on A*sigma^-1, plus a
+    # pairing of A's rows with sigma.
+    targets = ("c0", "c", "linf", "c0(omega)", "c(gamma)", "linf(omega)")
+    for name in GRID_MATRICES + ("taylor:1/4",):
+        transfer = compose(name, "sigma-inv")
+        for f, base in SIGMA.items():
+            for t in targets:
+                rep = check_class(name, f, t)
+                want = check_class(transfer, base, t)
+                assert rep.conditions_required == want.conditions_required
+                assert rep.condition_reports == want.condition_reports, \
+                    (name, f, t)
+                assert rep.row_pairing is not None, (name, f, t)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from seqspace.duality import (
     weighted_partial_sums,
 )
 from seqspace.errors import SpecError
-from seqspace.matrices import apply
+from seqspace.matrices import apply, inverse_of
 from seqspace.sequences import make_sequence, sequence_from_values
 from seqspace.verdicts import Verdict
 
@@ -35,17 +35,18 @@ def test_dual_triangle_entries():
 
 
 def test_dual_triangle_mode_validation():
+    # E_r's inverse is not bidiagonal.
     with pytest.raises(SpecError):
-        DualTriangle(make_sequence("power:1"), "cesaro")
+        DualTriangle(make_sequence("power:1"), inverse_of("euler:1/2"))
     with pytest.raises(SpecError):
-        dual_transfer_matrix("power:1", "cesaro")
+        dual_transfer_matrix("power:1", "euler:1/2")
 
 
 def test_pairing_identity_exact():
     # the whole point of the triangle: partial sums of sum a_k x_k equal the
     # triangle applied to the transformed coordinates, exactly, row by row
     rng = np.random.default_rng(3)
-    for mode in ("omega", "gamma"):
+    for mode in ("omega", "gamma", "sigma", "cesaro", "riesz:power:2"):
         for _ in range(5):
             a = sequence_from_values(
                 [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
@@ -86,7 +87,7 @@ def test_dual_membership_validation():
     with pytest.raises(SpecError):
         dual_membership("power:1", "c0")
     with pytest.raises(SpecError):
-        dual_membership("power:1", "c0(cesaro)")
+        dual_membership("power:1", "c0(euler:1/2)")
     with pytest.raises(SpecError):
         dual_membership("power:1", "c0(omega)", kind="alpha")
 

@@ -331,9 +331,20 @@ def test_riesz_tables_match_the_reference():
 # ---------------------------------------------------------------------------
 
 
-def dual_table_reference(u, size):
-    """The table as a stack of rows, each from the scaled terms' floats."""
-    sf = np.array([float(u._scaled(k)) for k in range(1, size + 2)])
+def scaled_floats_reference(a, mode, m):
+    """The omega and gamma scaled terms, a_k / k and k a_k, each made exact
+    and then converted; zeros past the support of ``a``."""
+    hint = a.support_hint
+    hi = m if hint is None else min(m, hint)
+    exact = [mat._exact_div(a(k), k) if mode == "omega" else k * a(k)
+             for k in range(1, hi + 1)]
+    return [float(v) for v in exact] + [0.0] * (m - hi)
+
+
+def dual_table_reference(u, mode, size):
+    """The omega or gamma table as a stack of rows, each from the scaled
+    terms' floats: their differences below the diagonal, the term on it."""
+    sf = np.array(scaled_floats_reference(u.a, mode, size + 1))
     rows = []
     for n in range(1, size + 1):
         out = np.zeros(size)
@@ -343,25 +354,41 @@ def dual_table_reference(u, size):
     return np.vstack(rows)
 
 
-def scaled_floats_reference(u, m):
-    """Each scaled term made exact, then converted; zeros past the support."""
+def dual_terms_reference(u, m):
+    """Exact a_k d_k and a_k s_k for k = 1..m, each rounded once; +0.0 and
+    -0.0 past the support of ``a``.  s_1 lies outside the inverse: 0."""
     hint = u.a.support_hint
     hi = m if hint is None else min(m, hint)
-    return [float(u._scaled(k)) for k in range(1, hi + 1)] + [0.0] * (m - hi)
+    inv = u.inverse
+    ks = range(1, hi + 1)
+    p = [float(Fraction(u.a(k)) * Fraction(inv.diag(k))) for k in ks]
+    q = [float(Fraction(u.a(k)) * Fraction(inv.sub(k) if k > 1 else 0))
+         for k in ks]
+    return p + [0.0] * (m - hi), q + [-0.0] * (m - hi)
 
 
 DUAL_TERMS = sorted({f"geometric:{sign}{Fraction(p, q)}" for q in range(1, 10)
                      for p in range(1, 2 * q + 1) for sign in ("", "-")})
 DUAL_TERMS += ["harmonic", "power:-3", "list:3,-1/2,7/5,0,9"]
+#: Domains whose inverses are bidiagonal: s = -d for the first three.
+DUAL_DOMAINS = ("omega", "gamma", "sigma", "cesaro", "riesz:power:2")
 
 
-@pytest.mark.parametrize("mode", ("omega", "gamma"))
-def test_dual_scaled_floats_match_the_exact_terms(mode):
+@pytest.mark.parametrize("domain", DUAL_DOMAINS)
+def test_dual_scaled_floats_match_the_exact_terms(domain):
+    # An exact zero term may round to either sign: q_k = -p_k is -0.0.
     for spec in DUAL_TERMS:
-        u = dual_transfer_matrix(spec, mode)
-        assert same_bits(u._scaled_floats(4), scaled_floats_reference(u, 4)), spec
-        assert same_bits(u._scaled_floats(601),
-                         scaled_floats_reference(u, 601)), spec
+        u = dual_transfer_matrix(spec, domain)
+        for m in (4, 601):
+            p, q = u._terms(m)
+            want_p, want_q = dual_terms_reference(u, m)
+            assert same_bits(p, want_p), (spec, m)
+            assert np.array_equal(q, want_q), (spec, m)
+            if u.last_column() is not None:
+                assert np.signbit(q[u.last_column():]).all(), (spec, m)
+        if domain in ("omega", "gamma"):
+            assert same_bits(u._terms(601)[0],
+                             scaled_floats_reference(u.a, domain, 601)), spec
 
 
 @pytest.mark.parametrize("mode", ("omega", "gamma"))
@@ -375,17 +402,18 @@ def test_dual_table_is_the_stack_of_its_rows(mode):
         for size in (1, 2, 37, 600):
             u = dual_transfer_matrix(a, mode)
             table = u.truncation_floats(size)
-            assert same_bits(table, dual_table_reference(u, size)), (a.label, size)
+            assert same_bits(table, dual_table_reference(u, mode, size)), \
+                (a.label, size)
             rows = np.vstack([u.block([n], size)[0] for n in range(1, size + 1)])
             assert same_bits(table, rows), (a.label, size)
 
 
 def dual_tril_reference(u, size):
-    """The full-width builder: the differences of the scaled terms under
-    the diagonal of a size-by-size ``np.tril``, the terms on it."""
-    sf = u._scaled_floats(size + 1)
-    out = np.tril(np.broadcast_to(sf[:size] - sf[1:size + 1], (size, size)))
-    np.fill_diagonal(out, sf[:size])
+    """The full-width builder: p_k + q_{k+1} under the diagonal of a
+    size-by-size ``np.tril``, p_k on it."""
+    p, q = u._terms(size + 1)
+    out = np.tril(np.broadcast_to(p[:size] + q[1:size + 1], (size, size)))
+    np.fill_diagonal(out, p[:size])
     return out
 
 
@@ -477,15 +505,15 @@ def taylor_table_reference(t, size):
 
 
 def dual_support_table_reference(u, size):
-    sf = u._scaled_floats(size + 1)
+    p, q = u._terms(size + 1)
     hint = u.a.support_hint
     if hint is None or hint >= size:
         return dual_tril_reference(u, size)
     width = max(hint, 0)
     out = np.zeros((size, size))
     out[:, :width] = np.tril(np.broadcast_to(
-        sf[:width] - sf[1:width + 1], (size, width)))
-    out[range(width), range(width)] = sf[:width]
+        p[:width] + q[1:width + 1], (size, width)))
+    out[range(width), range(width)] = p[:width]
     return out
 
 
@@ -671,6 +699,19 @@ def test_composed_blocks_past_the_dense_limit_are_the_product():
             (left, right)
 
 
+def test_bidiagonal_products_past_the_dense_limit_are_two_terms():
+    # Above DENSE_LIMIT, A*B with B bidiagonal (diagonal d, subdiagonal s)
+    # takes a_nk d_k + a_n,k+1 s_k+1 on A's rows read one column wider.
+    a = mat.compose("euler:1/2", "omega-inv")
+    rows = np.array([1, 2, 3, 700, 2399, 2400, 2401, 2499, 2500])
+    for m in (9, 700, 2401, 2500):
+        left = a.left.block(rows, m + 1)
+        k = np.arange(1, m + 2, dtype=float)
+        d, s = 1.0 / k, -1.0 / k          # omega-inv: d_k = 1/k, s_k = -1/k
+        want = left[:, :m] * d[:m] + left[:, 1:] * s[1:]
+        assert same_bits(a.block(rows, m), want), m
+
+
 def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
     # Above DENSE_LIMIT the rows of W*B, W running sums with weights w
     # (sigma, omega, gamma), are the running sums of B's rows scaled by w,
@@ -792,12 +833,11 @@ def test_column_mass_matches_the_column_loop():
         assert same_bits(got, want), (depth, n, first_row)
     for name in ("cesaro", "euler:1/2", "omega-inv", "gamma", "taylor:1/4"):
         eng = _Engine(matrix_from_spec(name), 600, 1.5e-3, 60)
-        for diff in (False, True):
-            block = eng.final_rows(diff)
-            first_row = eng.row_limit - block.shape[0] + 1
-            got = _column_mass(block, first_row, eng.n, 1e-7)
-            want = column_mass_reference(block, first_row, eng.n, 1e-7)
-            assert same_bits(got, want), (name, diff)
+        block = eng.final_rows()
+        first_row = eng.row_limit - block.shape[0] + 1
+        got = _column_mass(block, first_row, eng.n, 1e-7)
+        want = column_mass_reference(block, first_row, eng.n, 1e-7)
+        assert same_bits(got, want), name
 
 
 @st.composite
@@ -842,8 +882,7 @@ def row_feature_reference(t, kind):
         return np.abs(t).sum(axis=1)
     if kind == "row_sum":
         return t.sum(axis=1)
-    padded = np.hstack([t, np.zeros((t.shape[0], 1))])
-    return np.abs(np.diff(padded, axis=1)).sum(axis=1)
+    return np.abs(t[-1:] - t).sum(axis=1)
 
 
 def prefix_traces_reference(t):
@@ -864,7 +903,7 @@ def test_row_features_match_whole_table_reductions(name):
     for size in sizes:
         t = a.truncation_floats(size)
         for rows in (size, size // 2):
-            for kind in ("row_abs", "row_sum", "row_diff_abs"):
+            for kind in ("row_abs", "row_sum", "row_dist"):
                 got = _reduce_rows(t[:rows], kind)
                 assert same_bits(got, row_feature_reference(t[:rows], kind)), \
                     (name, size, rows, kind)
@@ -946,12 +985,6 @@ def pairing_triangles():
         yield f"negative zeros {w}", NegativeZeros(w), w
 
 
-def final_rows_reference(t, lo, hi, diff):
-    block = t[lo:hi].copy()
-    if diff:
-        padded = np.hstack([block, np.zeros((block.shape[0], 1))])
-        block = np.diff(padded, axis=1) * -1.0
-    return block
 
 
 @pytest.mark.parametrize("n", sorted(FIRST_SUM_BLOCK))
@@ -965,7 +998,7 @@ def test_narrow_reads_match_the_full_table(n):
             assert eng.width == n, (label, n)
         full = a.truncation_floats(n)
         assert not full[:, eng.width:].any(), (label, n)
-        for kind in ("row_abs", "row_sum", "row_dist", "row_diff_abs"):
+        for kind in ("row_abs", "row_sum", "row_dist"):
             want = _reduce_rows(full[:eng.row_limit], kind)
             assert same_bits(eng.row_trace(kind)[1], want), (label, n, kind)
         ks = np.arange(1, n + 1)
@@ -974,16 +1007,14 @@ def test_narrow_reads_match_the_full_table(n):
         assert same_bits(eng.columns(ks), full.T[ks - 1]), (label, n)
         depth = min(120, eng.window, eng.row_limit)
         lo = eng.row_limit - depth
-        for diff in (False, True):
-            got = eng.final_rows(diff)
-            want = final_rows_reference(full, lo, eng.row_limit, diff)
-            assert got.shape == (depth, eng.width), (label, n)
-            assert same_bits(got, want[:, :eng.width]), (label, n, diff)
-            assert not want[:, eng.width:].any(), (label, n, diff)
-            for spread in (0.0, -0.0, 1e-7):
-                assert same_bits(_column_mass(got, lo + 1, n, spread),
-                                 _column_mass(want, lo + 1, n, spread)), \
-                    (label, n, diff, spread)
+        got = eng.final_rows()
+        want = full[lo:eng.row_limit]
+        assert got.shape == (depth, eng.width), (label, n)
+        assert same_bits(got, want[:, :eng.width]), (label, n)
+        for spread in (0.0, -0.0, 1e-7):
+            assert same_bits(_column_mass(got, lo + 1, n, spread),
+                             _column_mass(want, lo + 1, n, spread)), \
+                (label, n, spread)
 
 
 # ---------------------------------------------------------------------------
