@@ -2,7 +2,7 @@
 
 Matrices resolved from specs, transfer matrices, dense float tables, the row
 features read from them, condition reports, row-pairing verdicts, oracle
-images and Taylor row series all live in one least-recently-used store,
+images and oracle probes all live in one least-recently-used store,
 capped in bytes by :data:`CAP_BYTES`.  Every entry is charged its ``nbytes``
 (zero for values without arrays) plus :data:`ENTRY_OVERHEAD`, so small values
 cannot pile up without bound either.
@@ -59,21 +59,54 @@ def lookup(key: tuple, build, nbytes: int = 0):
     ``nbytes``, when given, is the size of the value's arrays, known before
     the build: room for it is made first.
     """
-    global _held
-    while _dead:
-        for gone in _by_serial.pop(_dead.pop(), ()):
-            _forget(gone)
-    got = _entries.get(key)
+    _drop_dead()
+    got = _get(key)
     if got is not None:
-        _entries.move_to_end(key)
-        if key in _large:
-            _large.move_to_end(key)
-        _counts["hits"] += 1
         return got[0]
-    _counts["misses"] += 1
     if nbytes:
         _make_room(ENTRY_OVERHEAD + nbytes)
     value = build()
+    _put(key, value)
+    return value
+
+
+def lookup_many(keys: list, build) -> list:
+    """The cached values for ``keys``, the missing ones made together by
+    ``build(missing)``: it takes the positions of the missing keys and
+    returns their values in that order."""
+    _drop_dead()
+    got = [_get(key) for key in keys]
+    missing = [i for i, held in enumerate(got) if held is None]
+    values = [None if held is None else held[0] for held in got]
+    if missing:
+        for i, value in zip(missing, build(missing)):
+            values[i] = value
+            _put(keys[i], value)
+    return values
+
+
+def _drop_dead() -> None:
+    while _dead:
+        for gone in _by_serial.pop(_dead.pop(), ()):
+            _forget(gone)
+
+
+def _get(key):
+    """The held (value, charge) for ``key``, now the most recent, or None;
+    counted as a hit or a miss."""
+    got = _entries.get(key)
+    if got is None:
+        _counts["misses"] += 1
+        return None
+    _entries.move_to_end(key)
+    if key in _large:
+        _large.move_to_end(key)
+    _counts["hits"] += 1
+    return got
+
+
+def _put(key, value) -> None:
+    global _held
     charge = ENTRY_OVERHEAD + int(getattr(value, "nbytes", 0))
     _entries[key] = (value, charge)
     _held += charge
@@ -82,7 +115,6 @@ def lookup(key: tuple, build, nbytes: int = 0):
     for serial in _serials_in(key):
         _by_serial.setdefault(serial, set()).add(key)
     _make_room(0)
-    return value
 
 
 def _serials_in(key) -> list:

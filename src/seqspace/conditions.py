@@ -34,8 +34,8 @@ from .matrices import (
     DENSE_LIMIT,
     ROW_CUTOFF_CAP,
     InfiniteMatrix,
-    apply,
     apply_many,
+    apply_sequences,
     compose,
     inverse_of,
     matrix_from_spec,
@@ -713,17 +713,20 @@ def target_transfer_matrix(a, domain_matrix) -> InfiniteMatrix:
 def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
                          window: int, row_bound: int) -> dict:
     """Check that the leading rows of ``a`` pair summably with the source
-    domain: each row must lie in the domain's beta dual, so its dual
-    triangle (:func:`dual_transfer_matrix`) must map the base space into c.
+    domain: each row must lie in the domain's beta dual.  Every beta dual
+    contains phi, the finitely supported sequences, so a row with a support
+    bound (``a.row_end``) is satisfied as it stands.  For a row without
+    one, its dual triangle (:func:`dual_transfer_matrix`) must map the base
+    space into c.
 
     One cache entry per (matrix, domain, n, tol, window, row_bound) keeps,
-    for each row, the verdict of every condition judged so far on its dual
-    triangle, and the result for each base space asked so far.  c0, c and
-    linf over one domain ask overlapping conditions of the same triangles,
-    so they share those verdicts; a base space's verdict for a row is the
-    conjunction of its own conditions.  A dual triangle is built only when
-    a verdict it needs is missing.  It is serial-keyed, so its table and
-    traces leave the cache when it is gone.
+    for each such row, the verdict of every condition judged so far on its
+    dual triangle, and the result for each base space asked so far.  c0, c
+    and linf over one domain ask overlapping conditions of the same
+    triangles, so they share those verdicts; a base space's verdict for a
+    row is the conjunction of its own conditions.  A dual triangle is built
+    only when a verdict it needs is missing.  It is serial-keyed, so its
+    table and traces leave the cache when it is gone.
     """
     rows, results = cache.lookup(("row-pairing", a.key, space.matrix.key, n,
                                   tol, window, row_bound), lambda: ({}, {}))
@@ -736,17 +739,22 @@ def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
 
 def _pair_rows(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
                window: int, row_bound: int, rows: dict) -> dict:
-    """The row-pairing result for ``space``.  ``rows`` maps each row to
-    the verdicts judged so far on its dual triangle, by condition; only the
-    missing ones are judged, and they are added there."""
+    """The row-pairing result for ``space``.  ``rows`` maps each row
+    without a support bound to the verdicts judged so far on its dual
+    triangle, by condition; only the missing ones are judged, and they are
+    added there.  A row with a support bound is in phi, inside every beta
+    dual."""
     conds = PAIR_CONDITIONS[(space.tag, "c")]
     verdicts = {}
     for nn in range(1, row_bound + 1):
+        if a.row_end(nn) is not None:
+            verdicts[nn] = Verdict.SATISFIED
+            continue
         known = rows.setdefault(nn, {})
         missing = [c for c in conds if c not in known]
         if missing:
             row_seq = Sequence(lambda k, nn=nn: a.entry(nn, k),
-                               support_hint=a.row_end(nn), label=f"row[{nn}]")
+                               label=f"row[{nn}]")
             transfer = dual_transfer_matrix(row_seq, space.matrix)
             for c in missing:
                 known[c] = condition_report(transfer, c, n, tol, window).verdict
@@ -865,12 +873,36 @@ def oracle_samples(space, seed: int = 0) -> list:
     return out
 
 
-def _cached_image(a: InfiniteMatrix, space: SpaceId, label: str, x: Sequence,
-                  n: int, seed: int):
-    """``apply(a, x, n)`` for the sample ``label`` of ``space`` at ``seed``."""
-    domain = space.matrix.key if space.is_domain else None
-    return cache.lookup(("image", a.key, domain, label, n, seed),
-                        lambda: apply(a, x, n, mode="float"))
+def _probe_samples(a: InfiniteMatrix, from_space: SpaceId, to_space: SpaceId,
+                   samples: list, n: int, tol: float, window: int,
+                   seed: int) -> dict:
+    """The probe of each (label, x) of ``samples`` against ``to_space``,
+    by label.  The images, one cache entry each, are made in one stacked
+    call when missing; those that stay in the float range are taken through
+    a target domain's triangle and classified in one stacked call."""
+    domain = from_space.matrix.key if from_space.is_domain else None
+    keys = [("image", a.key, domain, label, n, seed) for label, _ in samples]
+    images = cache.lookup_many(keys, lambda missing: apply_sequences(
+        a, [samples[i][1] for i in missing], n))
+    inside = [i for i, img in enumerate(images) if not img.overflow]
+    if to_space.is_domain and inside:
+        stack = np.array([images[i].entries for i in inside])
+        for i, img in zip(inside, apply_many(to_space.matrix, stack)):
+            images[i] = img
+    probes, judged, traces = {}, [], []
+    for (label, _), img in zip(samples, images):
+        if img.overflow:
+            probes[label] = SampleProbe(
+                label, Verdict.INCONCLUSIVE,
+                f"transform overflowed at index {img.overflow_index}")
+        else:
+            judged.append(label)
+            traces.append(img.entries)
+    if traces:
+        for label, (verdict, info) in zip(judged, classify_traces(
+                np.array(traces), to_space.tag, tol, window)):
+            probes[label] = SampleProbe(label, verdict, _probe_note(info))
+    return probes
 
 
 def _probe_note(info: dict) -> str:
@@ -892,7 +924,8 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     target space (those samples are the witnesses); Satisfied when at least
     one image decisively belongs and none decisively fails; Inconclusive
     otherwise.  This is sampled evidence, not a proof — its role is to
-    cross-check the conditions route.
+    cross-check the conditions route.  Each sample is probed once per
+    (matrix, source domain, target) while the cache holds its probe.
     """
     _check_tol(tol)
     a = matrix_from_spec(a)
@@ -901,31 +934,21 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     if window is None:
         window = _default_window(n)
     _check_window(window, n)
-    battery = cache.lookup(
-        ("battery", from_space.matrix.key if from_space.is_domain else None,
-         from_space.tag, seed),
-        lambda: oracle_samples(from_space, seed))
-    images = [_cached_image(a, from_space, label, x, n, seed)
-              for label, x in battery]
-    inside = [i for i, img in enumerate(images) if not img.overflow]
-    if to_space.is_domain and inside:
-        stack = np.array([images[i].entries for i in inside])
-        for i, img in zip(inside, apply_many(to_space.matrix, stack)):
-            images[i] = img
-    probes = [None] * len(battery)
-    judged, traces = [], []
-    for i, ((label, _), img) in enumerate(zip(battery, images)):
-        if img.overflow:
-            probes[i] = SampleProbe(
-                label, Verdict.INCONCLUSIVE,
-                f"transform overflowed at index {img.overflow_index}")
-        else:
-            judged.append(i)
-            traces.append(img.entries)
-    if traces:
-        for i, (verdict, info) in zip(judged, classify_traces(
-                np.array(traces), to_space.tag, tol, window)):
-            probes[i] = SampleProbe(battery[i][0], verdict, _probe_note(info))
+    domain = from_space.matrix.key if from_space.is_domain else None
+    battery = cache.lookup(("battery", domain, from_space.tag, seed),
+                           lambda: oracle_samples(from_space, seed))
+    # One entry per (image, target) holds the probes judged so far, by
+    # label: the batteries of c0, c and linf, and of bs and cs, share
+    # labels, so a check judges only the samples that entry lacks.
+    known = cache.lookup(
+        ("probes", a.key, domain, n, seed, to_space.tag,
+         to_space.matrix.key if to_space.is_domain else None, tol, window),
+        dict)
+    missing = [(label, x) for label, x in battery if label not in known]
+    if missing:
+        known.update(_probe_samples(a, from_space, to_space, missing, n, tol,
+                                    window, seed))
+    probes = [known[label] for label, _ in battery]
     witnesses = tuple(p.label for p in probes if p.verdict is Verdict.VIOLATED)
     decisive = [p for p in probes if p.verdict is not Verdict.INCONCLUSIVE]
     members = [p for p in decisive if p.verdict is Verdict.SATISFIED]
@@ -955,8 +978,10 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     Supported pairs: the classical pairs listed by :func:`supported_pairs`,
     plus domain pairs with one side a matrix domain — a source domain over the
     omega/gamma triangles (conditions run on the source transfer matrix, and
-    the leading rows are checked against the domain's beta dual), or a target
-    domain over any triangle (conditions run on the target transfer matrix).
+    the leading rows are checked against the domain's beta dual: a row with
+    a support bound lies in phi, inside every beta dual, and only a row
+    without one is judged through its dual triangle), or a target domain
+    over any triangle (conditions run on the target transfer matrix).
     bs and cs are the domains linf(sigma) and c(sigma) of the summation
     triangle (:data:`SIGMA`), on either side: a bs or cs source runs the
     (linf : Y) or (c : Y) conditions on A*sigma^-1, with A's rows paired
@@ -965,7 +990,9 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
 
     ``route`` selects the evidence: "conditions" (default), "oracle", or
     "both".  With "both", the headline verdict is the conditions verdict and
-    the oracle is attached for cross-checking.
+    the oracle is attached for cross-checking; its probes are shared by
+    every check with the same matrix, source domain and target
+    (:func:`oracle_check`).
     """
     _check_tol(tol)
     a = matrix_from_spec(a)

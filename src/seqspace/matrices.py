@@ -129,7 +129,8 @@ class InfiniteMatrix:
         return 1
 
     def row_end(self, n: int) -> Optional[int]:
-        """Last column that can be nonzero in row n; None means unbounded."""
+        """Last column that can be nonzero in row n; None means unbounded.
+        Row ends do not decrease with n."""
         return n if self.triangle else None
 
     def col_start(self, k: int) -> int:
@@ -672,7 +673,8 @@ class TaylorTransform(InfiniteMatrix):
 
 
 class RuleMatrix(InfiniteMatrix):
-    """Matrix from an explicit entry rule with declared support hints."""
+    """Matrix from an explicit entry rule with declared support hints;
+    the row ends of ``row_span`` must not decrease."""
 
     def __init__(self, rule, name: str = "rule", triangle: bool = False,
                  row_span=None, col_span=None):
@@ -736,15 +738,17 @@ class ComposedMatrix(InfiniteMatrix):
         return total
 
     def row_end(self, n):
+        # Row n of the product reaches as far as the right factor's rows
+        # 1..le reach, le the left factor's last column; row ends do not
+        # decrease, so the right factor's row le decides.
         if self.triangle:
             return n
         le = self.left.row_end(n)
         if le is None:
             return None
-        ends = [self.right.row_end(j) for j in range(self.left.row_start(n), le + 1)]
-        if any(e is None for e in ends):
-            return None
-        return max(ends, default=0)
+        if le < self.left.row_start(n):
+            return 0
+        return self.right.row_end(le)
 
     # Row n of the product draws on the right factor's rows up to the left
     # factor's last column.  Right factors with cutoffs (Taylor's) have
@@ -1061,7 +1065,7 @@ def apply(a, x, n: int, mode: str = "exact",
     (any triangle qualifies).  ``mode="float"`` uses the vectorized fast paths.
     For row-infinite matrices with a mass cutoff (``taylor``), the float path
     extends each row to its certified cutoff, past which the row's mass is
-    at most ``tail_mass``; each row series is kept in the evaluation cache.
+    at most ``tail_mass`` (see :func:`apply_sequences`).
     """
     a = matrix_from_spec(a)
     x = make_sequence(x)
@@ -1091,32 +1095,9 @@ def apply(a, x, n: int, mode: str = "exact",
         return finite_vector(out, origin=f"{a.name}({x.label})")
 
     # float mode
-    origin = f"{a.name}({x.label})"
     if row_infinite:
-        series = getattr(a, "row_series", None)
-        if series is None:
-            raise RowSeriesError(
-                f"matrix {a.name!r} has rows with unbounded support and no "
-                "tail cutoff; cannot transform")
-
-        def entries_of(row):     # columns row..K of the row, K its cutoff
-            def build():
-                entries = series(row, tail_mass)[1]
-                entries.setflags(write=False)
-                return entries
-            return cache.lookup(("row-series", a.key, row, tail_mass), build)
-
-        top = n - 1 + len(entries_of(n))
-        xf = x.floats(top)
-        out = np.empty(n)
-        for row in range(1, n + 1):
-            entries = entries_of(row)
-            hi = row - 1 + len(entries)
-            coeffs = np.zeros(hi)
-            coeffs[row - 1:] = entries
-            out[row - 1] = coeffs[:min(hi, top)] @ xf[:min(hi, top)]
-        return finite_vector(out, origin=origin)
-
+        return _apply_row_series(a, [x], n, tail_mass)[0]
+    origin = f"{a.name}({x.label})"
     xf = x.floats(n)
     fast = a._apply_floats(xf)
     if fast is not None:
@@ -1131,13 +1112,50 @@ def apply(a, x, n: int, mode: str = "exact",
     return finite_vector(out, origin=origin)
 
 
+def apply_sequences(a, xs: list, n: int, tail_mass: float = 1e-16) -> list:
+    """``apply(a, x, n, mode="float", tail_mass=tail_mass)`` for each
+    sequence x in ``xs``, bit for bit.  A row-infinite matrix builds each
+    row series once for the whole stack."""
+    a = matrix_from_spec(a)
+    if n >= 1 and a.row_end(n) is None:
+        return _apply_row_series(a, [make_sequence(x) for x in xs], n,
+                                 tail_mass)
+    return [apply(a, x, n, mode="float") for x in xs]
+
+
+def _apply_row_series(a: InfiniteMatrix, xs: list, n: int,
+                      tail_mass: float) -> list:
+    """Float transforms of the sequences ``xs`` by a row-infinite matrix:
+    rows 1..n, each out to its certified cutoff from ``a.row_series``.
+    Each row series is built once; each image takes one dot per row, so a
+    stacked image has the bits it has alone."""
+    series = getattr(a, "row_series", None)
+    if series is None:
+        raise RowSeriesError(
+            f"matrix {a.name!r} has rows with unbounded support and no "
+            "tail cutoff; cannot transform")
+    top = a.row_cutoff(n, tail_mass)
+    xfs = [x.floats(top) for x in xs]
+    out = np.empty((len(xs), n))
+    for row in range(1, n + 1):
+        hi, entries = series(row, tail_mass)    # columns row..hi
+        coeffs = np.zeros(hi)
+        coeffs[row - 1:] = entries
+        m = min(hi, top)
+        for i, xf in enumerate(xfs):
+            out[i, row - 1] = coeffs[:m] @ xf[:m]
+    return [finite_vector(image, origin=f"{a.name}({x.label})")
+            for image, x in zip(out, xs)]
+
+
 def apply_many(a, xf: np.ndarray) -> list:
     """``apply(a, x, n, mode="float")`` for each row x of the 2-D float
     array ``xf``, n its width, bit for bit.
 
     A vectorized form takes the whole stack in one call, and its results
     are checked for overflow together.  Any other matrix is applied to one
-    row at a time: a stacked product of its table could round differently.
+    row at a time (:func:`apply_sequences`): a stacked product of its table
+    could round differently.
     """
     a = matrix_from_spec(a)
     rows, n = xf.shape
@@ -1145,7 +1163,7 @@ def apply_many(a, xf: np.ndarray) -> list:
     if rows and n >= 1 and a.row_end(n) is not None:
         fast = a._apply_floats(xf)
     if fast is None:
-        return [apply(a, FiniteVector(x), n, mode="float") for x in xf]
+        return apply_sequences(a, [FiniteVector(x) for x in xf], n)
     return finite_vectors(fast, origin=f"{a.name}(vector)")
 
 

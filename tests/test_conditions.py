@@ -31,7 +31,7 @@ from seqspace.conditions import (
 )
 from seqspace.errors import SpecError, TruncationError, UnsupportedClassError
 from seqspace.domains import space_from_spec
-from seqspace.duality import DualTriangle
+from seqspace.duality import DualTriangle, dual_membership
 from seqspace.matrices import (
     DENSE_LIMIT,
     CesaroMeans,
@@ -40,7 +40,7 @@ from seqspace.matrices import (
     compose,
     matrix_from_spec,
 )
-from seqspace.sequences import classify_traces
+from seqspace.sequences import Sequence, classify_traces
 from seqspace.verdicts import Verdict
 
 
@@ -330,6 +330,8 @@ def test_a_target_overflow_keeps_its_note():
 
 
 def test_row_duals_are_judged_once_per_domain(monkeypatch):
+    # The rows of T_{1/4} have no support bound, so each is paired through
+    # its dual triangle.
     judged = []
     for name, evaluate in list(conditions._EVALUATORS.items()):
         def counted(eng, name=name, evaluate=evaluate):
@@ -340,22 +342,35 @@ def test_row_duals_are_judged_once_per_domain(monkeypatch):
     cold = {}
     for tag in ("c", "linf"):
         cache.clear()
-        cold[tag] = check_class("cesaro", f"{tag}(omega)", "c").to_dict()
+        cold[tag] = check_class("taylor:1/4", f"{tag}(omega)", "c").to_dict()
     cache.clear()
     judged.clear()
-    check_class("cesaro", "c0(omega)", "c")
+    check_class("taylor:1/4", "c0(omega)", "c")
     assert sorted(judged) == ["bounded-rows"] * 6 + ["columns-converge"] * 6
     for tag, only in (("c", "row-sums-converge"),
                       ("linf", "abs-rows-match-columns")):
         judged.clear()
-        warm = check_class("cesaro", f"{tag}(omega)", "c").to_dict()
+        warm = check_class("taylor:1/4", f"{tag}(omega)", "c").to_dict()
         assert judged == [only] * 6, tag
         assert warm == cold[tag], tag
 
 
-def test_row_duals_are_read_on_their_support(monkeypatch):
-    # A row of cesaro has at most 6 nonzero terms in the 6 paired rows, so
-    # every dual table is read 8 columns wide, never the full 600.
+def test_rows_with_a_support_bound_build_no_dual_triangle(monkeypatch):
+    # A finitely supported row lies in every beta dual.
+    built = []
+    monkeypatch.setattr(conditions, "dual_transfer_matrix",
+                        lambda *args: built.append(args))
+    cache.clear()
+    for tag in ("c0", "c", "linf"):
+        r = check_class("cesaro", f"{tag}(omega)", "c")
+        assert r.row_pairing == {"verdict": "satisfied", "rows_checked": 6,
+                                 "weakest_row": None}
+    assert built == []
+
+
+def test_finite_duals_are_read_on_their_support(monkeypatch):
+    # list:1,-2,3 has 3 nonzero terms, so its dual triangle is read 8
+    # columns wide, never the full 600.
     widths = []
     block = DualTriangle.block
 
@@ -365,8 +380,44 @@ def test_row_duals_are_read_on_their_support(monkeypatch):
     monkeypatch.setattr(DualTriangle, "block", spy)
     cache.clear()
     for tag in ("c0", "c", "linf"):
-        check_class("cesaro", f"{tag}(omega)", "c")
+        rep = dual_membership("list:1,-2,3", f"{tag}(omega)")
+        assert rep.verdict is Verdict.SATISFIED, tag
     assert widths and max(widths) <= 8
+
+
+def test_the_support_rule_agrees_with_the_dual_triangles():
+    # The rows the pairing passes as finitely supported are satisfied by
+    # the numeric dual-triangle check too.
+    for name in GRID_MATRICES:
+        a = matrix_from_spec(name)
+        for nn in range(1, 7):
+            row = Sequence(lambda k, nn=nn: a.entry(nn, k),
+                           support_hint=a.row_end(nn), label=f"row[{nn}]")
+            for domain in ("omega", "gamma", "sigma"):
+                for tag in ("c0", "c", "linf"):
+                    rep = dual_membership(row, f"{tag}({domain})")
+                    assert rep.verdict is Verdict.SATISFIED, \
+                        (name, nn, domain, tag)
+
+
+@pytest.mark.parametrize("t", ("c", "linf"))
+def test_probes_do_not_depend_on_the_checks_before_them(t):
+    for name in GRID_MATRICES:
+        cache.clear()
+        want = oracle_probes_reference(name, "c0", t, 0)
+        for f in ("linf", "bs", "c0(omega)"):
+            oracle_check(name, f, t)
+        got = oracle_check(name, "c0", t).samples
+        assert [(p.label, p.verdict, p.note) for p in got] == want, name
+
+
+def test_taylor_oracle_at_the_dense_limit_keeps_its_entries():
+    # One stacked transform builds each row series once, beside the
+    # DENSE_LIMIT table, and evicts nothing.
+    cache.clear()
+    r = check_class("taylor:1/4", "c", "c", n=DENSE_LIMIT, route="both")
+    assert r.routes_agree() is True
+    assert cache.stats()["evictions"] == 0
 
 
 def test_oracle_samples_cover_domains():

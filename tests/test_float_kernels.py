@@ -21,6 +21,7 @@ from seqspace.matrices import (
     TaylorTransform,
     apply,
     apply_many,
+    apply_sequences,
     matrix_from_spec,
 )
 from seqspace.sequences import (
@@ -233,6 +234,7 @@ def test_taylor_apply_evaluates_each_row_once():
 
 
 def test_taylor_apply_builds_each_row_series_once(monkeypatch):
+    # Once per stack of images: no row series outlives its transform.
     t = TaylorTransform(Fraction(1, 3))
     real, calls = t.row_series, []
 
@@ -240,9 +242,30 @@ def test_taylor_apply_builds_each_row_series_once(monkeypatch):
         calls.append(n)
         return real(n, tail_mass)
     monkeypatch.setattr(t, "row_series", counted)
-    for spec in ("harmonic", "alternating", "const:1"):
-        apply(t, spec, 40, mode="float")
+    apply_sequences(t, ["harmonic", "alternating", "const:1"], 40)
     assert sorted(calls) == list(range(1, 41))
+
+
+def test_stacked_taylor_images_keep_their_bits():
+    specs = ("harmonic", "alternating", "const:1", "geometric:1/2",
+             "power:-2")
+    for r in ("1/10", "1/4", "9/10"):
+        t = matrix_from_spec(f"taylor:{r}")
+        xs = [make_sequence(spec) for spec in specs]
+        for n in (1, 7, 40, 400):
+            got = apply_sequences(t, xs, n)
+            for x, image in zip(xs, got):
+                alone = apply(t, x, n, mode="float")
+                assert same_bits(image.entries, alone.entries), (r, n, x.label)
+                assert image.origin == alone.origin
+                if n <= 40:
+                    want = taylor_apply_reference(t, x, n)
+                    assert same_bits(image.entries, want), (r, n, x.label)
+    # A row-finite matrix applies each sequence as alone.
+    xs = [make_sequence(spec) for spec in specs]
+    for image, x in zip(apply_sequences("cesaro", xs, 50), xs):
+        assert same_bits(image.entries,
+                         apply("cesaro", x, 50, mode="float").entries)
 
 
 def test_taylor_rows_past_the_normal_range_keep_their_mass():
