@@ -1065,7 +1065,8 @@ def apply(a, x, n: int, mode: str = "exact",
     (any triangle qualifies).  ``mode="float"`` uses the vectorized fast paths.
     For row-infinite matrices with a mass cutoff (``taylor``), the float path
     extends each row to its certified cutoff, past which the row's mass is
-    at most ``tail_mass`` (see :func:`apply_sequences`).
+    at most ``tail_mass`` (:func:`apply_sequences` transforms a stack of
+    sequences the same way, with the default ``tail_mass``).
     """
     a = matrix_from_spec(a)
     x = make_sequence(x)
@@ -1112,19 +1113,18 @@ def apply(a, x, n: int, mode: str = "exact",
     return finite_vector(out, origin=origin)
 
 
-def apply_sequences(a, xs: list, n: int, tail_mass: float = 1e-16) -> list:
-    """``apply(a, x, n, mode="float", tail_mass=tail_mass)`` for each
-    sequence x in ``xs``, bit for bit.  A row-infinite matrix builds each
-    row series once for the whole stack."""
+def apply_sequences(a, xs: list, n: int) -> list:
+    """``apply(a, x, n, mode="float")`` for each sequence x in ``xs``, bit
+    for bit.  A row-infinite matrix builds each row series once for the
+    whole stack."""
     a = matrix_from_spec(a)
     if n >= 1 and a.row_end(n) is None:
-        return _apply_row_series(a, [make_sequence(x) for x in xs], n,
-                                 tail_mass)
+        return _apply_row_series(a, [make_sequence(x) for x in xs], n)
     return [apply(a, x, n, mode="float") for x in xs]
 
 
 def _apply_row_series(a: InfiniteMatrix, xs: list, n: int,
-                      tail_mass: float) -> list:
+                      tail_mass: float = 1e-16) -> list:
     """Float transforms of the sequences ``xs`` by a row-infinite matrix:
     rows 1..n, each out to its certified cutoff from ``a.row_series``.
     Each row series is built once; each image takes one dot per row, so a
