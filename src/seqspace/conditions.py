@@ -35,7 +35,6 @@ from .matrices import (
     ROW_CUTOFF_CAP,
     InfiniteMatrix,
     apply_many,
-    apply_sequences,
     compose,
     inverse_of,
     matrix_from_spec,
@@ -62,6 +61,8 @@ DEFAULT_CLASS_N = 600
 CLASS_TOL = 1.5e-3
 #: Rows stacked for the equality conditions' column-limit estimates.
 EQ_STACK_ROWS = 120
+#: Leading rows of a matrix checked against a source domain's beta dual.
+PAIRED_ROWS = 6
 
 # ---------------------------------------------------------------------------
 # The conditions and the pair table
@@ -444,14 +445,10 @@ class _Engine:
     def final_rows(self) -> np.ndarray:
         """Stacked trailing complete rows over the table's width (for
         column-limit estimates)."""
-        depth = min(EQ_STACK_ROWS, self.window, self.row_limit)
-
-        def build():
-            lo = self.row_limit - depth
-            if self.dense:
-                return self.table()[lo:self.row_limit].copy()
-            return self.a.block(np.arange(lo + 1, self.row_limit + 1), self.n)
-        return cache.lookup(("final-rows", self.a.key, self.n, depth), build)
+        lo = self.row_limit - min(EQ_STACK_ROWS, self.window, self.row_limit)
+        if self.dense:
+            return self.table()[lo:self.row_limit]
+        return self.a.block(np.arange(lo + 1, self.row_limit + 1), self.n)
 
 
 def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
@@ -711,17 +708,17 @@ def target_transfer_matrix(a, domain_matrix) -> InfiniteMatrix:
 
 
 def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
-                         window: int, row_bound: int) -> dict:
-    """Check that the leading rows of ``a`` pair summably with the source
-    domain: each row must lie in the domain's beta dual.  Every beta dual
-    contains phi, the finitely supported sequences, so a row with a support
-    bound (``a.row_end``) is satisfied as it stands.  For a row without
-    one, its dual triangle (:func:`dual_transfer_matrix`) must map the base
-    space into c.
+                         window: int) -> dict:
+    """Check that the leading ``PAIRED_ROWS`` rows of ``a`` pair summably
+    with the source domain: each row must lie in the domain's beta dual.
+    Every beta dual contains phi, the finitely supported sequences, so a row
+    with a support bound (``a.row_end``) is satisfied as it stands.  For a
+    row without one, its dual triangle (:func:`dual_transfer_matrix`) must
+    map the base space into c.
 
-    One cache entry per (matrix, domain, n, tol, window, row_bound) keeps,
-    for each such row, the verdict of every condition judged so far on its
-    dual triangle, and the result for each base space asked so far.  c0, c
+    One cache entry per (matrix, domain, n, tol, window) keeps, for each
+    such row, the verdict of every condition judged so far on its dual
+    triangle, and the result for each base space asked so far.  c0, c
     and linf over one domain ask overlapping conditions of the same
     triangles, so they share those verdicts; a base space's verdict for a
     row is the conjunction of its own conditions.  A dual triangle is built
@@ -729,16 +726,15 @@ def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
     table and traces leave the cache when it is gone.
     """
     rows, results = cache.lookup(("row-pairing", a.key, space.matrix.key, n,
-                                  tol, window, row_bound), lambda: ({}, {}))
+                                  tol, window), lambda: ({}, {}))
     got = results.get(space.tag)
     if got is None:
-        got = results[space.tag] = _pair_rows(a, space, n, tol, window,
-                                              row_bound, rows)
+        got = results[space.tag] = _pair_rows(a, space, n, tol, window, rows)
     return got
 
 
 def _pair_rows(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
-               window: int, row_bound: int, rows: dict) -> dict:
+               window: int, rows: dict) -> dict:
     """The row-pairing result for ``space``.  ``rows`` maps each row
     without a support bound to the verdicts judged so far on its dual
     triangle, by condition; only the missing ones are judged, and they are
@@ -746,7 +742,7 @@ def _pair_rows(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
     dual."""
     conds = PAIR_CONDITIONS[(space.tag, "c")]
     verdicts = {}
-    for nn in range(1, row_bound + 1):
+    for nn in range(1, PAIRED_ROWS + 1):
         if a.row_end(nn) is not None:
             verdicts[nn] = Verdict.SATISFIED
             continue
@@ -762,7 +758,7 @@ def _pair_rows(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
     overall = conjoin(verdicts.values())
     weakest = next((r for r, v in verdicts.items()
                     if v is not Verdict.SATISFIED), None)
-    return {"verdict": overall, "rows_checked": row_bound,
+    return {"verdict": overall, "rows_checked": PAIRED_ROWS,
             "weakest_row": weakest}
 
 
@@ -789,6 +785,15 @@ def _alt_power(p: float, label: str) -> Sequence:
         return np.where(k % 2 == 0, 1.0, -1.0) * k ** p
     return Sequence(lambda k: (-1) ** k * float(k) ** p, label=label,
                     vector=vector)
+
+
+#: The bs and cs batteries, in their order: members of the linf battery.
+_SERIES_SAMPLES = {
+    "bs": ("unit:1", "zero-sum", "alternating", "alt-sqrt", "alt-harmonic",
+           "geometric:1/2", "power:-2"),
+    "cs": ("unit:1", "zero-sum", "geometric:1/2", "alt-harmonic", "alt-sqrt",
+           "power:-2"),
+}
 
 
 def _base_samples(tag: str, seed: int) -> list:
@@ -835,27 +840,12 @@ def _base_samples(tag: str, seed: int) -> list:
         return c0
     if tag == "c":
         return c0 + c_extra
+    linf = c0 + c_extra + linf_extra
     if tag == "linf":
-        return c0 + c_extra + linf_extra
-    if tag == "bs":
-        return [
-            ("unit:1", make_sequence("unit:1")),
-            ("zero-sum", make_sequence("list:1,-1")),
-            ("alternating", make_sequence("alternating")),
-            ("alt-sqrt", _alt_power(-0.5, "alt-sqrt")),
-            ("alt-harmonic", _alt_power(-1.0, "alt-harmonic")),
-            ("geometric:1/2", make_sequence("geometric:1/2")),
-            ("power:-2", make_sequence("power:-2")),
-        ]
-    if tag == "cs":
-        return [
-            ("unit:1", make_sequence("unit:1")),
-            ("zero-sum", make_sequence("list:1,-1")),
-            ("geometric:1/2", make_sequence("geometric:1/2")),
-            ("alt-harmonic", _alt_power(-1.0, "alt-harmonic")),
-            ("alt-sqrt", _alt_power(-0.5, "alt-sqrt")),
-            ("power:-2", make_sequence("power:-2")),
-        ]
+        return linf
+    if tag in _SERIES_SAMPLES:
+        by_label = dict(linf)
+        return [(label, by_label[label]) for label in _SERIES_SAMPLES[tag]]
     raise SpecError(f"no sample battery for space tag {tag!r}")
 
 
@@ -882,12 +872,12 @@ def _probe_samples(a: InfiniteMatrix, from_space: SpaceId, to_space: SpaceId,
     a target domain's triangle and classified in one stacked call."""
     domain = from_space.matrix.key if from_space.is_domain else None
     keys = [("image", a.key, domain, label, n, seed) for label, _ in samples]
-    images = cache.lookup_many(keys, lambda missing: apply_sequences(
+    images = cache.lookup_many(keys, lambda missing: apply_many(
         a, [samples[i][1] for i in missing], n))
     inside = [i for i, img in enumerate(images) if not img.overflow]
     if to_space.is_domain and inside:
-        stack = np.array([images[i].entries for i in inside])
-        for i, img in zip(inside, apply_many(to_space.matrix, stack)):
+        for i, img in zip(inside, apply_many(
+                to_space.matrix, [images[i] for i in inside], n)):
             images[i] = img
     probes, judged, traces = {}, [], []
     for (label, _), img in zip(samples, images):
@@ -971,8 +961,7 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
 
 def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
                 tol: float = CLASS_TOL, window: Optional[int] = None,
-                route: str = "conditions", row_bound: int = 6,
-                seed: int = 0) -> ClassReport:
+                route: str = "conditions", seed: int = 0) -> ClassReport:
     """Decide (at a truncation) whether a matrix maps one space into another.
 
     Supported pairs: the classical pairs listed by :func:`supported_pairs`,
@@ -1045,8 +1034,7 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
                         for c in conds)
         parts = [r.verdict for r in reports]
         if source.is_domain:
-            row_pairing = _row_pairing_verdict(a, source, n, tol, window,
-                                               row_bound)
+            row_pairing = _row_pairing_verdict(a, source, n, tol, window)
             parts.append(row_pairing["verdict"])
         conditions_verdict = conjoin(parts)
 

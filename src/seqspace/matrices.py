@@ -56,6 +56,10 @@ DENSE_LIMIT = 2400
 #: Columns past the diagonal that ``TaylorTransform.row_cutoff`` searches: a
 #: guard, reached only by rows whose certified cutoff lies beyond it.
 ROW_CUTOFF_CAP = 200000
+#: The mass a row may carry past its certified cutoff: below a float's
+#: resolution of the row's total, so a row read to its cutoff is known to
+#: float accuracy (``row_complete``).
+ROW_TAIL_MASS = 1e-16
 
 
 def _check_index(n: int, k: int) -> None:
@@ -145,9 +149,9 @@ class InfiniteMatrix:
         is known.  A dense reader may then take the leading columns only."""
         return None
 
-    def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> Optional[int]:
-        """A column past which row n carries at most ``tail_mass`` of its
-        mass: its last nonzero column here, None when unbounded."""
+    def row_cutoff(self, n: int) -> Optional[int]:
+        """A column past which row n carries at most ``ROW_TAIL_MASS`` of
+        its mass: its last nonzero column here, None when unbounded."""
         return self.row_end(n)
 
     def row_complete(self, n: int, width: int) -> Optional[bool]:
@@ -584,9 +588,9 @@ class TaylorTransform(InfiniteMatrix):
         """Row n's float at its first column k = n: ``(1 - r)**n``."""
         return (1 - float(self.r)) ** n
 
-    def row_cutoff(self, n: int, tail_mass: float = 1e-16) -> int:
+    def row_cutoff(self, n: int) -> int:
         """The certified cutoff K of row n: the first column past the
-        row's mode where the mass beyond K is at most ``tail_mass``, or
+        row's mode where the mass beyond K is at most ``ROW_TAIL_MASS``, or
         ``n + ROW_CUTOFF_CAP`` when no column up to that one is certified.
 
         Past the mode the term ratio ``rho_j = r j / (j - n + 1)`` is below
@@ -595,9 +599,6 @@ class TaylorTransform(InfiniteMatrix):
         The bound is evaluated in log space, so it holds whether or not
         ``(1 - r)**n`` is a representable float.
         """
-        if not tail_mass > 0:
-            raise TruncationError(
-                f"tail mass must be positive, got {tail_mass}")
         cap = n + ROW_CUTOFF_CAP
         # The first column with rho < 1, from the exact parameter.
         k = max(n, math.floor((n - 1) / (1 - self.r)) + 1)
@@ -607,7 +608,7 @@ class TaylorTransform(InfiniteMatrix):
         log_r = math.log(r)
         log_a = (math.lgamma(k) - math.lgamma(n) - math.lgamma(k - n + 1)
                  + n * math.log1p(-r) + (k - n) * log_r)    # log a_{n,k}
-        goal = math.log(tail_mass)
+        goal = math.log(ROW_TAIL_MASS)
         chunk = 1024
         while k <= cap:
             j = np.arange(k, k + min(chunk, cap - k + 1), dtype=float)
@@ -624,8 +625,7 @@ class TaylorTransform(InfiniteMatrix):
             chunk *= 2
         return cap
 
-    def row_series(self, n: int,
-                   tail_mass: float = 1e-16) -> tuple[int, np.ndarray]:
+    def row_series(self, n: int) -> tuple[int, np.ndarray]:
         """Row n out to its certified cutoff: ``(K, entries)``, with K from
         :meth:`row_cutoff` and ``entries`` the row's floats at columns
         n..K.  When the leading float ``(1 - r)**n`` is normal they are
@@ -633,7 +633,7 @@ class TaylorTransform(InfiniteMatrix):
         would lose the row (from a lead of 0.0 every entry is 0.0), so the
         entries are taken in log space: ``n log(1 - r)`` plus the running
         sum of ``log(r j / (j - n + 1))``, exponentiated."""
-        top = self.row_cutoff(n, tail_mass)
+        top = self.row_cutoff(n)
         if self.row_lead(n) >= sys.float_info.min:
             # A copy, so that the cache holds and charges columns n..K only.
             return top, self.block([n], top)[0, n - 1:].copy()
@@ -757,12 +757,12 @@ class ComposedMatrix(InfiniteMatrix):
     # the left row's columns k and k + 1: its row is known from one column
     # more than the left factor's.
 
-    def row_cutoff(self, n, tail_mass=1e-16):
+    def row_cutoff(self, n):
         last = self.left.row_end(n)
         if last is not None:
-            return self.right.row_cutoff(last, tail_mass)
+            return self.right.row_cutoff(last)
         if isinstance(self.right, Bidiagonal):
-            cut = self.left.row_cutoff(n, tail_mass)
+            cut = self.left.row_cutoff(n)
             return None if cut is None else cut + 1
         return None
 
@@ -1057,16 +1057,12 @@ def inverse_of(a) -> InfiniteMatrix:
 # ---------------------------------------------------------------------------
 
 
-def apply(a, x, n: int, mode: str = "exact",
-          tail_mass: float = 1e-16) -> FiniteVector:
+def apply(a, x, n: int, mode: str = "exact") -> FiniteVector:
     """First ``n`` coordinates of the transform ``Ax``.
 
     ``mode="exact"`` keeps rational arithmetic and requires row-finite support
-    (any triangle qualifies).  ``mode="float"`` uses the vectorized fast paths.
-    For row-infinite matrices with a mass cutoff (``taylor``), the float path
-    extends each row to its certified cutoff, past which the row's mass is
-    at most ``tail_mass`` (:func:`apply_sequences` transforms a stack of
-    sequences the same way, with the default ``tail_mass``).
+    (any triangle qualifies).  ``mode="float"`` is
+    ``apply_many(a, [x], n)[0]``.
     """
     a = matrix_from_spec(a)
     x = make_sequence(x)
@@ -1074,97 +1070,77 @@ def apply(a, x, n: int, mode: str = "exact",
         raise TruncationError(f"transform length must be >= 1, got {n}")
     if mode not in ("exact", "float"):
         raise SpecError(f"unknown mode {mode!r}")
-
-    row_infinite = a.row_end(n) is None
-    if mode == "exact":
-        if row_infinite:
-            raise RowSeriesError(
-                f"matrix {a.name!r} has rows with unbounded support; "
-                "exact transforms are undefined at a finite cutoff — use float mode")
-        fast = a._apply_exact([x(k) for k in range(1, n + 1)])
-        if fast is not None:
-            return finite_vector(fast, origin=f"{a.name}({x.label})")
-        out = []
-        for row in range(1, n + 1):
-            hi = a.row_end(row)
-            total = 0
-            for k in range(a.row_start(row), hi + 1):
-                coeff = a.entry(row, k)
-                if coeff != 0:
-                    total += coeff * x(k)
-            out.append(total)
-        return finite_vector(out, origin=f"{a.name}({x.label})")
-
-    # float mode
-    if row_infinite:
-        return _apply_row_series(a, [x], n, tail_mass)[0]
-    origin = f"{a.name}({x.label})"
-    xf = x.floats(n)
-    fast = a._apply_floats(xf)
-    if fast is not None:
-        return finite_vector(fast, origin=origin)
-    if n <= DENSE_LIMIT:
-        out = a.truncation_floats(n) @ xf
-    else:
-        step = max(1, DENSE_LIMIT * DENSE_LIMIT // n)
-        out = np.concatenate([
-            a.block(np.arange(lo, min(lo + step, n + 1)), n) @ xf
-            for lo in range(1, n + 1, step)])
-    return finite_vector(out, origin=origin)
-
-
-def apply_sequences(a, xs: list, n: int) -> list:
-    """``apply(a, x, n, mode="float")`` for each sequence x in ``xs``, bit
-    for bit.  A row-infinite matrix builds each row series once for the
-    whole stack."""
-    a = matrix_from_spec(a)
-    if n >= 1 and a.row_end(n) is None:
-        return _apply_row_series(a, [make_sequence(x) for x in xs], n)
-    return [apply(a, x, n, mode="float") for x in xs]
-
-
-def _apply_row_series(a: InfiniteMatrix, xs: list, n: int,
-                      tail_mass: float = 1e-16) -> list:
-    """Float transforms of the sequences ``xs`` by a row-infinite matrix:
-    rows 1..n, each out to its certified cutoff from ``a.row_series``.
-    Each row series is built once; each image takes one dot per row, so a
-    stacked image has the bits it has alone."""
-    series = getattr(a, "row_series", None)
-    if series is None:
+    if mode == "float":
+        return apply_many(a, [x], n)[0]
+    if a.row_end(n) is None:
         raise RowSeriesError(
-            f"matrix {a.name!r} has rows with unbounded support and no "
-            "tail cutoff; cannot transform")
-    top = a.row_cutoff(n, tail_mass)
-    xfs = [x.floats(top) for x in xs]
-    out = np.empty((len(xs), n))
+            f"matrix {a.name!r} has rows with unbounded support; "
+            "exact transforms are undefined at a finite cutoff — use float mode")
+    fast = a._apply_exact([x(k) for k in range(1, n + 1)])
+    if fast is not None:
+        return finite_vector(fast, origin=f"{a.name}({x.label})")
+    out = []
     for row in range(1, n + 1):
-        hi, entries = series(row, tail_mass)    # columns row..hi
-        coeffs = np.zeros(hi)
-        coeffs[row - 1:] = entries
-        m = min(hi, top)
-        for i, xf in enumerate(xfs):
-            out[i, row - 1] = coeffs[:m] @ xf[:m]
-    return [finite_vector(image, origin=f"{a.name}({x.label})")
-            for image, x in zip(out, xs)]
+        hi = a.row_end(row)
+        total = 0
+        for k in range(a.row_start(row), hi + 1):
+            coeff = a.entry(row, k)
+            if coeff != 0:
+                total += coeff * x(k)
+        out.append(total)
+    return finite_vector(out, origin=f"{a.name}({x.label})")
 
 
-def apply_many(a, xf: np.ndarray) -> list:
-    """``apply(a, x, n, mode="float")`` for each row x of the 2-D float
-    array ``xf``, n its width, bit for bit.
+def apply_many(a, xs: list, n: int) -> list:
+    """The float transforms ``(Ax)_{1..n}`` of the sequences ``xs`` (any
+    spec :func:`make_sequence` accepts), one FiniteVector each with origin
+    ``"a(x)"``, checked for overflow together.  A stacked image has the
+    bits it has alone:
 
-    A vectorized form takes the whole stack in one call, and its results
-    are checked for overflow together.  Any other matrix is applied to one
-    row at a time (:func:`apply_sequences`): a stacked product of its table
-    could round differently.
+    * a vectorized form (``_apply_floats``) takes the whole stack at once;
+    * any other row-finite matrix multiplies each x by its table, or past
+      ``DENSE_LIMIT`` by blocks of rows, each built once per stack: a
+      product of the table with the whole stack could round differently;
+    * a row-infinite matrix extends each row to its certified cutoff
+      (``row_series``), past which the row's mass is at most
+      ``ROW_TAIL_MASS``: each row series is built once per stack, with one
+      dot per row and image.
     """
     a = matrix_from_spec(a)
-    rows, n = xf.shape
-    fast = None
-    if rows and n >= 1 and a.row_end(n) is not None:
-        fast = a._apply_floats(xf)
-    if fast is None:
-        return apply_sequences(a, [FiniteVector(x) for x in xf], n)
-    return finite_vectors(fast, origin=f"{a.name}(vector)")
+    if n < 1:
+        raise TruncationError(f"transform length must be >= 1, got {n}")
+    xs = [make_sequence(x) for x in xs]
+    if not xs:
+        return []
+    if a.row_end(n) is None:
+        series = getattr(a, "row_series", None)
+        if series is None:
+            raise RowSeriesError(
+                f"matrix {a.name!r} has rows with unbounded support and no "
+                "tail cutoff; cannot transform")
+        top = a.row_cutoff(n)
+        xfs = [x.floats(top) for x in xs]
+        out = np.empty((len(xs), n))
+        for row in range(1, n + 1):
+            hi, entries = series(row)       # columns row..hi
+            coeffs = np.zeros(hi)
+            coeffs[row - 1:] = entries
+            m = min(hi, top)
+            for i, xf in enumerate(xfs):
+                out[i, row - 1] = coeffs[:m] @ xf[:m]
+    else:
+        stack = np.array([x.floats(n) for x in xs])
+        out = a._apply_floats(stack)
+        if out is None:
+            # Up to DENSE_LIMIT the one block is the cached table.
+            out = np.empty_like(stack)
+            step = max(1, DENSE_LIMIT * DENSE_LIMIT // n)
+            for lo in range(1, n + 1, step):
+                rows = (a.truncation_floats(n) if n <= DENSE_LIMIT else
+                        a.block(np.arange(lo, min(lo + step, n + 1)), n))
+                for image, xf in zip(out, stack):
+                    image[lo - 1:lo - 1 + len(rows)] = rows @ xf
+    return finite_vectors(out, [f"{a.name}({x.label})" for x in xs])
 
 
 def truncate_matrix(a, size: int, mode: str = "exact"):

@@ -390,7 +390,7 @@ def finite_vector(values, origin: str = "") -> FiniteVector:
     gives an exact vector (a tuple).
     """
     if isinstance(values, np.ndarray):
-        return finite_vectors([values], origin)[0]
+        return finite_vectors([values], [origin])[0]
     out = []
     overflow = False
     first_bad = None
@@ -406,10 +406,10 @@ def finite_vector(values, origin: str = "") -> FiniteVector:
                         overflow_index=first_bad)
 
 
-def finite_vectors(stack, origin: str = "") -> list:
-    """``finite_vector(row, origin)`` for each row of a 2-D float stack,
-    checked for non-finite values in one pass.  The vectors' entries are the
-    rows of one read-only copy of the stack."""
+def finite_vectors(stack, origins: list) -> list:
+    """``finite_vector(row, origin)`` for each row of a 2-D float stack and
+    its origin in ``origins``, checked for non-finite values in one pass.
+    The vectors' entries are the rows of one read-only copy of the stack."""
     arr = np.array(stack, dtype=float)
     bad = ~np.isfinite(arr)
     first_bad = [None] * len(arr)
@@ -420,7 +420,7 @@ def finite_vectors(stack, origin: str = "") -> list:
     arr.setflags(write=False)
     return [FiniteVector(row, origin=origin, overflow=first is not None,
                          overflow_index=first)
-            for row, first in zip(arr, first_bad)]
+            for row, origin, first in zip(arr, origins, first_bad)]
 
 
 def truncate(x: Sequence, n: int) -> FiniteVector:
@@ -832,12 +832,12 @@ def classify_classical(x, space, n: int, tol: float = DEFAULT_TOL,
     """Probe membership of ``x`` in a classical space at truncation ``n``.
 
     ``space`` may be a tag string or a classical ``SpaceId``.  Matrix-domain
-    spaces are handled by :func:`seqspace.domains.domain_membership`.
+    spaces are handled by :func:`seqspace.domains.space_membership`.
     """
     if isinstance(space, SpaceId):
         if space.is_domain:
             raise SpecError("classify_classical handles classical spaces only; "
-                            "use domains.domain_membership for matrix domains")
+                            "use domains.space_membership for matrix domains")
         tag = space.tag
     else:
         tag = str(space).lower()

@@ -17,11 +17,12 @@ from seqspace.conditions import _column_mass, _Engine, _reduce_rows
 from seqspace.duality import DualTriangle, dual_transfer_matrix
 from seqspace.errors import TruncationError
 from seqspace.matrices import (
+    DENSE_LIMIT,
     ROW_CUTOFF_CAP,
+    ROW_TAIL_MASS,
     TaylorTransform,
     apply,
     apply_many,
-    apply_sequences,
     matrix_from_spec,
 )
 from seqspace.sequences import (
@@ -126,9 +127,9 @@ def taylor_row_reference(t, n, m):
     return out
 
 
-def taylor_cutoff_reference(t, n, tail_mass=1e-16):
+def taylor_cutoff_reference(t, n):
     """The certified cutoff one column at a time: the first column K past
-    the row's mode with a_{n,K} r K / (K (1 - r) - (n - 1)) <= tail_mass,
+    the row's mode with a_{n,K} r K / (K (1 - r) - (n - 1)) <= ROW_TAIL_MASS,
     each log a_{n,K} from lgamma."""
     r = float(t.r)
     k = max(n, math.floor((n - 1) / (1 - t.r)) + 1)
@@ -136,7 +137,7 @@ def taylor_cutoff_reference(t, n, tail_mass=1e-16):
         log_a = (math.lgamma(k) - math.lgamma(n) - math.lgamma(k - n + 1)
                  + n * math.log1p(-r) + (k - n) * math.log(r))
         if (log_a + math.log(r * k) - math.log(k * (1 - r) - (n - 1))
-                <= math.log(tail_mass)):
+                <= math.log(ROW_TAIL_MASS)):
             return k
         k += 1
     return k
@@ -153,7 +154,6 @@ def test_taylor_cutoffs_match_the_scalar_recurrence():
             want = taylor_cutoff_reference(t, n)
             assert t.row_cutoff(n) == want, (r, n)
             capped += want == n + ROW_CUTOFF_CAP
-        assert t.row_cutoff(40, 1e-6) == taylor_cutoff_reference(t, 40, 1e-6)
     assert capped == 0  # every row is certified well before the cap
 
 
@@ -185,33 +185,33 @@ def taylor_log_row(r, n, stop):
 
 def test_taylor_cutoffs_are_certified():
     # The mass beyond K summed directly (in log space, never as 1 - sum)
-    # is within tail_mass, and K is at most 10 % past the first column
+    # is within the tail mass, and K is at most 10 % past the first column
     # where that holds.
-    tail_mass = 1e-16
     for r in ("1/10", "1/3", "1/2", "2/3", "9/10"):
         t = matrix_from_spec(f"taylor:{r}")
         for n in (1, 2, 9, 300, 2000):
-            logs = taylor_log_row(float(t.r), n, math.log(tail_mass) - 60)
+            logs = taylor_log_row(float(t.r), n, math.log(ROW_TAIL_MASS) - 60)
 
             def tail(k):          # the mass at columns k+1, k+2, ...
                 return math.fsum(math.exp(v) for v in logs[k - n + 1:])
 
-            top = t.row_cutoff(n, tail_mass)
-            assert tail(top) <= tail_mass, (r, n, top)
+            top = t.row_cutoff(n)
+            assert tail(top) <= ROW_TAIL_MASS, (r, n, top)
             lo, hi = n, top       # the first column with a small tail
             while lo < hi:
                 mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if tail(mid) <= tail_mass else (mid + 1, hi)
+                lo, hi = ((lo, mid) if tail(mid) <= ROW_TAIL_MASS
+                          else (mid + 1, hi))
             assert top <= 1.1 * lo, (r, n, top, lo)
             assert top - n <= 1.1 * (lo - n) + 1, (r, n, top, lo)
 
-def taylor_apply_reference(t, x, n, tail_mass=1e-16):
+def taylor_apply_reference(t, x, n):
     """Float ``apply`` as two passes per row: the cutoff, then the row."""
-    top = t.row_cutoff(n, tail_mass)
+    top = t.row_cutoff(n)
     xf = x.floats(top)
     out = np.empty(n)
     for row in range(1, n + 1):
-        hi = t.row_cutoff(row, tail_mass)
+        hi = t.row_cutoff(row)
         coeffs = t.block([row], hi)[0]
         out[row - 1] = coeffs[:min(hi, top)] @ xf[:min(hi, top)]
     return out
@@ -228,9 +228,6 @@ def test_taylor_apply_evaluates_each_row_once():
             for n in (1, 7, 20):
                 got = apply(t, x, n, mode="float").entries
                 assert same_bits(got, taylor_apply_reference(t, x, n)), (r, spec, n)
-        x = make_sequence("const:1")
-        got = apply(t, x, 5, mode="float", tail_mass=1e-6).entries
-        assert same_bits(got, taylor_apply_reference(t, x, 5, 1e-6)), r
 
 
 def test_taylor_apply_builds_each_row_series_once(monkeypatch):
@@ -238,11 +235,11 @@ def test_taylor_apply_builds_each_row_series_once(monkeypatch):
     t = TaylorTransform(Fraction(1, 3))
     real, calls = t.row_series, []
 
-    def counted(n, tail_mass=1e-16):
+    def counted(n):
         calls.append(n)
-        return real(n, tail_mass)
+        return real(n)
     monkeypatch.setattr(t, "row_series", counted)
-    apply_sequences(t, ["harmonic", "alternating", "const:1"], 40)
+    apply_many(t, ["harmonic", "alternating", "const:1"], 40)
     assert sorted(calls) == list(range(1, 41))
 
 
@@ -253,7 +250,7 @@ def test_stacked_taylor_images_keep_their_bits():
         t = matrix_from_spec(f"taylor:{r}")
         xs = [make_sequence(spec) for spec in specs]
         for n in (1, 7, 40, 400):
-            got = apply_sequences(t, xs, n)
+            got = apply_many(t, xs, n)
             for x, image in zip(xs, got):
                 alone = apply(t, x, n, mode="float")
                 assert same_bits(image.entries, alone.entries), (r, n, x.label)
@@ -263,9 +260,22 @@ def test_stacked_taylor_images_keep_their_bits():
                     assert same_bits(image.entries, want), (r, n, x.label)
     # A row-finite matrix applies each sequence as alone.
     xs = [make_sequence(spec) for spec in specs]
-    for image, x in zip(apply_sequences("cesaro", xs, 50), xs):
+    for image, x in zip(apply_many("cesaro", xs, 50), xs):
         assert same_bits(image.entries,
                          apply("cesaro", x, 50, mode="float").entries)
+
+
+def test_stacked_table_images_past_the_dense_limit_keep_their_bits():
+    # E_{1/2} has no vectorized form: past DENSE_LIMIT each image is taken
+    # block of rows by block of rows, the blocks built once per stack.
+    n = DENSE_LIMIT + 1
+    xs = [make_sequence(spec) for spec in ("harmonic", "alternating", "const:1")]
+    got = apply_many("euler:1/2", xs, n)
+    for image, x in zip(got, xs, strict=True):
+        alone = apply("euler:1/2", x, n, mode="float")
+        assert same_bits(image.entries, alone.entries), x.label
+        assert image.origin == alone.origin == f"euler({x.label})"
+    assert np.abs(got[2].entries - 1.0).max() < 1e-9   # rows sum to 1
 
 
 def test_taylor_rows_past_the_normal_range_keep_their_mass():
@@ -790,14 +800,14 @@ def test_apply_many_matches_one_vector_at_a_time(name):
                 for scale in (1.0, 1e-3, 1e200, 1e-300)]
         rows += [np.full(n, 1e306), np.full(n, 1e308), 1.0 / np.arange(1, n + 1)]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = apply_many(a, np.array(rows))
+            got = apply_many(a, [FiniteVector(x) for x in rows], n)
             wants = [apply(a, FiniteVector(x), n, mode="float") for x in rows]
         assert len(got) == len(rows)
         for g, want in zip(got, wants):
             assert same_bits(g.entries, want.entries), (name, n)
             assert (g.overflow, g.overflow_index, g.origin) == (
                 want.overflow, want.overflow_index, want.origin), (name, n)
-    assert apply_many(a, np.empty((0, 5))) == []
+    assert apply_many(a, [], 5) == []
 
 
 def finite_vector_reference(values):
@@ -816,7 +826,8 @@ def test_finite_vectors_match_one_vector_at_a_time():
     stack[2, [5, 9]] = [np.nan, -np.inf]
     stack[3, 39] = -np.inf
     stack[4] = np.nan
-    for got, row in zip(finite_vectors(stack, "s"), stack):
+    for got, row in zip(finite_vectors(stack, ["s"] * len(stack)), stack,
+                        strict=True):
         want, first = finite_vector_reference(row)
         assert same_bits(got.entries, want)
         assert (got.overflow, got.overflow_index) == (first is not None, first)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from seqspace.domains import space_from_spec, space_membership
 from seqspace.errors import SpecError, TruncationError
 from seqspace.sequences import (
     LimitKind,
@@ -181,6 +182,11 @@ def test_classify_classical_wrapper():
     assert classify_classical(make_sequence("geometric:1/2"), "c0", 400) is Verdict.SATISFIED
     with pytest.raises(TruncationError):
         classify_classical(make_sequence("harmonic"), "c0", 10, window=10)
+    # A matrix domain is refused with the name of the function that probes it.
+    with pytest.raises(SpecError, match=r"domains\.space_membership"):
+        classify_classical(make_sequence("harmonic"),
+                           space_from_spec("c0(omega)"), 400)
+    assert callable(space_membership)
 
 
 def test_space_id():
