@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -24,10 +23,10 @@ from . import __version__
 from .conditions import DEFAULT_CLASS_N, CLASS_TOL, check_class, regularity_report
 from .domains import basis_element
 from .duality import dual_membership
-from .errors import SeqspaceError
+from .errors import SeqspaceError, TruncationError
 from .matrices import InverseTriangle, apply, inverse_of, invert_triangle, \
     matrix_from_spec
-from .sequences import make_sequence
+from .sequences import check_tol, make_sequence
 from .verdicts import EXIT_CODES, Verdict
 
 
@@ -57,11 +56,11 @@ def _tolerance(text: str) -> float:
     """A finite, positive tolerance."""
     try:
         value = float(text)
+        check_tol(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be finite and positive, got {text!r}")
+    except TruncationError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return value
 
 

@@ -46,6 +46,7 @@ from .sequences import (
     analyze_limit,
     analyze_limits,
     analyze_sup,
+    check_tol,
     classify_traces,
     limit_exists_verdict,
     make_sequence,
@@ -268,11 +269,6 @@ def _check_window(window: int, n: int) -> None:
         raise TruncationError(f"window must satisfy 0 < window < {n}")
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise TruncationError(f"tolerance must be finite and positive, got {tol}")
-
-
 class _TooFewRows(TruncationError):
     """Fewer complete rows than a row trace's trailing window: the row-trace
     conditions are inconclusive, with the message as their note."""
@@ -281,17 +277,6 @@ class _TooFewRows(TruncationError):
 #: Elements per block when a row feature reduces the dense table: the
 #: temporaries stay this small whatever the truncation.
 FEATURE_BLOCK = 1 << 15
-
-
-def _first_sum_block(n: int) -> int:
-    """The first block of numpy's pairwise sum over n contiguous floats:
-    the length is halved, rounded down to a multiple of 8, until at most
-    128 remain.  Within the block eight running sums take every eighth
-    term.  So when a row's terms past a multiple of 8 inside the block are
-    +0.0, its sum is that of its leading terms up to the sign of a zero."""
-    while n > 128:
-        n = n // 2 - (n // 2) % 8
-    return n
 
 
 class _Engine:
@@ -328,14 +313,6 @@ class _Engine:
                     f"row traces restricted to rows 1..{self.row_limit}, whose "
                     f"tails are captured inside the {n}-column window"
                     + self._cap_note)
-        # A matrix that is +0.0 past a known column is read on its leading
-        # columns when their reductions keep the full rows' bits.
-        self.width = n
-        last = a.last_column()
-        if self.dense and last is not None:
-            narrow = max(8, -(-last // 8) * 8)
-            if narrow < n and narrow <= _first_sum_block(n):
-                self.width = narrow
         self._table = None
         self._rows = None
 
@@ -360,24 +337,13 @@ class _Engine:
         return lo, capped
 
     def table(self) -> np.ndarray:
-        """Rows 1..n over columns 1..width: the whole truncation, or its
-        leading columns when every later one is +0.0."""
+        """The whole truncation: rows and columns 1..n."""
         if self._table is None:
             if not self.dense:
                 raise TruncationError(
                     f"dense table unavailable at truncation {self.n}")
-            if self.width < self.n:
-                self._table = cache.lookup(
-                    ("table", self.a.key, self.n, self.width),
-                    self._narrow_table, nbytes=8 * self.n * self.width)
-            else:
-                self._table = self.a.truncation_floats(self.n)
+            self._table = self.a.truncation_floats(self.n)
         return self._table
-
-    def _narrow_table(self) -> np.ndarray:
-        table = self.a.block(np.arange(1, self.n + 1), self.width)
-        table.setflags(write=False)
-        return table
 
     def row_indices(self) -> np.ndarray:
         if self.row_limit < self.window:
@@ -399,18 +365,11 @@ class _Engine:
     def _row_feature(self, kind: str) -> np.ndarray:
         if self.dense:
             return cache.lookup(("row-feature", self.a.key, self.n, kind),
-                                lambda: self._dense_feature(kind))
+                                lambda: _reduce_rows(
+                                    self.table()[:self.row_limit], kind))
         return cache.lookup(
             ("row-feature", self.a.key, self.n, kind, self.window),
             lambda: _reduce_rows(self._sampled_rows(), kind))
-
-    def _dense_feature(self, kind: str) -> np.ndarray:
-        feature = _reduce_rows(self.table()[:self.row_limit], kind)
-        if self.width < self.n:
-            # The full row's sum adds +0.0 blocks to the narrow one, which
-            # turn a -0.0 into +0.0 and leave any other value as it is.
-            feature += 0.0
-        return feature
 
     def _sampled_rows(self) -> np.ndarray:
         """The sampled rows over columns 1..n, read as one block."""
@@ -423,16 +382,11 @@ class _Engine:
 
     def columns(self, ks: np.ndarray) -> np.ndarray:
         """The columns ``ks`` over rows 1..n, one per row of the result."""
-        if not self.dense:
+        if self.dense:
+            t = self.table()
+        else:
             t = self.a.block(np.arange(1, self.n + 1), int(ks.max()))
-            return t.T[ks - 1]
-        t = self.table()
-        if ks.max() <= t.shape[1]:
-            return t.T[ks - 1]
-        out = np.zeros((len(ks), self.n))     # past the width: +0.0
-        inside = ks <= t.shape[1]
-        out[inside] = t.T[ks[inside] - 1]
-        return out
+        return t.T[ks - 1]
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -443,7 +397,7 @@ class _Engine:
         return sorted({k for k in ks if 1 <= k <= cap})
 
     def final_rows(self) -> np.ndarray:
-        """Stacked trailing complete rows over the table's width (for
+        """Stacked trailing complete rows over columns 1..n (for
         column-limit estimates)."""
         lo = self.row_limit - min(EQ_STACK_ROWS, self.window, self.row_limit)
         if self.dense:
@@ -584,9 +538,7 @@ def _column_mass(block: np.ndarray, first_row: int, n: int,
     """Column-limit estimates from the stacked rows ``first_row..`` of
     ``block``: (sum of |mean| of the rows strictly below each column 1..n,
     ``spread`` plus the sum of their ranges).  A column with no row below it
-    contributes its last entry's magnitude to both.  A block narrower than
-    n stands for rows whose later columns are zero: those columns would
-    only add +0.0 to the running totals, so the loop stops at its width.
+    contributes its last entry's magnitude to both.
     """
     depth = block.shape[0]
     # Columns before first_row have every stacked row below them: one
@@ -599,7 +551,7 @@ def _column_mass(block: np.ndarray, first_row: int, n: int,
     # The ufunc reductions are the ones ``below.mean()`` and ``np.ptp``
     # make, without their method dispatch.
     add, high, low = np.add.reduce, np.maximum.reduce, np.minimum.reduce
-    for k in range(first_row, min(n, block.shape[1]) + 1):
+    for k in range(first_row, n + 1):
         col = block[:, k - 1]
         below = col[k - first_row + 1:]
         size = len(below)
@@ -653,7 +605,7 @@ def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
     (condition, n, tol, window), so repeated class checks share the work
     while the cache holds them.
     """
-    _check_tol(tol)
+    check_tol(tol)
     a = matrix_from_spec(a)
     if condition not in _EVALUATORS:
         known = ", ".join(sorted(_EVALUATORS))
@@ -716,45 +668,24 @@ def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
     row without one, its dual triangle (:func:`dual_transfer_matrix`) must
     map the base space into c.
 
-    One cache entry per (matrix, domain, n, tol, window) keeps, for each
-    such row, the verdict of every condition judged so far on its dual
-    triangle, and the result for each base space asked so far.  c0, c
-    and linf over one domain ask overlapping conditions of the same
-    triangles, so they share those verdicts; a base space's verdict for a
-    row is the conjunction of its own conditions.  A dual triangle is built
-    only when a verdict it needs is missing.  It is serial-keyed, so its
-    table and traces leave the cache when it is gone.
+    The cache keeps one dual triangle per (matrix, row, domain), and its
+    condition reports under its own key, so c0, c and linf over one domain
+    judge each condition they share once.
     """
-    rows, results = cache.lookup(("row-pairing", a.key, space.matrix.key, n,
-                                  tol, window), lambda: ({}, {}))
-    got = results.get(space.tag)
-    if got is None:
-        got = results[space.tag] = _pair_rows(a, space, n, tol, window, rows)
-    return got
-
-
-def _pair_rows(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
-               window: int, rows: dict) -> dict:
-    """The row-pairing result for ``space``.  ``rows`` maps each row
-    without a support bound to the verdicts judged so far on its dual
-    triangle, by condition; only the missing ones are judged, and they are
-    added there.  A row with a support bound is in phi, inside every beta
-    dual."""
     conds = PAIR_CONDITIONS[(space.tag, "c")]
     verdicts = {}
     for nn in range(1, PAIRED_ROWS + 1):
         if a.row_end(nn) is not None:
             verdicts[nn] = Verdict.SATISFIED
             continue
-        known = rows.setdefault(nn, {})
-        missing = [c for c in conds if c not in known]
-        if missing:
-            row_seq = Sequence(lambda k, nn=nn: a.entry(nn, k),
-                               label=f"row[{nn}]")
-            transfer = dual_transfer_matrix(row_seq, space.matrix)
-            for c in missing:
-                known[c] = condition_report(transfer, c, n, tol, window).verdict
-        verdicts[nn] = conjoin(known[c] for c in conds)
+        transfer = cache.lookup(
+            ("row-dual", a.key, nn, space.matrix.key),
+            lambda nn=nn: dual_transfer_matrix(
+                Sequence(lambda k: a.entry(nn, k), label=f"row[{nn}]"),
+                space.matrix))
+        verdicts[nn] = conjoin(
+            condition_report(transfer, c, n, tol, window).verdict
+            for c in conds)
     overall = conjoin(verdicts.values())
     weakest = next((r for r, v in verdicts.items()
                     if v is not Verdict.SATISFIED), None)
@@ -917,7 +848,7 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     cross-check the conditions route.  Each sample is probed once per
     (matrix, source domain, target) while the cache holds its probe.
     """
-    _check_tol(tol)
+    check_tol(tol)
     a = matrix_from_spec(a)
     from_space = space_from_spec(from_space)
     to_space = space_from_spec(to_space)
@@ -983,7 +914,7 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     every check with the same matrix, source domain and target
     (:func:`oracle_check`).
     """
-    _check_tol(tol)
+    check_tol(tol)
     a = matrix_from_spec(a)
     f = space_from_spec(from_space)
     t = space_from_spec(to_space)
@@ -1109,7 +1040,7 @@ def regularity_report(a, n: int = 2000, tol: float = CLASS_TOL,
     Nothing is assumed: all three parts are measured, including for matrices
     whose regularity is textbook knowledge.
     """
-    _check_tol(tol)
+    check_tol(tol)
     a = matrix_from_spec(a)
     if window is None:
         window = _default_window(n)

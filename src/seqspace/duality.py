@@ -57,13 +57,11 @@ class DualTriangle(InfiniteMatrix):
     terms ``p_k = a_k d_k`` and ``q_k = a_k s_k``; where ``s_k = -d_k``
     (omega, gamma, sigma) ``q_k`` is ``-p_k``, exact in floats.
 
-    When ``a`` has a support hint w, every column past w is +0.0
-    (:meth:`last_column`), and the conditions engine reads the dense table
-    as its leading L = max(8, 8 ceil(w/8)) columns when that width fits in
-    the first block of numpy's pairwise sum over a full row.  Then the
-    narrow reductions equal the full-width ones bit for bit, up to a -0.0
-    the +0.0 tail would have turned into +0.0.  A triangle keeps its serial
-    cache key: its tables and traces leave the evaluation cache with it.
+    Every read is at full width.  When ``a`` has a support hint w, the
+    terms past w are not evaluated: p is +0.0 and q is -0.0 there, so every
+    entry past column w is +0.0, as the exact zeros would give.  A triangle
+    keeps its serial cache key: its tables and traces leave the evaluation
+    cache with it.
     """
 
     def __init__(self, a: Sequence, inverse: Bidiagonal):
@@ -90,7 +88,7 @@ class DualTriangle(InfiniteMatrix):
         +0.0 and q is -0.0, so that p_k + q_{k+1} is p_k bit for bit."""
         if len(self._p) < m:
             lo = len(self._p)
-            hint = self.last_column()
+            hint = self.a.support_hint
             hi = m if hint is None else max(lo, min(m, hint))
             d, s = self.inverse.pairs(hi)
             p, q, k = [], [], lo
@@ -128,27 +126,11 @@ class DualTriangle(InfiniteMatrix):
             else:
                 yield ak, None
 
-    def last_column(self) -> Optional[int]:
-        """The support of ``a``.  Past it p is +0.0 and q is -0.0, so every
-        later column, its diagonal entry included, holds +0.0.  Row n of a
-        triangle A is zero past column n, so the triangle paired with it
-        carries all its values in its first n columns."""
-        hint = self.a.support_hint
-        return None if hint is None else max(hint, 0)
-
     def block(self, rows, m):
         rows = np.asarray(rows)
         p, q = self._terms(m + 1)
-        width = self.last_column()
-        if width is None or width >= m:
-            width = m
-            out = _lower(rows, m, p[:m] + q[1:m + 1])
-        else:
-            # Only the first ``width`` columns need writing: the rest
-            # hold +0.0 (see last_column).
-            out = np.zeros((len(rows), m))
-            out[:, :width] = _lower(rows, width, p[:width] + q[1:width + 1])
-        _put_band(out, rows, 0, p, width)
+        out = _lower(rows, m, p[:m] + q[1:m + 1])
+        _put_band(out, rows, 0, p)
         return out
 
 

@@ -90,15 +90,13 @@ def _lower(rows: np.ndarray, m: int, values) -> np.ndarray:
     return np.where(below, values, 0.0)
 
 
-def _put_band(out: np.ndarray, rows: np.ndarray, lag: int, values,
-              width: Optional[int] = None) -> None:
+def _put_band(out: np.ndarray, rows: np.ndarray, lag: int, values) -> None:
     """Set column n - lag of each row n of ``out`` (numbered by ``rows``) to
-    ``values[n - lag - 1]``, where that column lies in 1..width (all of
-    ``out`` by default).  Consecutive rows, as in a table, take one strided
-    write, as ``np.eye`` makes its diagonal."""
+    ``values[n - lag - 1]``, where that column lies inside ``out``.
+    Consecutive rows, as in a table, take one strided write, as ``np.eye``
+    makes its diagonal."""
     m = out.shape[1]
-    top = (m if width is None else width) + lag
-    lo, hi = np.searchsorted(rows, (lag + 1, top + 1)).tolist()
+    lo, hi = np.searchsorted(rows, (lag + 1, m + lag + 1)).tolist()
     cols = rows[lo:hi] - (lag + 1)
     if hi > lo and cols[-1] - cols[0] == hi - 1 - lo:
         c = int(cols[0])
@@ -141,12 +139,6 @@ class InfiniteMatrix:
         return k if self.triangle else 1
 
     def col_end(self, k: int) -> Optional[int]:
-        return None
-
-    def last_column(self) -> Optional[int]:
-        """The last column that any row can reach: every entry past it is
-        +0.0 in every float read.  None (the default) when no such column
-        is known.  A dense reader may then take the leading columns only."""
         return None
 
     def row_cutoff(self, n: int) -> Optional[int]:
@@ -1117,7 +1109,8 @@ def apply_many(a, xs: list, n: int) -> list:
         if series is None:
             raise RowSeriesError(
                 f"matrix {a.name!r} has rows with unbounded support and no "
-                "tail cutoff; cannot transform")
+                "row series: only row_series rows (taylor) can be extended "
+                "to their cutoff; cannot transform")
         top = a.row_cutoff(n)
         xfs = [x.floats(top) for x in xs]
         out = np.empty((len(xs), n))

@@ -526,6 +526,13 @@ def _diverges(s_head: float, s_tail: float, last: float, tol: float) -> bool:
     return sustained and abs(s_tail) >= DIVERGENCE_SLOPE and away
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not finite and positive: an infinite one
+    settles every trace, and NaN compares false with every spread."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise TruncationError(f"tolerance must be finite and positive, got {tol}")
+
+
 def analyze_limits(indices, traces, tol: float, window: int) -> list:
     """Limit heuristic on a stack of traces observed at the same positions.
 
@@ -545,8 +552,7 @@ def analyze_limits(indices, traces, tol: float, window: int) -> list:
     length = vals.shape[1]
     if not (0 < window <= length):
         raise TruncationError(f"window must be in 1..{length}, got {window}")
-    if tol <= 0:
-        raise TruncationError(f"tolerance must be positive, got {tol}")
+    check_tol(tol)
     out = [_NON_FINITE] * len(vals)
     rows = range(len(vals))
     finite = np.isfinite(vals)
@@ -563,7 +569,7 @@ def analyze_limits(indices, traces, tol: float, window: int) -> list:
     log_tail = np.log(idx[-window:])
     slope = _slopes(log_tail, tail, means)
     code = np.zeros(len(vals), dtype=np.intp)     # _SETTLED
-    live = (~(spread <= tol)).nonzero()[0]      # a NaN tol settles nothing
+    live = (~(spread <= tol)).nonzero()[0]
 
     if len(live):
         code[live] = _UNDECIDED
@@ -673,6 +679,7 @@ def analyze_sups(indices, traces, tol: float, window: int) -> list:
     Violated means the running sup shows a sustained monotone growth trend.
     The bound is observed at truncation, never proven.
     """
+    check_tol(tol)
     idx = np.asarray(indices, dtype=float)
     vals = np.asarray(traces, dtype=float)
     out = [None] * len(vals)
@@ -845,6 +852,8 @@ def classify_classical(x, space, n: int, tol: float = DEFAULT_TOL,
         window = min(default_window(n), max(1, n - 1))
     if not (0 < window < n):
         raise TruncationError(f"window must satisfy 0 < window < {n}, got {window}")
+    if isinstance(x, (str, dict)):
+        x = make_sequence(x)
     if isinstance(x, Sequence):
         vals = x.floats(n)
     elif isinstance(x, FiniteVector):

@@ -31,7 +31,7 @@ from seqspace.conditions import (
 )
 from seqspace.errors import SpecError, TruncationError, UnsupportedClassError
 from seqspace.domains import space_from_spec
-from seqspace.duality import DualTriangle, dual_membership
+from seqspace.duality import DualTriangle, dual_membership, dual_transfer_matrix
 from seqspace.matrices import (
     DENSE_LIMIT,
     CesaroMeans,
@@ -368,21 +368,29 @@ def test_rows_with_a_support_bound_build_no_dual_triangle(monkeypatch):
     assert built == []
 
 
-def test_finite_duals_are_read_on_their_support(monkeypatch):
-    # list:1,-2,3 has 3 nonzero terms, so its dual triangle is read 8
-    # columns wide, never the full 600.
-    widths = []
-    block = DualTriangle.block
-
-    def spy(self, rows, m):
-        widths.append(m)
-        return block(self, rows, m)
-    monkeypatch.setattr(DualTriangle, "block", spy)
+def test_finite_duals_are_read_on_their_support():
+    # list:1,-2,3 has 3 nonzero terms: its dual triangle evaluates no term
+    # past them, and is +0.0 past column 3.
     cache.clear()
     for tag in ("c0", "c", "linf"):
         rep = dual_membership("list:1,-2,3", f"{tag}(omega)")
         assert rep.verdict is Verdict.SATISFIED, tag
-    assert widths and max(widths) <= 8
+    u = dual_transfer_matrix("list:1,-2,3", "omega")
+    assert not u.truncation_floats(DEFAULT_CLASS_N)[:, 3:].any()
+
+
+def test_row_duals_are_built_once_per_row_and_domain(monkeypatch):
+    built = []
+    make = conditions.dual_transfer_matrix
+
+    def counted(*args):
+        built.append(args)
+        return make(*args)
+    monkeypatch.setattr(conditions, "dual_transfer_matrix", counted)
+    cache.clear()
+    for tag in ("c0", "c", "linf"):
+        check_class("taylor:1/4", f"{tag}(omega)", "c")
+    assert len(built) == 6
 
 
 def test_the_support_rule_agrees_with_the_dual_triangles():

@@ -98,6 +98,14 @@ def test_taylor_rows():
         apply(t, "const:1", 4, mode="exact")
 
 
+def test_row_infinite_products_are_refused_for_their_missing_row_series():
+    # The product has a tail cutoff; what it lacks is a row series.
+    a = compose("taylor:1/4", "gamma-inv")
+    assert a.row_cutoff(5) == 39
+    with pytest.raises(RowSeriesError, match="no row series"):
+        apply(a, "harmonic", 10, mode="float")
+
+
 def test_apply_exact_frozen():
     assert apply("omega", "const:1", 4).entries == (1, 3, 6, 10)
     assert apply("gamma", "const:1", 4).entries == \

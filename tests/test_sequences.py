@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from seqspace.domains import space_from_spec, space_membership
+from seqspace.domains import (
+    sections_bounded_probe,
+    sections_converge_probe,
+    space_from_spec,
+    space_membership,
+)
 from seqspace.errors import SpecError, TruncationError
 from seqspace.sequences import (
     LimitKind,
     SpaceId,
     analyze_limit,
+    analyze_limits,
     analyze_sup,
+    analyze_sups,
     classify_classical,
+    classify_traces,
     classify_values,
     detect_limit,
     exact_number,
@@ -187,6 +195,43 @@ def test_classify_classical_wrapper():
         classify_classical(make_sequence("harmonic"),
                            space_from_spec("c0(omega)"), 400)
     assert callable(space_membership)
+    # String and dict specs are resolved as sequences; lists are values.
+    assert classify_classical("alternating", "c", 100) is Verdict.VIOLATED
+    assert classify_classical({"kind": "builtin", "name": "alternating"},
+                              "linf", 100) is Verdict.SATISFIED
+    assert classify_classical([1.0] * 100, "c", 100) is Verdict.SATISFIED
+
+
+@pytest.mark.parametrize("tol", (float("inf"), float("nan")))
+def test_malformed_tolerances_are_rejected(tol):
+    # An infinite tolerance once settled every trace, and NaN gave
+    # arbitrary verdicts.
+    idx = np.arange(1.0, 101.0)
+    swings = (-1.0) ** idx
+    probes = {
+        "analyze_limit": lambda: analyze_limit(idx, swings, tol, 10),
+        "analyze_limits": lambda: analyze_limits(idx, swings[None], tol, 10),
+        "analyze_sup": lambda: analyze_sup(idx, idx, tol, 10),
+        "analyze_sups": lambda: analyze_sups(idx, idx[None], tol, 10),
+        "detect_limit": lambda: detect_limit(
+            truncate(make_sequence("alternating"), 100), tol),
+        "classify_values": lambda: classify_values(swings, "c", tol, 10),
+        "classify_traces": lambda: classify_traces(swings[None], "bs", tol, 10),
+        "classify_classical": lambda: classify_classical(
+            "alternating", "c", 100, tol),
+        "space_membership": lambda: space_membership(
+            "alternating", "c", 100, tol=tol),
+        "space_membership domain": lambda: space_membership(
+            "alternating", "c(omega)", 100, tol=tol),
+        "sections_bounded_probe": lambda: sections_bounded_probe(
+            "omega", "geometric:1/2", 50, tol),
+        "sections_converge_probe": lambda: sections_converge_probe(
+            "omega", "geometric:1/2", 50, tol),
+    }
+    for name, probe in probes.items():
+        with pytest.raises(TruncationError, match="finite and positive"):
+            probe()
+            pytest.fail(name)
 
 
 def test_space_id():
