@@ -369,8 +369,8 @@ def test_rows_with_a_support_bound_build_no_dual_triangle(monkeypatch):
 
 
 def test_finite_duals_are_read_on_their_support():
-    # list:1,-2,3 has 3 nonzero terms: its dual triangle evaluates no term
-    # past them, and is +0.0 past column 3.
+    # list:1,-2,3 has 3 nonzero terms, so its dual triangle, read at full
+    # width, is +0.0 past column 3.
     cache.clear()
     for tag in ("c0", "c", "linf"):
         rep = dual_membership("list:1,-2,3", f"{tag}(omega)")
