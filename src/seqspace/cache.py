@@ -1,9 +1,9 @@
 """One bounded cache for everything seqspace computes more than once.
 
-Matrices resolved from specs, transfer matrices, the dual triangles of
-paired rows, dense float tables, the row features read from them, condition
-reports, oracle images and oracle probes all live in one least-recently-used
-store, capped in bytes by :data:`CAP_BYTES`.  Every entry is charged its
+Matrices resolved from specs, transfer matrices, dense float tables, the
+row features read from them, condition reports, oracle images and oracle
+probes all live in one least-recently-used store, capped in bytes by
+:data:`CAP_BYTES`.  Every entry is charged its
 ``nbytes`` (zero for values without arrays) plus :data:`ENTRY_OVERHEAD`, so
 small values cannot pile up without bound either.
 
@@ -16,17 +16,13 @@ so the table it replaces is freed before the new one is allocated.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
-factors' keys for products and inverses, and a serial number for every other
-matrix.  Serial numbers are never reused, so two matrices that happen to
-share a label never share an entry, and the entries of a serial-keyed matrix
-are dropped once the matrix is gone.  No cached value refers back to a matrix
-that refers to the cache, so an evicted table is freed at once.
-
-Besides the matrices themselves, one kind of entry refers to a matrix: the
-dual triangle of a paired row, under ``("row-dual", matrix key, row, domain
-key)``, reads that row's entries from its matrix.  So it keeps a
-serial-keyed matrix, and with it that matrix's entries, until the triangle
-is evicted.
+factors' keys for products and inverses, ``("row-dual", matrix key, row,
+domain key)`` for the dual triangle of a paired row, and a serial number
+for every other matrix.  Serial numbers are never reused, so two matrices
+that happen to share a label never share an entry, and the entries of a
+serial-keyed matrix are dropped once the matrix is gone.  No cached value
+refers back to a matrix that refers to the cache, so an evicted table is
+freed at once.
 """
 
 from __future__ import annotations

@@ -51,6 +51,7 @@ from .sequences import (
     limit_exists_verdict,
     make_sequence,
     null_limit_verdict,
+    probe_window,
 )
 from .verdicts import Verdict, conjoin
 
@@ -264,11 +265,6 @@ def _default_window(n: int) -> int:
     return window
 
 
-def _check_window(window: int, n: int) -> None:
-    if not (0 < window < n):
-        raise TruncationError(f"window must satisfy 0 < window < {n}")
-
-
 class _TooFewRows(TruncationError):
     """Fewer complete rows than a row trace's trailing window: the row-trace
     conditions are inconclusive, with the message as their note."""
@@ -290,7 +286,7 @@ class _Engine:
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
         if n < 8:
             raise TruncationError(f"class checks need a truncation >= 8, got {n}")
-        _check_window(window, n)
+        probe_window(n, window)
         self.a = a
         self.n = n
         self.tol = tol
@@ -668,9 +664,10 @@ def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
     row without one, its dual triangle (:func:`dual_transfer_matrix`) must
     map the base space into c.
 
-    The cache keeps one dual triangle per (matrix, row, domain), and its
-    condition reports under its own key, so c0, c and linf over one domain
-    judge each condition they share once.
+    Each row's dual triangle is keyed ``("row-dual", matrix key, row,
+    domain key)``, so its table and condition reports are cached under that
+    key, and c0, c and linf over one domain judge each condition they share
+    once.  The triangle itself is not cached.
     """
     conds = PAIR_CONDITIONS[(space.tag, "c")]
     verdicts = {}
@@ -678,11 +675,10 @@ def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
         if a.row_end(nn) is not None:
             verdicts[nn] = Verdict.SATISFIED
             continue
-        transfer = cache.lookup(
-            ("row-dual", a.key, nn, space.matrix.key),
-            lambda nn=nn: dual_transfer_matrix(
-                Sequence(lambda k: a.entry(nn, k), label=f"row[{nn}]"),
-                space.matrix))
+        transfer = dual_transfer_matrix(
+            Sequence(lambda k, nn=nn: a.entry(nn, k), label=f"row[{nn}]"),
+            space.matrix)
+        transfer.key = ("row-dual", a.key, nn, space.matrix.key)
         verdicts[nn] = conjoin(
             condition_report(transfer, c, n, tol, window).verdict
             for c in conds)
@@ -854,7 +850,7 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     to_space = space_from_spec(to_space)
     if window is None:
         window = _default_window(n)
-    _check_window(window, n)
+    probe_window(n, window)
     domain = from_space.matrix.key if from_space.is_domain else None
     battery = cache.lookup(("battery", domain, from_space.tag, seed),
                            lambda: oracle_samples(from_space, seed))

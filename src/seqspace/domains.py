@@ -30,19 +30,17 @@ from .sequences import (
     SpaceId,
     analyze_limit,
     analyze_sup,
+    check_tol,
     classify_values,
-    default_window,
     make_sequence,
     null_limit_verdict,
+    probe_window,
 )
 from .verdicts import Verdict
 
-CLASSICAL_SPACES = ("c0", "c", "linf", "bs", "cs")
-DOMAIN_BASE_TAGS = ("c0", "c", "linf")
-
 
 def space_from_spec(spec) -> SpaceId:
-    """Resolve a space spec.
+    """Resolve a space spec; :class:`SpaceId` checks what it names.
 
     String forms: ``"c0"``, ``"c"``, ``"linf"``, ``"bs"``, ``"cs"`` and
     domain forms like ``"c0(omega)"``, ``"c(gamma)"``, ``"linf(omega)"``.
@@ -52,31 +50,16 @@ def space_from_spec(spec) -> SpaceId:
         return spec
     if isinstance(spec, str):
         text = spec.strip().lower()
-        if "(" in text:
-            if not text.endswith(")"):
-                raise SpecError(f"malformed space spec {spec!r}")
-            tag, inner = text[:-1].split("(", 1)
-            tag = tag.strip()
-            if tag not in DOMAIN_BASE_TAGS:
-                raise SpecError(
-                    f"matrix domains are built over {'/'.join(DOMAIN_BASE_TAGS)}, "
-                    f"got {tag!r}")
-            matrix = matrix_from_spec(inner.strip())
-            if not matrix.triangle:
-                raise SpecError(
-                    f"domain spaces need a lower triangle, got {matrix.name!r}")
-            return SpaceId(tag, matrix)
-        if text not in CLASSICAL_SPACES:
-            raise SpecError(f"unknown space {spec!r}")
-        return SpaceId(text)
+        if "(" not in text:
+            return SpaceId(text)
+        if not text.endswith(")"):
+            raise SpecError(f"malformed space spec {spec!r}")
+        tag, inner = text[:-1].split("(", 1)
+        return SpaceId(tag.strip(), matrix_from_spec(inner.strip()))
     if isinstance(spec, dict):
         tag = str(spec.get("tag", "")).strip().lower()
-        if "matrix" in spec and spec["matrix"] is not None:
-            matrix = matrix_from_spec(spec["matrix"])
-            if not matrix.triangle:
-                raise SpecError(
-                    f"domain spaces need a lower triangle, got {matrix.name!r}")
-            return SpaceId(tag, matrix)
+        if spec.get("matrix") is not None:
+            return SpaceId(tag, matrix_from_spec(spec["matrix"]))
         return SpaceId(tag)
     raise SpecError(f"cannot build a space from {type(spec).__name__}")
 
@@ -169,25 +152,28 @@ def _sup_abs(values) -> Scalar:
 
 def space_membership(x, space, n: int, tol: float = 1e-6,
                      window: Optional[int] = None, detail: bool = False):
-    """Three-valued membership probe of ``x`` in ``space`` at truncation ``n``."""
+    """Three-valued membership probe of ``x`` in ``space`` at truncation ``n``.
+
+    ``x`` is any spec :func:`make_sequence` accepts; a list or a
+    FiniteVector is read as a finitely supported sequence.  The window
+    follows :func:`probe_window`.  An overflowed input, or a domain
+    transform that overflows, is Inconclusive.
+    """
+    check_tol(tol)
     space = space_from_spec(space)
-    if window is None:
-        window = min(default_window(n), max(1, n - 1))
-    if space.is_domain:
+    window = probe_window(n, window)
+    if isinstance(x, FiniteVector) and x.overflow:
+        note = f"overflow at index {x.overflow_index}"
+    elif space.is_domain:
         coords = apply(space.matrix, x, n, mode="float")
-        if coords.overflow:
-            info = {"note": f"transform overflowed at index {coords.overflow_index}"}
-            return (Verdict.INCONCLUSIVE, info) if detail else Verdict.INCONCLUSIVE
-        return classify_values(coords.as_floats(), space.tag, tol, window,
-                               detail=detail)
-    seq = make_sequence(x) if not isinstance(x, FiniteVector) else None
-    if seq is not None:
-        vals = seq.floats(n)
+        note = (f"transform overflowed at index {coords.overflow_index}"
+                if coords.overflow else None)
+        vals = coords.as_floats()
     else:
-        if x.overflow:
-            info = {"note": f"overflow at index {x.overflow_index}"}
-            return (Verdict.INCONCLUSIVE, info) if detail else Verdict.INCONCLUSIVE
-        vals = x.as_floats()[:n]
+        note, vals = None, make_sequence(x).floats(n)
+    if note is not None:
+        return ((Verdict.INCONCLUSIVE, {"note": note}) if detail
+                else Verdict.INCONCLUSIVE)
     return classify_values(vals, space.tag, tol, window, detail=detail)
 
 
@@ -334,9 +320,9 @@ def sections_bounded_probe(space_or_matrix, x, n: int, tol: float = 1e-6,
                            window: Optional[int] = None):
     """Probe whether the section norms stay bounded (the classical AB
     property, along ``x``).  Returns ``(verdict, info)``."""
+    check_tol(tol)
+    window = probe_window(n, window)
     trace = section_norm_trace(space_or_matrix, x, n)
-    if window is None:
-        window = min(default_window(n), max(1, n - 1))
     return analyze_sup(np.arange(1, n + 1), trace, tol, window)
 
 
@@ -346,21 +332,20 @@ def sections_converge_probe(space_or_matrix, x, n: int, tol: float = 1e-6,
     classical AK property, along ``x``).  Returns ``(verdict, info)``.
 
     The residual after the m-th section is ``sup_{j>m} |(Ax)_j - (A x^[m])_j|``;
-    the probe checks that this trace decays to zero.
+    the probe checks that this trace decays to zero.  The n-th section's
+    residual is 0 within the window by construction, a truncation artifact
+    rather than data, so the trace stops at n - 1 and the window is below
+    that (:func:`probe_window`; the default is still taken from n).
     """
+    check_tol(tol)
+    window = probe_window(n - 1, window, n)
     a = _resolve_triangle(space_or_matrix)
     c = _section_image_table(a, x, n)
     y = np.diag(c)  # (Ax)_j within the window
     diffs = np.abs(y[:, None] - c)  # rows j, columns m
-    # the n-th section's residual is 0 within the window by construction, a
-    # truncation artifact rather than data, so the trace stops at n - 1
     res = np.zeros(n - 1)
     for m in range(1, n):
         res[m - 1] = diffs[m:, m - 1].max()
-    if len(res) < 2:
-        return Verdict.INCONCLUSIVE, {"note": "truncation too short"}
-    if window is None:
-        window = min(default_window(n), max(1, len(res) - 1))
     lv = analyze_limit(np.arange(1, n), res, tol, window)
     verdict = null_limit_verdict(lv, tol)
     info = {"residual_trace_tail": float(res[-1]),

@@ -60,8 +60,9 @@ class DualTriangle(InfiniteMatrix):
     Every read is at full width.  When ``a`` has a support hint w, the
     terms past w are not evaluated: p is +0.0 and q is -0.0 there, so every
     entry past column w is +0.0, as the exact zeros would give.  A triangle
-    keeps its serial cache key: its tables and traces leave the evaluation
-    cache with it.
+    has a serial cache key, so its tables and traces leave the evaluation
+    cache with it, unless its maker gives it a stable key, as row pairing
+    does.
     """
 
     def __init__(self, a: Sequence, inverse: Bidiagonal):

@@ -319,10 +319,13 @@ class Bidiagonal(InfiniteMatrix):
         """(d(1..m), s(2..m)) as floats."""
         if len(self._df) < m:
             lo = len(self._df)
-            self._df = np.concatenate(
-                [self._df, [float(self.diag(n)) for n in range(lo + 1, m + 1)]])
-            self._sf = np.concatenate(
-                [self._sf, [float(self.sub(n)) for n in range(max(lo, 1) + 1, m + 1)]])
+            first = max(lo, 1) + 1
+            self._df = np.concatenate([self._df, _term_floats(
+                map(self.diag, range(lo + 1, m + 1)), lo + 1,
+                f"{self.name} diagonal d")])
+            self._sf = np.concatenate([self._sf, _term_floats(
+                map(self.sub, range(first, m + 1)), first,
+                f"{self.name} subdiagonal s")])
         return self._df[:m], self._sf[1:m]
 
     def pairs(self, m: int) -> tuple:
@@ -1097,6 +1100,9 @@ def apply_many(a, xs: list, n: int) -> list:
       (``row_series``), past which the row's mass is at most
       ``ROW_TAIL_MASS``: each row series is built once per stack, with one
       dot per row and image.
+
+    Overflow is flagged in the vectors, so the arithmetic runs without
+    numpy's overflow and invalid-value warnings.
     """
     a = matrix_from_spec(a)
     if n < 1:
@@ -1104,35 +1110,36 @@ def apply_many(a, xs: list, n: int) -> list:
     xs = [make_sequence(x) for x in xs]
     if not xs:
         return []
-    if a.row_end(n) is None:
-        series = getattr(a, "row_series", None)
-        if series is None:
-            raise RowSeriesError(
-                f"matrix {a.name!r} has rows with unbounded support and no "
-                "row series: only row_series rows (taylor) can be extended "
-                "to their cutoff; cannot transform")
-        top = a.row_cutoff(n)
-        xfs = [x.floats(top) for x in xs]
-        out = np.empty((len(xs), n))
-        for row in range(1, n + 1):
-            hi, entries = series(row)       # columns row..hi
-            coeffs = np.zeros(hi)
-            coeffs[row - 1:] = entries
-            m = min(hi, top)
-            for i, xf in enumerate(xfs):
-                out[i, row - 1] = coeffs[:m] @ xf[:m]
-    else:
-        stack = np.array([x.floats(n) for x in xs])
-        out = a._apply_floats(stack)
-        if out is None:
-            # Up to DENSE_LIMIT the one block is the cached table.
-            out = np.empty_like(stack)
-            step = max(1, DENSE_LIMIT * DENSE_LIMIT // n)
-            for lo in range(1, n + 1, step):
-                rows = (a.truncation_floats(n) if n <= DENSE_LIMIT else
-                        a.block(np.arange(lo, min(lo + step, n + 1)), n))
-                for image, xf in zip(out, stack):
-                    image[lo - 1:lo - 1 + len(rows)] = rows @ xf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a.row_end(n) is None:
+            series = getattr(a, "row_series", None)
+            if series is None:
+                raise RowSeriesError(
+                    f"matrix {a.name!r} has rows with unbounded support and "
+                    "no row series: only row_series rows (taylor) can be "
+                    "extended to their cutoff; cannot transform")
+            top = a.row_cutoff(n)
+            xfs = [x.floats(top) for x in xs]
+            out = np.empty((len(xs), n))
+            for row in range(1, n + 1):
+                hi, entries = series(row)       # columns row..hi
+                coeffs = np.zeros(hi)
+                coeffs[row - 1:] = entries
+                m = min(hi, top)
+                for i, xf in enumerate(xfs):
+                    out[i, row - 1] = coeffs[:m] @ xf[:m]
+        else:
+            stack = np.array([x.floats(n) for x in xs])
+            out = a._apply_floats(stack)
+            if out is None:
+                # Up to DENSE_LIMIT the one block is the cached table.
+                out = np.empty_like(stack)
+                step = max(1, DENSE_LIMIT * DENSE_LIMIT // n)
+                for lo in range(1, n + 1, step):
+                    rows = (a.truncation_floats(n) if n <= DENSE_LIMIT else
+                            a.block(np.arange(lo, min(lo + step, n + 1)), n))
+                    for image, xf in zip(out, stack):
+                        image[lo - 1:lo - 1 + len(rows)] = rows @ xf
     return finite_vectors(out, [f"{a.name}({x.label})" for x in xs])
 
 

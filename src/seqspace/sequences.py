@@ -10,8 +10,9 @@ The module provides:
   instead of stored NaN/inf,
 * ``detect_limit`` — a three-outcome-plus-inconclusive limit heuristic on a
   finite trace,
-* ``classify_classical`` — membership probes for the classical spaces
-  c0, c, linf, bs and cs at a truncation.
+* ``classify_values`` / ``classify_traces`` — membership probes of raw
+  traces in the classical spaces c0, c, linf, bs and cs,
+* ``SpaceId`` — a classical space, or a triangle's domain over one.
 
 Indexing is 1-based everywhere.  Scalars are real: exact values are carried as
 ``int``/``fractions.Fraction`` where the defining rule is rational, and float
@@ -59,6 +60,22 @@ CLASSICAL_TAGS = ("c0", "c", "linf", "bs", "cs")
 def default_window(n: int) -> int:
     """Trailing-window size used when the caller does not pass one."""
     return max(16, n // 10)
+
+
+def probe_window(length: int, window: Optional[int] = None,
+                 n: Optional[int] = None) -> int:
+    """The trailing window of a probe on one trace of ``length`` points.
+
+    ``window`` defaults to ``min(default_window(n), length - 1)``, with the
+    truncation ``n`` equal to ``length`` unless given.  A window outside
+    ``0 < window < length`` raises :class:`TruncationError`.
+    """
+    if window is None:
+        window = min(default_window(length if n is None else n), length - 1)
+    if not 0 < window < length:
+        raise TruncationError(
+            f"window must satisfy 0 < window < {length}, got {window}")
+    return window
 
 
 def exact_number(value) -> Scalar:
@@ -651,13 +668,11 @@ def detect_limit(v: FiniteVector, tol: float = DEFAULT_TOL,
     Args:
         v: the trace; must be longer than the window.
         tol: spread tolerance for a convergent verdict.
-        window: trailing points examined; defaults to ``max(16, len(v)//10)``.
+        window: trailing points examined; see :func:`probe_window`.
     """
+    check_tol(tol)
     n = len(v)
-    if window is None:
-        window = min(default_window(n), max(1, n - 1)) if n > 1 else 1
-    if not (0 < window < n):
-        raise TruncationError(f"window must satisfy 0 < window < {n}, got {window}")
+    window = probe_window(n, window)
     if v.overflow:
         return LimitVerdict(LimitKind.INCONCLUSIVE, None, math.inf, 0.0,
                             note=f"overflow at index {v.overflow_index}")
@@ -813,6 +828,8 @@ class SpaceId:
 
     ``matrix`` is None for the classical spaces; a matrix-domain space carries
     the triangle object itself (its name/params identify it in reports).
+    This is the one check of what a space is: a classical tag, and for a
+    domain a base of c0, c or linf and a lower-triangular matrix.
     """
 
     tag: str
@@ -821,8 +838,13 @@ class SpaceId:
     def __post_init__(self):
         if self.tag not in CLASSICAL_TAGS:
             raise SpecError(f"unknown space tag {self.tag!r}")
-        if self.matrix is not None and self.tag not in ("c0", "c", "linf"):
+        if self.matrix is None:
+            return
+        if self.tag not in ("c0", "c", "linf"):
             raise SpecError(f"matrix domains are built over c0/c/linf, not {self.tag!r}")
+        if not getattr(self.matrix, "triangle", False):
+            raise SpecError("domain spaces need a lower triangle, got "
+                            f"{getattr(self.matrix, 'name', 'matrix')!r}")
 
     @property
     def is_domain(self) -> bool:
@@ -832,34 +854,3 @@ class SpaceId:
         if self.matrix is None:
             return self.tag
         return f"{self.tag}({getattr(self.matrix, 'name', 'matrix')})"
-
-
-def classify_classical(x, space, n: int, tol: float = DEFAULT_TOL,
-                       window: Optional[int] = None) -> Verdict:
-    """Probe membership of ``x`` in a classical space at truncation ``n``.
-
-    ``space`` may be a tag string or a classical ``SpaceId``.  Matrix-domain
-    spaces are handled by :func:`seqspace.domains.space_membership`.
-    """
-    if isinstance(space, SpaceId):
-        if space.is_domain:
-            raise SpecError("classify_classical handles classical spaces only; "
-                            "use domains.space_membership for matrix domains")
-        tag = space.tag
-    else:
-        tag = str(space).lower()
-    if window is None:
-        window = min(default_window(n), max(1, n - 1))
-    if not (0 < window < n):
-        raise TruncationError(f"window must satisfy 0 < window < {n}, got {window}")
-    if isinstance(x, (str, dict)):
-        x = make_sequence(x)
-    if isinstance(x, Sequence):
-        vals = x.floats(n)
-    elif isinstance(x, FiniteVector):
-        if x.overflow:
-            return Verdict.INCONCLUSIVE
-        vals = x.as_floats()[:n]
-    else:
-        vals = np.asarray(x, dtype=float)[:n]
-    return classify_values(vals, tag, tol, window)

@@ -380,17 +380,20 @@ def test_finite_duals_are_read_on_their_support():
 
 
 def test_row_duals_are_built_once_per_row_and_domain(monkeypatch):
+    # Each row's dual triangle is keyed by (matrix, row, domain), so c0, c
+    # and linf over omega share its table: six rows, six tables.
     built = []
-    make = conditions.dual_transfer_matrix
+    block = DualTriangle.block
 
-    def counted(*args):
-        built.append(args)
-        return make(*args)
-    monkeypatch.setattr(conditions, "dual_transfer_matrix", counted)
+    def counted(self, rows, m):
+        built.append(self.key)
+        return block(self, rows, m)
+    monkeypatch.setattr(DualTriangle, "block", counted)
     cache.clear()
     for tag in ("c0", "c", "linf"):
         check_class("taylor:1/4", f"{tag}(omega)", "c")
-    assert len(built) == 6
+    assert sorted(built) == [("row-dual", "taylor:1/4", nn, "omega")
+                             for nn in range(1, 7)]
 
 
 def test_the_support_rule_agrees_with_the_dual_triangles():

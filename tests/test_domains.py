@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,8 @@ from seqspace.domains import (
 )
 from seqspace.errors import PreconditionError, SpecError
 from seqspace.matrices import apply, matrix_from_spec
-from seqspace.sequences import make_sequence, sequence_from_values
+from seqspace.sequences import (finite_vector, make_sequence,
+                                sequence_from_values)
 from seqspace.verdicts import Verdict
 
 from conftest import rational_band_triangle
@@ -89,7 +91,18 @@ def test_space_membership():
 
 def test_space_membership_overflow_is_inconclusive():
     assert space_membership("geometric:2", "c0", 2000) is Verdict.INCONCLUSIVE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # and numpy warns of nothing
+        assert space_membership("geometric:-1000000", "c(omega)", 200) \
+            is Verdict.INCONCLUSIVE
     assert space_membership("power:400", "linf", 200) is Verdict.INCONCLUSIVE
+    # An overflowed vector is not judged on the zeros that stand in for its
+    # overflow, in a domain either.
+    idx = np.arange(1.0, 101.0)
+    overflowed = finite_vector(np.where(idx > 50, np.inf, (-1.0) ** idx))
+    for space in ("c0", "c0(omega)"):
+        assert space_membership(overflowed, space, 100, detail=True) == (
+            Verdict.INCONCLUSIVE, {"note": "overflow at index 51"})
 
 
 def test_basis_elements():

@@ -4,6 +4,7 @@ in the same order, so every comparison is bit for bit."""
 
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 
 from seqspace import matrices as mat
 from seqspace import sequences as seq
-from seqspace.conditions import _column_mass, _Engine, _reduce_rows
+from seqspace.conditions import (_column_mass, _Engine, _reduce_rows,
+                                 oracle_check)
 from seqspace.duality import DualTriangle, dual_transfer_matrix
-from seqspace.errors import TruncationError
+from seqspace.errors import FloatRangeError, TruncationError
 from seqspace.matrices import (
     DENSE_LIMIT,
     ROW_CUTOFF_CAP,
@@ -23,6 +25,7 @@ from seqspace.matrices import (
     TaylorTransform,
     apply,
     apply_many,
+    inverse_of,
     matrix_from_spec,
 )
 from seqspace.sequences import (
@@ -809,6 +812,31 @@ def test_apply_many_matches_one_vector_at_a_time(name):
             assert (g.overflow, g.overflow_index, g.origin) == (
                 want.overflow, want.overflow_index, want.origin), (name, n)
     assert apply_many(a, [], 5) == []
+
+
+@pytest.mark.parametrize("name", ("omega", "cesaro", "riesz:power:2",
+                                  "euler:1/2", "taylor:1/4"))
+def test_overflowing_float_transforms_print_no_warnings(name):
+    # Running sums (omega, cesaro, riesz), products with the table (euler)
+    # and rows extended to their cutoff (taylor) overflow into inf and nan;
+    # the overflow is flagged in the vector, and numpy warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply_many(name, ["geometric:-1000000"], 200)[0]
+    assert got.overflow and got.overflow_index is not None
+
+
+def test_overflowing_bidiagonal_diagonals_raise_float_range_errors():
+    # The inverse of the Riesz means with weights 1000^-k has diagonal
+    # T_n / t_n, past float range from n = 104 on.
+    inv = inverse_of("riesz:geometric:1/1000")
+    with pytest.raises(FloatRangeError, match=r"diagonal d_104 is too large"):
+        apply(inv, "const:1", 200, mode="float")
+    with pytest.raises(FloatRangeError, match="too large for a float"):
+        oracle_check("identity", "c0(riesz:geometric:1/1000)", "linf", n=200)
+    d, s = inv._diagonals_floats(103)
+    assert same_bits(d, [float(inv.diag(n)) for n in range(1, 104)])
+    assert same_bits(s, [float(inv.sub(n)) for n in range(2, 104)])
 
 
 def finite_vector_reference(values):

@@ -11,6 +11,7 @@ from seqspace.domains import (
     space_membership,
 )
 from seqspace.errors import SpecError, TruncationError
+from seqspace.matrices import matrix_from_spec
 from seqspace.sequences import (
     LimitKind,
     SpaceId,
@@ -18,7 +19,6 @@ from seqspace.sequences import (
     analyze_limits,
     analyze_sup,
     analyze_sups,
-    classify_classical,
     classify_traces,
     classify_values,
     detect_limit,
@@ -186,20 +186,36 @@ def test_classify_values_per_tag():
         classify_values(np.ones(10), "lp", tol, 2)
 
 
-def test_classify_classical_wrapper():
-    assert classify_classical(make_sequence("geometric:1/2"), "c0", 400) is Verdict.SATISFIED
+def test_space_membership_reads_specs_lists_and_windows():
+    assert space_membership(make_sequence("geometric:1/2"), "c0", 400) \
+        is Verdict.SATISFIED
     with pytest.raises(TruncationError):
-        classify_classical(make_sequence("harmonic"), "c0", 10, window=10)
-    # A matrix domain is refused with the name of the function that probes it.
-    with pytest.raises(SpecError, match=r"domains\.space_membership"):
-        classify_classical(make_sequence("harmonic"),
-                           space_from_spec("c0(omega)"), 400)
-    assert callable(space_membership)
-    # String and dict specs are resolved as sequences; lists are values.
-    assert classify_classical("alternating", "c", 100) is Verdict.VIOLATED
-    assert classify_classical({"kind": "builtin", "name": "alternating"},
-                              "linf", 100) is Verdict.SATISFIED
-    assert classify_classical([1.0] * 100, "c", 100) is Verdict.SATISFIED
+        space_membership(make_sequence("harmonic"), "c0", 10, window=10)
+    # String and dict specs are resolved as sequences; a list is a finitely
+    # supported sequence.
+    assert space_membership("alternating", "c", 100) is Verdict.VIOLATED
+    assert space_membership({"kind": "builtin", "name": "alternating"},
+                            "linf", 100) is Verdict.SATISFIED
+    assert space_membership([1.0] * 100, "c", 100) is Verdict.SATISFIED
+    assert space_membership([1.0] * 10, "c0", 100) is Verdict.SATISFIED
+
+
+@pytest.mark.parametrize("probe, length", [
+    (lambda n, **kw: space_membership("harmonic", "c0", n, **kw), 40),
+    (lambda n, **kw: space_membership("harmonic", "c0(omega)", n, **kw), 40),
+    (lambda n, **kw: sections_bounded_probe("omega", "harmonic", n, **kw), 40),
+    (lambda n, **kw: sections_converge_probe("omega", "harmonic", n, **kw),
+     39),
+], ids=["membership", "membership domain", "sections bounded",
+        "sections converge"])
+def test_single_trace_probes_refuse_a_window_as_long_as_the_trace(probe,
+                                                                   length):
+    # A trailing window as long as the trace leaves nothing before it; the
+    # section residuals stop at n - 1, so that trace is one shorter than n.
+    with pytest.raises(TruncationError,
+                       match=rf"0 < window < {length}, got {length}"):
+        probe(40, window=length)
+    probe(40)
 
 
 @pytest.mark.parametrize("tol", (float("inf"), float("nan")))
@@ -208,6 +224,8 @@ def test_malformed_tolerances_are_rejected(tol):
     # arbitrary verdicts.
     idx = np.arange(1.0, 101.0)
     swings = (-1.0) ** idx
+    overflowed = finite_vector(np.where(idx > 50, np.inf, swings))
+    assert overflowed.overflow
     probes = {
         "analyze_limit": lambda: analyze_limit(idx, swings, tol, 10),
         "analyze_limits": lambda: analyze_limits(idx, swings[None], tol, 10),
@@ -217,8 +235,6 @@ def test_malformed_tolerances_are_rejected(tol):
             truncate(make_sequence("alternating"), 100), tol),
         "classify_values": lambda: classify_values(swings, "c", tol, 10),
         "classify_traces": lambda: classify_traces(swings[None], "bs", tol, 10),
-        "classify_classical": lambda: classify_classical(
-            "alternating", "c", 100, tol),
         "space_membership": lambda: space_membership(
             "alternating", "c", 100, tol=tol),
         "space_membership domain": lambda: space_membership(
@@ -227,6 +243,14 @@ def test_malformed_tolerances_are_rejected(tol):
             "omega", "geometric:1/2", 50, tol),
         "sections_converge_probe": lambda: sections_converge_probe(
             "omega", "geometric:1/2", 50, tol),
+        # An overflowed input is judged on the tolerance before its
+        # overflow makes the answer inconclusive.
+        "detect_limit overflowed": lambda: detect_limit(overflowed, tol),
+        "space_membership overflowed": lambda: space_membership(
+            overflowed, "c", 100, tol=tol),
+        "space_membership domain transform overflowed":
+            lambda: space_membership("geometric:-1000000", "c(omega)", 200,
+                                     tol=tol),
     }
     for name, probe in probes.items():
         with pytest.raises(TruncationError, match="finite and positive"):
@@ -242,6 +266,13 @@ def test_space_id():
     with pytest.raises(SpecError):
         # matrix domains only sit over c0/c/linf
         SpaceId("bs", matrix=object())
+    # A domain needs a lower triangle however the space is built.
+    with pytest.raises(SpecError) as direct:
+        SpaceId("c", matrix_from_spec("taylor:1/4"))
+    with pytest.raises(SpecError) as parsed:
+        space_from_spec("c(taylor:1/4)")
+    assert str(direct.value) == str(parsed.value) == \
+        "domain spaces need a lower triangle, got 'taylor'"
 
 
 def test_detect_limit_window_validation():
