@@ -22,6 +22,7 @@ from .matrices import (
     apply,
     inverse_of,
     matrix_from_spec,
+    row_dot,
 )
 from .sequences import (
     FiniteVector,
@@ -101,13 +102,9 @@ def preimage_sequence(space_or_matrix, y) -> Sequence:
         return out
 
     def rule(k: int) -> Scalar:
-        total = 0
-        hi = inv.row_end(k)
-        for j in range(inv.row_start(k), (k if hi is None else hi) + 1):
-            coeff = inv.entry(k, j)
-            if coeff != 0:
-                total += coeff * y(j)
-        return total
+        lo = inv.row_start(k)
+        row = next(inv.exact_rows([k], k))[lo - 1:]
+        return row_dot(row, [y(j) for j in range(lo, k + 1)])
 
     return Sequence(rule, label=f"{a.name}-preimage({y.label})", vector=vector)
 
@@ -131,12 +128,10 @@ def space_norm(space, x, n: int, mode: str = "exact") -> Scalar:
         coords = apply(space.matrix, x, n, mode=mode)
         values = coords.entries
     else:
-        vec = x if isinstance(x, FiniteVector) else None
-        if vec is None:
-            seq = make_sequence(x)
-            values = tuple(seq(k) for k in range(1, n + 1))
+        if isinstance(x, FiniteVector):
+            values = x.entries[:n]
         else:
-            values = vec.entries[:n]
+            values = tuple(make_sequence(x)(k) for k in range(1, n + 1))
         if space.tag in ("bs", "cs"):
             values = (np.cumsum(values) if isinstance(values, np.ndarray)
                       else tuple(accumulate(values)))
@@ -218,12 +213,8 @@ def basis_element(space_or_matrix, k: int, upto: Optional[int] = None) -> dict:
         top = upto
     elif upto is not None:
         top = min(top, upto)
-    out = {}
-    for n in range(inv.col_start(k), top + 1):
-        v = inv.entry(n, k)
-        if v != 0:
-            out[n] = v
-    return out
+    column = ((n, inv.entry(n, k)) for n in range(inv.col_start(k), top + 1))
+    return {n: v for n, v in column if v != 0}
 
 
 def expansion_coefficients(space_or_matrix, x, m: int,

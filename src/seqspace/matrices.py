@@ -69,14 +69,15 @@ def _check_index(n: int, k: int) -> None:
 
 def _term_floats(values, first: int, what: str) -> list:
     """``float(v)`` for each value, the terms numbered from ``first``; a term
-    too large for a float raises :class:`FloatRangeError` naming it."""
+    too large for a float raises :class:`FloatRangeError` naming it as
+    ``what`` followed by its number."""
     out = []
     for k, v in enumerate(values, first):
         try:
             out.append(float(v))
         except OverflowError:
             raise FloatRangeError(
-                f"{what}_{k} is too large for a float") from None
+                f"{what}{k} is too large for a float") from None
     return out
 
 
@@ -152,19 +153,31 @@ class InfiniteMatrix:
         cut = self.row_cutoff(n)
         return None if cut is None else cut <= width
 
+    def exact_rows(self, rows, m: int):
+        """Rows ``rows`` (strictly increasing, 1-based) over columns 1..m,
+        each a list of exact entries, 0 off the support: the exact twin of
+        :meth:`block`, and the one place an exact row is walked.  Rows are
+        yielded one at a time, so a reader of many rows need not hold them
+        all.  Here each entry on a row's support is read through
+        :meth:`entry`."""
+        for n in map(int, rows):
+            hi = self.row_end(n)
+            hi = m if hi is None else min(hi, m)
+            row = [0] * m
+            for k in range(self.row_start(n), hi + 1):
+                row[k - 1] = self.entry(n, k)
+            yield row
+
     # -- float paths ------------------------------------------------------
 
     def block(self, rows, m: int) -> np.ndarray:
         """Rows ``rows`` (strictly increasing, 1-based) over columns 1..m as
         a float array: the one float kernel every float read derives from.
-        Here each entry on the support is converted on its own."""
-        out = np.zeros((len(rows), m))
-        for i, n in enumerate(rows):
-            n = int(n)
-            hi = self.row_end(n)
-            hi = m if hi is None else min(hi, m)
-            for k in range(self.row_start(n), hi + 1):
-                out[i, k - 1] = float(self.entry(n, k))
+        Here the exact rows are converted entry by entry; an entry too
+        large for a float raises :class:`FloatRangeError` naming it."""
+        out = np.empty((len(rows), m))
+        for i, (n, row) in enumerate(zip(rows, self.exact_rows(rows, m))):
+            out[i] = _term_floats(row, 1, f"{self.name} entry a_{int(n)},")
         return out
 
     def truncation_floats(self, size: int) -> np.ndarray:
@@ -322,10 +335,10 @@ class Bidiagonal(InfiniteMatrix):
             first = max(lo, 1) + 1
             self._df = np.concatenate([self._df, _term_floats(
                 map(self.diag, range(lo + 1, m + 1)), lo + 1,
-                f"{self.name} diagonal d")])
+                f"{self.name} diagonal d_")])
             self._sf = np.concatenate([self._sf, _term_floats(
                 map(self.sub, range(first, m + 1)), first,
-                f"{self.name} subdiagonal s")])
+                f"{self.name} subdiagonal s_")])
         return self._df[:m], self._sf[1:m]
 
     def pairs(self, m: int) -> tuple:
@@ -406,8 +419,7 @@ class CesaroMeans(InfiniteMatrix):
         return out
 
     def _apply_exact(self, xs):
-        return [s / Fraction(n) if isinstance(s, (int, Fraction)) else s / n
-                for n, s in enumerate(accumulate(xs), start=1)]
+        return [_exact_div(s, n) for n, s in enumerate(accumulate(xs), start=1)]
 
 
 class RieszMeans(InfiniteMatrix):
@@ -448,19 +460,16 @@ class RieszMeans(InfiniteMatrix):
         if k > n:
             return 0
         self._ensure(n)
-        num, den = self._t[k - 1], self._T[n]
-        if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-            return Fraction(num) / Fraction(den)
-        return num / den
+        return _exact_div(self._t[k - 1], self._T[n])
 
     def _tf(self, m: int):
         """(t_1..t_m, T_1..T_m) as floats."""
         lo = len(self._tfl)
         if lo < m:
             self._ensure(m)
-            t = _term_floats(self._t[lo:m], lo + 1, "riesz weight t")
+            t = _term_floats(self._t[lo:m], lo + 1, "riesz weight t_")
             big_t = _term_floats(self._T[lo + 1:m + 1], lo + 1,
-                                 "riesz partial sum T")
+                                 "riesz partial sum T_")
             self._tfl = np.concatenate([self._tfl, t])
             self._Tfl = np.concatenate([self._Tfl, big_t])
         return self._tfl[:m], self._Tfl[:m]
@@ -483,14 +492,7 @@ class RieszMeans(InfiniteMatrix):
     def _apply_exact(self, xs):
         self._ensure(len(xs))
         sums = accumulate(self._t[i] * x for i, x in enumerate(xs))
-        out = []
-        for n, s in enumerate(sums, start=1):
-            den = self._T[n]
-            if isinstance(s, (int, Fraction)) and isinstance(den, (int, Fraction)):
-                out.append(Fraction(s) / Fraction(den))
-            else:
-                out.append(s / den)
-        return out
+        return [_exact_div(s, self._T[n]) for n, s in enumerate(sums, start=1)]
 
 
 class EulerMeans(InfiniteMatrix):
@@ -769,6 +771,21 @@ class ComposedMatrix(InfiniteMatrix):
             return self.left.row_complete(n, width - 1)
         return None
 
+    def exact_rows(self, rows, m):
+        # The exact twin of _table's first rule: a triangle product whose
+        # left factor has a linear-time exact form (one without answers None
+        # even on no terms) applies it to each of the right factor's exact
+        # columns.  Any other product is read entry by entry.
+        rows = [int(n) for n in rows]
+        if not (self.triangle and rows) or self.left._apply_exact([]) is None:
+            yield from super().exact_rows(rows, m)
+            return
+        w = min(m, rows[-1])
+        cols = [self.left._apply_exact(list(col))
+                for col in zip(*self.right.exact_rows(range(1, rows[-1] + 1), w))]
+        for n in rows:
+            yield [col[n - 1] for col in cols[:n]] + [0] * (m - min(n, w))
+
     def block(self, rows, m):
         # The inner index runs over the window 1..s, s its larger side: exact
         # when the left factor is row-finite within it (true for triangles),
@@ -864,26 +881,18 @@ class InverseTriangle(InfiniteMatrix):
 
     def _column(self, k: int, n: int) -> list:
         """Entries b_{k,k} .. b_{n,k} of column k (list index i -> row k+i)."""
-        col = self._cols.get(k)
-        if col is None:
-            diag = self.base.entry(k, k)
-            if diag == 0:
-                raise ZeroDiagonalError(k)
-            col = [_exact_div(1, diag)]
-            self._cols[k] = col
+        col = self._cols.setdefault(k, [])
         while len(col) < n - k + 1:
             m = k + len(col)            # next row to fill
             diag = self.base.entry(m, m)
             if diag == 0:
                 raise ZeroDiagonalError(m)
             total = 0
-            lo = max(self.base.row_start(m), k)
-            for j in range(lo, m):
+            for j in range(max(self.base.row_start(m), k), m):
                 a = self.base.entry(m, j)
-                if a == 0 or j - k >= len(col):
-                    continue
-                total += a * col[j - k]
-            col.append(_exact_div(-total, diag))
+                if a != 0:
+                    total += a * col[j - k]
+            col.append(_exact_div(-total, diag) if m > k else _exact_div(1, diag))
         return col
 
     def entry(self, n, k):
@@ -1043,7 +1052,9 @@ def inverse_of(a) -> InfiniteMatrix:
         def sub(n, a=a):
             return _exact_div(-a.partial_sum(n - 1), a.weight(n))
 
-        return Bidiagonal(diag, sub, f"{a.name}-inverse")
+        inv = Bidiagonal(diag, sub, f"{a.name}-inverse")
+        inv.key = ("inverse", a.key)
+        return inv
     return invert_triangle(a)
 
 
@@ -1056,9 +1067,9 @@ def apply(a, x, n: int, mode: str = "exact") -> FiniteVector:
     """First ``n`` coordinates of the transform ``Ax``.
 
     ``mode="exact"`` keeps rational arithmetic and requires row-finite support
-    (any triangle qualifies).  ``mode="float"`` is
-    ``apply_many(a, [x], n)[0]``.
-    """
+    (any triangle qualifies); without a linear-time form, the rows of
+    ``exact_rows`` are read up to x's support hint.  ``mode="float"`` is
+    ``apply_many(a, [x], n)[0]``."""
     a = matrix_from_spec(a)
     x = make_sequence(x)
     if n < 1:
@@ -1071,19 +1082,23 @@ def apply(a, x, n: int, mode: str = "exact") -> FiniteVector:
         raise RowSeriesError(
             f"matrix {a.name!r} has rows with unbounded support; "
             "exact transforms are undefined at a finite cutoff — use float mode")
-    fast = a._apply_exact([x(k) for k in range(1, n + 1)])
-    if fast is not None:
-        return finite_vector(fast, origin=f"{a.name}({x.label})")
-    out = []
-    for row in range(1, n + 1):
-        hi = a.row_end(row)
-        total = 0
-        for k in range(a.row_start(row), hi + 1):
-            coeff = a.entry(row, k)
-            if coeff != 0:
-                total += coeff * x(k)
-        out.append(total)
+    xs = [x(k) for k in range(1, n + 1)]
+    out = a._apply_exact(xs)
+    if out is None:
+        hint = x.support_hint
+        m = a.row_end(n) if hint is None else min(a.row_end(n), hint)
+        xs += [x(k) for k in range(n + 1, m + 1)]
+        out = [row_dot(row, xs) for row in a.exact_rows(range(1, n + 1), m)]
     return finite_vector(out, origin=f"{a.name}({x.label})")
+
+
+def row_dot(row: list, xs: list) -> Scalar:
+    """``sum_k row[k] xs[k]`` over the nonzero entries of an exact row."""
+    total = 0
+    for coeff, v in zip(row, xs):
+        if coeff != 0:
+            total += coeff * v
+    return total
 
 
 def apply_many(a, xs: list, n: int) -> list:
@@ -1146,9 +1161,8 @@ def apply_many(a, xs: list, n: int) -> list:
 def truncate_matrix(a, size: int, mode: str = "exact"):
     """Leading ``size``-by-``size`` window.
 
-    ``mode="exact"`` returns nested lists of exact scalars; ``mode="float"``
-    returns a (read-only, cached) numpy array.
-    """
+    ``mode="exact"`` returns nested lists of exact scalars, ``exact_rows``;
+    ``mode="float"`` returns a (read-only, cached) numpy array."""
     a = matrix_from_spec(a)
     if size < 1:
         raise TruncationError(f"truncation size must be >= 1, got {size}")
@@ -1156,12 +1170,4 @@ def truncate_matrix(a, size: int, mode: str = "exact"):
         return a.truncation_floats(size)
     if mode != "exact":
         raise SpecError(f"unknown mode {mode!r}")
-    out = []
-    for n in range(1, size + 1):
-        hi = a.row_end(n)
-        hi = size if hi is None else min(hi, size)
-        row = [0] * size
-        for k in range(a.row_start(n), hi + 1):
-            row[k - 1] = a.entry(n, k)
-        out.append(row)
-    return out
+    return list(a.exact_rows(range(1, size + 1), size))

@@ -226,10 +226,22 @@ def _geometric_floats(r, rule):
     return vector
 
 
+def _integer_param(name: str, value) -> int:
+    """An integer parameter of sequence ``name``: an integral number other
+    than a bool, or a string of an int."""
+    try:
+        number = int(value) if isinstance(value, str) else Fraction(value)
+    except (ValueError, TypeError, OverflowError):
+        number = None
+    if isinstance(value, bool) or number is None or number.denominator != 1:
+        raise SpecError(f"{name} expects an integer, got {value!r}")
+    return int(number)
+
+
 def _builtin_sequence(name: str, params: dict) -> Sequence:
     name = name.lower()
     if name in ("unit", "e"):
-        k0 = int(params.get("k", 1))
+        k0 = _integer_param(name, params.get("k", 1))
         if k0 < 1:
             raise SpecError("unit sequence needs k >= 1")
         return Sequence(lambda k: 1 if k == k0 else 0, support_hint=k0,
@@ -244,7 +256,7 @@ def _builtin_sequence(name: str, params: dict) -> Sequence:
         if isinstance(p, float) and not p.is_integer():
             pf = float(p)
             return Sequence(lambda k: float(k) ** pf, label=f"power:{pf}")
-        p = int(p)
+        p = _integer_param(name, p)
         if p >= 0:
             return Sequence(lambda k: k**p, label=f"power:{p}")
 
@@ -307,13 +319,7 @@ def _parse_inline_sequence(text: str) -> Sequence:
                "geometric": "r", "geom": "r"}.get(head)
         if key is None:
             raise SpecError(f"sequence {head!r} takes no parameter")
-        if key in ("k", "p"):
-            try:
-                params[key] = int(rest)
-            except ValueError as exc:
-                raise SpecError(f"{head} expects an integer, got {rest!r}") from exc
-        else:
-            params[key] = exact_number(rest.strip())
+        params[key] = rest
     return _builtin_sequence(head, params)
 
 
@@ -325,8 +331,8 @@ def make_sequence(spec) -> Sequence:
     * a ``Sequence`` (returned unchanged),
     * an inline string such as ``"harmonic"``, ``"unit:3"``, ``"const:1"``,
       ``"power:-2"``, ``"geometric:0.5"``, ``"alternating"``, ``"list:1,2,3"``,
-    * a mapping such as ``{"kind": "builtin", "name": "harmonic"}``,
-      ``{"kind": "unit", "k": 3}``, ``{"kind": "power", "p": -2}``,
+    * a mapping naming any builtin, such as ``{"kind": "unit", "k": 3}``,
+      ``{"kind": "builtin", "name": "harmonic"}``, ``{"kind": "power", "p": -2}``,
       ``{"kind": "geometric", "r": 0.5}``, ``{"kind": "constant", "c": 2}`` or
       ``{"kind": "list", "values": [...]}``.
     """
@@ -343,19 +349,15 @@ def make_sequence(spec) -> Sequence:
         return sequence_from_values(list(spec))
     if isinstance(spec, dict):
         kind = str(spec.get("kind", "")).lower()
-        if kind == "builtin":
-            params = {k: v for k, v in spec.items() if k not in ("kind", "name")}
-            return _builtin_sequence(str(spec.get("name", "")), params)
         if kind == "list":
             values = spec.get("values")
             if not isinstance(values, (list, tuple)) or not values:
                 raise SpecError("list spec needs a non-empty 'values' array")
             return sequence_from_values(values)
-        if kind in ("unit", "power", "geometric", "geom", "constant", "const",
-                    "alternating", "alt", "harmonic"):
-            params = {k: v for k, v in spec.items() if k != "kind"}
-            return _builtin_sequence(kind, params)
-        raise SpecError(f"unknown sequence spec kind {spec.get('kind')!r}")
+        named = ("kind", "name") if kind == "builtin" else ("kind",)
+        params = {k: v for k, v in spec.items() if k not in named}
+        return _builtin_sequence(
+            str(spec.get("name", "")) if kind == "builtin" else kind, params)
     raise SpecError(f"cannot build a sequence from {type(spec).__name__}")
 
 

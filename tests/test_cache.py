@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from seqspace import cache
-from seqspace.conditions import check_class, target_transfer_matrix
+from seqspace.conditions import (check_class, source_transfer_matrix,
+                                 target_transfer_matrix)
 from seqspace.duality import DualTriangle
 from seqspace.matrices import matrix_from_spec
 from seqspace.sequences import Sequence
@@ -84,6 +85,21 @@ def test_evicted_table_is_freed_at_once(monkeypatch):
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def test_a_riesz_domain_transfer_is_built_once():
+    # The closed-form inverse of a Riesz triangle is keyed by the triangle,
+    # so the transfer through it is one matrix and its table one entry.
+    first = source_transfer_matrix("euler:1/2", "riesz:power:2")
+    table = first.truncation_floats(600)
+    second = source_transfer_matrix("euler:1/2", "riesz:power:2")
+    assert second.key == first.key == (
+        "compose", "euler:1/2", ("inverse", "riesz:power:2"))
+    before = cache.stats()
+    assert second.truncation_floats(600) is table
+    after = cache.stats()
+    assert (after["hits"], after["misses"]) == (before["hits"] + 1,
+                                                before["misses"])
 
 
 def test_same_label_over_different_rows_never_shares_an_entry():

@@ -22,10 +22,12 @@ from seqspace.matrices import (
     DENSE_LIMIT,
     ROW_CUTOFF_CAP,
     ROW_TAIL_MASS,
+    RuleMatrix,
     TaylorTransform,
     apply,
     apply_many,
     inverse_of,
+    invert_triangle,
     matrix_from_spec,
 )
 from seqspace.sequences import (
@@ -837,6 +839,21 @@ def test_overflowing_bidiagonal_diagonals_raise_float_range_errors():
     d, s = inv._diagonals_floats(103)
     assert same_bits(d, [float(inv.diag(n)) for n in range(1, 104)])
     assert same_bits(s, [float(inv.sub(n)) for n in range(2, 104)])
+
+
+def test_overflowing_fallback_entries_raise_float_range_errors():
+    # B has diagonal 1/1000 and subdiagonal 1, so its inverse has entries
+    # (-1)^(n-k) 1000^(n-k+1): past float range from a_{103,1} on.
+    b = RuleMatrix(lambda n, k: Fraction(1, 1000) if n == k else int(k == n - 1),
+                   name="b", triangle=True)
+    inv = invert_triangle(b)
+    message = r"b-inverse entry a_103,1 is too large for a float"
+    with pytest.raises(FloatRangeError, match=message):
+        apply(inv, "const:1", 120, mode="float")
+    with pytest.raises(FloatRangeError, match=message):
+        inv.truncation_floats(120)
+    assert same_bits(inv.truncation_floats(102)[:, 0],
+                     [float(inv.entry(n, 1)) for n in range(1, 103)])
 
 
 def finite_vector_reference(values):

@@ -118,11 +118,65 @@ def test_apply_exact_frozen():
 
 def test_apply_float_matches_exact():
     for name in ("omega", "gamma", "cesaro", "euler:1/2", "riesz:harmonic",
-                 "omega-inv", "gamma-inv"):
+                 "omega-inv", "gamma-inv", "sigma", "sigma-inv", "cesaro-inv",
+                 "riesz:power:2", "identity", "zero",
+                 compose("cesaro", "euler:1/2")):
         a = matrix_from_spec(name)
         exact = apply(a, "geometric:-1/2", 40).as_floats()
         fl = apply(a, "geometric:-1/2", 40, mode="float").as_floats()
         assert np.allclose(exact, fl, atol=1e-12), name
+
+
+#: Every family with a linear-time exact transform (``_apply_exact``).
+LINEAR_TIME_FAMILIES = ("identity", "zero", "omega", "gamma", "sigma",
+                        "omega-inv", "gamma-inv", "sigma-inv", "cesaro-inv",
+                        "cesaro", "riesz:power:2")
+
+
+@pytest.mark.parametrize("name", LINEAR_TIME_FAMILIES)
+def test_linear_time_transforms_match_the_entry_rows(name):
+    # The structured product rows run the left factor's linear-time form,
+    # so that form is checked here against rows read entry by entry.
+    n = 30
+    rows = truncate_matrix(name, n)
+    for spec in ("geometric:-1/2", "harmonic", "list:3,-1/2,0,7", "power:2"):
+        x = make_sequence(spec)
+        expected = tuple(sum(row[k - 1] * x(k) for k in range(1, n + 1))
+                         for row in rows)
+        assert apply(name, x, n).entries == expected, (name, spec)
+
+
+def _entry_rows(a, rows, m):
+    return [[a.entry(n, k) for k in range(1, m + 1)] for n in rows]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.sampled_from(LINEAR_TIME_FAMILIES + ("euler:1/3",)),
+       st.integers(min_value=1, max_value=30))
+def test_structured_product_rows_match_the_entry_sums(seed, left, n):
+    rng = np.random.default_rng(seed)
+    band = rational_band_triangle(rng, size=n, width=int(rng.integers(0, 4)))
+    prod = compose(left, band)
+    assert truncate_matrix(prod, n) == _entry_rows(prod, range(1, n + 1), n)
+    # Any strictly increasing rows, over a window narrower or wider.
+    rows = sorted(set(rng.integers(1, n + 1, size=4).tolist()))
+    m = int(rng.integers(1, n + 3))
+    assert list(prod.exact_rows(np.array(rows), m)) == _entry_rows(prod, rows, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.lists(st.sampled_from(("omega", "gamma-inv", "cesaro", "euler:1/2",
+                                 "riesz:power:2", "band")),
+                min_size=3, max_size=3))
+def test_exact_compose_is_associative_on_truncations(seed, names):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    a, b, c = (rational_band_triangle(rng, size=n, width=2) if name == "band"
+               else name for name in names)
+    assert (truncate_matrix(compose(compose(a, b), c), n)
+            == truncate_matrix(compose(a, compose(b, c)), n))
 
 
 def test_truncate_matrix():

@@ -74,6 +74,34 @@ def test_make_sequence_list_and_dicts():
     assert s2(3) == 3 and s2(9) == 0
 
 
+@pytest.mark.parametrize("spec, label", [
+    ({"kind": "e", "k": 3}, "unit:3"),
+    ({"kind": "unit", "k": "3"}, "unit:3"),
+    ({"kind": "unit", "k": 3.0}, "unit:3"),
+    ({"kind": "builtin", "name": "e", "k": 2}, "unit:2"),
+    ({"kind": "power", "p": -2}, "power:-2"),
+    ({"kind": "power", "p": 2.0}, "power:2"),
+    ({"kind": "power", "p": 1.5}, "power:1.5"),
+    ({"kind": "unit", "k": "abc"}, None),
+    ({"kind": "power", "p": "x"}, None),
+    ({"kind": "unit", "k": 2.7}, None),
+    ({"kind": "unit", "k": Fraction(5, 2)}, None),
+    ({"kind": "unit", "k": True}, None),
+    ({"kind": "power", "p": True}, None),
+    ({"kind": "power", "p": "1.5"}, None),
+    ({"kind": "power", "p": [2]}, None),
+    ({"kind": "nope"}, None),
+])
+def test_dict_specs_share_the_builtin_integer_rule(spec, label):
+    # A dict names any builtin as the inline form does; k and an integer p
+    # are ints, integral numbers or strings of ints, and nothing else.
+    if label is None:
+        with pytest.raises(SpecError):
+            make_sequence(spec)
+    else:
+        assert make_sequence(spec).label == label
+
+
 def test_make_sequence_passthrough_and_errors():
     s = make_sequence("harmonic")
     assert make_sequence(s) is s
