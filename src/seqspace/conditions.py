@@ -21,7 +21,7 @@ verdicts is a bug in one of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -43,14 +43,11 @@ from .sequences import (
     LimitKind,
     Sequence,
     SpaceId,
+    _classify_at,
     analyze_limit,
-    analyze_limits,
-    analyze_sup,
     check_tol,
     classify_traces,
-    limit_exists_verdict,
     make_sequence,
-    null_limit_verdict,
     probe_window,
 )
 from .verdicts import Verdict, conjoin
@@ -70,18 +67,25 @@ PAIRED_ROWS = 6
 # The conditions and the pair table
 # ---------------------------------------------------------------------------
 
-CONDITION_DESCRIPTIONS = {
-    "bounded-rows": "the absolute row sums stay bounded",
-    "columns-converge": "every column has a limit",
-    "row-sums-converge": "the row sums have a limit",
-    "abs-rows-match-columns":
-        "the absolute row sums converge to the total mass of the column limits",
-    "null-columns": "every column tends to zero",
-    "rows-converge-in-l1":
+#: The conditions: (description, trace, space).  Each asks that a trace read
+#: off the matrix lie in a classical space: the absolute row sums
+#: ("row_abs"), the row sums ("row_sum"), each row's l1 distance from the
+#: last complete row ("row_dist"), or each sampled column ("columns").
+#: abs-rows-match-columns also asks that its trace's limit be the total mass
+#: of the column limits.
+_CONDITIONS = {
+    "bounded-rows": ("the absolute row sums stay bounded", "row_abs", "linf"),
+    "null-abs-rows": ("the absolute row sums tend to zero", "row_abs", "c0"),
+    "row-sums-converge": ("the row sums have a limit", "row_sum", "c"),
+    "null-row-sums": ("the row sums tend to zero", "row_sum", "c0"),
+    "rows-converge-in-l1": (
         "the absolute sums of each row's difference from the last complete "
-        "row tend to zero",
-    "null-row-sums": "the row sums tend to zero",
-    "null-abs-rows": "the absolute row sums tend to zero",
+        "row tend to zero", "row_dist", "c0"),
+    "columns-converge": ("every column has a limit", "columns", "c"),
+    "null-columns": ("every column tends to zero", "columns", "c0"),
+    "abs-rows-match-columns": (
+        "the absolute row sums converge to the total mass of the column "
+        "limits", "row_abs", "c"),
 }
 
 #: Characterizing conditions per (source, target) pair of classical spaces.
@@ -251,6 +255,14 @@ def _jsonable(value):
 
 def _class_window(n: int) -> int:
     return max(24, n // 10)
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer, bools included: the
+    oracle's random samples take no other."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise SpecError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _default_window(n: int) -> int:
@@ -426,7 +438,7 @@ def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-condition evaluators
+# The evaluator
 # ---------------------------------------------------------------------------
 
 
@@ -434,80 +446,65 @@ def _report(cond, verdict, observed, note, n, **extras) -> ConditionReport:
     return ConditionReport(cond, verdict, observed, note, n, extras)
 
 
-def _eval_bounded_rows(eng: _Engine) -> ConditionReport:
-    idx, vals = eng.row_trace("row_abs")
-    verdict, info = analyze_sup(idx, vals, eng.tol, eng.window)
-    return _report("bounded-rows", verdict, info.get("sup_observed"),
-                   info.get("note", ""), eng.n,
-                   half_span_growth=info.get("half_span_growth"))
+def _evaluate(eng: _Engine, condition: str) -> ConditionReport:
+    """Judge the condition's trace in its space by the classifier of the
+    oracle's images, at the positions the trace was read at."""
+    _, trace, space = _CONDITIONS[condition]
+    if trace == "columns":
+        return _columns_report(eng, condition, space)
+    try:
+        idx, vals = eng.row_trace(trace)
+    except _TooFewRows as short:
+        return _report(condition, Verdict.INCONCLUSIVE, None, str(short), eng.n)
+    if trace == "row_dist":
+        # The last complete row stands in for the limit row; its own
+        # distance, zero, is left out.
+        idx, vals = idx[:-1], vals[:-1]
+    verdict, info = _classify_at(idx, vals[None], space, eng.tol,
+                                 eng.window)[0]
+    if condition == "abs-rows-match-columns":
+        got = _match_columns(eng, verdict, info["limit"])
+    elif space == "linf":
+        got = _report(condition, verdict, info.get("sup_observed"),
+                      info.get("note", ""), eng.n,
+                      half_span_growth=info.get("half_span_growth"))
+    else:
+        lv = info["limit"]
+        got = _report(condition, verdict, lv.value, _limit_note(lv), eng.n,
+                      kind=lv.kind.value)
+    if eng.row_tail_note:
+        got = replace(got, note=(got.note + "; " + eng.row_tail_note).strip("; "))
+    return got
 
 
-def _eval_null_abs_rows(eng: _Engine) -> ConditionReport:
-    idx, vals = eng.row_trace("row_abs")
-    lv = analyze_limit(idx, vals, eng.tol, eng.window)
-    verdict = null_limit_verdict(lv, eng.tol)
-    return _report("null-abs-rows", verdict, lv.value,
-                   _limit_note(lv), eng.n, kind=lv.kind.value)
-
-
-def _eval_row_sums_converge(eng: _Engine) -> ConditionReport:
-    idx, vals = eng.row_trace("row_sum")
-    lv = analyze_limit(idx, vals, eng.tol, eng.window)
-    return _report("row-sums-converge", limit_exists_verdict(lv), lv.value,
-                   _limit_note(lv), eng.n, kind=lv.kind.value)
-
-
-def _eval_null_row_sums(eng: _Engine) -> ConditionReport:
-    idx, vals = eng.row_trace("row_sum")
-    lv = analyze_limit(idx, vals, eng.tol, eng.window)
-    verdict = null_limit_verdict(lv, eng.tol)
-    return _report("null-row-sums", verdict, lv.value,
-                   _limit_note(lv), eng.n, kind=lv.kind.value)
-
-
-def _per_column(eng: _Engine, cond: str, traces, judge) -> ConditionReport:
-    """Conjoin a per-column judgement over the sampled columns; ``traces``
-    maps the sampled column indices to their stacked traces."""
+def _columns_report(eng: _Engine, cond: str, space: str) -> ConditionReport:
+    """Conjoin the verdicts of the sampled columns."""
     cols = eng.column_sample()
     if not cols:
         return _report(cond, Verdict.INCONCLUSIVE, None,
                        "truncation too small to sample columns", eng.n)
-    stack = traces(np.array(cols))
-    limits = analyze_limits(np.arange(1, stack.shape[1] + 1), stack,
-                            eng.tol, eng.window)
-    verdicts = {k: judge(lv) for k, lv in zip(cols, limits)}
-    overall = conjoin(verdicts.values())
-    bad = [k for k, v in verdicts.items() if v is Verdict.VIOLATED]
-    open_ = [k for k, v in verdicts.items() if v is Verdict.INCONCLUSIVE]
+    verdicts = {k: v for k, (v, _) in zip(cols, classify_traces(
+        eng.columns(np.array(cols)), space, eng.tol, eng.window))}
     note = f"checked columns {cols[0]}..{cols[-1]} ({len(cols)} sampled)"
     extras = {"columns_checked": len(cols)}
-    if bad:
-        extras["violated_at"] = bad[:6]
-    if open_:
-        extras["inconclusive_at"] = open_[:6]
-    return _report(cond, overall, None, note, eng.n, **extras)
+    for key, verdict in (("violated_at", Verdict.VIOLATED),
+                         ("inconclusive_at", Verdict.INCONCLUSIVE)):
+        at = [k for k, v in verdicts.items() if v is verdict]
+        if at:
+            extras[key] = at[:6]
+    return _report(cond, conjoin(verdicts.values()), None, note, eng.n,
+                   **extras)
 
 
-def _eval_columns_converge(eng: _Engine) -> ConditionReport:
-    return _per_column(eng, "columns-converge", eng.columns,
-                       limit_exists_verdict)
-
-
-def _eval_null_columns(eng: _Engine) -> ConditionReport:
-    return _per_column(eng, "null-columns", eng.columns,
-                       lambda lv: null_limit_verdict(lv, eng.tol))
-
-
-def _eval_abs_rows_match_columns(eng: _Engine) -> ConditionReport:
-    """The absolute row sums' limit equals the column limits' total mass."""
+def _match_columns(eng: _Engine, verdict: Verdict, lv) -> ConditionReport:
+    """The absolute row sums' limit ``lv``, judged in c by ``verdict``,
+    against the column limits' total mass."""
     cond = "abs-rows-match-columns"
-    idx, vals = eng.row_trace("row_abs")
-    lv = analyze_limit(idx, vals, eng.tol, eng.window)
-    if lv.kind in (LimitKind.DIVERGES, LimitKind.OSCILLATES):
-        return _report(cond, Verdict.VIOLATED, None,
+    if verdict is Verdict.VIOLATED:
+        return _report(cond, verdict, None,
                        f"left side has no limit ({lv.kind.value})", eng.n)
-    if lv.kind is LimitKind.INCONCLUSIVE:
-        return _report(cond, Verdict.INCONCLUSIVE, None,
+    if verdict is Verdict.INCONCLUSIVE:
+        return _report(cond, verdict, None,
                        "left side undecided at this truncation", eng.n)
     left = lv.value
     block = eng.final_rows()
@@ -562,34 +559,12 @@ def _column_mass(block: np.ndarray, first_row: int, n: int,
             float(np.add.accumulate(np.concatenate(spreads))[-1]))
 
 
-def _eval_rows_converge_in_l1(eng: _Engine) -> ConditionReport:
-    # Each row against the last complete one, which stands in for the
-    # limit row; the last row's own distance, zero, is left out.
-    idx, vals = eng.row_trace("row_dist")
-    lv = analyze_limit(idx[:-1], vals[:-1], eng.tol, eng.window)
-    verdict = null_limit_verdict(lv, eng.tol)
-    return _report("rows-converge-in-l1", verdict, lv.value,
-                   _limit_note(lv), eng.n, kind=lv.kind.value)
-
-
 def _limit_note(lv) -> str:
     if lv.kind is LimitKind.CONVERGES:
         return f"trace settles near {lv.value:.6g}"
     if lv.note:
         return f"{lv.kind.value}: {lv.note}"
     return lv.kind.value
-
-
-_EVALUATORS = {
-    "bounded-rows": _eval_bounded_rows,
-    "columns-converge": _eval_columns_converge,
-    "row-sums-converge": _eval_row_sums_converge,
-    "abs-rows-match-columns": _eval_abs_rows_match_columns,
-    "null-columns": _eval_null_columns,
-    "rows-converge-in-l1": _eval_rows_converge_in_l1,
-    "null-row-sums": _eval_null_row_sums,
-    "null-abs-rows": _eval_null_abs_rows,
-}
 
 
 def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
@@ -603,24 +578,13 @@ def condition_report(a, condition: str, n: int = DEFAULT_CLASS_N,
     """
     check_tol(tol)
     a = matrix_from_spec(a)
-    if condition not in _EVALUATORS:
-        known = ", ".join(sorted(_EVALUATORS))
+    if condition not in _CONDITIONS:
+        known = ", ".join(sorted(_CONDITIONS))
         raise SpecError(f"unknown condition {condition!r}; known: {known}")
     if window is None:
         window = _default_window(n)
-
-    def build():
-        eng = _Engine(a, n, tol, window)
-        try:
-            got = _EVALUATORS[condition](eng)
-        except _TooFewRows as short:
-            return _report(condition, Verdict.INCONCLUSIVE, None, str(short), n)
-        if eng.row_tail_note and "row" in condition:
-            got = ConditionReport(got.condition, got.verdict, got.observed,
-                                  (got.note + "; " + eng.row_tail_note).strip("; "),
-                                  got.truncation, got.extras)
-        return got
-    return cache.lookup(("condition", a.key, condition, n, tol, window), build)
+    return cache.lookup(("condition", a.key, condition, n, tol, window),
+                        lambda: _evaluate(_Engine(a, n, tol, window), condition))
 
 
 def condition_trace(a, feature: str, n: int = DEFAULT_CLASS_N,
@@ -845,6 +809,7 @@ def oracle_check(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     (matrix, source domain, target) while the cache holds its probe.
     """
     check_tol(tol)
+    _check_seed(seed)
     a = matrix_from_spec(a)
     from_space = space_from_spec(from_space)
     to_space = space_from_spec(to_space)
@@ -911,6 +876,7 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
     (:func:`oracle_check`).
     """
     check_tol(tol)
+    _check_seed(seed)
     a = matrix_from_spec(a)
     f = space_from_spec(from_space)
     t = space_from_spec(to_space)

@@ -29,12 +29,9 @@ from .sequences import (
     Scalar,
     Sequence,
     SpaceId,
-    analyze_limit,
-    analyze_sup,
     check_tol,
     classify_values,
     make_sequence,
-    null_limit_verdict,
     probe_window,
 )
 from .verdicts import Verdict
@@ -314,7 +311,7 @@ def sections_bounded_probe(space_or_matrix, x, n: int, tol: float = 1e-6,
     check_tol(tol)
     window = probe_window(n, window)
     trace = section_norm_trace(space_or_matrix, x, n)
-    return analyze_sup(np.arange(1, n + 1), trace, tol, window)
+    return classify_values(trace, "linf", tol, window, detail=True)
 
 
 def sections_converge_probe(space_or_matrix, x, n: int, tol: float = 1e-6,
@@ -337,8 +334,6 @@ def sections_converge_probe(space_or_matrix, x, n: int, tol: float = 1e-6,
     res = np.zeros(n - 1)
     for m in range(1, n):
         res[m - 1] = diffs[m:, m - 1].max()
-    lv = analyze_limit(np.arange(1, n), res, tol, window)
-    verdict = null_limit_verdict(lv, tol)
-    info = {"residual_trace_tail": float(res[-1]),
-            "limit_kind": lv.kind.value}
-    return verdict, info
+    verdict, info = classify_values(res, "c0", tol, window, detail=True)
+    return verdict, {"residual_trace_tail": float(res[-1]),
+                     "limit_kind": info["limit"].kind.value}

@@ -216,6 +216,8 @@ def _geometric_floats(r, rule):
 
     def vector(m: int) -> np.ndarray:
         top = _exact_powers(odd, m)
+        if top == 0:    # |odd| is past 2**53, and may be past int64 too
+            return _rule_floats(rule, 1, m)
         ks = np.arange(1, top + 1)
         mags = np.cumprod(np.full(top, abs(odd), dtype=np.int64)).astype(float)
         if odd < 0:
@@ -785,21 +787,26 @@ def limit_exists_verdict(lv: LimitVerdict) -> Verdict:
 def classify_traces(traces, tag: str, tol: float, window: int) -> list:
     """Membership probes of a stack of equally long traces in a classical
     space (one of :data:`CLASSICAL_TAGS`): one (verdict, info) per row."""
+    vals = np.asarray(traces, dtype=float)
+    return _classify_at(np.arange(1, vals.shape[1] + 1), vals, tag, tol,
+                        window)
+
+
+def _classify_at(idx, traces, tag: str, tol: float, window: int) -> list:
+    """:func:`classify_traces` on traces observed at the 1-based positions
+    ``idx``, shared by every row: a sampled trace is judged where it was
+    read."""
     tag = tag.lower()
     vals = np.asarray(traces, dtype=float)
-    idx = np.arange(1, vals.shape[1] + 1)
     if tag in ("c0", "c", "cs"):
         probe = np.cumsum(vals, axis=1) if tag == "cs" else vals
-        out = []
-        for lv in analyze_limits(idx, probe, tol, window):
-            if tag == "c0":
-                out.append((null_limit_verdict(lv, tol), {"limit": lv}))
-            elif tag == "c":
-                out.append((limit_exists_verdict(lv), {"limit": lv}))
-            else:
-                out.append((limit_exists_verdict(lv),
-                            {"limit": lv, "probe": "limit of partial sums"}))
-        return out
+        limits = analyze_limits(idx, probe, tol, window)
+        if tag == "c0":
+            return [(null_limit_verdict(lv, tol), {"limit": lv})
+                    for lv in limits]
+        extra = {"probe": "limit of partial sums"} if tag == "cs" else {}
+        return [(limit_exists_verdict(lv), {"limit": lv, **extra})
+                for lv in limits]
     if tag == "linf":
         return analyze_sups(idx, np.abs(vals), tol, window)
     if tag == "bs":

@@ -50,6 +50,23 @@ def test_transform_float_overflow_is_reported(capsys):
     assert doc["values"][5:] == [0.0] * 195
 
 
+def test_transform_of_a_ratio_past_int64_flags_its_overflow(capsys):
+    rc, out, err = run(capsys, "transform", "--matrix", "omega", "--seq",
+                       "geometric:1e400", "--n", "5", "--mode", "float",
+                       "--json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["overflow_at"] == 1
+    assert doc["values"] == [0.0] * 5
+
+
+def test_bad_seed_exit_3(capsys):
+    rc, out, err = run(capsys, "check-class", "--matrix", "cesaro", "--from",
+                       "c0", "--to", "c", "--route", "both", "--seed", "-1")
+    assert (rc, out) == (3, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("tol", ("nan", "inf", "-inf", "0", "-1e-3", "x"))
 @pytest.mark.parametrize("argv", (
     ("check-class", "--matrix", "cesaro", "--from", "c", "--to", "c"),

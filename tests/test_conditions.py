@@ -12,7 +12,6 @@ import pytest
 from seqspace import cache, cli, conditions
 from seqspace.conditions import (
     CLASS_TOL,
-    CONDITION_DESCRIPTIONS,
     DEFAULT_CLASS_N,
     PAIR_CONDITIONS,
     SIGMA,
@@ -56,7 +55,7 @@ def test_pair_table_is_well_formed():
         assert f in tags and t in tags
         assert conds, (f, t)
         for c in conds:
-            assert c in CONDITION_DESCRIPTIONS, c
+            assert c in conditions._CONDITIONS, c
     assert len(supported_pairs()) == 20
 
 
@@ -223,6 +222,16 @@ def test_oracle_check_witnesses():
     assert o2.decisive >= 8 and o2.agreement == 1.0
 
 
+@pytest.mark.parametrize("seed", (-1, 1.5, True, "0", None))
+def test_a_malformed_seed_is_refused_before_any_work(seed):
+    # The matrix is never read: the seed is refused first, on every route.
+    for route in ("conditions", "oracle", "both"):
+        with pytest.raises(SpecError, match="seed must be a non-negative"):
+            check_class("no-such-matrix", "c0", "c", route=route, seed=seed)
+    with pytest.raises(SpecError, match="seed must be a non-negative"):
+        oracle_check("no-such-matrix", "c0", "c", seed=seed)
+
+
 def test_oracle_seed_determinism():
     a = oracle_check("cesaro", "c0", "c", seed=5)
     b = oracle_check("cesaro", "c0", "c", seed=5)
@@ -333,12 +342,13 @@ def test_row_duals_are_judged_once_per_domain(monkeypatch):
     # The rows of T_{1/4} have no support bound, so each is paired through
     # its dual triangle.
     judged = []
-    for name, evaluate in list(conditions._EVALUATORS.items()):
-        def counted(eng, name=name, evaluate=evaluate):
-            if isinstance(eng.a, DualTriangle):
-                judged.append(name)
-            return evaluate(eng)
-        monkeypatch.setitem(conditions._EVALUATORS, name, counted)
+    evaluate = conditions._evaluate
+
+    def counted(eng, name):
+        if isinstance(eng.a, DualTriangle):
+            judged.append(name)
+        return evaluate(eng, name)
+    monkeypatch.setattr(conditions, "_evaluate", counted)
     cold = {}
     for tag in ("c", "linf"):
         cache.clear()

@@ -91,6 +91,15 @@ def test_sequence_floats_match_the_rule(spec):
         assert same_bits(x.floats(n), float_terms(x, n)), (spec, n)
 
 
+@pytest.mark.parametrize("spec", ("geometric:1e400", "geometric:-3e30"))
+def test_geometric_floats_past_int64_match_the_rule(spec):
+    # The odd parts, 5**400 and -3 * 5**30, have no power below 2**53, and
+    # neither fits an int64.  1e400 overflows at once, -3e30 past k = 10.
+    x = make_sequence(spec)
+    for n in (0, 1, 5, 12):
+        assert same_bits(x.floats(n), float_terms(x, n)), (spec, n)
+
+
 def test_triangle_weights_floats_match_the_rule():
     for name in ("omega", "gamma"):
         w = matrix_from_spec(name).weights

@@ -11,11 +11,22 @@ Regenerate (only for a deliberate behaviour change, listed in CHANGES.md)
 with
 
     PYTHONPATH=src python tests/test_golden.py
+
+``golden/cli_lock.json`` pins what the grid golden does not: the ``--json``
+stdout bytes and exit code of :data:`LOCK_COMMANDS`, with every condition's
+note and detail, truncations past ``DENSE_LIMIT``, dual probes and
+regularity reports.  Each was recorded in a fresh process; regenerate it
+(under the same rule) with
+
+    PYTHONPATH=src python tests/test_golden.py lock
 """
 
 import contextlib
 import io
 import json
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +38,7 @@ from seqspace.conditions import check_class
 from seqspace.errors import UnsupportedClassError
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "grid_seed0.json"
+LOCK = GOLDEN.with_name("cli_lock.json")
 OBSERVED_REL_TOL = 1e-12
 
 GRID_MATRICES = ("identity", "omega", "gamma", "omega-inv", "gamma-inv",
@@ -46,6 +58,31 @@ CLI_COMMANDS = (
      "--route", "both", "--json"),
 )
 
+#: Between them the check-class commands judge all eight conditions, the
+#: too-few-rows note (taylor:9/10 at n = 3000) and Taylor row pairing; the
+#: rest read past DENSE_LIMIT (n = 2401 and 4800), probe duals and report
+#: regularity at n = 2000, of taylor:1/4 also at n = 600.  Row pairing
+#: runs without the oracle: the notes of T_{1/4}'s images of the omega
+#: preimages print rounding noise near zero, which differs between OpenBLAS
+#: kernels.
+LOCK_COMMANDS = tuple(tuple(cmd.split()) + ("--json",) for cmd in (
+    "check-class --matrix cesaro --from c --to c --route both",
+    "check-class --matrix cesaro --from linf --to c --route both",
+    "check-class --matrix cesaro --from c --to c0 --route both",
+    "check-class --matrix omega-inv --from linf --to c0 --route both",
+    "check-class --matrix taylor:1/4 --from linf --to cs --route both",
+    "check-class --matrix taylor:9/10 --from c --to c --n 3000",
+    "check-class --matrix taylor:1/4 --from c0(omega) --to c",
+    "dual --space linf(gamma) --a list:1,-2,3",
+    "dual --space linf(gamma) --a list:1,-2,3 --n 2401",
+    "dual --space c0(cesaro) --a list:1,-2,3",
+    "check-class --matrix euler:1/2 --from c --to c(omega) --n 2401 "
+    "--route both",
+    "check-class --matrix omega-inv --from bs --to c0 --n 4800",
+    "regularity --matrix euler:3/4",
+    "regularity --matrix taylor:1/4",
+))
+
 
 def cell_record(report) -> dict:
     oracle = report.oracle
@@ -62,16 +99,19 @@ def cell_record(report) -> dict:
     }
 
 
-def grid_records() -> dict:
+def grid_cells() -> list:
+    return [(name, f, t) for name in GRID_MATRICES for f in GRID_SPACES
+            for t in GRID_SPACES]
+
+
+def grid_records(cells=None) -> dict:
     out = {}
-    for name in GRID_MATRICES:
-        for f in GRID_SPACES:
-            for t in GRID_SPACES:
-                try:
-                    rep = check_class(name, f, t, route="both", seed=0)
-                except UnsupportedClassError:
-                    continue
-                out[f"{name} | {f} | {t}"] = cell_record(rep)
+    for name, f, t in grid_cells() if cells is None else cells:
+        try:
+            rep = check_class(name, f, t, route="both", seed=0)
+        except UnsupportedClassError:
+            continue
+        out[f"{name} | {f} | {t}"] = cell_record(rep)
     return out
 
 
@@ -88,9 +128,24 @@ def cli_records() -> list:
             ((argv, cli_stdout(argv)) for argv in CLI_COMMANDS)]
 
 
+def fresh_process_record(argv) -> dict:
+    """The exit code and stdout of ``argv`` run by a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "seqspace", *argv],
+                          env=env, capture_output=True, text=True)
+    return {"argv": list(argv), "exit": done.returncode,
+            "stdout": done.stdout}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def lock() -> list:
+    return json.loads(LOCK.read_text())
 
 
 def assert_grid_matches(got, want):
@@ -130,14 +185,45 @@ def test_grid_matches_golden_under_eviction(golden, monkeypatch):
     assert_grid_matches(got, golden["grid"])
 
 
-def test_cli_bytes_match_golden(golden):
-    for rec in golden["cli"]:
+def assert_cli_replays(records):
+    for rec in records:
         code, out = cli_stdout(rec["argv"])
         assert code == rec["exit"], rec["argv"]
         assert out == rec["stdout"], rec["argv"]
 
 
-if __name__ == "__main__":
+def test_cli_bytes_match_golden(golden):
+    assert_cli_replays(golden["cli"])
+
+
+def test_cli_lock_matches(lock):
+    assert [tuple(rec["argv"]) for rec in lock] == list(LOCK_COMMANDS)
+    assert_cli_replays(lock)
+
+
+@pytest.mark.parametrize("cap_mib", (8, 64))
+def test_same_answers_in_any_order(golden, lock, monkeypatch, cap_mib):
+    """No answer depends on what was computed before it: a seeded shuffle of
+    the grid, then the lock's commands forwards and backwards (n = 600 and
+    n = 2000 on the same matrices), give the golden answers with the cache
+    capped at 8 MiB and at 64 MiB."""
+    cells = grid_cells()
+    random.Random(0).shuffle(cells)
+    monkeypatch.setattr(cache, "CAP_BYTES", cap_mib * 2 ** 20)
+    cache.clear()
+    try:
+        assert_grid_matches(grid_records(cells), golden["grid"])
+        assert_cli_replays(lock)
+        assert_cli_replays(lock[::-1])
+    finally:
+        cache.clear()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["lock"]:
+    LOCK.write_text(json.dumps([fresh_process_record(argv)
+                                for argv in LOCK_COMMANDS], indent=1) + "\n")
+    sys.stdout.write(f"wrote {LOCK}\n")
+elif __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     grid = grid_records()
     lines = ",\n".join(f"  {json.dumps(cell)}: {json.dumps(grid[cell], sort_keys=True)}"
