@@ -116,6 +116,12 @@ PAIR_CONDITIONS.update({(f, t): PAIR_CONDITIONS[(base, t)]
 PAIR_CONDITIONS[("linf", "cs")] = ("rows-converge-in-l1",)
 
 
+def _sigma_domain(space: SpaceId) -> SpaceId:
+    """bs and cs as linf(sigma) and c(sigma); any other space as itself."""
+    return (SpaceId(SIGMA[space.tag], matrix_from_spec("sigma"))
+            if space.tag in SIGMA else space)
+
+
 def supported_pairs() -> list:
     """Human-readable list of the supported classical pairs."""
     return [f"({f} : {t})" for f, t in sorted(PAIR_CONDITIONS)]
@@ -290,9 +296,10 @@ FEATURE_BLOCK = 1 << 15
 class _Engine:
     """Trace computations for one (matrix, truncation) pair.
 
-    An engine is made per evaluation and holds nothing but the table it
-    reads; every array worth keeping goes to the evaluation cache, keyed by
-    the matrix and only what the array depends on.
+    An engine is made per evaluation and holds nothing: it reads windows of
+    the cached table up to DENSE_LIMIT and blocks past it, and keeps only
+    the O(n) row features, in the evaluation cache under the matrix key and
+    the read that made them.
     """
 
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
@@ -303,7 +310,6 @@ class _Engine:
         self.n = n
         self.tol = tol
         self.window = window
-        self.dense = n <= DENSE_LIMIT
         self.row_limit, self.row_tail_note, self._cap_note = n, "", ""
         if a.row_end(n) is None:
             self.row_limit, capped = cache.lookup(("row-limit", a.key, n),
@@ -321,8 +327,6 @@ class _Engine:
                     f"row traces restricted to rows 1..{self.row_limit}, whose "
                     f"tails are captured inside the {n}-column window"
                     + self._cap_note)
-        self._table = None
-        self._rows = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -344,57 +348,40 @@ class _Engine:
                   and self.a.row_cutoff(self.n) >= self.n + ROW_CUTOFF_CAP)
         return lo, capped
 
-    def table(self) -> np.ndarray:
-        """The whole truncation: rows and columns 1..n."""
-        if self._table is None:
-            if not self.dense:
-                raise TruncationError(
-                    f"dense table unavailable at truncation {self.n}")
-            self._table = self.a.truncation_floats(self.n)
-        return self._table
+    def _read(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """Rows ``rows`` (strictly increasing, 1-based) over columns
+        1..width: a view of the cached table up to DENSE_LIMIT, where the
+        rows read are consecutive, and a block read past it."""
+        if self.n <= DENSE_LIMIT:
+            return self.a.truncation_floats(self.n)[rows[0] - 1:rows[-1],
+                                                    :width]
+        return self.a.block(rows, width)
 
     def row_indices(self) -> np.ndarray:
-        if self.row_limit < self.window:
+        """Every complete row up to DENSE_LIMIT; past it, a geometric sample
+        of them and the trailing window."""
+        top = self.row_limit
+        if top < self.window:
             raise _TooFewRows(
-                f"only {self.row_limit} complete rows inside the "
+                f"only {top} complete rows inside the "
                 f"{self.n}-column window, fewer than the {self.window}-point "
                 "trailing window of a row trace" + self._cap_note)
-        if self._rows is None:
-            if self.dense:
-                self._rows = np.arange(1, self.row_limit + 1)
-            else:
-                top = self.row_limit
-                head = np.unique(np.geomspace(
-                    1, max(1, top - self.window), num=96).astype(int))
-                tail = np.arange(max(1, top - self.window + 1), top + 1)
-                self._rows = np.unique(np.concatenate([head, tail]))
-        return self._rows
-
-    def _row_feature(self, kind: str) -> np.ndarray:
-        if self.dense:
-            return cache.lookup(("row-feature", self.a.key, self.n, kind),
-                                lambda: _reduce_rows(
-                                    self.table()[:self.row_limit], kind))
-        return cache.lookup(
-            ("row-feature", self.a.key, self.n, kind, self.window),
-            lambda: _reduce_rows(self._sampled_rows(), kind))
-
-    def _sampled_rows(self) -> np.ndarray:
-        """The sampled rows over columns 1..n, read as one block."""
-        return cache.lookup(
-            ("sampled-rows", self.a.key, self.n, self.window),
-            lambda: self.a.block(self.row_indices(), self.n))
+        if self.n <= DENSE_LIMIT:
+            return np.arange(1, top + 1)
+        head = np.unique(np.geomspace(
+            1, max(1, top - self.window), num=96).astype(int))
+        tail = np.arange(max(1, top - self.window + 1), top + 1)
+        return np.unique(np.concatenate([head, tail]))
 
     def row_trace(self, kind: str):
-        return self.row_indices(), self._row_feature(kind)
+        rows = self.row_indices()
+        return rows, cache.lookup(
+            ("row-feature", self.a.key, self.n, self.window, kind),
+            lambda: _reduce_rows(self._read(rows, self.n), kind))
 
     def columns(self, ks: np.ndarray) -> np.ndarray:
         """The columns ``ks`` over rows 1..n, one per row of the result."""
-        if self.dense:
-            t = self.table()
-        else:
-            t = self.a.block(np.arange(1, self.n + 1), int(ks.max()))
-        return t.T[ks - 1]
+        return self._read(np.arange(1, self.n + 1), int(ks.max())).T[ks - 1]
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -408,9 +395,7 @@ class _Engine:
         """Stacked trailing complete rows over columns 1..n (for
         column-limit estimates)."""
         lo = self.row_limit - min(EQ_STACK_ROWS, self.window, self.row_limit)
-        if self.dense:
-            return self.table()[lo:self.row_limit]
-        return self.a.block(np.arange(lo + 1, self.row_limit + 1), self.n)
+        return self._read(np.arange(lo + 1, self.row_limit + 1), self.n)
 
 
 def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
@@ -901,8 +886,7 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
         raise UnsupportedClassError(
             "source domains are supported over the omega and gamma "
             f"triangles, not {f.matrix.name!r}")
-    source = (SpaceId(SIGMA[f.tag], matrix_from_spec("sigma"))
-              if f.tag in SIGMA else f)
+    source = _sigma_domain(f)
 
     notes = []
     row_pairing = None

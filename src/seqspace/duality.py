@@ -185,16 +185,18 @@ def dual_membership(a, space, kind: str = "beta", n: Optional[int] = None,
     beta- or gamma-dual of a matrix domain.
 
     ``space`` must be a domain over a triangle with a bidiagonal inverse
-    (for example ``"c0(omega)"`` or ``"linf(gamma)"``).  The probe builds the
-    dual triangle for ``a`` and runs the mapping-class conditions for (base
-    space : c) for the beta dual, or (base space : linf) for the gamma dual.
+    (for example ``"c0(omega)"`` or ``"linf(gamma)"``), or bs or cs, the
+    domains linf(sigma) and c(sigma).  The probe builds the dual triangle
+    for ``a`` and runs the mapping-class conditions for (base space : c) for
+    the beta dual, or (base space : linf) for the gamma dual.
     """
-    from .conditions import check_class
+    from .conditions import _sigma_domain, check_class
     from .domains import space_from_spec
 
     if kind not in DUAL_KINDS:
         raise SpecError(f"dual kind must be one of {DUAL_KINDS}, got {kind!r}")
-    space = space_from_spec(space)
+    named = space_from_spec(space)
+    space = _sigma_domain(named)
     if not space.is_domain:
         raise SpecError(
             "dual criteria here cover matrix domains (e.g. 'c0(omega)'); "
@@ -212,7 +214,7 @@ def dual_membership(a, space, kind: str = "beta", n: Optional[int] = None,
     return DualReport(
         verdict=report.verdict,
         kind=kind,
-        space=str(space),
+        space=str(named),
         target_pair=(space.tag, target),
         class_report=report,
         note=f"tested the dual triangle on ({space.tag} : {target})",

@@ -554,6 +554,11 @@ def check_tol(tol: float) -> None:
         raise TruncationError(f"tolerance must be finite and positive, got {tol}")
 
 
+# A trace near the float max overflows in its spreads, slopes and
+# products.  An overflow is +-inf and keeps its sign, and inf - inf is
+# NaN, which compares false with every bound, so neither moves a verdict:
+# the trace analysis runs without numpy's warnings about them.
+@np.errstate(over="ignore", invalid="ignore")
 def analyze_limits(indices, traces, tol: float, window: int) -> list:
     """Limit heuristic on a stack of traces observed at the same positions.
 
@@ -688,6 +693,7 @@ def detect_limit(v: FiniteVector, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def analyze_sups(indices, traces, tol: float, window: int) -> list:
     """Decide whether each row of a stack of traces observed at the same
     positions looks bounded: one (verdict, info) per row.
@@ -792,6 +798,7 @@ def classify_traces(traces, tag: str, tol: float, window: int) -> list:
                         window)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _classify_at(idx, traces, tag: str, tol: float, window: int) -> list:
     """:func:`classify_traces` on traces observed at the 1-based positions
     ``idx``, shared by every row: a sampled trace is judged where it was

@@ -177,3 +177,12 @@ def test_a_stream_of_new_matrices_stays_bounded():
     got = json.loads(out.stdout.strip().splitlines()[-1])
     assert got["most"] <= got["cap"]
     assert got["peak_mb"] < 160
+
+
+def test_a_check_past_the_limit_keeps_the_tables_it_shares():
+    """Past DENSE_LIMIT the engine keeps only O(n) row features: a check at
+    n = 9000 evicts nothing that an earlier check left in the cache.  Its
+    row sample, 996 x 9000 floats, is larger than the whole cap."""
+    check_class("cesaro", "c0", "c")
+    check_class("omega", "c", "c", n=9000)
+    assert cache.stats()["evictions"] == 0

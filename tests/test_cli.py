@@ -112,6 +112,16 @@ def test_dual_exit_codes(capsys):
     assert json.loads(out)["verdict"] == "satisfied"
 
 
+def test_dual_of_bs_and_cs_keeps_their_names(capsys):
+    rc, out, _ = run(capsys, "dual", "--space", "cs", "--a", "const:1",
+                     "--json")
+    assert rc == 0
+    assert json.loads(out)["space"] == "cs"
+    rc, out, _ = run(capsys, "dual", "--space", "bs", "--a", "alternating")
+    assert rc == 1
+    assert out.startswith("beta-dual of bs for a = alternating: violated")
+
+
 def test_regularity(capsys):
     rc, out, _ = run(capsys, "regularity", "--matrix", "cesaro", "--json")
     assert rc == 0

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,34 @@ def test_dual_membership_validation():
         dual_membership("power:1", "c0(euler:1/2)")
     with pytest.raises(SpecError):
         dual_membership("power:1", "c0(omega)", kind="alpha")
+
+
+@pytest.mark.parametrize("a", ("const:1", "alternating", "harmonic",
+                               "power:-2"))
+@pytest.mark.parametrize("space, domain", (("cs", "c(sigma)"),
+                                           ("bs", "linf(sigma)")))
+def test_bs_and_cs_duals_are_those_of_the_sigma_domains(space, domain, a):
+    got = dual_membership(a, space)
+    want = dual_membership(a, domain)
+    assert got.space == space
+    assert got.verdict is want.verdict
+    assert got.target_pair == want.target_pair and got.note == want.note
+    assert got.class_report.to_dict() == want.class_report.to_dict()
+
+
+def test_the_beta_dual_of_cs_is_bv():
+    # cs^beta = bv: a constant has bounded variation, (-1)^k has not.
+    assert dual_membership("const:1", "cs").verdict is Verdict.SATISFIED
+    assert dual_membership("alternating", "cs").verdict is Verdict.VIOLATED
+
+
+def test_a_huge_finite_trace_is_judged_without_warnings():
+    # Against the omega domain, a_k = 3^k gives row sums near 2e267 at
+    # n = 600: the products of their differences overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dual_membership("geometric:3", "c(omega)")
+    assert got.verdict is Verdict.VIOLATED
 
 
 def test_dual_report_to_dict():

@@ -61,7 +61,9 @@ CLI_COMMANDS = (
 #: Between them the check-class commands judge all eight conditions, the
 #: too-few-rows note (taylor:9/10 at n = 3000) and Taylor row pairing; the
 #: rest read past DENSE_LIMIT (n = 2401 and 4800), probe duals and report
-#: regularity at n = 2000, of taylor:1/4 also at n = 600.  Row pairing
+#: regularity at n = 2000, of taylor:1/4 also at n = 600.  Past the limit,
+#: the two cesaro checks at n = 2401 read the row distances and the null
+#: columns, which the others there do not.  Row pairing
 #: runs without the oracle: the notes of T_{1/4}'s images of the omega
 #: preimages print rounding noise near zero, which differs between OpenBLAS
 #: kernels.
@@ -79,6 +81,8 @@ LOCK_COMMANDS = tuple(tuple(cmd.split()) + ("--json",) for cmd in (
     "check-class --matrix euler:1/2 --from c --to c(omega) --n 2401 "
     "--route both",
     "check-class --matrix omega-inv --from bs --to c0 --n 4800",
+    "check-class --matrix cesaro --from linf --to cs --n 2401 --route both",
+    "check-class --matrix cesaro --from c --to c0 --n 2401 --route both",
     "regularity --matrix euler:3/4",
     "regularity --matrix taylor:1/4",
 ))

@@ -1,0 +1,87 @@
+"""Known wrong answers, one strict xfail per FOUND line of CHANGES.md.
+
+Each test asserts the textbook answer and quotes the opening of the FOUND
+line that says where the tree gets it wrong.  A fix for that line makes its
+test pass, and ``strict=True`` then fails the suite until the xfail is taken
+off and the line is marked MENDED.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from seqspace.conditions import check_class, regularity_report
+from seqspace.verdicts import Verdict
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+EULER_WINDOW = ("FOUND: Euler means with r ≤ 1/3 get wrong `violated` "
+                "verdicts although every E_r is regular")
+
+
+def conditions_of(report) -> dict:
+    return {c.condition: c.verdict for c in report.condition_reports}
+
+
+@pytest.mark.xfail(strict=True, reason=EULER_WINDOW)
+def test_euler_one_fifth_columns_converge():
+    # E_r is regular for 0 < r <= 1: its columns tend to zero.
+    got = conditions_of(check_class("euler:1/5", "c", "c"))
+    assert got["columns-converge"] is not Verdict.VIOLATED
+
+
+@pytest.mark.xfail(strict=True, reason=EULER_WINDOW)
+def test_euler_one_eighth_has_null_columns():
+    assert regularity_report("euler:1/8").null_columns.verdict \
+        is not Verdict.VIOLATED
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: the oracle says `satisfied` on `seqspace check-class --matrix "
+    "cesaro --from linf --to c --route both`"))
+def test_the_oracle_does_not_put_cesaro_in_linf_to_c():
+    # Schur: C_1's rows do not converge in l1, so C_1 does not map linf
+    # into c.
+    got = check_class("cesaro", "linf", "c", route="both")
+    assert got.oracle.verdict is not Verdict.SATISFIED
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: the oracle gives a false witness on `seqspace check-class "
+    "--matrix taylor:9/10 --from c --to c0 --route both`"))
+def test_a_null_sequence_is_no_witness_against_taylor_c_to_c0():
+    # T_r is regular, so it maps 1/log(k+1), a member of c0, into c0.
+    got = check_class("taylor:9/10", "c", "c0", route="both")
+    assert "log-slow" not in got.oracle.witnesses
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: on 49 Taylor (X(gamma) : linf) cells (r = p/q, q <= 12) the "
+    "oracle says *satisfied* against the conditions' *violated*"))
+def test_taylor_routes_agree_from_linf_gamma_to_linf():
+    got = check_class("taylor:1/4", "linf(gamma)", "linf", route="both")
+    assert got.routes_agree() is not False
+
+
+def _address_space_cap():
+    cap = 3 * 2 ** 29       # 1.5 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: past `DENSE_LIMIT` a check holds its whole row sample at full "
+    "width"))
+def test_a_check_past_the_limit_runs_in_bounded_memory():
+    # omega does not map c0 into c: its absolute row sums grow.  At
+    # n = 50000 the row sample alone is 5084 x 50000 floats (1.9 GiB).
+    argv = ["check-class", "--matrix", "omega", "--from", "c0", "--to", "c",
+            "--n", "50000"]
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "seqspace", *argv], env=env,
+                          preexec_fn=_address_space_cap, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 1, done.stderr[-300:]

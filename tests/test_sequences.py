@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -325,3 +326,21 @@ def test_geometric_partial_sums_settle(r):
     assert lv.kind is LimitKind.CONVERGES
     limit = float(r) / (1.0 - float(r))
     assert lv.value == pytest.approx(limit, abs=1e-9)
+
+
+def test_traces_near_the_float_max_are_judged_without_warnings():
+    # Spreads, sums, slopes and products of differences of these traces
+    # overflow (and inf - inf is NaN); the overflow keeps its sign, so the
+    # alternating trace still oscillates, and numpy warns of nothing.
+    k = np.arange(1, 201)
+    big = 1.5e308
+    traces = np.array([big * (-1.0) ** k, np.linspace(-1, 1, 200) * big,
+                       np.full(200, big), big * np.sin(k / 7.0),
+                       np.where(k > 100, big, -big)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        limits = analyze_limits(k, traces, 1e-3, 20)
+        analyze_sups(k, traces, 1e-3, 20)
+        for tag in ("c0", "c", "cs", "linf", "bs"):
+            classify_traces(traces, tag, 1e-3, 20)
+    assert limits[0].kind is LimitKind.OSCILLATES
