@@ -7,12 +7,11 @@ probes all live in one least-recently-used store, capped in bytes by
 ``nbytes`` (zero for values without arrays) plus :data:`ENTRY_OVERHEAD`, so
 small values cannot pile up without bound either.
 
-Eviction takes the least recently used entry, with one exception: entries
-larger than a quarter of the cap (the tables of large truncations) go first,
-all but the most recent one, so that one large table of a finished
-computation does not push out the small tables many computations share.
-When the size of a table is known before it is built, room is made first,
-so the table it replaces is freed before the new one is allocated.
+Entries over a quarter of the cap are large (:func:`is_large`); the
+conditions engine streams a truncation whose table would be one.  Large
+entries still made go first, all but the newest, so that they do not push
+out the small entries many computations share.  A table's room is made
+before it is built, so the table it replaces is freed first.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
@@ -112,11 +111,16 @@ def _put(key, value) -> None:
     charge = ENTRY_OVERHEAD + int(getattr(value, "nbytes", 0))
     _entries[key] = (value, charge)
     _held += charge
-    if charge > CAP_BYTES // 4:
+    if is_large(charge):
         _large[key] = None
     for serial in _serials_in(key):
         _by_serial.setdefault(serial, set()).add(key)
     _make_room(0)
+
+
+def is_large(nbytes: int) -> bool:
+    """Whether an entry of ``nbytes`` is large: over a quarter of the cap."""
+    return nbytes > CAP_BYTES // 4
 
 
 def _serials_in(key) -> list:
@@ -131,7 +135,7 @@ def _make_room(incoming: int) -> None:
     """Evict until ``incoming`` more bytes fit.  An incoming large entry
     becomes the most recent large one, so then every held large entry may
     go before the small ones."""
-    keep = 0 if incoming > CAP_BYTES // 4 else 1
+    keep = 0 if is_large(incoming) else 1
     while _entries and _held + incoming > CAP_BYTES:
         if len(_large) > keep:
             victim = next(iter(_large))

@@ -33,6 +33,7 @@ from .errors import SpecError, TruncationError, UnsupportedClassError
 from .matrices import (
     DENSE_LIMIT,
     ROW_CUTOFF_CAP,
+    ComposedMatrix,
     InfiniteMatrix,
     apply_many,
     compose,
@@ -288,18 +289,16 @@ class _TooFewRows(TruncationError):
     conditions are inconclusive, with the message as their note."""
 
 
-#: Elements per block when a row feature reduces the dense table: the
-#: temporaries stay this small whatever the truncation.
+#: Elements per chunk of rows the engine reads: its temporaries stay small.
 FEATURE_BLOCK = 1 << 15
 
 
 class _Engine:
     """Trace computations for one (matrix, truncation) pair.
 
-    An engine is made per evaluation and holds nothing: it reads windows of
-    the cached table up to DENSE_LIMIT and blocks past it, and keeps only
-    the O(n) row features, in the evaluation cache under the matrix key and
-    the read that made them.
+    An engine is made per evaluation and holds nothing but O(n) features in
+    the cache: a truncation whose table would be a large cache entry is
+    streamed into one features record, and any other reads its table.
     """
 
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
@@ -310,6 +309,10 @@ class _Engine:
         self.n = n
         self.tol = tol
         self.window = window
+        self.streamed = cache.is_large(8 * n * n)
+        # A product's table is still read up to DENSE_LIMIT, as its block is.
+        self._held = n <= DENSE_LIMIT and (isinstance(a, ComposedMatrix)
+                                           or not self.streamed)
         self.row_limit, self.row_tail_note, self._cap_note = n, "", ""
         if a.row_end(n) is None:
             self.row_limit, capped = cache.lookup(("row-limit", a.key, n),
@@ -350,12 +353,23 @@ class _Engine:
 
     def _read(self, rows: np.ndarray, width: int) -> np.ndarray:
         """Rows ``rows`` (strictly increasing, 1-based) over columns
-        1..width: a view of the cached table up to DENSE_LIMIT, where the
-        rows read are consecutive, and a block read past it."""
-        if self.n <= DENSE_LIMIT:
+        1..width: a view of the cached table when it is held, where the
+        rows read are consecutive, and a block read otherwise."""
+        if self._held:
             return self.a.truncation_floats(self.n)[rows[0] - 1:rows[-1],
                                                     :width]
         return self.a.block(rows, width)
+
+    def _chunks(self, rows: np.ndarray, width: int):
+        """``rows`` over 1..width in chunks of at most FEATURE_BLOCK elements,
+        with their first rows' positions; a product in one read, as chunks of
+        its running sums would each take their prefix again."""
+        step = max(1, FEATURE_BLOCK // width)
+        whole = (self._read(rows, width) if len(rows) and (
+            self._held or isinstance(self.a, ComposedMatrix)) else None)
+        for lo in range(0, len(rows), step):
+            yield lo, (self._read(rows[lo:lo + step], width) if whole is None
+                       else whole[lo:lo + step])
 
     def row_indices(self) -> np.ndarray:
         """Every complete row up to DENSE_LIMIT; past it, a geometric sample
@@ -375,13 +389,43 @@ class _Engine:
 
     def row_trace(self, kind: str):
         rows = self.row_indices()
+        if self.streamed and kind != "row_dist":
+            return rows, self._features()[int(kind == "row_abs"), :len(rows)]
+        def reduce():
+            last = self._read(rows[-1:], self.n)[0]
+            buf = np.empty((min(len(rows), FEATURE_BLOCK // self.n + 1), self.n))
+            return np.concatenate([_reduce_rows(t, kind, last, buf[:len(t)])
+                                   for _, t in self._chunks(rows, self.n)])
         return rows, cache.lookup(
-            ("row-feature", self.a.key, self.n, self.window, kind),
-            lambda: _reduce_rows(self._read(rows, self.n), kind))
+            ("row-feature", self.a.key, self.n, self.window, kind), reduce)
 
-    def columns(self, ks: np.ndarray) -> np.ndarray:
-        """The columns ``ks`` over rows 1..n, one per row of the result."""
-        return self._read(np.arange(1, self.n + 1), int(ks.max())).T[ks - 1]
+    def columns(self) -> np.ndarray:
+        """The sampled columns over rows 1..n, one per row of the result."""
+        ks = np.array(self.column_sample())
+        return (self._features()[2:] if self.streamed else
+                self._read(np.arange(1, self.n + 1), int(ks[-1])).T[ks - 1])
+
+    def _features(self) -> np.ndarray:
+        """Sums and absolute sums of :meth:`row_indices` (a chunk with no sign
+        bit is its absolute value), then the sampled columns, read at their
+        own width from the other rows, and past DENSE_LIMIT from all rows."""
+        def stream():
+            ks = np.array(self.column_sample(), dtype=int)
+            rows = (self.row_indices() if self.row_limit >= self.window
+                    else np.arange(1, 1))
+            out = np.empty((2 + len(ks), self.n))
+            for lo, t in self._chunks(rows, self.n):
+                at = slice(lo, lo + len(t))
+                t.sum(axis=1, out=out[0, at])
+                out[1, at] = (_reduce_rows(t, "row_abs")
+                              if np.signbit(t).any() else out[0, at])
+                out[2:, rows[at] - 1] = t[:, ks - 1].T
+            narrow = np.arange(len(rows) * (self.n <= DENSE_LIMIT) + 1, self.n + 1)
+            for lo, t in self._chunks(narrow, int(ks[-1]) if len(ks) else 1):
+                out[2:, narrow[lo:lo + len(t)] - 1] = t[:, ks - 1].T
+            return out
+        return cache.lookup(("features", self.a.key, self.n, self.window),
+                            stream)
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -398,28 +442,16 @@ class _Engine:
         return self._read(np.arange(lo + 1, self.row_limit + 1), self.n)
 
 
-def _reduce_rows(t: np.ndarray, kind: str) -> np.ndarray:
-    """One feature per row of ``t``: its sum ("row_sum"), absolute sum
-    ("row_abs") or the absolute sum of its difference from the last row of
-    ``t`` ("row_dist").  Each row is reduced over its full width, as a
-    reduction of the whole table would, but through one reused block buffer
-    instead of table-sized temporaries."""
+def _reduce_rows(t: np.ndarray, kind: str, last=None, out=None) -> np.ndarray:
+    """One feature per row of ``t``, reduced over its full width with any
+    temporary in ``out``: its sum ("row_sum"), absolute sum ("row_abs") or
+    the absolute sum of its difference from ``last`` (default the last row)."""
     if kind == "row_sum":
         return t.sum(axis=1)
-    rows, width = t.shape
-    out = np.empty(rows)
-    step = max(1, FEATURE_BLOCK // width)
-    buf = np.empty((min(step, rows), width))
-    for i in range(0, rows, step):
-        block = t[i:i + step]
-        part = buf[:len(block)]
-        if kind == "row_abs":
-            np.abs(block, out=part)
-        else:
-            np.subtract(t[-1], block, out=part)
-            np.abs(part, out=part)
-        part.sum(axis=1, out=out[i:i + len(block)])
-    return out
+    out = np.empty_like(t) if out is None else out
+    if kind == "row_dist":
+        t = np.subtract(t[-1:] if last is None else last, t, out=out)
+    return np.abs(t, out=out).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +501,7 @@ def _columns_report(eng: _Engine, cond: str, space: str) -> ConditionReport:
         return _report(cond, Verdict.INCONCLUSIVE, None,
                        "truncation too small to sample columns", eng.n)
     verdicts = {k: v for k, (v, _) in zip(cols, classify_traces(
-        eng.columns(np.array(cols)), space, eng.tol, eng.window))}
+        eng.columns(), space, eng.tol, eng.window))}
     note = f"checked columns {cols[0]}..{cols[-1]} ({len(cols)} sampled)"
     extras = {"columns_checked": len(cols)}
     for key, verdict in (("violated_at", Verdict.VIOLATED),

@@ -503,7 +503,11 @@ def _rows(block: np.ndarray, which: np.ndarray) -> np.ndarray:
 def _row_means(block: np.ndarray) -> np.ndarray:
     """``block.mean(axis=1)``, without its Python-level overhead: the same
     pairwise sum per row, divided by the row length."""
-    return np.add.reduce(block, axis=1) / block.shape[1]
+    means = np.add.reduce(block, axis=1) / block.shape[1]
+    if not math.isfinite(np.add.reduce(means)):     # a sum may overflow
+        np.copyto(means, np.add.reduce(block * 2.0 ** -64, axis=1)
+                  / (block.shape[1] * 2.0 ** -64), where=~np.isfinite(means))
+    return means
 
 
 def _slopes(log_idx: np.ndarray, block: np.ndarray, means=None) -> np.ndarray:

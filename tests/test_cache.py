@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from seqspace import cache
-from seqspace.conditions import (check_class, source_transfer_matrix,
+from seqspace.conditions import (_Engine, check_class, regularity_report,
+                                 source_transfer_matrix,
                                  target_transfer_matrix)
 from seqspace.duality import DualTriangle
-from seqspace.matrices import matrix_from_spec
+from seqspace.matrices import TaylorTransform, matrix_from_spec
 from seqspace.sequences import Sequence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -186,3 +187,33 @@ def test_a_check_past_the_limit_keeps_the_tables_it_shares():
     check_class("cesaro", "c0", "c")
     check_class("omega", "c", "c", n=9000)
     assert cache.stats()["evictions"] == 0
+
+
+def test_large_truncations_are_read_without_their_tables():
+    """Regularity reports at n = 2000 stream their truncations: a 32 MB
+    table would be a large entry, and two of them overflow the cap, so
+    they are never built and nothing an earlier check left is evicted."""
+    check_class("cesaro", "c0", "c")
+    for spec in ("euler:3/4", "taylor:1/4"):
+        regularity_report(spec)
+        assert cache.stats()["evictions"] == 0
+        assert ("table", spec, 2000) not in cache._entries
+
+
+def test_taylor_rows_past_the_complete_rows_are_read_narrow(monkeypatch):
+    """Rows past the complete-row limit feed only the sampled columns, so
+    the stream reads them at the columns' width, never at full width."""
+    asked = []
+    block = TaylorTransform.block
+
+    def spy(self, rows, m):
+        asked.append((int(np.max(rows)), m))
+        return block(self, rows, m)
+
+    monkeypatch.setattr(TaylorTransform, "block", spy)
+    regularity_report("taylor:1/4")
+    limit = _Engine(matrix_from_spec("taylor:1/4"), 2000, 1.5e-3,
+                    200).row_limit
+    assert limit < 2000
+    assert max(top for top, m in asked if m == 2000) == limit
+    assert all(m < 2000 for top, m in asked if top > limit)

@@ -1020,6 +1020,44 @@ def test_prefix_traces_match_the_prefix_table(name):
             (name, size)
 
 
+def signed_band(n, k):
+    """Entries with both signs, and -0.0 where n + k is a multiple of 3."""
+    return -0.0 if (n + k) % 3 == 0 else (-1) ** (n * k) / (n + 2 * k)
+
+
+def streamed_matrices():
+    yield from map(matrix_from_spec, FEATURE_FAMILIES)
+    yield dual_transfer_matrix("alternating", "omega")
+    yield RuleMatrix(signed_band, name="signed-band", triangle=True,
+                     row_span=lambda n: (max(1, n - 2), n))
+    yield mat.compose("sigma", mat.compose("euler:1/2", "omega-inv"))
+    yield mat.compose("omega", "euler:1/2")
+    yield mat.compose("taylor:1/4", "gamma-inv")
+
+
+@pytest.mark.parametrize("n", (1449, 2000, DENSE_LIMIT + 1))
+def test_a_streamed_truncation_has_the_bits_of_its_table(n):
+    # The reference is what a read without the stream reduces: the table,
+    # or past DENSE_LIMIT a block of the row sample and one of every row.
+    for a in streamed_matrices():
+        eng = _Engine(a, n, 1.5e-3, n // 10)
+        assert eng.streamed, n
+        rows = eng.row_indices()
+        ks = np.array(eng.column_sample())
+        if n <= DENSE_LIMIT:
+            table = a.truncation_floats(n)
+            full, cols = table[:len(rows)], table.T[ks - 1]
+        else:
+            full = a.block(rows, n)
+            cols = a.block(np.arange(1, n + 1), int(ks[-1])).T[ks - 1]
+        for kind in ("row_sum", "row_abs", "row_dist"):
+            assert same_bits(eng.row_trace(kind)[1],
+                             _reduce_rows(full, kind)), (a.name, n, kind)
+        assert same_bits(eng.columns(), cols), (a.name, n)
+        stack = eng.final_rows()
+        assert same_bits(stack, full[-len(stack):]), (a.name, n)
+
+
 # ---------------------------------------------------------------------------
 # Batched trace analysis
 # ---------------------------------------------------------------------------

@@ -72,12 +72,11 @@ def _address_space_cap():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND: past `DENSE_LIMIT` a check holds its whole row sample at full "
-    "width"))
 def test_a_check_past_the_limit_runs_in_bounded_memory():
     # omega does not map c0 into c: its absolute row sums grow.  At
-    # n = 50000 the row sample alone is 5084 x 50000 floats (1.9 GiB).
+    # n = 50000 the row sample alone is 5084 x 50000 floats (1.9 GiB), so
+    # the check must read it in chunks (MENDED: "past `DENSE_LIMIT` a check
+    # holds its whole row sample at full width").
     argv = ["check-class", "--matrix", "omega", "--from", "c0", "--to", "c",
             "--n", "50000"]
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -344,3 +345,13 @@ def test_traces_near_the_float_max_are_judged_without_warnings():
         for tag in ("c0", "c", "cs", "linf", "bs"):
             classify_traces(traces, tag, 1e-3, 20)
     assert limits[0].kind is LimitKind.OSCILLATES
+
+
+def test_a_trace_settling_near_the_float_max_converges_to_it():
+    # The window's sum overflows though its entries are finite, so its mean
+    # is taken as a scaled sum: the limit is the plateau, not inf.
+    got = analyze_limit(range(1, 201), [1.5e308] * 200, 1e-3, 20)
+    assert got.kind is LimitKind.CONVERGES
+    assert got.value == 1.5e308 and math.isfinite(got.trend_slope)
+    small = analyze_limit(range(1, 201), [0.1] * 200, 1e-3, 20)
+    assert small.value == np.mean([0.1] * 20)
