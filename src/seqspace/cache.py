@@ -7,11 +7,12 @@ probes all live in one least-recently-used store, capped in bytes by
 ``nbytes`` (zero for values without arrays) plus :data:`ENTRY_OVERHEAD`, so
 small values cannot pile up without bound either.
 
-Entries over a quarter of the cap are large (:func:`is_large`); the
-conditions engine streams a truncation whose table would be one.  Large
-entries still made go first, all but the newest, so that they do not push
-out the small entries many computations share.  A table's room is made
-before it is built, so the table it replaces is freed first.
+Entries over a quarter of the cap are large (:func:`is_large`); a reader
+of many rows (``InfiniteMatrix._row_chunks``) reads a truncation whose table
+would be one in row chunks, without it.  Large entries still made go first,
+all but the newest, so that they do not push out the small entries many
+computations share.  A table's room is made before it is built, so the
+table it replaces is freed first.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the

@@ -33,7 +33,6 @@ from .errors import SpecError, TruncationError, UnsupportedClassError
 from .matrices import (
     DENSE_LIMIT,
     ROW_CUTOFF_CAP,
-    ComposedMatrix,
     InfiniteMatrix,
     apply_many,
     compose,
@@ -310,9 +309,6 @@ class _Engine:
         self.tol = tol
         self.window = window
         self.streamed = cache.is_large(8 * n * n)
-        # A product's table is still read up to DENSE_LIMIT, as its block is.
-        self._held = n <= DENSE_LIMIT and (isinstance(a, ComposedMatrix)
-                                           or not self.streamed)
         self.row_limit, self.row_tail_note, self._cap_note = n, "", ""
         if a.row_end(n) is None:
             self.row_limit, capped = cache.lookup(("row-limit", a.key, n),
@@ -351,25 +347,10 @@ class _Engine:
                   and self.a.row_cutoff(self.n) >= self.n + ROW_CUTOFF_CAP)
         return lo, capped
 
-    def _read(self, rows: np.ndarray, width: int) -> np.ndarray:
-        """Rows ``rows`` (strictly increasing, 1-based) over columns
-        1..width: a view of the cached table when it is held, where the
-        rows read are consecutive, and a block read otherwise."""
-        if self._held:
-            return self.a.truncation_floats(self.n)[rows[0] - 1:rows[-1],
-                                                    :width]
-        return self.a.block(rows, width)
-
     def _chunks(self, rows: np.ndarray, width: int):
         """``rows`` over 1..width in chunks of at most FEATURE_BLOCK elements,
-        with their first rows' positions; a product in one read, as chunks of
-        its running sums would each take their prefix again."""
-        step = max(1, FEATURE_BLOCK // width)
-        whole = (self._read(rows, width) if len(rows) and (
-            self._held or isinstance(self.a, ComposedMatrix)) else None)
-        for lo in range(0, len(rows), step):
-            yield lo, (self._read(rows[lo:lo + step], width) if whole is None
-                       else whole[lo:lo + step])
+        with their first rows' positions."""
+        return self.a._row_chunks(rows, width, max(1, FEATURE_BLOCK // width))
 
     def row_indices(self) -> np.ndarray:
         """Every complete row up to DENSE_LIMIT; past it, a geometric sample
@@ -392,7 +373,7 @@ class _Engine:
         if self.streamed and kind != "row_dist":
             return rows, self._features()[int(kind == "row_abs"), :len(rows)]
         def reduce():
-            last = self._read(rows[-1:], self.n)[0]
+            (_, last), = self._chunks(rows[-1:], self.n)
             buf = np.empty((min(len(rows), FEATURE_BLOCK // self.n + 1), self.n))
             return np.concatenate([_reduce_rows(t, kind, last, buf[:len(t)])
                                    for _, t in self._chunks(rows, self.n)])
@@ -401,9 +382,12 @@ class _Engine:
 
     def columns(self) -> np.ndarray:
         """The sampled columns over rows 1..n, one per row of the result."""
+        if self.streamed:
+            return self._features()[2:]
+        # Not streamed, the rows are one window of the held table.
         ks = np.array(self.column_sample())
-        return (self._features()[2:] if self.streamed else
-                self._read(np.arange(1, self.n + 1), int(ks[-1])).T[ks - 1])
+        (_, t), = self.a._row_chunks(range(1, self.n + 1), int(ks[-1]), self.n)
+        return t.T[ks - 1]
 
     def _features(self) -> np.ndarray:
         """Sums and absolute sums of :meth:`row_indices` (a chunk with no sign
@@ -439,7 +423,8 @@ class _Engine:
         """Stacked trailing complete rows over columns 1..n (for
         column-limit estimates)."""
         lo = self.row_limit - min(EQ_STACK_ROWS, self.window, self.row_limit)
-        return self._read(np.arange(lo + 1, self.row_limit + 1), self.n)
+        return np.concatenate([t for _, t in self._chunks(
+            np.arange(lo + 1, self.row_limit + 1), self.n)])
 
 
 def _reduce_rows(t: np.ndarray, kind: str, last=None, out=None) -> np.ndarray:

@@ -106,6 +106,15 @@ def _put_band(out: np.ndarray, rows: np.ndarray, lag: int, values) -> None:
         out.ravel()[np.arange(lo * m, hi * m, m) + cols] = values[cols]
 
 
+def _carried_sums(terms: np.ndarray, state) -> tuple:
+    """The running sums of ``terms`` along the last axis, in place, after
+    the last sum before them (``state``, or None); and their last sum."""
+    if state is not None:
+        terms[..., :1] += state
+    np.cumsum(terms, axis=-1, out=terms)
+    return terms, terms[..., -1:].copy()
+
+
 class InfiniteMatrix:
     """Base class: entry rule + support hints + cached float truncations.
 
@@ -196,12 +205,44 @@ class InfiniteMatrix:
         return cache.lookup(("table", self.key, size), build,
                             nbytes=8 * size * size)
 
+    def _row_chunks(self, rows, m: int, step: int):
+        """Rows ``rows`` (strictly increasing, 1-based) over columns 1..m in
+        consecutive chunks of at most ``step`` rows, each with its position
+        in ``rows``: windows of the cached table of 1..s, s = max(last row,
+        m), unless it would be a large cache entry (then :meth:`_blocks`)."""
+        rows = np.asarray(rows)
+        if not len(rows):
+            return
+        first, last = int(rows[0]), int(rows[-1])
+        s = max(last, m)
+        if cache.is_large(8 * s * s):
+            yield from self._blocks(rows, m, step)
+            return
+        table = self.truncation_floats(s)
+        window = (table[first - 1:last, :m] if last - first == len(rows) - 1
+                  else table[rows - 1, :m])
+        for lo in range(0, len(window), step):
+            yield lo, window[lo:lo + step]
+
+    def _blocks(self, rows: np.ndarray, m: int, step: int):
+        """:meth:`_row_chunks` without a table: here a block per chunk."""
+        for lo in range(0, len(rows), step):
+            yield lo, self.block(rows[lo:lo + step], m)
+
     # -- optional fast transforms ------------------------------------------
 
     def _apply_floats(self, xf: np.ndarray) -> Optional[np.ndarray]:
         """(Ax)_{1..m} for each x stacked in ``xf`` along its last axis, of
         length m, when a vectorized form exists, else None.  A stacked x
         gets the same bits as alone."""
+        got = self._apply_carried(xf, 1, None)
+        return None if got is None else got[0]
+
+    def _apply_carried(self, xf: np.ndarray, lo: int, state):
+        """The vectorized form on terms lo..lo+m-1 of each x stacked in ``xf``:
+        ((Ax)_{lo..lo+m-1}, the state for the terms after), given the
+        ``state`` of the terms before (None: none read), else None.  Carried
+        from chunk to chunk, it gives the bits of one call."""
         return None
 
     def _rmul_floats(self, xf: np.ndarray) -> Optional[np.ndarray]:
@@ -251,8 +292,8 @@ class Identity(InfiniteMatrix):
         _put_band(out, np.asarray(rows), 0, np.ones(m))
         return out
 
-    def _apply_floats(self, xf):
-        return xf.copy()
+    def _apply_carried(self, xf, lo, state):
+        return xf.copy(), None
 
     def _apply_exact(self, xs):
         return list(xs)
@@ -278,8 +319,8 @@ class ZeroMatrix(InfiniteMatrix):
     def block(self, rows, m):
         return np.zeros((len(rows), m))
 
-    def _apply_floats(self, xf):
-        return np.zeros_like(xf)
+    def _apply_carried(self, xf, lo, state):
+        return np.zeros_like(xf), None
 
     def _apply_exact(self, xs):
         return [0] * len(xs)
@@ -305,12 +346,12 @@ class WeightedSums(InfiniteMatrix):
     def block(self, rows, m):
         return _lower(np.asarray(rows), m, self._weights_floats(m))
 
-    def _apply_floats(self, xf):
+    def _apply_carried(self, xf, lo, state):
         # The sums are taken in place, here and in the other means: on a
         # stack as large as a table, a second temporary costs more than
         # the sums.
-        out = self._weights_floats(xf.shape[-1]) * xf
-        return np.cumsum(out, axis=-1, out=out)
+        w = self._weights_floats(lo - 1 + xf.shape[-1])[lo - 1:]
+        return _carried_sums(w * xf, state)
 
     def _apply_exact(self, xs):
         return list(accumulate(self.weights(k + 1) * x for k, x in enumerate(xs)))
@@ -373,11 +414,14 @@ class Bidiagonal(InfiniteMatrix):
         _put_band(out, rows, 1, s)
         return out
 
-    def _apply_floats(self, xf):
-        d, s = self._diagonals_floats(xf.shape[-1])
-        out = d * xf
-        out[..., 1:] += s * xf[..., :-1]
-        return out
+    def _apply_carried(self, xf, lo, state):
+        # Row n is d(n) x_n + s(n) x_{n-1}: the state is the last term.
+        d, s = self._diagonals_floats(lo - 1 + xf.shape[-1])
+        out = d[lo - 1:] * xf
+        out[..., 1:] += s[lo - 1:] * xf[..., :-1]
+        if state is not None:
+            out[..., :1] += s[lo - 2] * state
+        return out, xf[..., -1:].copy()
 
     def _rmul_floats(self, xf):
         # (xA)_k = x_k d(k) + x_{k+1} s(k+1), one term at k = m.
@@ -413,10 +457,10 @@ class CesaroMeans(InfiniteMatrix):
         rows = np.asarray(rows)
         return _lower(rows, m, (1.0 / rows)[:, None])
 
-    def _apply_floats(self, xf):
-        out = np.cumsum(xf, axis=-1)
-        out /= np.arange(1, xf.shape[-1] + 1)
-        return out
+    def _apply_carried(self, xf, lo, state):
+        out, state = _carried_sums(np.array(xf), state)
+        out /= np.arange(lo, lo + xf.shape[-1])
+        return out, state
 
     def _apply_exact(self, xs):
         return [_exact_div(s, n) for n, s in enumerate(accumulate(xs), start=1)]
@@ -482,12 +526,11 @@ class RieszMeans(InfiniteMatrix):
             np.divide(t[:w], big_t[n - 1], out=out[i, :w])
         return out
 
-    def _apply_floats(self, xf):
-        t, big_t = self._tf(xf.shape[-1])
-        out = t * xf
-        np.cumsum(out, axis=-1, out=out)
-        out /= big_t
-        return out
+    def _apply_carried(self, xf, lo, state):
+        t, big_t = self._tf(lo - 1 + xf.shape[-1])
+        out, state = _carried_sums(t[lo - 1:] * xf, state)
+        out /= big_t[lo - 1:]
+        return out, state
 
     def _apply_exact(self, xs):
         self._ensure(len(xs))
@@ -772,10 +815,10 @@ class ComposedMatrix(InfiniteMatrix):
         return None
 
     def exact_rows(self, rows, m):
-        # The exact twin of _table's first rule: a triangle product whose
-        # left factor has a linear-time exact form (one without answers None
-        # even on no terms) applies it to each of the right factor's exact
-        # columns.  Any other product is read entry by entry.
+        # The exact twin of the float reader's first rule: a triangle product
+        # whose left factor has a linear-time exact form (one without
+        # answers None even on no terms) applies it to each of the right
+        # factor's exact columns.  Any other product is read entry by entry.
         rows = [int(n) for n in rows]
         if not (self.triangle and rows) or self.left._apply_exact([]) is None:
             yield from super().exact_rows(rows, m)
@@ -787,76 +830,48 @@ class ComposedMatrix(InfiniteMatrix):
             yield [col[n - 1] for col in cols[:n]] + [0] * (m - min(n, w))
 
     def block(self, rows, m):
-        # The inner index runs over the window 1..s, s its larger side: exact
-        # when the left factor is row-finite within it (true for triangles),
-        # otherwise a leading-window approximation.  A window that fits is
-        # read from the product table (see _table), so a partial read has
-        # the table's bits.  A larger one is read in chunks of rows, none
-        # above a DENSE_LIMIT-square table: a running-sums left factor takes
-        # running sums, a bidiagonal right factor its two-term form on the
-        # left factor's rows read one column wider, and any other pair is
-        # multiplied in chunks of the inner index too.
-        rows = np.asarray(rows)
+        # A table up to DENSE_LIMIT is one chunk.
+        parts = [t for _, t in self._blocks(
+            np.asarray(rows), m, max(1, DENSE_LIMIT * DENSE_LIMIT // m))]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _blocks(self, rows, m, step):
+        # The one float path: the left factor's vectorized form on the right
+        # factor's rows, else a bidiagonal right factor's two terms on the
+        # left factor's rows, else the factors' chunks multiplied.  The inner
+        # index runs over 1..s, s = max(last row, m): exact for triangles.
+        # The probe on no vectors takes the left terms to the last row.
+        none = np.empty((0, int(rows[-1])))
+        if self.left._apply_carried(none, 1, None) is not None:
+            yield from self._carried(rows, m, step)
+            return
         s = max(int(rows[-1]), m)
-        if s <= DENSE_LIMIT:
-            if len(rows) < s or m < s:
-                return self.truncation_floats(s)[rows - 1, :m]
-            return self._table(s)
-        area = DENSE_LIMIT * DENSE_LIMIT
-        if isinstance(self.left, WeightedSums):
-            return self._running_sums(rows, m, max(1, area // m))
-        if isinstance(self.right, Bidiagonal):
-            step = max(1, area // (m + 1))
-            return np.vstack([
-                self.right._rmul_floats(
-                    self.left.block(rows[i:i + step], m + 1))[:, :m]
-                for i in range(0, len(rows), step)])
-        row_step, inner_step = max(1, area // s), max(1, area // m)
-        out = np.zeros((len(rows), m))
-        for i in range(0, len(rows), row_step):
-            left = self.left.block(rows[i:i + row_step], s)
-            for j in range(0, s, inner_step):
-                inner = np.arange(j + 1, min(j + inner_step, s) + 1)
-                out[i:i + row_step] += (left[:, j:j + inner_step]
-                                        @ self.right.block(inner, m))
-        return out
+        if self.right._rmul_floats(none) is not None:
+            # Column k takes the left rows' columns k and k + 1.
+            for lo, t in self.left._row_chunks(rows, min(m + 1, s), step):
+                yield lo, self.right._rmul_floats(t)[:, :m]
+            return
+        for lo, t in self.left._row_chunks(rows, s, step):
+            yield lo, sum(t[:, j:j + len(r)] @ r for j, r in
+                          self.right._row_chunks(np.arange(1, s + 1), m, step))
 
-    def _table(self, s: int) -> np.ndarray:
-        """The s-by-s product table, in O(s^2) from a structured factor: the
-        left factor's vectorized form applied to the right table's columns
-        in one stacked call, else a bidiagonal right factor's two-term form
-        on the left table's rows, else the matmul of the two tables.  The
-        table is C-contiguous, as every other table: a row sum of a
-        Fortran-ordered copy can round differently."""
-        right = self.right.truncation_floats(s)
-        cols = self.left._apply_floats(right.T)
-        if cols is not None:
-            return np.ascontiguousarray(cols.T)
-        left = self.left.truncation_floats(s)
-        table = self.right._rmul_floats(left)
-        return left @ right if table is None else table
-
-    def _running_sums(self, rows: np.ndarray, m: int, step: int) -> np.ndarray:
-        """Rows ``rows`` of W*B over columns 1..m, W the running sums with
-        weights w: running sums of B's rows scaled by w, taken over chunks
-        of ``step`` rows with the last sum carried into the next chunk's
-        first row.  Each sum is formed as ``np.cumsum(w * B's columns)``
-        forms it, carry + w_n b_n for row n."""
-        top = int(rows[-1])
-        w = self.left._weights_floats(top)
-        out = np.empty((len(rows), m))
-        carry = None
-        for lo in range(1, top + 1, step):
-            hi = min(lo + step, top + 1)
-            part = self.right.block(np.arange(lo, hi), m)
-            part *= w[lo - 1:hi - 1, None]
-            if carry is not None:
-                part[0] += carry
-            np.cumsum(part, axis=0, out=part)
-            carry = part[-1]
-            i, j = np.searchsorted(rows, (lo, hi))
-            out[i:j] = part[rows[i:j] - lo]
-        return out
+    def _carried(self, rows, m, step):
+        """Rows ``rows`` of L*R over 1..m: L's form on chunks of R's rows from
+        L's nondecreasing ``row_start`` on, its state carried between chunks."""
+        ns, start = rows.tolist(), self.left.row_start
+        gaps = np.flatnonzero(rows[1:] > rows[:-1] + 1) + 1
+        cuts = [i for i in gaps.tolist() if start(ns[i]) > ns[i - 1] + 1]
+        for b, e in zip([0] + cuts, cuts + [len(ns)]):
+            run, first, state = rows[b:e], start(ns[b]), None
+            for lo, part in self.right._row_chunks(
+                    np.arange(first, ns[e - 1] + 1), m, step):
+                top = first + lo
+                got, state = self.left._apply_carried(part.T, top, state)
+                i, j = np.searchsorted(run, (top, top + len(part))).tolist()
+                if j > i:
+                    got = np.ascontiguousarray(got.T)
+                    yield b + i, (got if j - i == len(part)
+                                  else got[run[i:j] - top])
 
 
 def compose(left, right) -> ComposedMatrix:
@@ -1108,9 +1123,10 @@ def apply_many(a, xs: list, n: int) -> list:
     bits it has alone:
 
     * a vectorized form (``_apply_floats``) takes the whole stack at once;
-    * any other row-finite matrix multiplies each x by its table, or past
-      ``DENSE_LIMIT`` by blocks of rows, each built once per stack: a
-      product of the table with the whole stack could round differently;
+    * any other row-finite matrix multiplies each x by its rows, read in
+      chunks of at most a ``DENSE_LIMIT``-square table
+      (``InfiniteMatrix._row_chunks``), each read once per stack: a product
+      of the rows with the whole stack could round differently;
     * a row-infinite matrix extends each row to its certified cutoff
       (``row_series``), past which the row's mass is at most
       ``ROW_TAIL_MASS``: each row series is built once per stack, with one
@@ -1147,14 +1163,11 @@ def apply_many(a, xs: list, n: int) -> list:
             stack = np.array([x.floats(n) for x in xs])
             out = a._apply_floats(stack)
             if out is None:
-                # Up to DENSE_LIMIT the one block is the cached table.
                 out = np.empty_like(stack)
                 step = max(1, DENSE_LIMIT * DENSE_LIMIT // n)
-                for lo in range(1, n + 1, step):
-                    rows = (a.truncation_floats(n) if n <= DENSE_LIMIT else
-                            a.block(np.arange(lo, min(lo + step, n + 1)), n))
+                for lo, rows in a._row_chunks(np.arange(1, n + 1), n, step):
                     for image, xf in zip(out, stack):
-                        image[lo - 1:lo - 1 + len(rows)] = rows @ xf
+                        image[lo:lo + len(rows)] = rows @ xf
     return finite_vectors(out, [f"{a.name}({x.label})" for x in xs])
 
 

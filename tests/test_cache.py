@@ -200,6 +200,18 @@ def test_large_truncations_are_read_without_their_tables():
         assert ("table", spec, 2000) not in cache._entries
 
 
+def test_a_product_past_the_line_is_read_without_tables():
+    """Between the large-entry line and DENSE_LIMIT a product is read in row
+    chunks from its factors: a check of E_{1/2} into c(omega) at n = 2000
+    builds neither the 32 MB table of omega*E_{1/2} nor E_{1/2}'s own, and
+    evicts nothing that earlier checks left."""
+    for spec in ("cesaro", "omega", "gamma"):
+        check_class(spec, "c0", "c")
+    check_class("euler:1/2", "c", "c(omega)", n=2000)
+    assert cache.stats()["evictions"] == 0
+    assert not [k for k in cache._entries if k[0] == "table" and k[-1] == 2000]
+
+
 def test_taylor_rows_past_the_complete_rows_are_read_narrow(monkeypatch):
     """Rows past the complete-row limit feed only the sampled columns, so
     the stream reads them at the columns' width, never at full width."""

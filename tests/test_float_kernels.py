@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from seqspace import cache
 from seqspace import matrices as mat
 from seqspace import sequences as seq
 from seqspace.conditions import (_column_mass, _Engine, _reduce_rows,
@@ -695,32 +696,51 @@ def test_tables_match_the_per_class_builders(label):
 
 @st.composite
 def block_reads(draw):
-    """A class, a strictly increasing set of rows in 1..64 and a width."""
-    label = draw(st.sampled_from(sorted(k for k in KERNELS if "*" not in k)))
+    """A class, a strictly increasing set of rows in 1..64, a width and a
+    chunk size."""
+    label = draw(st.sampled_from(sorted(KERNELS)))
     rows = sorted(draw(st.sets(st.integers(1, 64), min_size=1, max_size=64)))
-    return label, np.array(rows), draw(st.integers(1, 64))
+    return (label, np.array(rows), draw(st.integers(1, 64)),
+            draw(st.integers(1, 64)))
 
 
 _block_tables = {}
+
+#: Products read by the matmul of their factors' chunks: a read rounds as
+#: its own BLAS call does, which for one row or a narrow width is not the
+#: call that made the table.
+MATMUL_PRODUCTS = ("euler*euler",)
 
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(block_reads())
 def test_block_reads_rows_and_columns_of_the_table(case):
-    # Composed matrices are left out: a window of theirs is the product of
-    # the factor tables of that window, so it is read from its own table.
-    label, rows, m = case
+    # The rows read in chunks (_row_chunks) are windows of the table it
+    # holds, consecutive or not, each chunk at its place.
+    label, rows, m, step = case
     if label not in _block_tables:
         a = KERNELS[label]()
         _block_tables[label] = a, np.array(a.truncation_floats(64))
     a, table = _block_tables[label]
-    assert same_bits(a.block(rows, m), table[rows - 1, :m]), (label, m)
-    assert same_bits(a.block(rows, m)[:, m - 1], table[rows - 1, m - 1])
+    want = table[rows - 1, :m]
+    chunks = list(a._row_chunks(rows, m, step))
+    assert [lo for lo, _ in chunks] == list(range(0, len(rows), step))
+    assert all(0 < len(t) <= step for _, t in chunks), (label, step)
+    for got in (a.block(rows, m), np.concatenate([t for _, t in chunks])):
+        if label in MATMUL_PRODUCTS:
+            assert np.allclose(got, want, rtol=1e-13, atol=0), (label, m)
+        else:
+            assert same_bits(got, want), (label, rows, m, step)
+            assert same_bits(got[:, m - 1], table[rows - 1, m - 1])
 
 
 def test_composed_blocks_read_their_window_table():
-    for label in ("omega*euler", "euler*omega-inv"):
+    # A product's block is its stream, with the bits of its table: the
+    # leading window is one chunk, and a partial read takes the same rules
+    # on the rows it draws on.
+    for label in ("omega*euler", "euler*omega-inv", "sigma*taylor",
+                  "identity*omega-inv"):
         a = KERNELS[label]()
         table = np.array(a.truncation_floats(40))
         assert same_bits(a.block(np.arange(1, 41), 40), table)
@@ -731,25 +751,29 @@ def test_composed_blocks_read_their_window_table():
 
 
 def test_composed_blocks_past_the_dense_limit_are_the_product():
-    # Above DENSE_LIMIT the product runs in chunks over the inner index, or
-    # as running sums for a running-sums left factor; the sums agree with
-    # one product of the factor blocks to rounding.
+    # Above DENSE_LIMIT a product takes the rules of its table: these left
+    # factors apply their running sums and means to the right factor's
+    # rows, chunk by chunk.  They agree with one product of the factor
+    # blocks to rounding, absolute below the smallest normal float, where
+    # a float carries fewer significant bits.
     n = mat.DENSE_LIMIT + 37
     rows = np.array([1, 2, 500, n - 1, n])
     inner = np.arange(1, n + 1)
+    tiny = sys.float_info.min
     for left, right in (("omega", "euler:1/2"), ("cesaro", "euler:1/2")):
         a = mat.compose(left, right)
         got = a.block(rows, n)
         want = a.left.block(rows, n) @ a.right.block(inner, n)
-        assert np.allclose(got, want, rtol=1e-12, atol=0), (left, right)
+        assert np.allclose(got, want, rtol=1e-12, atol=tiny), (left, right)
         cols = a.block(inner, 9)
-        assert np.allclose(cols[rows - 1], want[:, :9], rtol=1e-12, atol=0), \
-            (left, right)
+        assert np.allclose(cols[rows - 1], want[:, :9], rtol=1e-12,
+                           atol=tiny), (left, right)
 
 
 def test_bidiagonal_products_past_the_dense_limit_are_two_terms():
     # Above DENSE_LIMIT, A*B with B bidiagonal (diagonal d, subdiagonal s)
-    # takes a_nk d_k + a_n,k+1 s_k+1 on A's rows read one column wider.
+    # and A without a vectorized form takes a_nk d_k + a_n,k+1 s_k+1 on A's
+    # rows read one column wider.
     a = mat.compose("euler:1/2", "omega-inv")
     rows = np.array([1, 2, 3, 700, 2399, 2400, 2401, 2499, 2500])
     for m in (9, 700, 2401, 2500):
@@ -773,8 +797,11 @@ def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
     for left in ("sigma", "omega", "gamma"):
         a = mat.compose(left, "cesaro")
         assert same_bits(a.block(rows, 300), reference(a, 2500, 300)[rows - 1])
-    # A small limit makes chunks of 12 rows, so most sums carry one over.
+    # A small limit makes chunks of 12 rows, so most sums carry one over;
+    # with every table a large cache entry, the right factor is read in
+    # chunks too.
     monkeypatch.setattr(mat, "DENSE_LIMIT", 60)
+    monkeypatch.setattr(cache, "CAP_BYTES", 0)
     for left in ("sigma", "omega", "gamma"):
         for name in ("cesaro", "euler:1/2", "gamma-inv"):
             a = mat.compose(left, name)
@@ -782,6 +809,32 @@ def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
             for rows in (np.arange(1, 201), np.array([1, 12, 13, 24, 25, 199])):
                 assert same_bits(a.block(rows, 300), want[rows - 1]), \
                     (left, name)
+
+
+#: A left factor of each class with a vectorized form: running sums, the
+#: means (cesaro, riesz), a bidiagonal, and the identity and zero.
+CARRIED_LEFTS = ("sigma", "omega", "gamma", "cesaro", "riesz:power:2",
+                 "omega-inv", "identity", "zero")
+
+
+@pytest.mark.parametrize("left", CARRIED_LEFTS)
+def test_carried_forms_have_the_table_bits_in_any_chunks(left, monkeypatch):
+    # The left factor's form runs over chunks of the right factor's rows,
+    # carrying its state (the last undivided running sum, the previous
+    # right row, or nothing) into the next chunk, and skipping the right
+    # rows no requested row draws on.  Any chunks give the bits of the
+    # table built one right column at a time.
+    monkeypatch.setattr(cache, "CAP_BYTES", 0)   # every read streams
+    size = 200
+    sparse = np.array([1, 12, 13, 24, 25, 120, 199, 200])
+    for right in ("cesaro", "euler:1/2", "gamma-inv"):
+        a = mat.compose(left, right)
+        want = composed_table_reference(a, size)
+        for step in (1, 12, 54, size):
+            for rows in (np.arange(1, size + 1), sparse):
+                got = np.concatenate(
+                    [t for _, t in a._row_chunks(rows, size, step)])
+                assert same_bits(got, want[rows - 1]), (left, right, step)
 
 
 def test_float_apply_past_the_dense_limit_reads_blocks():

@@ -84,3 +84,18 @@ def test_a_check_past_the_limit_runs_in_bounded_memory():
                           preexec_fn=_address_space_cap, capture_output=True,
                           text=True, timeout=600)
     assert done.returncode == 1, done.stderr[-300:]
+
+
+def test_a_product_past_the_limit_runs_in_bounded_memory():
+    # bs is linf(sigma): the check reads the source transfer
+    # omega-inv*sigma-inv, whose absolute row sums tend to zero.  Read as
+    # one block, its 5096 sampled rows at n = 50000 take 1.9 GiB; read in
+    # row chunks from its factors, the check must finish under a 1.5 GiB
+    # address space and exit 0.
+    argv = ["check-class", "--matrix", "omega-inv", "--from", "bs", "--to",
+            "c0", "--n", "50000"]
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "seqspace", *argv], env=env,
+                          preexec_fn=_address_space_cap, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-300:]
