@@ -7,12 +7,15 @@ probes all live in one least-recently-used store, capped in bytes by
 ``nbytes`` (zero for values without arrays) plus :data:`ENTRY_OVERHEAD`, so
 small values cannot pile up without bound either.
 
-Entries over a quarter of the cap are large (:func:`is_large`); a reader
-of many rows (``InfiniteMatrix._row_chunks``) reads a truncation whose table
-would be one in row chunks, without it.  Large entries still made go first,
-all but the newest, so that they do not push out the small entries many
-computations share.  A table's room is made before it is built, so the
-table it replaces is freed first.
+Dense tables are working memory, not contents: a few neighbouring checks
+read one, while the small entries it would push out (matrices, features
+records, reports, images, probes, batteries) serve many.  So every
+``("table", ...)`` entry and every large one, over a quarter of the cap
+(:func:`is_large`), goes first, least recent first, all but the newest;
+the others go only when no table but the newest is left.  A reader of
+many rows (``InfiniteMatrix._row_chunks``) reads a truncation whose table
+would be large in row chunks, without it.  A table's room is made before
+it is built, so the table it replaces is freed first.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
@@ -31,14 +34,17 @@ import weakref
 from collections import OrderedDict
 from itertools import count
 
-#: Bytes the cache may hold: one DENSE_LIMIT table plus the working set of
-#: the default class truncation.
-CAP_BYTES = 64 * 2 ** 20
+#: Bytes the cache may hold.  A nested transfer check such as sigma*(A*B^-1)
+#: at the default n = 600 reads four 2.75 MiB tables at once (A, B^-1, A*B^-1
+#: and the product being built): 11 MiB.  The small entries of a whole
+#: acceptance-grid pass (1,381) charge 8.1 MiB.  The rest, 4.9 MiB, is margin.
+#: A table over a quarter of the cap (n >= 887) is read in row chunks instead.
+CAP_BYTES = 24 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.
 ENTRY_OVERHEAD = 4096
 
 _entries: OrderedDict = OrderedDict()   # key -> (value, charged bytes)
-_large: OrderedDict = OrderedDict()     # keys of the large entries, same order
+_first: OrderedDict = OrderedDict()     # keys of the tables and large entries
 _counts = {"hits": 0, "misses": 0, "evictions": 0}
 _held = 0
 _serials = count(1)
@@ -101,8 +107,8 @@ def _get(key):
         _counts["misses"] += 1
         return None
     _entries.move_to_end(key)
-    if key in _large:
-        _large.move_to_end(key)
+    if key in _first:
+        _first.move_to_end(key)
     _counts["hits"] += 1
     return got
 
@@ -112,8 +118,8 @@ def _put(key, value) -> None:
     charge = ENTRY_OVERHEAD + int(getattr(value, "nbytes", 0))
     _entries[key] = (value, charge)
     _held += charge
-    if is_large(charge):
-        _large[key] = None
+    if key[0] == "table" or is_large(charge):
+        _first[key] = None
     for serial in _serials_in(key):
         _by_serial.setdefault(serial, set()).add(key)
     _make_room(0)
@@ -133,16 +139,16 @@ def _serials_in(key) -> list:
 
 
 def _make_room(incoming: int) -> None:
-    """Evict until ``incoming`` more bytes fit.  An incoming large entry
-    becomes the most recent large one, so then every held large entry may
-    go before the small ones."""
+    """Evict until ``incoming`` more bytes fit: tables and large entries
+    first, all but the newest.  An incoming large entry becomes the most
+    recent of them, so then every held one may go before the others."""
     keep = 0 if is_large(incoming) else 1
     while _entries and _held + incoming > CAP_BYTES:
-        if len(_large) > keep:
-            victim = next(iter(_large))
+        if len(_first) > keep:
+            victim = next(iter(_first))
         else:
             victim = next(k for k in _entries
-                          if k not in _large or len(_entries) == 1)
+                          if k not in _first or len(_entries) == 1)
         _forget(victim)
         _counts["evictions"] += 1
 
@@ -153,7 +159,7 @@ def _forget(key) -> None:
     if got is None:
         return
     _held -= got[1]
-    _large.pop(key, None)
+    _first.pop(key, None)
     for serial in _serials_in(key):
         keys = _by_serial.get(serial)
         if keys is not None:
@@ -173,7 +179,7 @@ def clear() -> None:
     """Drop every entry and reset the counters."""
     global _held
     _entries.clear()
-    _large.clear()
+    _first.clear()
     _by_serial.clear()
     _held = 0
     _counts.update(hits=0, misses=0, evictions=0)

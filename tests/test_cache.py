@@ -20,6 +20,7 @@ from seqspace.conditions import (_Engine, check_class, regularity_report,
 from seqspace.duality import DualTriangle
 from seqspace.matrices import TaylorTransform, matrix_from_spec
 from seqspace.sequences import Sequence
+from test_golden import grid_records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -56,6 +57,7 @@ def test_stats_count_hits_misses_and_evictions(monkeypatch):
 def test_large_entries_go_first_but_the_newest_stays(monkeypatch):
     monkeypatch.setattr(cache, "CAP_BYTES", 10 * 2 ** 20)
     big = 3 * 2 ** 20   # above a quarter of the cap
+    mib = 2 ** 20       # below it
     cache.lookup(("small",), lambda: np.zeros(2 ** 17))
     cache.lookup(("big", 1), lambda: np.zeros(big // 8), nbytes=big)
     cache.lookup(("big", 2), lambda: np.zeros(big // 8), nbytes=big)
@@ -64,6 +66,19 @@ def test_large_entries_go_first_but_the_newest_stays(monkeypatch):
     held = set(cache._entries)
     assert ("small",) in held and ("big", 1) not in held
     assert {("big", 2), ("big", 3)} <= held
+    # Tables go first at any size: twelve 1 MiB tables made after the small
+    # entry evict both large entries and the oldest tables, not it.
+    for i in range(12):
+        cache.lookup(("table", "m", i), lambda: np.zeros(mib // 8), nbytes=mib)
+    held = set(cache._entries)
+    assert ("small",) in held and ("table", "m", 11) in held
+    assert not {("big", 2), ("big", 3), ("table", "m", 0)} & held
+    # Once only the newest table is left, small entries go before it.
+    for i in range(12):
+        cache.lookup(("other", i), lambda: np.zeros(mib // 8))
+    tables = [k for k in cache._entries if k[0] in ("table", "big")]
+    assert tables == [("table", "m", 11)]
+    assert ("small",) not in cache._entries
 
 
 def test_evicted_table_is_freed_at_once(monkeypatch):
@@ -170,14 +185,27 @@ print(json.dumps({"most": most, "cap": cache.CAP_BYTES, "peak_mb": peak_mb()}))
 
 def test_a_stream_of_new_matrices_stays_bounded():
     """200 distinct Euler means, each checked on (c : c) in a fresh process:
-    the cache stays within its cap and the process under 160 MB (each
+    the cache stays within its cap and the process under 80 MB (each
     check used to keep its 600 x 600 table for good, 585 MB in all)."""
     out = subprocess.run([sys.executable, "-c", STREAM], capture_output=True,
                          text=True, check=True, timeout=600,
                          env=dict(os.environ, PYTHONPATH=str(SRC)))
     got = json.loads(out.stdout.strip().splitlines()[-1])
     assert got["most"] <= got["cap"]
-    assert got["peak_mb"] < 160
+    assert got["peak_mb"] < 80
+
+
+def test_a_warm_grid_pass_misses_nothing():
+    """The default cap holds the working set of the acceptance grid: tables
+    go first, so the O(n) entries of all 608 cells outlive them, and a
+    second pass over the grid in the same process makes no cache miss and
+    evicts nothing."""
+    grid_records()
+    first = cache.stats()
+    grid_records()
+    second = cache.stats()
+    assert second["misses"] == first["misses"]
+    assert second["evictions"] == first["evictions"]
 
 
 def test_a_check_past_the_limit_keeps_the_tables_it_shares():

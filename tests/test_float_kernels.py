@@ -1088,7 +1088,13 @@ def streamed_matrices():
     yield mat.compose("taylor:1/4", "gamma-inv")
 
 
-@pytest.mark.parametrize("n", (1449, 2000, DENSE_LIMIT + 1))
+#: The first truncation whose table would be a large entry at the default
+#: cache cap, so the first that the conditions engine streams.
+FIRST_STREAMED = next(n for n in range(1, DENSE_LIMIT + 1)
+                      if cache.is_large(8 * n * n))
+
+
+@pytest.mark.parametrize("n", (FIRST_STREAMED, 1449, 2000, DENSE_LIMIT + 1))
 def test_a_streamed_truncation_has_the_bits_of_its_table(n):
     # The reference is what a read without the stream reduces: the table,
     # or past DENSE_LIMIT a block of the row sample and one of every row.

@@ -12,10 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from seqspace.conditions import check_class, regularity_report
+from seqspace.conditions import (_Engine, _reduce_rows, check_class,
+                                 regularity_report)
+from seqspace.matrices import compose
 from seqspace.verdicts import Verdict
+from test_float_kernels import FIRST_STREAMED
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -65,6 +69,23 @@ def test_a_null_sequence_is_no_witness_against_taylor_c_to_c0():
 def test_taylor_routes_agree_from_linf_gamma_to_linf():
     got = check_class("taylor:1/4", "linf(gamma)", "linf", route="both")
     assert got.routes_agree() is not False
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: a product read by the matmul rule (src/seqspace/matrices.py, "
+    "`ComposedMatrix._blocks`' third rule, such as `compose(\"euler:1/2\", "
+    "\"euler:1/10\")`) has its table's bits only when read in chunks of 54 "
+    "or more consecutive rows over the whole inner index"))
+def test_a_matmul_product_streams_the_bits_of_its_table():
+    # At the first truncation the engine streams, its rows come in chunks
+    # of FEATURE_BLOCK // n = 36 rows, and their sums are its row traces.
+    a, n = compose("euler:1/2", "euler:1/10"), FIRST_STREAMED
+    eng = _Engine(a, n, 1.5e-3, n // 10)
+    assert eng.streamed
+    table = a.truncation_floats(n)[:len(eng.row_indices())]
+    for kind in ("row_sum", "row_abs"):
+        assert np.array_equal(eng.row_trace(kind)[1],
+                              _reduce_rows(table, kind)), kind
 
 
 def _address_space_cap():
