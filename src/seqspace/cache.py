@@ -19,9 +19,11 @@ it is built, so the table it replaces is freed first.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
-factors' keys for products and inverses, ``("row-dual", matrix key, row,
-domain key)`` for the dual triangle of a paired row, and a serial number
-for every other matrix.  Serial numbers are never reused, so two matrices
+factors' keys for products and inverses (a product that reads as its factor
+has the factor's key, and its matrix entry adds its name), ``("row-dual",
+matrix key, row, domain key)`` for the dual triangle of a paired row, and a
+serial number for every other matrix.  Limit analyses are held per trace
+and per image target.  Serial numbers are never reused, so two matrices
 that happen to share a label never share an entry, and the entries of a
 serial-keyed matrix are dropped once the matrix is gone.  No cached value
 refers back to a matrix that refers to the cache, so an evicted table is
@@ -37,7 +39,7 @@ from itertools import count
 #: Bytes the cache may hold.  A nested transfer check such as sigma*(A*B^-1)
 #: at the default n = 600 reads four 2.75 MiB tables at once (A, B^-1, A*B^-1
 #: and the product being built): 11 MiB.  The small entries of a whole
-#: acceptance-grid pass (1,381) charge 8.1 MiB.  The rest, 4.9 MiB, is margin.
+#: acceptance-grid pass (1,470) charge 8.3 MiB.  The rest, 4.7 MiB, is margin.
 #: A table over a quarter of the cap (n >= 887) is read in row chunks instead.
 CAP_BYTES = 24 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.

@@ -40,13 +40,14 @@ from .matrices import (
     matrix_from_spec,
 )
 from .sequences import (
+    LIMIT_TAGS,
     LimitKind,
     Sequence,
     SpaceId,
-    _classify_at,
     analyze_limit,
+    analyze_traces,
     check_tol,
-    classify_traces,
+    classify_analyses,
     make_sequence,
     probe_window,
 )
@@ -419,6 +420,16 @@ class _Engine:
         ks = list(range(1, 9)) + [12, 16, 24, 32, 48, 64, 96, 128, 192, 256]
         return sorted({k for k in ks if 1 <= k <= cap})
 
+    def classify(self, trace: str, space: str, read) -> list:
+        """The probes in ``space`` of the trace ``trace``, read as (indices,
+        stack) by ``read()``; c0 and c map from one limit analysis."""
+        def analyze():
+            return analyze_traces(*read(), space, self.tol, self.window)
+        got = (cache.lookup(("trace-limits", self.a.key, self.n, self.window,
+                             self.tol, trace), analyze)
+               if space in LIMIT_TAGS else analyze())
+        return classify_analyses(got, space, self.tol)
+
     def final_rows(self) -> np.ndarray:
         """Stacked trailing complete rows over columns 1..n (for
         column-limit estimates)."""
@@ -462,8 +473,7 @@ def _evaluate(eng: _Engine, condition: str) -> ConditionReport:
         # The last complete row stands in for the limit row; its own
         # distance, zero, is left out.
         idx, vals = idx[:-1], vals[:-1]
-    verdict, info = _classify_at(idx, vals[None], space, eng.tol,
-                                 eng.window)[0]
+    verdict, info = eng.classify(trace, space, lambda: (idx, vals[None]))[0]
     if condition == "abs-rows-match-columns":
         got = _match_columns(eng, verdict, info["limit"])
     elif space == "linf":
@@ -485,8 +495,8 @@ def _columns_report(eng: _Engine, cond: str, space: str) -> ConditionReport:
     if not cols:
         return _report(cond, Verdict.INCONCLUSIVE, None,
                        "truncation too small to sample columns", eng.n)
-    verdicts = {k: v for k, (v, _) in zip(cols, classify_traces(
-        eng.columns(), space, eng.tol, eng.window))}
+    verdicts = {k: v for k, (v, _) in zip(cols, eng.classify(
+        "columns", space, lambda: (np.arange(1, eng.n + 1), eng.columns())))}
     note = f"checked columns {cols[0]}..{cols[-1]} ({len(cols)} sampled)"
     extras = {"columns_checked": len(cols)}
     for key, verdict in (("violated_at", Verdict.VIOLATED),
@@ -762,18 +772,23 @@ def _probe_samples(a: InfiniteMatrix, from_space: SpaceId, to_space: SpaceId,
     """The probe of each (label, x) of ``samples`` against ``to_space``,
     by label.  The images, one cache entry each, are made in one stacked
     call when missing; those that stay in the float range are taken through
-    a target domain's triangle and classified in one stacked call."""
+    a target domain's triangle and analysed in one stacked call, c0 and c
+    targets filling one entry of limit analyses per target triangle."""
     domain = from_space.matrix.key if from_space.is_domain else None
-    keys = [("image", a.key, domain, label, n, seed) for label, _ in samples]
+    target = to_space.matrix.key if to_space.is_domain else None
+    held = (cache.lookup(("image-limits", a.key, domain, n, seed, target, tol,
+                          window), dict) if to_space.tag in LIMIT_TAGS else {})
+    todo = [(label, x) for label, x in samples if label not in held]
+    keys = [("image", a.key, domain, label, n, seed) for label, _ in todo]
     images = cache.lookup_many(keys, lambda missing: apply_many(
-        a, [samples[i][1] for i in missing], n))
+        a, [todo[i][1] for i in missing], n))
     inside = [i for i, img in enumerate(images) if not img.overflow]
     if to_space.is_domain and inside:
         for i, img in zip(inside, apply_many(
                 to_space.matrix, [images[i] for i in inside], n)):
             images[i] = img
     probes, judged, traces = {}, [], []
-    for (label, _), img in zip(samples, images):
+    for (label, _), img in zip(todo, images):
         if img.overflow:
             probes[label] = SampleProbe(
                 label, Verdict.INCONCLUSIVE,
@@ -782,9 +797,12 @@ def _probe_samples(a: InfiniteMatrix, from_space: SpaceId, to_space: SpaceId,
             judged.append(label)
             traces.append(img.entries)
     if traces:
-        for label, (verdict, info) in zip(judged, classify_traces(
-                np.array(traces), to_space.tag, tol, window)):
-            probes[label] = SampleProbe(label, verdict, _probe_note(info))
+        held.update(zip(judged, analyze_traces(
+            np.arange(1, n + 1), np.array(traces), to_space.tag, tol, window)))
+    labels = [label for label, _ in samples if label in held]
+    for label, (verdict, info) in zip(labels, classify_analyses(
+            [held[label] for label in labels], to_space.tag, tol)):
+        probes[label] = SampleProbe(label, verdict, _probe_note(info))
     return probes
 
 

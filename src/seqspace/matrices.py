@@ -25,6 +25,7 @@ rational; float fast paths are available for large truncations.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from fractions import Fraction
@@ -874,12 +875,28 @@ class ComposedMatrix(InfiniteMatrix):
                                   else got[run[i:j] - top])
 
 
-def compose(left, right) -> ComposedMatrix:
+def compose(left, right) -> InfiniteMatrix:
     """The matrix product ``left @ right`` as a lazy matrix: one object per
-    pair of factor keys while the evaluation cache holds it."""
+    pair of factor keys and product name while the evaluation cache holds it.
+    A product with ``identity`` or ``zero`` on the left, or on the right of a
+    factor with a carried form, reads bit for bit as its other factor or zero:
+    it is that factor under the product's name, without params and with its
+    key, so it shares the factor's tables, features and reports."""
     left, right = matrix_from_spec(left), matrix_from_spec(right)
-    return cache.lookup(("matrix", ("compose", left.key, right.key)),
-                        lambda: ComposedMatrix(left, right))
+    name = f"{left.name}*{right.name}"
+
+    def build():
+        units = (Identity, ZeroMatrix)
+        if isinstance(left, units) or isinstance(right, units) and \
+                left._apply_carried(np.empty((0, 1)), 1, None) is not None:
+            unit, other = ((left, right) if isinstance(left, units)
+                           else (right, left))
+            same = copy.copy(other if isinstance(unit, Identity) else unit)
+            same.name, same.params = name, {}
+            return same
+        return ComposedMatrix(left, right)
+    return cache.lookup(("matrix", ("compose", left.key, right.key), name),
+                        build)
 
 
 class InverseTriangle(InfiniteMatrix):

@@ -797,35 +797,42 @@ def limit_exists_verdict(lv: LimitVerdict) -> Verdict:
 def classify_traces(traces, tag: str, tol: float, window: int) -> list:
     """Membership probes of a stack of equally long traces in a classical
     space (one of :data:`CLASSICAL_TAGS`): one (verdict, info) per row."""
+    tag = tag.lower()
     vals = np.asarray(traces, dtype=float)
-    return _classify_at(np.arange(1, vals.shape[1] + 1), vals, tag, tol,
-                        window)
+    return classify_analyses(analyze_traces(
+        np.arange(1, vals.shape[1] + 1), vals, tag, tol, window), tag, tol)
+
+
+#: The spaces whose probes map from one analysis, the limits of the trace.
+LIMIT_TAGS = ("c0", "c")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _classify_at(idx, traces, tag: str, tol: float, window: int) -> list:
-    """:func:`classify_traces` on traces observed at the 1-based positions
-    ``idx``, shared by every row: a sampled trace is judged where it was
-    read."""
-    tag = tag.lower()
+def analyze_traces(idx, traces, tag: str, tol: float, window: int) -> list:
+    """What the probes in ``tag`` map from, per trace observed at the shared
+    1-based positions ``idx``: the limits of the trace (c0, c) or of its
+    partial sums (cs), or the sups of their absolute values (linf, bs)."""
+    if tag not in CLASSICAL_TAGS:
+        raise SpecError(f"unknown classical space tag {tag!r}")
     vals = np.asarray(traces, dtype=float)
-    if tag in ("c0", "c", "cs"):
-        probe = np.cumsum(vals, axis=1) if tag == "cs" else vals
-        limits = analyze_limits(idx, probe, tol, window)
-        if tag == "c0":
-            return [(null_limit_verdict(lv, tol), {"limit": lv})
-                    for lv in limits]
+    if tag in ("cs", "bs"):
+        vals = np.cumsum(vals, axis=1)
+    if tag in ("linf", "bs"):
+        return analyze_sups(idx, np.abs(vals), tol, window)
+    return analyze_limits(idx, vals, tol, window)
+
+
+def classify_analyses(analyses: list, tag: str, tol: float) -> list:
+    """The probes in ``tag`` mapped from :func:`analyze_traces`' analyses:
+    one (verdict, info) each, in new dicts, so a held analysis is kept."""
+    if tag == "c0":
+        return [(null_limit_verdict(lv, tol), {"limit": lv}) for lv in analyses]
+    if tag in ("c", "cs"):
         extra = {"probe": "limit of partial sums"} if tag == "cs" else {}
         return [(limit_exists_verdict(lv), {"limit": lv, **extra})
-                for lv in limits]
-    if tag == "linf":
-        return analyze_sups(idx, np.abs(vals), tol, window)
-    if tag == "bs":
-        out = analyze_sups(idx, np.abs(np.cumsum(vals, axis=1)), tol, window)
-        for _, info in out:
-            info["probe"] = "running sup of partial sums"
-        return out
-    raise SpecError(f"unknown classical space tag {tag!r}")
+                for lv in analyses]
+    extra = {"probe": "running sup of partial sums"} if tag == "bs" else {}
+    return [(verdict, {**info, **extra}) for verdict, info in analyses]
 
 
 def classify_values(values: np.ndarray, tag: str, tol: float, window: int,

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqspace import cache
+from seqspace import cache, sequences
 from seqspace.conditions import (_Engine, check_class, regularity_report,
                                  source_transfer_matrix,
                                  target_transfer_matrix)
 from seqspace.duality import DualTriangle
-from seqspace.matrices import TaylorTransform, matrix_from_spec
+from seqspace.matrices import TaylorTransform, compose, matrix_from_spec
 from seqspace.sequences import Sequence
 from test_golden import grid_records
 
@@ -206,6 +206,45 @@ def test_a_warm_grid_pass_misses_nothing():
     second = cache.stats()
     assert second["misses"] == first["misses"]
     assert second["evictions"] == first["evictions"]
+
+
+def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
+    """Identity and zero products are their factor, so a grid pass builds
+    no table for them, and the c0 and c judgements of one trace map from
+    one limit analysis: one pass at seed 0 and the default cap builds at
+    most 58 product tables and calls analyze_limits at most 515 times
+    (76 and 833 when each product and judgement made its own)."""
+    tables, calls = [], []
+    lookup, analyze = cache.lookup, sequences.analyze_limits
+
+    def counted_lookup(key, build, nbytes=0):
+        def counted():
+            if key[0] == "table" and isinstance(key[1], tuple) \
+                    and key[1][0] == "compose":
+                tables.append(key)
+            return build()
+        return lookup(key, counted, nbytes)
+
+    def counted_analyze(*args, **kwargs):
+        calls.append(1)
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(cache, "lookup", counted_lookup)
+    monkeypatch.setattr(sequences, "analyze_limits", counted_analyze)
+    grid_records()
+    assert len(tables) <= 58
+    assert len(calls) <= 515
+
+
+def test_products_with_one_key_keep_their_names():
+    """gamma*(identity*sigma-inv) reads as gamma*sigma-inv and shares its
+    key, yet each keeps its own name in reports."""
+    nested = compose("gamma", compose("identity", "sigma-inv"))
+    plain = compose("gamma", "sigma-inv")
+    assert nested.key == plain.key
+    assert (nested.name, plain.name) == ("gamma*identity*sigma-inv",
+                                         "gamma*sigma-inv")
+    assert compose("gamma", compose("identity", "sigma-inv")) is nested
 
 
 def test_a_check_past_the_limit_keeps_the_tables_it_shares():

@@ -823,18 +823,67 @@ def test_carried_forms_have_the_table_bits_in_any_chunks(left, monkeypatch):
     # carrying its state (the last undivided running sum, the previous
     # right row, or nothing) into the next chunk, and skipping the right
     # rows no requested row draws on.  Any chunks give the bits of the
-    # table built one right column at a time.
+    # table built one right column at a time.  The product is built as it
+    # stands: compose gives identity and zero products as their factor.
     monkeypatch.setattr(cache, "CAP_BYTES", 0)   # every read streams
     size = 200
     sparse = np.array([1, 12, 13, 24, 25, 120, 199, 200])
     for right in ("cesaro", "euler:1/2", "gamma-inv"):
-        a = mat.compose(left, right)
+        a = mat.ComposedMatrix(matrix_from_spec(left), matrix_from_spec(right))
         want = composed_table_reference(a, size)
         for step in (1, 12, 54, size):
             for rows in (np.arange(1, size + 1), sparse):
                 got = np.concatenate(
                     [t for _, t in a._row_chunks(rows, size, step)])
                 assert same_bits(got, want[rows - 1]), (left, right, step)
+
+
+#: Every builtin family, one parameter each.
+BUILTIN_FACTORS = ("identity", "zero", "omega", "gamma", "omega-inv",
+                   "gamma-inv", "sigma", "sigma-inv", "cesaro", "cesaro-inv",
+                   "euler:1/2", "taylor:1/4", "riesz:power:2")
+
+
+@pytest.mark.parametrize("factor", BUILTIN_FACTORS)
+def test_identity_and_zero_products_read_as_their_factor(factor):
+    # A product with identity or zero on the left, or on the right of a
+    # factor with a carried form, is the factor it reads as (zero for a
+    # zero product) under the product's name and with that factor's key.
+    # Every read has the bits of the product built as it stands, at the
+    # table sizes and past the large-entry line.  Any other product with
+    # identity or zero on the right stays a product.
+    rng = np.random.default_rng(7)
+    carried = matrix_from_spec(factor)._apply_carried(
+        np.empty((0, 1)), 1, None) is not None
+    pairs = [(unit, factor) for unit in ("identity", "zero")]
+    if carried:
+        pairs += [(factor, unit) for unit in ("identity", "zero")]
+    else:
+        for unit in ("identity", "zero"):
+            assert isinstance(mat.compose(factor, unit), mat.ComposedMatrix)
+    for left, right in pairs:
+        a = mat.compose(left, right)
+        plain = mat.ComposedMatrix(matrix_from_spec(left),
+                                   matrix_from_spec(right))
+        same = ("zero" if "zero" in (left, right)
+                else right if left == "identity" else left)
+        assert a.key == matrix_from_spec(same).key, (left, right)
+        assert (a.name, a.describe()) == (plain.name, plain.describe())
+        assert list(a.exact_rows(range(1, 41), 40)) == \
+            list(plain.exact_rows(range(1, 41), 40)), (left, right)
+        for n in (200, FIRST_STREAMED, 1449):
+            for m in rng.integers(1, n + 1, size=3).tolist():
+                rows = np.sort(rng.choice(n, size=20, replace=False)) + 1
+                assert same_bits(a.block(rows, m), plain.block(rows, m)), \
+                    (left, right, n, m)
+            every = np.arange(1, n + 1)
+            for step in (1, 54, n):
+                got, want = (np.concatenate([t for _, t in x._row_chunks(
+                    every, n, step)]) for x in (a, plain))
+                assert same_bits(got, want), (left, right, n, step)
+            if n <= 600:
+                assert same_bits(a.truncation_floats(n),
+                                 plain.truncation_floats(n)), (left, right)
 
 
 def test_float_apply_past_the_dense_limit_reads_blocks():

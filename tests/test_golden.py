@@ -85,6 +85,9 @@ LOCK_COMMANDS = tuple(tuple(cmd.split()) + ("--json",) for cmd in (
     "check-class --matrix cesaro --from c --to c0 --n 2401 --route both",
     "regularity --matrix euler:3/4",
     "regularity --matrix taylor:1/4",
+    "check-class --matrix identity --from c0(omega) --to c --route both",
+    "check-class --matrix zero --from c --to c(gamma) --route both",
+    "check-class --matrix identity --from bs --to c0(gamma) --route both",
 ))
 
 
