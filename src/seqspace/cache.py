@@ -36,10 +36,12 @@ import weakref
 from collections import OrderedDict
 from itertools import count
 
-#: Bytes the cache may hold.  A nested transfer check such as sigma*(A*B^-1)
-#: at the default n = 600 reads four 2.75 MiB tables at once (A, B^-1, A*B^-1
-#: and the product being built): 11 MiB.  The small entries of a whole
-#: acceptance-grid pass (1,470) charge 8.3 MiB.  The rest, 4.7 MiB, is margin.
+#: Bytes the cache may hold.  The small entries of a whole acceptance-grid
+#: pass at the default n = 600 (1,404, of them 66 features records) charge
+#: 13.2 MiB, which leaves 10.8 MiB to 2.75 MiB tables: three at once, and
+#: 2.5 MiB of margin.  A nested transfer check such as sigma*(A*B^-1) reads
+#: four at once (A, B^-1, A*B^-1 and the product being built), so the fourth
+#: pushes out the oldest table; all 83 evictions of a cold pass are tables.
 #: A table over a quarter of the cap (n >= 887) is read in row chunks instead.
 CAP_BYTES = 24 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -38,18 +37,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _scalar_text(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)  # "3/2", or plain "10" when the denominator is 1
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _scalar_json(v):
-    if isinstance(v, Fraction):
+def _scalar_text(v, at: int) -> str:
+    """The value at index ``at``: a Fraction reads "3/2", or plain "10"
+    when its denominator is 1."""
+    if isinstance(v, float):
+        return repr(v)
+    try:
         return str(v)
-    if isinstance(v, (float, int)):
+    except ValueError:      # past Python's digit limit for integer strings
+        raise SeqspaceError(f"the exact value at index {at} has too many "
+                            "digits to print; use --mode float") from None
+
+
+def _scalar_json(v, at: int):
+    if isinstance(v, float):
         return v
-    return str(v)
+    text = _scalar_text(v, at)      # refuses a value past the digit limit
+    return v if isinstance(v, int) else text
 
 
 def _tolerance(text: str) -> float:
@@ -140,9 +144,9 @@ def _run_transform(args) -> Optional[Verdict]:
         "sequence": x.label,
         "n": args.n,
         "mode": args.mode,
-        "values": [_scalar_json(v) for v in entries],
+        "values": [_scalar_json(v, k) for k, v in enumerate(entries, 1)],
     }
-    lines = [f"{k}\t{_scalar_text(v)}" for k, v in enumerate(entries, 1)]
+    lines = [f"{k}\t{_scalar_text(v, k)}" for k, v in enumerate(entries, 1)]
     if fv.overflow:
         payload["overflow_at"] = fv.overflow_index
         lines.append(f"# overflow at index {fv.overflow_index}")
@@ -214,12 +218,14 @@ def _run_basis(args) -> Optional[Verdict]:
         "version": __version__,
         "matrix": a.describe(),
         "k": args.k,
-        "entries": {str(r): _scalar_json(v) for r, v in sorted(element.items())},
+        "entries": {str(r): _scalar_json(v, r)
+                    for r, v in sorted(element.items())},
         "route_delta": delta,
         "closed_form_route": not isinstance(closed, InverseTriangle),
     }
     lines = [f"basis element {args.k} of the {a.name} domain:"]
-    lines += [f"  row {r}: {_scalar_text(v)}" for r, v in sorted(element.items())]
+    lines += [f"  row {r}: {_scalar_text(v, r)}"
+              for r, v in sorted(element.items())]
     lines.append(f"  route delta vs generic inversion: {delta!r}")
     _emit(payload, args.json, lines)
     return None

@@ -297,8 +297,8 @@ class _Engine:
     """Trace computations for one (matrix, truncation) pair.
 
     An engine is made per evaluation and holds nothing but O(n) features in
-    the cache: a truncation whose table would be a large cache entry is
-    streamed into one features record, and any other reads its table.
+    the cache: one pass over the truncation's row chunks fills one features
+    record, and the row distances are a second read.
     """
 
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
@@ -309,7 +309,6 @@ class _Engine:
         self.n = n
         self.tol = tol
         self.window = window
-        self.streamed = cache.is_large(8 * n * n)
         self.row_limit, self.row_tail_note, self._cap_note = n, "", ""
         if a.row_end(n) is None:
             self.row_limit, capped = cache.lookup(("row-limit", a.key, n),
@@ -371,7 +370,7 @@ class _Engine:
 
     def row_trace(self, kind: str):
         rows = self.row_indices()
-        if self.streamed and kind != "row_dist":
+        if kind != "row_dist":
             return rows, self._features()[int(kind == "row_abs"), :len(rows)]
         def reduce():
             (_, last), = self._chunks(rows[-1:], self.n)
@@ -383,17 +382,12 @@ class _Engine:
 
     def columns(self) -> np.ndarray:
         """The sampled columns over rows 1..n, one per row of the result."""
-        if self.streamed:
-            return self._features()[2:]
-        # Not streamed, the rows are one window of the held table.
-        ks = np.array(self.column_sample())
-        (_, t), = self.a._row_chunks(range(1, self.n + 1), int(ks[-1]), self.n)
-        return t.T[ks - 1]
+        return self._features()[2:]
 
     def _features(self) -> np.ndarray:
         """Sums and absolute sums of :meth:`row_indices` (a chunk with no sign
         bit is its absolute value), then the sampled columns, read at their
-        own width from the other rows, and past DENSE_LIMIT from all rows."""
+        own width from the rows not read at full width."""
         def stream():
             ks = np.array(self.column_sample(), dtype=int)
             rows = (self.row_indices() if self.row_limit >= self.window
@@ -405,7 +399,7 @@ class _Engine:
                 out[1, at] = (_reduce_rows(t, "row_abs")
                               if np.signbit(t).any() else out[0, at])
                 out[2:, rows[at] - 1] = t[:, ks - 1].T
-            narrow = np.arange(len(rows) * (self.n <= DENSE_LIMIT) + 1, self.n + 1)
+            narrow = np.delete(np.arange(1, self.n + 1), rows - 1)
             for lo, t in self._chunks(narrow, int(ks[-1]) if len(ks) else 1):
                 out[2:, narrow[lo:lo + len(t)] - 1] = t[:, ks - 1].T
             return out
@@ -439,11 +433,9 @@ class _Engine:
 
 
 def _reduce_rows(t: np.ndarray, kind: str, last=None, out=None) -> np.ndarray:
-    """One feature per row of ``t``, reduced over its full width with any
-    temporary in ``out``: its sum ("row_sum"), absolute sum ("row_abs") or
-    the absolute sum of its difference from ``last`` (default the last row)."""
-    if kind == "row_sum":
-        return t.sum(axis=1)
+    """One feature per row of ``t``, reduced over its full width with its
+    temporary in ``out``: its absolute sum ("row_abs") or the absolute sum
+    of its difference from ``last`` (default the last row)."""
     out = np.empty_like(t) if out is None else out
     if kind == "row_dist":
         t = np.subtract(t[-1:] if last is None else last, t, out=out)

@@ -311,10 +311,13 @@ def _parse_inline_sequence(text: str) -> Sequence:
     head, _, rest = text.partition(":")
     head = head.strip().lower()
     if head == "list":
-        items = [s for s in rest.split(",") if s.strip()]
-        if not items:
+        items = [s.strip() for s in rest.split(",")]
+        if items == [""]:
             raise SpecError("list shorthand needs at least one value")
-        return sequence_from_values([exact_number(s.strip()) for s in items])
+        if "" in items:
+            raise SpecError("list shorthand has an empty item at position "
+                            f"{items.index('') + 1}")
+        return sequence_from_values([exact_number(s) for s in items])
     params: dict = {}
     if rest:
         key = {"unit": "k", "e": "k", "constant": "c", "const": "c", "power": "p",

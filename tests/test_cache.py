@@ -213,15 +213,17 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     no table for them, and the c0 and c judgements of one trace map from
     one limit analysis: one pass at seed 0 and the default cap builds at
     most 58 product tables and calls analyze_limits at most 515 times
-    (76 and 833 when each product and judgement made its own)."""
-    tables, calls = [], []
+    (76 and 833 when each product and judgement made its own).  One pass
+    of row chunks fills one features record per (matrix key, n, window) at
+    every n: 66 of them, no row sums or absolute row sums apart (152
+    row-feature entries when the engine read tables one feature at a
+    time), and at most 86 tables in all."""
+    stored, calls = [], []
     lookup, analyze = cache.lookup, sequences.analyze_limits
 
     def counted_lookup(key, build, nbytes=0):
         def counted():
-            if key[0] == "table" and isinstance(key[1], tuple) \
-                    and key[1][0] == "compose":
-                tables.append(key)
+            stored.append(key)
             return build()
         return lookup(key, counted, nbytes)
 
@@ -232,8 +234,15 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     monkeypatch.setattr(cache, "lookup", counted_lookup)
     monkeypatch.setattr(sequences, "analyze_limits", counted_analyze)
     grid_records()
-    assert len(tables) <= 58
+    tables = [k for k in stored if k[0] == "table"]
+    assert len([k for k in tables if isinstance(k[1], tuple)
+                and k[1][0] == "compose"]) <= 58
+    assert len(tables) <= 86
     assert len(calls) <= 515
+    assert not [k for k in stored if k[0] == "row-feature"
+                and k[-1] in ("row_sum", "row_abs")]
+    features = [k for k in stored if k[0] == "features"]
+    assert len(features) == len(set(features)) == 66
 
 
 def test_products_with_one_key_keep_their_names():

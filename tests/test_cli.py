@@ -166,6 +166,21 @@ def test_errors_exit_3(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("argv, message", (
+    (("--seq", "list:1,,2", "--n", "3"), "empty item at position 2"),
+    (("--seq", "power:-400", "--n", "39", "--json"),
+     "the exact value at index 27 has too many digits to print; "
+     "use --mode float"),
+    (("--seq", "power:-400", "--n", "39"), "index 27"),
+), ids=("empty-list-item", "digit-limit-json", "digit-limit-text"))
+def test_a_refused_transform_is_named(capsys, argv, message):
+    # Neither reaches main's catch-all, which would name the exception type.
+    rc, out, err = run(capsys, "transform", "--matrix", "cesaro", *argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and not err.startswith("error: ValueError")
+    assert message in err and len(err.splitlines()) == 1
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ["check-class", "--matrix", "euler:1/2", "--from", "c0", "--to", "c",
             "--route", "both", "--seed", "7", "--json"]

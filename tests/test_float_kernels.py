@@ -1094,7 +1094,7 @@ def test_row_features_match_whole_table_reductions(name):
     for size in sizes:
         t = a.truncation_floats(size)
         for rows in (size, size // 2):
-            for kind in ("row_abs", "row_sum", "row_dist"):
+            for kind in ("row_abs", "row_dist"):
                 got = _reduce_rows(t[:rows], kind)
                 assert same_bits(got, row_feature_reference(t[:rows], kind)), \
                     (name, size, rows, kind)
@@ -1138,18 +1138,19 @@ def streamed_matrices():
 
 
 #: The first truncation whose table would be a large entry at the default
-#: cache cap, so the first that the conditions engine streams.
+#: cache cap, so the first whose rows are streamed in blocks without it.
 FIRST_STREAMED = next(n for n in range(1, DENSE_LIMIT + 1)
                       if cache.is_large(8 * n * n))
 
 
-@pytest.mark.parametrize("n", (FIRST_STREAMED, 1449, 2000, DENSE_LIMIT + 1))
-def test_a_streamed_truncation_has_the_bits_of_its_table(n):
-    # The reference is what a read without the stream reduces: the table,
-    # or past DENSE_LIMIT a block of the row sample and one of every row.
+@pytest.mark.parametrize(
+    "n", (200, 600, FIRST_STREAMED, 1449, 2000, DENSE_LIMIT + 1))
+def test_the_features_record_has_the_bits_of_its_table(n):
+    # The engine reads windows of the held table below the streaming line
+    # and blocks from it on.  The reference is the table, or past
+    # DENSE_LIMIT a block of the row sample and one of every row.
     for a in streamed_matrices():
         eng = _Engine(a, n, 1.5e-3, n // 10)
-        assert eng.streamed, n
         rows = eng.row_indices()
         ks = np.array(eng.column_sample())
         if n <= DENSE_LIMIT:
@@ -1160,7 +1161,8 @@ def test_a_streamed_truncation_has_the_bits_of_its_table(n):
             cols = a.block(np.arange(1, n + 1), int(ks[-1])).T[ks - 1]
         for kind in ("row_sum", "row_abs", "row_dist"):
             assert same_bits(eng.row_trace(kind)[1],
-                             _reduce_rows(full, kind)), (a.name, n, kind)
+                             row_feature_reference(full, kind)), \
+                (a.name, n, kind)
         assert same_bits(eng.columns(), cols), (a.name, n)
         stack = eng.final_rows()
         assert same_bits(stack, full[-len(stack):]), (a.name, n)

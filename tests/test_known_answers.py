@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqspace.conditions import (_Engine, _reduce_rows, check_class,
-                                 regularity_report)
+from seqspace import cache
+from seqspace.conditions import _Engine, check_class, regularity_report
 from seqspace.matrices import compose
 from seqspace.verdicts import Verdict
-from test_float_kernels import FIRST_STREAMED
+from test_float_kernels import FIRST_STREAMED, row_feature_reference
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -77,15 +77,16 @@ def test_taylor_routes_agree_from_linf_gamma_to_linf():
     "\"euler:1/10\")`) has its table's bits only when read in chunks of 54 "
     "or more consecutive rows over the whole inner index"))
 def test_a_matmul_product_streams_the_bits_of_its_table():
-    # At the first truncation the engine streams, its rows come in chunks
-    # of FEATURE_BLOCK // n = 36 rows, and their sums are its row traces.
+    # At the first truncation past the streaming line, its rows come in
+    # blocks of FEATURE_BLOCK // n = 36 rows, and their sums are its row
+    # traces.
     a, n = compose("euler:1/2", "euler:1/10"), FIRST_STREAMED
     eng = _Engine(a, n, 1.5e-3, n // 10)
-    assert eng.streamed
+    assert cache.is_large(8 * n * n)
     table = a.truncation_floats(n)[:len(eng.row_indices())]
     for kind in ("row_sum", "row_abs"):
         assert np.array_equal(eng.row_trace(kind)[1],
-                              _reduce_rows(table, kind)), kind
+                              row_feature_reference(table, kind)), kind
 
 
 def _address_space_cap():

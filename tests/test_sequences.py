@@ -121,6 +121,14 @@ def test_make_sequence_passthrough_and_errors():
         s(0)
 
 
+@pytest.mark.parametrize("spec, position", (
+    ("list:1,,2", 2), ("list:,1", 1), ("list:1,2,", 3), ("list:1, ,2", 2)))
+def test_an_empty_list_item_is_refused_by_position(spec, position):
+    # Dropping it would shift every entry after it by one index.
+    with pytest.raises(SpecError, match=f"empty item at position {position}$"):
+        make_sequence(spec)
+
+
 def test_sequence_from_values_keeps_floats():
     s = sequence_from_values([1, 0.5, "1/3"])
     assert s(1) == 1 and isinstance(s(1), int)
