@@ -385,13 +385,17 @@ class _Engine:
         return self._features()[2:]
 
     def _features(self) -> np.ndarray:
-        """Sums and absolute sums of :meth:`row_indices` (a chunk with no sign
-        bit is its absolute value), then the sampled columns, read at their
-        own width from the rows not read at full width."""
+        """The matrix's ``_features_floats``, or sums and absolute sums of
+        :meth:`row_indices` (a chunk with no sign bit is its absolute value),
+        then the sampled columns, read at their own width from the rows not
+        read at full width."""
         def stream():
             ks = np.array(self.column_sample(), dtype=int)
             rows = (self.row_indices() if self.row_limit >= self.window
                     else np.arange(1, 1))
+            out = self.a._features_floats(rows, ks, self.n)
+            if out is not None:
+                return out
             out = np.empty((2 + len(ks), self.n))
             for lo, t in self._chunks(rows, self.n):
                 at = slice(lo, lo + len(t))
@@ -633,9 +637,9 @@ def _row_pairing_verdict(a: InfiniteMatrix, space: SpaceId, n: int, tol: float,
     map the base space into c.
 
     Each row's dual triangle is keyed ``("row-dual", matrix key, row,
-    domain key)``, so its table and condition reports are cached under that
-    key, and c0, c and linf over one domain judge each condition they share
-    once.  The triangle itself is not cached.
+    domain key)``, so its features and condition reports are cached under
+    that key, and c0, c and linf over one domain judge each condition they
+    share once.  The triangle itself is not cached.
     """
     conds = PAIR_CONDITIONS[(space.tag, "c")]
     verdicts = {}

@@ -57,12 +57,12 @@ class DualTriangle(InfiniteMatrix):
     terms ``p_k = a_k d_k`` and ``q_k = a_k s_k``; where ``s_k = -d_k``
     (omega, gamma, sigma) ``q_k`` is ``-p_k``, exact in floats.
 
-    Every read is at full width.  When ``a`` has a support hint w, the
-    terms past w are not evaluated: p is +0.0 and q is -0.0 there, so every
-    entry past column w is +0.0, as the exact zeros would give.  A triangle
-    has a serial cache key, so its tables and traces leave the evaluation
-    cache with it, unless its maker gives it a stable key, as row pairing
-    does.
+    No table of it is read: its features come from the O(n) terms and its
+    rows in blocks.  When ``a`` has a support hint w, the terms past w are
+    not evaluated: p is +0.0 and q is -0.0 there, so every entry past column
+    w is +0.0, as the exact zeros would give.  A triangle has a serial cache
+    key, so its features and traces leave the evaluation cache with it,
+    unless its maker gives it a stable key, as row pairing does.
     """
 
     def __init__(self, a: Sequence, inverse: Bidiagonal):
@@ -134,6 +134,25 @@ class DualTriangle(InfiniteMatrix):
         _put_band(out, rows, 0, p)
         return out
 
+    _row_chunks = InfiniteMatrix._blocks     # a block per chunk, no table
+
+    def _features_floats(self, rows, ks, n):
+        # Column k is p_k on the diagonal and v_k = p_k + q_{k+1} below it.
+        # By Abel summation at y = (1, 1, ...), row m sums to the running sum
+        # of p_k + q_k, k <= m (q_1 = 0); its absolute sum is that of |v_k|,
+        # k < m, plus |p_m|.
+        p, q = self._terms(n + 1)
+        v = p[:n] + q[1:]
+        out = np.empty((2 + len(ks), n))
+        out[0, :len(rows)] = np.cumsum(p[:n] + q[:n])[rows - 1]
+        absolute = np.abs(p[:n])
+        absolute[1:] += np.cumsum(np.abs(v[:-1]))
+        out[1, :len(rows)] = absolute[rows - 1]
+        below = np.arange(1, n + 1) > ks[:, None]
+        out[2:] = np.where(below, v[ks - 1, None], 0.0)
+        out[2 + np.arange(len(ks)), ks - 1] = p[ks - 1]
+        return out
+
 
 def dual_transfer_matrix(a, domain_matrix="omega") -> DualTriangle:
     """The triangle whose rows are the partial sums of ``sum a_k x_k`` in the
@@ -186,9 +205,10 @@ def dual_membership(a, space, kind: str = "beta", n: Optional[int] = None,
 
     ``space`` must be a domain over a triangle with a bidiagonal inverse
     (for example ``"c0(omega)"`` or ``"linf(gamma)"``), or bs or cs, the
-    domains linf(sigma) and c(sigma).  The probe builds the dual triangle
-    for ``a`` and runs the mapping-class conditions for (base space : c) for
-    the beta dual, or (base space : linf) for the gamma dual.
+    domains linf(sigma) and c(sigma).  The probe reads the dual triangle
+    of ``a`` through its O(n) terms and runs the mapping-class conditions
+    for (base space : c) for the beta dual, or (base space : linf) for the
+    gamma dual.
     """
     from .conditions import _sigma_domain, check_class
     from .domains import space_from_spec

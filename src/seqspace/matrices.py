@@ -256,6 +256,12 @@ class InfiniteMatrix:
         """Exact (Ax)_{1..len(xs)} when a linear-time form exists, else None."""
         return None
 
+    def _features_floats(self, rows, ks, n: int) -> Optional[np.ndarray]:
+        """The conditions engine's features record at truncation n (the sums
+        and absolute sums of rows ``rows``, then columns ``ks`` over rows
+        1..n) when a form that reads no rows exists, else None."""
+        return None
+
     # -- misc ---------------------------------------------------------------
 
     def describe(self) -> dict:

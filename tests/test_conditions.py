@@ -391,19 +391,27 @@ def test_finite_duals_are_read_on_their_support():
 
 def test_row_duals_are_built_once_per_row_and_domain(monkeypatch):
     # Each row's dual triangle is keyed by (matrix, row, domain), so c0, c
-    # and linf over omega share its table: six rows, six tables.
-    built = []
-    block = DualTriangle.block
+    # and linf over omega share its features record: six rows, six records
+    # and no table.
+    built, tables = [], []
+    features = DualTriangle._features_floats
+    table = DualTriangle.truncation_floats
 
-    def counted(self, rows, m):
+    def counted(self, rows, ks, n):
         built.append(self.key)
-        return block(self, rows, m)
-    monkeypatch.setattr(DualTriangle, "block", counted)
+        return features(self, rows, ks, n)
+
+    def counted_table(self, size):
+        tables.append(self.key)
+        return table(self, size)
+    monkeypatch.setattr(DualTriangle, "_features_floats", counted)
+    monkeypatch.setattr(DualTriangle, "truncation_floats", counted_table)
     cache.clear()
     for tag in ("c0", "c", "linf"):
         check_class("taylor:1/4", f"{tag}(omega)", "c")
     assert sorted(built) == [("row-dual", "taylor:1/4", nn, "omega")
                              for nn in range(1, 7)]
+    assert tables == []
 
 
 def test_the_support_rule_agrees_with_the_dual_triangles():

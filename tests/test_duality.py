@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqspace import cache
+from seqspace.conditions import EQ_STACK_ROWS
 from seqspace.domains import domain_image
 from seqspace.duality import (
     DualTriangle,
@@ -14,7 +16,7 @@ from seqspace.duality import (
     weighted_partial_sums,
 )
 from seqspace.errors import SpecError
-from seqspace.matrices import apply, inverse_of
+from seqspace.matrices import InfiniteMatrix, apply, inverse_of
 from seqspace.sequences import make_sequence, sequence_from_values
 from seqspace.verdicts import Verdict
 
@@ -114,8 +116,8 @@ def test_the_beta_dual_of_cs_is_bv():
 
 
 def test_a_huge_finite_trace_is_judged_without_warnings():
-    # Against the omega domain, a_k = 3^k gives row sums near 2e267 at
-    # n = 600: the products of their differences overflow.
+    # Against the omega domain, a_k = 3^k gives absolute row sums near
+    # 6e283 at n = 600: the products of their differences overflow.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = dual_membership("geometric:3", "c(omega)")
@@ -140,3 +142,67 @@ def test_pairing_identity_property(vals):
     via = apply(dual_transfer_matrix(a, "gamma"),
                 sequence_from_values(y.entries), n)
     assert direct.entries == via.entries
+
+
+@pytest.mark.parametrize("n", (600, 2401))
+def test_a_dual_probe_builds_no_table(monkeypatch, n):
+    # The features record is read off the O(n) terms; the only rows of the
+    # triangle read are the trailing rows that abs-rows-match-columns
+    # stacks (60 at n = 600), and no table of a dual triangle is built or
+    # cached.
+    tables, read = [], []
+    table, block = InfiniteMatrix.truncation_floats, DualTriangle.block
+
+    def counted_table(self, size):
+        if isinstance(self, DualTriangle):
+            tables.append(size)
+        return table(self, size)
+
+    def counted_block(self, rows, m):
+        read.extend(rows)
+        return block(self, rows, m)
+    monkeypatch.setattr(InfiniteMatrix, "truncation_floats", counted_table)
+    monkeypatch.setattr(DualTriangle, "block", counted_block)
+    cache.clear()
+    for space in ("c0(omega)", "linf(gamma)", "bs", "c0(cesaro)"):
+        for kind in ("beta", "gamma"):
+            dual_membership("harmonic", space, kind=kind, n=n)
+    assert tables == []
+    assert read and min(read) > n - EQ_STACK_ROWS, min(read)
+    assert not [key for key in cache._entries if key[0] == "table"]
+
+
+def exact_row_sums(t, n):
+    """(row sums, absolute row sums) of rows 1..n from the exact entries."""
+    rows = [[t.entry(m, k) for k in range(1, m + 1)] for m in range(1, n + 1)]
+    return ([sum(row) for row in rows],
+            [sum(abs(x) for x in row) for row in rows])
+
+
+DUAL_DOMAINS = ("omega", "gamma", "sigma", "cesaro")
+ratios = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+           st.lists(ratios, min_size=1, max_size=12).map(sequence_from_values),
+           ratios.map(lambda r: make_sequence(f"geometric:{r}"))),
+       st.sampled_from(DUAL_DOMAINS), st.integers(1, 40))
+def test_the_features_record_sums_are_the_exact_sums(a, domain, n):
+    # Each sum adds m floats, each one rounding of at most two terms p_k,
+    # q_k that are themselves rounded once, so it is within 2 m eps of
+    # sum_{k <= m+1} |p_k| + |q_k| of the exact row sum.  Where q = -p every
+    # term after p_1 is 0, and the row sums are p_1 exactly.
+    t = dual_transfer_matrix(a, domain)
+    rows = np.arange(1, n + 1)
+    got = t._features_floats(rows, np.array([1]), n)
+    exact_sum, exact_abs = exact_row_sums(t, n)
+    p, q = t._terms(n + 1)
+    d, s = t.inverse.pairs(n + 1)
+    scale = np.cumsum(np.abs(p) + np.abs(q))[1:]
+    bound = 2 * rows * np.finfo(float).eps * scale
+    for m in rows:
+        assert abs(got[0, m - 1] - float(exact_sum[m - 1])) <= bound[m - 1]
+        assert abs(got[1, m - 1] - float(exact_abs[m - 1])) <= bound[m - 1]
+    if all(s[k] == (-d[k][0], d[k][1]) for k in range(1, n + 1)):
+        assert got[0].tobytes() == np.full(n, p[0]).tobytes()

@@ -1143,12 +1143,31 @@ FIRST_STREAMED = next(n for n in range(1, DENSE_LIMIT + 1)
                       if cache.is_large(8 * n * n))
 
 
+def dual_sums_reference(a, n) -> dict:
+    """The row sums and absolute row sums of rows 1..n of a dual triangle,
+    as running sums in a loop: of p_k + q_k, and of |v_k| = |p_k + q_{k+1}|
+    over k < m, then |p_m|."""
+    p, q = a._terms(n + 1)
+    sums, absolute, run, run_abs = [], [], 0.0, 0.0
+    for m in range(1, n + 1):
+        run += p[m - 1] + q[m - 1]
+        sums.append(run)
+        absolute.append(run_abs + abs(p[m - 1]))
+        run_abs += abs(p[m - 1] + q[m])
+    return {"row_sum": np.array(sums), "row_abs": np.array(absolute)}
+
+
 @pytest.mark.parametrize(
     "n", (200, 600, FIRST_STREAMED, 1449, 2000, DENSE_LIMIT + 1))
 def test_the_features_record_has_the_bits_of_its_table(n):
     # The engine reads windows of the held table below the streaming line
     # and blocks from it on.  The reference is the table, or past
-    # DENSE_LIMIT a block of the row sample and one of every row.
+    # DENSE_LIMIT a block of the row sample and one of every row.  A dual
+    # triangle's row sums and absolute row sums are running sums of O(n)
+    # terms instead: each has the bits of its closed form, and differs from
+    # the table's sum of row m by at most m eps R_m, R_m the absolute row
+    # sum: twice the bound (m - 1) u R_m on a sum of m terms whose absolute
+    # values sum to at most R_m (over omega, p_k + q_k = 0 for k > 1).
     for a in streamed_matrices():
         eng = _Engine(a, n, 1.5e-3, n // 10)
         rows = eng.row_indices()
@@ -1160,9 +1179,12 @@ def test_the_features_record_has_the_bits_of_its_table(n):
             full = a.block(rows, n)
             cols = a.block(np.arange(1, n + 1), int(ks[-1])).T[ks - 1]
         for kind in ("row_sum", "row_abs", "row_dist"):
-            assert same_bits(eng.row_trace(kind)[1],
-                             row_feature_reference(full, kind)), \
-                (a.name, n, kind)
+            got, want = eng.row_trace(kind)[1], row_feature_reference(full, kind)
+            if isinstance(a, DualTriangle) and kind != "row_dist":
+                bound = rows * np.finfo(float).eps * np.abs(full).sum(axis=1)
+                assert np.all(np.abs(got - want) <= bound), (n, kind)
+                want = dual_sums_reference(a, n)[kind][rows - 1]
+            assert same_bits(got, want), (a.name, n, kind)
         assert same_bits(eng.columns(), cols), (a.name, n)
         stack = eng.final_rows()
         assert same_bits(stack, full[-len(stack):]), (a.name, n)

@@ -19,6 +19,13 @@ regularity reports.  Each was recorded in a fresh process; regenerate it
 (under the same rule) with
 
     PYTHONPATH=src python tests/test_golden.py lock
+
+``golden/dual_verdicts.json`` holds the exit code, the headline and each
+condition's verdict of :data:`DUAL_PROBES`, read through ``seqspace dual
+--json``; a record whose verdicts moved on purpose says why in its
+``"moved"`` note.  Regenerate it (under the same rule) with
+
+    PYTHONPATH=src python tests/test_golden.py duals
 """
 
 import contextlib
@@ -28,6 +35,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -39,6 +47,7 @@ from seqspace.errors import UnsupportedClassError
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "grid_seed0.json"
 LOCK = GOLDEN.with_name("cli_lock.json")
+DUALS = GOLDEN.with_name("dual_verdicts.json")
 OBSERVED_REL_TOL = 1e-12
 
 GRID_MATRICES = ("identity", "omega", "gamma", "omega-inv", "gamma-inv",
@@ -89,6 +98,36 @@ LOCK_COMMANDS = tuple(tuple(cmd.split()) + ("--json",) for cmd in (
     "check-class --matrix zero --from c --to c(gamma) --route both",
     "check-class --matrix identity --from bs --to c0(gamma) --route both",
 ))
+
+
+#: The sweep's dual probes: a_k = r^k for every ratio ±p/q, q < 10, over
+#: c0(omega) and linf(gamma); then named sequences over the c0, c and linf
+#: domains of omega and gamma, cs, bs and c0(cesaro).  Both kinds each.
+DUAL_RATIOS = sorted({sign * Fraction(p, q) for q in range(2, 10)
+                      for p in range(1, q) for sign in (1, -1)})
+DUAL_NAMED = ("harmonic", "alternating", "const:1", "unit:3", "power:-2",
+              "power:1", "geometric:3", "geometric:2", "geometric:1/2",
+              "geometric:-3/2", "list:1,-2,3")
+DUAL_SPACES = tuple(f"{tag}({m})" for m in ("omega", "gamma")
+                    for tag in ("c0", "c", "linf")) + ("cs", "bs", "c0(cesaro)")
+DUAL_PROBES = tuple(dict.fromkeys(
+    [(f"geometric:{r}", space) for r in DUAL_RATIOS
+     for space in ("c0(omega)", "linf(gamma)")]
+    + [(a, space) for a in DUAL_NAMED for space in DUAL_SPACES]))
+
+
+def dual_record(a, space, kind) -> dict:
+    code, out = cli_stdout(("dual", "--space", space, "--a", a, "--kind",
+                            kind, "--json"))
+    doc = json.loads(out) if out else {}
+    conds = doc.get("class_report", {}).get("conditions", [])
+    return {"exit": code, "verdict": doc.get("verdict"),
+            "conditions": [[c["condition"], c["verdict"]] for c in conds]}
+
+
+def dual_records() -> dict:
+    return {f"{a} | {space} | {kind}": dual_record(a, space, kind)
+            for a, space in DUAL_PROBES for kind in ("beta", "gamma")}
 
 
 def cell_record(report) -> dict:
@@ -203,6 +242,15 @@ def test_cli_bytes_match_golden(golden):
     assert_cli_replays(golden["cli"])
 
 
+def test_dual_verdicts_match():
+    want = json.loads(DUALS.read_text())
+    got = dual_records()
+    assert sorted(got) == sorted(want)
+    for probe, rec in want.items():
+        rec = {key: val for key, val in rec.items() if key != "moved"}
+        assert got[probe] == rec, probe
+
+
 def test_cli_lock_matches(lock):
     assert [tuple(rec["argv"]) for rec in lock] == list(LOCK_COMMANDS)
     assert_cli_replays(lock)
@@ -226,7 +274,17 @@ def test_same_answers_in_any_order(golden, lock, monkeypatch, cap_mib):
         cache.clear()
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["lock"]:
+if __name__ == "__main__" and sys.argv[1:] == ["duals"]:
+    notes = json.loads(DUALS.read_text()) if DUALS.exists() else {}
+    records = dual_records()
+    for probe, rec in records.items():      # a record's note stays with it
+        if "moved" in notes.get(probe, {}):
+            rec["moved"] = notes[probe]["moved"]
+    DUALS.write_text("{\n" + ",\n".join(
+        f"  {json.dumps(probe)}: {json.dumps(rec)}"
+        for probe, rec in sorted(records.items())) + "\n}\n")
+    sys.stdout.write(f"wrote {DUALS}\n")
+elif __name__ == "__main__" and sys.argv[1:] == ["lock"]:
     LOCK.write_text(json.dumps([fresh_process_record(argv)
                                 for argv in LOCK_COMMANDS], indent=1) + "\n")
     sys.stdout.write(f"wrote {LOCK}\n")

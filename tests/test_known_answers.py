@@ -17,6 +17,7 @@ import pytest
 
 from seqspace import cache
 from seqspace.conditions import _Engine, check_class, regularity_report
+from seqspace.duality import dual_membership
 from seqspace.matrices import compose
 from seqspace.verdicts import Verdict
 from test_float_kernels import FIRST_STREAMED, row_feature_reference
@@ -87,6 +88,19 @@ def test_a_matmul_product_streams_the_bits_of_its_table():
     for kind in ("row_sum", "row_abs"):
         assert np.array_equal(eng.row_trace(kind)[1],
                               row_feature_reference(table, kind)), kind
+
+
+@pytest.mark.parametrize("a, n", (("geometric:3", 600), ("geometric:2", 120)))
+def test_the_row_sums_of_a_growing_dual_telescope(a, n):
+    # MENDED: "the `row-sums-converge` verdict on growing duals".  Over omega
+    # every row sum of the dual triangle is a_1 d_1 = r by telescoping, so
+    # they converge; the absolute row sums grow, so a is not in the dual.
+    rep = dual_membership(a, "c(omega)", n=n)
+    got = {c.condition: c for c in rep.class_report.condition_reports}
+    assert got["row-sums-converge"].verdict is Verdict.SATISFIED
+    assert got["row-sums-converge"].observed == float(a.split(":")[1])
+    assert got["bounded-rows"].verdict is Verdict.VIOLATED
+    assert rep.verdict is Verdict.VIOLATED
 
 
 def _address_space_cap():
