@@ -548,6 +548,8 @@ class RieszMeans(InfiniteMatrix):
 class EulerMeans(InfiniteMatrix):
     """Binomial means of order r in (0, 1):
     ``a_nk = C(n-1, k-1) (1-r)^(n-k) r^(k-1)`` for ``k <= n`` (rows sum to 1).
+    Float rows are one walk of ``a_{n+1,k} = (1-r) a_nk + r a_{n,k-1}`` from
+    row 1 = [1]: + and x of positive terms, with the same bits on every CPU.
     """
 
     def __init__(self, r):
@@ -556,16 +558,6 @@ class EulerMeans(InfiniteMatrix):
             raise SpecError(f"euler parameter must lie in (0, 1), got {r}")
         super().__init__("euler", params={"r": r}, triangle=True)
         self.r = r
-        self._lf = np.zeros(1)  # log-factorials, _lf[i] = log(i!)
-
-    def _logfact(self, m: int) -> np.ndarray:
-        # The whole running sum is taken again when the array grows: a
-        # sequential cumsum's prefix is the shorter sum, so a table has the
-        # same bits whatever size was built before it.
-        if len(self._lf) < m + 1:
-            logs = np.log(np.arange(1, m + 1, dtype=float))
-            self._lf = np.concatenate([[0.0], np.cumsum(logs)])
-        return self._lf
 
     def entry(self, n, k):
         _check_index(n, k)
@@ -575,26 +567,32 @@ class EulerMeans(InfiniteMatrix):
         return math.comb(n - 1, k - 1) * (1 - r) ** (n - k) * r ** (k - 1)
 
     def block(self, rows, m):
-        # Row n is exp of log(n-1)! - log(k-1)! - log(n-k)! + (n-k) log(1-r)
-        # + (k-1) log r, summed term by term in that order over k = 1..n.
-        # The (n - k) terms are read forwards from reversed arrays:
-        # back[top - n + j] = log(n-1-j)! and tail[top - n + j] the step n-1-j.
-        top = int(rows[-1])
-        lf = self._logfact(top)
-        back = lf[top - 1::-1]
-        steps = np.arange(top)
-        tail = steps[::-1] * math.log(1 - float(self.r))
-        head = steps * math.log(float(self.r))
-        out = np.zeros((len(rows), m))
-        for i, n in enumerate(np.asarray(rows).tolist()):
-            w = n if n < m else m
-            row = out[i, :w]
-            np.subtract(lf[n - 1], lf[:w], out=row)
-            row -= back[top - n:top - n + w]
-            row += tail[top - n:top - n + w]
-            row += head[:w]
-            np.exp(row, out=row)
+        (_, out), = self._blocks(np.asarray(rows), m, len(rows))
         return out
+
+    def _blocks(self, rows, m, step):
+        # One walk over columns 1..m (no column past m feeds one up to m)
+        # serves every chunk.  walk[k] = a_nk is 0 at k = 0 and outside
+        # lo..hi, so row n + 1 is taken over columns lo..hi + 1 only.
+        q, r = float(1 - self.r), float(self.r)
+        walk, lagged = np.zeros(m + 1), np.empty(m + 1)
+        walk[1], n, lo, hi = 1.0, 1, 1, 1
+        for at in range(0, len(rows), step):
+            chunk = rows[at:at + step].tolist()
+            out = np.zeros((len(chunk), m))
+            for i, target in enumerate(chunk):
+                while n < target:
+                    top = hi + 1 if hi < m else m
+                    band, lag = walk[lo:top + 1], lagged[lo:top + 1]
+                    np.multiply(walk[lo - 1:top], r, out=lag)
+                    np.multiply(band, q, out=band)
+                    np.add(band, lag, out=band)
+                    n += 1
+                    hi = top if walk[top] else hi
+                    while lo <= hi and not walk[lo]:
+                        lo += 1
+                out[i, lo - 1:hi] = walk[lo:hi + 1]
+            yield at, out
 
 
 class TaylorTransform(InfiniteMatrix):

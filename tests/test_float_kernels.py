@@ -319,16 +319,15 @@ def test_taylor_rows_past_the_normal_range_keep_their_mass():
 
 
 def euler_table_reference(e, size):
-    """The log-binomial formula on the whole square, masked to the triangle."""
-    lf = e._logfact(size)
-    n = np.arange(1, size + 1)[:, None].astype(int)
-    k = np.arange(1, size + 1)[None, :].astype(int)
-    mask = k <= n
-    kk = np.where(mask, k, 1)
-    logs = (lf[n - 1] - lf[kk - 1] - lf[np.where(mask, n - kk, 0)]
-            + (n - kk) * math.log(1 - float(e.r))
-            + (kk - 1) * math.log(float(e.r)))
-    return np.exp(np.where(mask, logs, -np.inf))
+    """Pascal's rule row by row over the whole width from row 1 = [1]:
+    a_{n+1,k} = (1-r) a_nk + r a_{n,k-1}."""
+    q, r = float(1 - e.r), float(e.r)
+    out = np.zeros((size, size))
+    out[0, 0] = 1.0
+    for n in range(1, size):
+        np.multiply(out[n - 1], q, out=out[n])
+        out[n, 1:] += r * out[n - 1, :-1]
+    return out
 
 
 def riesz_table_reference(a, size):
@@ -343,8 +342,8 @@ TABLE_SIZES = (1, 2, 8, 600, 2000)
 
 
 def test_euler_tables_do_not_depend_on_the_tables_built_before():
-    # Two new matrices, each with its own log-factorials; one grows them
-    # from 600 to 2000.
+    # Two new matrices; one builds its 600 x 600 table before its 2000 x
+    # 2000 one.
     grown = mat.EulerMeans(Fraction(1, 2))
     grown.truncation_floats(600)
     fresh = mat.EulerMeans(Fraction(1, 2))
@@ -362,6 +361,46 @@ def test_euler_and_taylor_tables_match_the_reference(r):
         t = matrix_from_spec({"kind": "taylor", "r": r})
         rows = np.vstack([t.block([n], size)[0] for n in range(1, size + 1)])
         assert same_bits(t.truncation_floats(size), rows), (r, size)
+
+
+@pytest.mark.parametrize("r", TABLE_PARAMS)
+def test_euler_rows_are_within_linear_rounding_of_the_exact_rows(r):
+    # Each step of Pascal's rule rounds two products and their sum, and
+    # float(r) and float(1 - r) each differ from r and 1 - r by at most
+    # half an ulp.  Every term is positive, so the relative error of row n
+    # is at most about 2 (n - 1) eps (Higham 2002, ch. 3-4); the bound
+    # below is 2 n eps.
+    eps = sys.float_info.epsilon
+    e = matrix_from_spec({"kind": "euler", "r": r})
+    rows = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 199, 200)
+    table = e.block(rows, 200)
+    for got, n in zip(table.tolist(), rows):
+        for k in range(1, n + 1):
+            exact = e.entry(n, k)
+            assert abs(Fraction(got[k - 1]) - exact) <= 2 * n * eps * exact, \
+                (r, n, k)
+        assert not any(got[n:]), (r, n)
+
+
+@pytest.mark.parametrize("n", (600, 887, 2000, 2401))
+def test_euler_rows_have_the_table_bits_however_they_are_read(n):
+    # One walk serves a whole read, so a row's bits depend neither on the
+    # chunk size, nor on the rows and width read with it, nor on whether a
+    # table is cached (below n = 887 at the default cap) or the rows stream.
+    e = mat.EulerMeans(Fraction(5, 7))
+    table = euler_table_reference(e, n)
+    rows = np.arange(1, n + 1)
+    for step in (1, 7, 16, 54):
+        got = np.concatenate([t for _, t in e._row_chunks(rows, n, step)])
+        assert same_bits(got, table), (n, step)
+    for row in (1, 2, n // 2, n - 1, n):
+        for m in (9, n):
+            assert same_bits(e.block([row], m), table[row - 1:row, :m]), \
+                (n, row, m)
+    eng = _Engine(e, n, 1.5e-3, n // 10)
+    sampled = eng.row_indices()
+    got = np.concatenate([t for _, t in eng._chunks(sampled, n)])
+    assert same_bits(got, table[sampled - 1]), n
 
 
 def test_riesz_tables_match_the_reference():
@@ -524,22 +563,6 @@ def riesz_rows_table_reference(a, size):
     return out
 
 
-def euler_rows_table_reference(e, size):
-    lf = e._logfact(size)
-    steps = np.arange(size)
-    tail = steps * math.log(1 - float(e.r))
-    head = steps * math.log(float(e.r))
-    out = np.zeros((size, size))
-    for n in range(1, size + 1):
-        row = out[n - 1, :n]
-        np.subtract(lf[n - 1], lf[:n], out=row)
-        row -= lf[n - 1::-1]
-        row += tail[n - 1::-1]
-        row += head[:n]
-        np.exp(row, out=row)
-    return out
-
-
 def taylor_table_reference(t, size):
     r = float(t.r)
     rj = r * np.arange(size, dtype=float)
@@ -609,7 +632,7 @@ TABLE_REFERENCES = {
     mat.Bidiagonal: bidiagonal_table_reference,
     mat.CesaroMeans: cesaro_table_reference,
     mat.RieszMeans: riesz_rows_table_reference,
-    mat.EulerMeans: euler_rows_table_reference,
+    mat.EulerMeans: euler_table_reference,
     mat.TaylorTransform: taylor_table_reference,
     DualTriangle: dual_support_table_reference,
     mat.ComposedMatrix: composed_table_reference,
