@@ -1,7 +1,7 @@
 """One bounded cache for everything seqspace computes more than once.
 
 Matrices resolved from specs, transfer matrices, dense float tables, the
-row features read from them, condition reports, oracle images and oracle
+features records read from rows, condition reports, oracle images and oracle
 probes all live in one least-recently-used store, capped in bytes by
 :data:`CAP_BYTES`.  Every entry is charged its
 ``nbytes`` (zero for values without arrays) plus :data:`ENTRY_OVERHEAD`, so
@@ -12,10 +12,12 @@ read one, while the small entries it would push out (matrices, features
 records, reports, images, probes, batteries) serve many.  So every
 ``("table", ...)`` entry and every large one, over a quarter of the cap
 (:func:`is_large`), goes first, least recent first, all but the newest;
-the others go only when no table but the newest is left.  A reader of
-many rows (``InfiniteMatrix._row_chunks``) reads a truncation whose table
-would be large in row chunks, without it.  A table's room is made before
-it is built, so the table it replaces is freed first.
+the others go only when no table but the newest is left.  Readers of
+many rows (``InfiniteMatrix._row_chunks``) build tables only of matrices
+whose rows cost more than their width (Euler means, products, generic
+inverses, rule matrices: ``InfiniteMatrix._table_chunks``), and not when
+the table would be large; every other family is read in blocks.  A table's
+room is made before it is built, so the table it replaces is freed first.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
@@ -37,11 +39,12 @@ from collections import OrderedDict
 from itertools import count
 
 #: Bytes the cache may hold.  The small entries of a whole acceptance-grid
-#: pass at the default n = 600 (1,404, of them 66 features records) charge
-#: 13.2 MiB, which leaves 10.8 MiB to 2.75 MiB tables: three at once, and
-#: 2.5 MiB of margin.  A nested transfer check such as sigma*(A*B^-1) reads
-#: four at once (A, B^-1, A*B^-1 and the product being built), so the fourth
-#: pushes out the oldest table; all 83 evictions of a cold pass are tables.
+#: pass at the default n = 600 (1,384, of them 66 features records) charge
+#: 13.0 MiB, which leaves 11.0 MiB to 2.75 MiB tables: three at once, and
+#: 2.7 MiB of margin.  A nested transfer check such as sigma*(E*B^-1), E an
+#: Euler mean, reads three at once (E, E*B^-1 and the product being built;
+#: sigma and B^-1 are read in blocks), so a fourth pushes out the oldest
+#: table; all 57 evictions of a cold pass, of 60 tables built, are tables.
 #: A table over a quarter of the cap (n >= 887) is read in row chunks instead.
 CAP_BYTES = 24 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.

@@ -298,7 +298,8 @@ class _Engine:
 
     An engine is made per evaluation and holds nothing but O(n) features in
     the cache: one pass over the truncation's row chunks fills one features
-    record, and the row distances are a second read.
+    record, and the row distances are a second read, not cached: only
+    (linf : cs) reads them, and its report and limit analysis are cached.
     """
 
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
@@ -372,13 +373,10 @@ class _Engine:
         rows = self.row_indices()
         if kind != "row_dist":
             return rows, self._features()[int(kind == "row_abs"), :len(rows)]
-        def reduce():
-            (_, last), = self._chunks(rows[-1:], self.n)
-            buf = np.empty((min(len(rows), FEATURE_BLOCK // self.n + 1), self.n))
-            return np.concatenate([_reduce_rows(t, kind, last, buf[:len(t)])
-                                   for _, t in self._chunks(rows, self.n)])
-        return rows, cache.lookup(
-            ("row-feature", self.a.key, self.n, self.window, kind), reduce)
+        (_, last), = self._chunks(rows[-1:], self.n)
+        buf = np.empty((min(len(rows), FEATURE_BLOCK // self.n + 1), self.n))
+        return rows, np.concatenate([_reduce_rows(t, kind, last, buf[:len(t)])
+                                     for _, t in self._chunks(rows, self.n)])
 
     def columns(self) -> np.ndarray:
         """The sampled columns over rows 1..n, one per row of the result."""

@@ -134,8 +134,6 @@ class DualTriangle(InfiniteMatrix):
         _put_band(out, rows, 0, p)
         return out
 
-    _row_chunks = InfiniteMatrix._blocks     # a block per chunk, no table
-
     def _features_floats(self, rows, ks, n):
         # Column k is p_k on the diagonal and v_k = p_k + q_{k+1} below it.
         # By Abel summation at y = (1, 1, ...), row m sums to the running sum

@@ -206,11 +206,22 @@ class InfiniteMatrix:
         return cache.lookup(("table", self.key, size), build,
                             nbytes=8 * size * size)
 
-    def _row_chunks(self, rows, m: int, step: int):
+    def _blocks(self, rows, m: int, step: int):
         """Rows ``rows`` (strictly increasing, 1-based) over columns 1..m in
         consecutive chunks of at most ``step`` rows, each with its position
-        in ``rows``: windows of the cached table of 1..s, s = max(last row,
-        m), unless it would be a large cache entry (then :meth:`_blocks`)."""
+        in ``rows``, read without a table: here a block per chunk.  As
+        ``_row_chunks``, the one reader of many rows, it serves every matrix
+        whose row costs one formula, at every n."""
+        rows = np.asarray(rows)
+        for lo in range(0, len(rows), step):
+            yield lo, self.block(rows[lo:lo + step], m)
+    _row_chunks = _blocks
+
+    def _table_chunks(self, rows, m: int, step: int):
+        """``_row_chunks`` of a matrix whose row costs more than its width (a
+        walk or exact entries): windows of the cached table of 1..s,
+        s = max(last row, m), unless it would be a large cache entry (then
+        :meth:`_blocks`)."""
         rows = np.asarray(rows)
         if not len(rows):
             return
@@ -225,31 +236,19 @@ class InfiniteMatrix:
         for lo in range(0, len(window), step):
             yield lo, window[lo:lo + step]
 
-    def _blocks(self, rows: np.ndarray, m: int, step: int):
-        """:meth:`_row_chunks` without a table: here a block per chunk."""
-        for lo in range(0, len(rows), step):
-            yield lo, self.block(rows[lo:lo + step], m)
-
     # -- optional fast transforms ------------------------------------------
 
-    def _apply_floats(self, xf: np.ndarray) -> Optional[np.ndarray]:
-        """(Ax)_{1..m} for each x stacked in ``xf`` along its last axis, of
-        length m, when a vectorized form exists, else None.  A stacked x
-        gets the same bits as alone."""
-        got = self._apply_carried(xf, 1, None)
-        return None if got is None else got[0]
-
     def _apply_carried(self, xf: np.ndarray, lo: int, state):
-        """The vectorized form on terms lo..lo+m-1 of each x stacked in ``xf``:
-        ((Ax)_{lo..lo+m-1}, the state for the terms after), given the
-        ``state`` of the terms before (None: none read), else None.  Carried
-        from chunk to chunk, it gives the bits of one call."""
+        """The vectorized form on terms lo..lo+m-1 of each x stacked in ``xf``
+        along its last axis: ((Ax)_{lo..lo+m-1}, the state for the terms
+        after), given the ``state`` before (None: none read), else None.  A
+        stacked x, or a run carried across chunks, gets one call's bits."""
         return None
 
     def _rmul_floats(self, xf: np.ndarray) -> Optional[np.ndarray]:
         """(xA)_{1..m}, the inner sum over 1..m, for each row x stacked in
         ``xf`` along its last axis, of length m, when a vectorized form
-        exists, else None: the row-side counterpart of ``_apply_floats``."""
+        exists, else None: the row-side counterpart of ``_apply_carried``."""
         return None
 
     def _apply_exact(self, xs: list) -> Optional[list]:
@@ -526,12 +525,9 @@ class RieszMeans(InfiniteMatrix):
         return self._tfl[:m], self._Tfl[:m]
 
     def block(self, rows, m):
+        rows = np.asarray(rows)
         t, big_t = self._tf(max(int(rows[-1]), m))
-        out = np.zeros((len(rows), m))
-        for i, n in enumerate(np.asarray(rows).tolist()):
-            w = n if n < m else m
-            np.divide(t[:w], big_t[n - 1], out=out[i, :w])
-        return out
+        return _lower(rows, m, t[:m] / big_t[rows - 1, None])
 
     def _apply_carried(self, xf, lo, state):
         t, big_t = self._tf(lo - 1 + xf.shape[-1])
@@ -551,6 +547,7 @@ class EulerMeans(InfiniteMatrix):
     Float rows are one walk of ``a_{n+1,k} = (1-r) a_nk + r a_{n,k-1}`` from
     row 1 = [1]: + and x of positive terms, with the same bits on every CPU.
     """
+    _row_chunks = InfiniteMatrix._table_chunks     # a row is a walk
 
     def __init__(self, r):
         r = exact_number(r)
@@ -720,6 +717,7 @@ class TaylorTransform(InfiniteMatrix):
 class RuleMatrix(InfiniteMatrix):
     """Matrix from an explicit entry rule with declared support hints;
     the row ends of ``row_span`` must not decrease."""
+    _row_chunks = InfiniteMatrix._table_chunks     # a row is exact entries
 
     def __init__(self, rule, name: str = "rule", triangle: bool = False,
                  row_span=None, col_span=None):
@@ -753,6 +751,7 @@ class RuleMatrix(InfiniteMatrix):
 
 class ComposedMatrix(InfiniteMatrix):
     """Lazy product (AB)_nk = sum_j a_nj b_jk using support hints."""
+    _row_chunks = InfiniteMatrix._table_chunks     # a row is a walk
 
     def __init__(self, left: InfiniteMatrix, right: InfiniteMatrix):
         super().__init__(f"{left.name}*{right.name}",
@@ -905,6 +904,7 @@ def compose(left, right) -> InfiniteMatrix:
 
 class InverseTriangle(InfiniteMatrix):
     """Inverse of a lower triangle via forward substitution, memoized by column."""
+    _row_chunks = InfiniteMatrix._table_chunks     # a row is exact entries
 
     def __init__(self, base: InfiniteMatrix):
         if not base.triangle:
@@ -1143,7 +1143,7 @@ def apply_many(a, xs: list, n: int) -> list:
     ``"a(x)"``, checked for overflow together.  A stacked image has the
     bits it has alone:
 
-    * a vectorized form (``_apply_floats``) takes the whole stack at once;
+    * a vectorized form (``_apply_carried``) takes the whole stack at once;
     * any other row-finite matrix multiplies each x by its rows, read in
       chunks of at most a ``DENSE_LIMIT``-square table
       (``InfiniteMatrix._row_chunks``), each read once per stack: a product
@@ -1182,9 +1182,9 @@ def apply_many(a, xs: list, n: int) -> list:
                     out[i, row - 1] = coeffs[:m] @ xf[:m]
         else:
             stack = np.array([x.floats(n) for x in xs])
-            out = a._apply_floats(stack)
-            if out is None:
-                out = np.empty_like(stack)
+            got = a._apply_carried(stack, 1, None)
+            out = np.empty_like(stack) if got is None else got[0]
+            if got is None:
                 step = max(1, DENSE_LIMIT * DENSE_LIMIT // n)
                 for lo, rows in a._row_chunks(np.arange(1, n + 1), n, step):
                     for image, xf in zip(out, stack):

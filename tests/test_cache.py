@@ -215,9 +215,10 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     most 58 product tables and calls analyze_limits at most 515 times
     (76 and 833 when each product and judgement made its own).  One pass
     of row chunks fills one features record per (matrix key, n, window) at
-    every n: 66 of them, no row sums or absolute row sums apart (152
-    row-feature entries when the engine read tables one feature at a
-    time), and at most 86 tables in all."""
+    every n: 66 of them, and no row-feature entry (152 when the engine read
+    tables one feature at a time, 20 row distances when they were cached
+    apart).  Only rows that cost a walk are read from tables: at most 60
+    in all, each a product or E_{1/2} (86 when every family kept one)."""
     stored, calls = [], []
     lookup, analyze = cache.lookup, sequences.analyze_limits
 
@@ -235,14 +236,37 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     monkeypatch.setattr(sequences, "analyze_limits", counted_analyze)
     grid_records()
     tables = [k for k in stored if k[0] == "table"]
-    assert len([k for k in tables if isinstance(k[1], tuple)
-                and k[1][0] == "compose"]) <= 58
-    assert len(tables) <= 86
+    products = [k for k in tables if isinstance(k[1], tuple)
+                and k[1][0] == "compose"]
+    assert len(products) <= 58
+    assert len(tables) <= 60
+    assert {k[1] for k in tables if k not in products} <= {"euler:1/2"}
     assert len(calls) <= 515
-    assert not [k for k in stored if k[0] == "row-feature"
-                and k[-1] in ("row_sum", "row_abs")]
+    assert not [k for k in stored if k[0] == "row-feature"]
     features = [k for k in stored if k[0] == "features"]
     assert len(features) == len(set(features)) == 66
+
+
+def test_closed_form_families_build_no_table(monkeypatch):
+    """A row of a Riesz mean, a Taylor transform or a bidiagonal costs one
+    formula, so it is read in blocks at every n: their checks build no
+    table keyed by those matrices, not even as factors of a transfer."""
+    keys = []
+    lookup = cache.lookup
+
+    def counted_lookup(key, build, nbytes=0):
+        keys.append(key)
+        return lookup(key, build, nbytes)
+
+    monkeypatch.setattr(cache, "lookup", counted_lookup)
+    for spec, source, target in (("riesz:power:2", "c0(omega)", "c"),
+                                 ("taylor:1/4", "c0", "c"),
+                                 ("taylor:1/4", "c", "c"),
+                                 ("omega-inv", "c", "c"),
+                                 ("omega-inv", "linf", "linf")):
+        check_class(spec, source, target, route="both")
+    assert not [k for k in keys if k[0] == "table" and k[1] in
+                ("riesz:power:2", "taylor:1/4", "omega-inv")]
 
 
 def test_products_with_one_key_keep_their_names():

@@ -338,6 +338,26 @@ def test_a_target_overflow_keeps_its_note():
     assert [(p.label, p.verdict, p.note) for p in got] == want
 
 
+@pytest.mark.parametrize("make, n", (
+    (lambda: RuleMatrix(lambda n, k: Fraction(1, 2 ** (k - n + 1))
+                        if k >= n else 0, name="halving",
+                        row_span=lambda n: (n, None)), 120),
+    (lambda: compose("taylor:1/4", "cesaro"), 200)))
+def test_rows_with_no_certified_cutoff_use_the_leading_window(make, n):
+    # Neither matrix can say where its rows' tails fall off: a rule gives
+    # no cutoff, and a row-infinite product gives one only through a
+    # bidiagonal right factor.  Each maps c0 into c, and the row traces
+    # say they read the leading window only.
+    a = make()
+    assert a.row_end(n) is None and a.row_cutoff(n) is None
+    assert a.row_complete(n, n) is None
+    rep = check_class(a, "c0", "c", n=n)
+    assert rep.verdict is Verdict.SATISFIED
+    bounded = {r.condition: r for r in rep.condition_reports}["bounded-rows"]
+    assert ("no tail cutoff; row traces use the leading window only"
+            in bounded.note)
+
+
 def test_row_duals_are_judged_once_per_domain(monkeypatch):
     # The rows of T_{1/4} have no support bound, so each is paired through
     # its dual triangle.

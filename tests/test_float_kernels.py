@@ -595,10 +595,10 @@ def composed_table_reference(a, size):
     # entry, a_nk d_k + a_n,k+1 s_k+1, inside the window; any other pair is
     # the matmul of the two tables.
     right = a.right.truncation_floats(size)
-    if a.left._apply_floats(right[:, 0].copy()) is not None:
+    if a.left._apply_carried(right[:, 0].copy(), 1, None) is not None:
         out = np.zeros((size, size))
         for k in range(size):
-            out[:, k] = a.left._apply_floats(right[:, k].copy())
+            out[:, k] = a.left._apply_carried(right[:, k].copy(), 1, None)[0]
         return out
     left = a.left.truncation_floats(size)
     if isinstance(a.right, mat.Bidiagonal):

@@ -45,6 +45,43 @@ def test_euler_one_eighth_has_null_columns():
         is not Verdict.VIOLATED
 
 
+#: The right cells per builtin family at the defaults: (Silverman-Toeplitz
+#: regularity, the (c : c) headline).  A regular matrix maps c into c; omega,
+#: gamma and sigma have unbounded absolute row sums; omega-inv and zero map
+#: c into c0, so their row sums tend to 0, not 1.
+FAMILY_ANSWERS = {
+    "identity": (Verdict.SATISFIED, Verdict.SATISFIED),
+    "cesaro": (Verdict.SATISFIED, Verdict.SATISFIED),
+    "euler:1/2": (Verdict.SATISFIED, Verdict.SATISFIED),
+    "euler:3/4": (Verdict.SATISFIED, Verdict.SATISFIED),
+    "euler:5/12": (Verdict.SATISFIED, Verdict.SATISFIED),
+    "riesz:power:2": (Verdict.SATISFIED, Verdict.SATISFIED),
+    "taylor:1/4": (Verdict.SATISFIED, Verdict.SATISFIED),
+    "taylor:1/10": (Verdict.SATISFIED, Verdict.SATISFIED),
+    "omega": (Verdict.VIOLATED, Verdict.VIOLATED),
+    "gamma": (Verdict.VIOLATED, Verdict.VIOLATED),
+    "sigma": (Verdict.VIOLATED, Verdict.VIOLATED),
+    "omega-inv": (Verdict.VIOLATED, Verdict.SATISFIED),
+    "zero": (Verdict.VIOLATED, Verdict.SATISFIED),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FAMILY_ANSWERS))
+def test_each_family_has_its_textbook_regularity_and_c_to_c(spec):
+    regular, c_to_c = FAMILY_ANSWERS[spec]
+    assert regularity_report(spec).verdict is regular
+    assert check_class(spec, "c", "c").verdict is c_to_c
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: `seqspace regularity --matrix riesz:harmonic` exits 1 "
+    "(violated), with null-columns violated at columns 2-7"))
+def test_the_harmonic_riesz_mean_is_regular():
+    # T_n = H_n tends to infinity, so each column t_k / T_n tends to zero
+    # and the Riesz mean is regular; column 2 decays only like 0.5 / H_n.
+    assert regularity_report("riesz:harmonic").verdict is Verdict.SATISFIED
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: the oracle says `satisfied` on `seqspace check-class --matrix "
     "cesaro --from linf --to c --route both`"))
