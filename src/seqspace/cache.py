@@ -1,11 +1,11 @@
 """One bounded cache for everything seqspace computes more than once.
 
 Matrices resolved from specs, transfer matrices, dense float tables, the
-features records read from rows, condition reports, oracle images and oracle
-probes all live in one least-recently-used store, capped in bytes by
-:data:`CAP_BYTES`.  Every entry is charged its
-``nbytes`` (zero for values without arrays) plus :data:`ENTRY_OVERHEAD`, so
-small values cannot pile up without bound either.
+features records read from rows (two row traces each), the limit analyses
+of traces, condition reports, oracle images and oracle probes all live in
+one least-recently-used store, capped in bytes by :data:`CAP_BYTES`.  Every
+entry is charged its ``nbytes`` (zero for values without arrays) plus
+:data:`ENTRY_OVERHEAD`, so small values cannot pile up without bound either.
 
 Dense tables are working memory, not contents: a few neighbouring checks
 read one, while the small entries it would push out (matrices, features
@@ -39,14 +39,15 @@ from collections import OrderedDict
 from itertools import count
 
 #: Bytes the cache may hold.  The small entries of a whole acceptance-grid
-#: pass at the default n = 600 (1,384, of them 66 features records) charge
-#: 13.0 MiB, which leaves 11.0 MiB to 2.75 MiB tables: three at once, and
-#: 2.7 MiB of margin.  A nested transfer check such as sigma*(E*B^-1), E an
-#: Euler mean, reads three at once (E, E*B^-1 and the product being built;
-#: sigma and B^-1 are read in blocks), so a fourth pushes out the oldest
-#: table; all 57 evictions of a cold pass, of 60 tables built, are tables.
-#: A table over a quarter of the cap (n >= 887) is read in row chunks instead.
-CAP_BYTES = 24 * 2 ** 20
+#: pass at the default n = 600 (1,384, of them 66 features records of two
+#: row traces each) charge 7.9 MiB, which leaves 11.1 MiB to 2.75 MiB
+#: tables: four at the end of the pass, more before it.  A nested transfer
+#: check such as sigma*(E*B^-1), E an Euler mean, reads three at once (E,
+#: E*B^-1 and the product being built; sigma and B^-1 are read in blocks):
+#: 8.3 MiB, with 2.9 MiB of margin.  All 56 evictions of a cold pass, of 60
+#: tables built, are tables.  At 17 MiB the pass builds two tables twice.
+#: A table over a quarter of the cap (n >= 790) is read in row chunks instead.
+CAP_BYTES = 19 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.
 ENTRY_OVERHEAD = 4096
 

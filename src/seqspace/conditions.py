@@ -298,7 +298,8 @@ class _Engine:
 
     An engine is made per evaluation and holds nothing but O(n) features in
     the cache: one pass over the truncation's row chunks fills one features
-    record, and the row distances are a second read, not cached: only
+    record of two row traces and the sampled columns' limit analysis, and
+    the row distances are a second read, not cached: only
     (linf : cs) reads them, and its report and limit analysis are cached.
     """
 
@@ -379,34 +380,46 @@ class _Engine:
                                      for _, t in self._chunks(rows, self.n)])
 
     def columns(self) -> np.ndarray:
-        """The sampled columns over rows 1..n, one per row of the result."""
-        return self._features()[2:]
+        """The sampled columns over rows 1..n, one per row of the result,
+        read again: the features record keeps only their limit analysis."""
+        return self._read()[2:]
 
     def _features(self) -> np.ndarray:
+        """The features record: the sums and absolute sums of
+        :meth:`row_indices`.  The pass that reads them reads the sampled
+        columns too, and leaves only their limit analysis, at this engine's
+        tolerance, in the cache."""
+        def build():
+            out = self._read()
+            if len(out) > 2:
+                self.analyses("columns", "c",
+                              lambda: (np.arange(1, self.n + 1), out[2:]))
+            return out[:2].copy()
+        return cache.lookup(("features", self.a.key, self.n, self.window),
+                            build)
+
+    def _read(self) -> np.ndarray:
         """The matrix's ``_features_floats``, or sums and absolute sums of
         :meth:`row_indices` (a chunk with no sign bit is its absolute value),
         then the sampled columns, read at their own width from the rows not
         read at full width."""
-        def stream():
-            ks = np.array(self.column_sample(), dtype=int)
-            rows = (self.row_indices() if self.row_limit >= self.window
-                    else np.arange(1, 1))
-            out = self.a._features_floats(rows, ks, self.n)
-            if out is not None:
-                return out
-            out = np.empty((2 + len(ks), self.n))
-            for lo, t in self._chunks(rows, self.n):
-                at = slice(lo, lo + len(t))
-                t.sum(axis=1, out=out[0, at])
-                out[1, at] = (_reduce_rows(t, "row_abs")
-                              if np.signbit(t).any() else out[0, at])
-                out[2:, rows[at] - 1] = t[:, ks - 1].T
-            narrow = np.delete(np.arange(1, self.n + 1), rows - 1)
-            for lo, t in self._chunks(narrow, int(ks[-1]) if len(ks) else 1):
-                out[2:, narrow[lo:lo + len(t)] - 1] = t[:, ks - 1].T
+        ks = np.array(self.column_sample(), dtype=int)
+        rows = (self.row_indices() if self.row_limit >= self.window
+                else np.arange(1, 1))
+        out = self.a._features_floats(rows, ks, self.n)
+        if out is not None:
             return out
-        return cache.lookup(("features", self.a.key, self.n, self.window),
-                            stream)
+        out = np.empty((2 + len(ks), self.n))
+        for lo, t in self._chunks(rows, self.n):
+            at = slice(lo, lo + len(t))
+            t.sum(axis=1, out=out[0, at])
+            out[1, at] = (_reduce_rows(t, "row_abs")
+                          if np.signbit(t).any() else out[0, at])
+            out[2:, rows[at] - 1] = t[:, ks - 1].T
+        narrow = np.delete(np.arange(1, self.n + 1), rows - 1)
+        for lo, t in self._chunks(narrow, int(ks[-1]) if len(ks) else 1):
+            out[2:, narrow[lo:lo + len(t)] - 1] = t[:, ks - 1].T
+        return out
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -416,15 +429,22 @@ class _Engine:
         ks = list(range(1, 9)) + [12, 16, 24, 32, 48, 64, 96, 128, 192, 256]
         return sorted({k for k in ks if 1 <= k <= cap})
 
-    def classify(self, trace: str, space: str, read) -> list:
-        """The probes in ``space`` of the trace ``trace``, read as (indices,
-        stack) by ``read()``; c0 and c map from one limit analysis."""
+    def analyses(self, trace: str, space: str, read) -> list:
+        """What the probes in ``space`` of the trace ``trace`` map from, read
+        as (indices, stack) by ``read()``; the limits for c0 and c are one
+        cached analysis."""
         def analyze():
             return analyze_traces(*read(), space, self.tol, self.window)
-        got = (cache.lookup(("trace-limits", self.a.key, self.n, self.window,
+        if space not in LIMIT_TAGS:
+            return analyze()
+        return cache.lookup(("trace-limits", self.a.key, self.n, self.window,
                              self.tol, trace), analyze)
-               if space in LIMIT_TAGS else analyze())
-        return classify_analyses(got, space, self.tol)
+
+    def classify(self, trace: str, space: str, read) -> list:
+        """The probes in ``space`` of the trace ``trace``: see
+        :meth:`analyses`."""
+        return classify_analyses(self.analyses(trace, space, read), space,
+                                 self.tol)
 
     def final_rows(self) -> np.ndarray:
         """Stacked trailing complete rows over columns 1..n (for
@@ -489,6 +509,7 @@ def _columns_report(eng: _Engine, cond: str, space: str) -> ConditionReport:
     if not cols:
         return _report(cond, Verdict.INCONCLUSIVE, None,
                        "truncation too small to sample columns", eng.n)
+    eng._features()     # its pass leaves the columns' analysis cached
     verdicts = {k: v for k, (v, _) in zip(cols, eng.classify(
         "columns", space, lambda: (np.arange(1, eng.n + 1), eng.columns())))}
     note = f"checked columns {cols[0]}..{cols[-1]} ({len(cols)} sampled)"
@@ -693,9 +714,70 @@ _SERIES_SAMPLES = {
 }
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_state(seed: int) -> list:
+    """The four 64-bit words numpy's ``SeedSequence(seed)`` gives a PCG64:
+    the seed's 32-bit words hashed into a pool of four, then drawn out."""
+    words, seed = [], int(seed)
+    while True:
+        words.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniforms(seed: int) -> list:
+    """The ``random-finite`` sample's 25 values,
+    ``np.random.default_rng(seed).uniform(-2.0, 2.0, 25)`` bit for bit,
+    without importing ``numpy.random``: PCG64's XSL-RR output (O'Neill,
+    "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+    Algorithms for Random Number Generation", 2014) of a 128-bit LCG,
+    seeded as numpy seeds it, and each double from the top 53 bits."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    s = _seed_state(seed)
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+    state = (inc + (s[0] << 64 | s[1])) * mult + inc & _M128
+    out = []
+    for _ in range(25):
+        state = state * mult + inc & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        out.append(-2.0 + 4.0 * ((x >> 11) * 2.0 ** -53))
+    return out
+
+
 def _base_samples(tag: str, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    random_vals = rng.uniform(-2.0, 2.0, size=25).tolist()
+    random_vals = _uniforms(seed)
     c0 = [
         ("unit:1", make_sequence("unit:1")),
         ("unit:3", make_sequence("unit:3")),

@@ -196,10 +196,11 @@ def test_a_stream_of_new_matrices_stays_bounded():
 
 
 def test_a_warm_grid_pass_misses_nothing():
-    """The default cap holds the working set of the acceptance grid: tables
-    go first, so the O(n) entries of all 608 cells outlive them, and a
-    second pass over the grid in the same process makes no cache miss and
-    evicts nothing."""
+    """The default cap, 19 MiB, holds the working set of the acceptance
+    grid: tables go first, so the O(n) entries of all 608 cells outlive
+    them, and a second pass over the grid in the same process makes no
+    cache miss and evicts nothing."""
+    assert cache.CAP_BYTES == 19 * 2 ** 20
     grid_records()
     first = cache.stats()
     grid_records()
@@ -218,7 +219,11 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     every n: 66 of them, and no row-feature entry (152 when the engine read
     tables one feature at a time, 20 row distances when they were cached
     apart).  Only rows that cost a walk are read from tables: at most 60
-    in all, each a product or E_{1/2} (86 when every family kept one)."""
+    in all, each a product or E_{1/2} (86 when every family kept one).
+    Each features record keeps two row traces, the sums and absolute sums:
+    its pass leaves only the limit analysis of the sampled columns, so the
+    small entries of the pass charge at most 8 MiB (13.0 MiB when each
+    record kept its 17 columns)."""
     stored, calls = [], []
     lookup, analyze = cache.lookup, sequences.analyze_limits
 
@@ -245,6 +250,12 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     assert not [k for k in stored if k[0] == "row-feature"]
     features = [k for k in stored if k[0] == "features"]
     assert len(features) == len(set(features)) == 66
+    assert all(cache._entries[k][0].shape == (2, 600) for k in features)
+    assert len([k for k in stored
+                if k[0] == "trace-limits" and k[-1] == "columns"]) == 66
+    small = sum(charge for key, (_, charge) in cache._entries.items()
+                if key not in cache._first)
+    assert small <= 8 * 2 ** 20
 
 
 def test_closed_form_families_build_no_table(monkeypatch):

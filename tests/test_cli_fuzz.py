@@ -1,9 +1,12 @@
 """Command lines assembled from a fixed vocabulary of valid and malformed
-specs: whatever the input, the CLI leaves with a documented exit code and
-never with a traceback."""
+specs: whatever the input, the CLI leaves with a documented exit code,
+never with a traceback, and never through the catch-all that names an
+exception no refusal anticipated."""
 
+import builtins
 import contextlib
 import io
+import re
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -40,7 +43,9 @@ WINDOWS = (("2", "5", "7"), ("0", "-1", "40", "x"))
 KS = (("1", "3", "10"), ("0", "-1", "x"))
 MODES = (("exact", "float"), ("x",))
 ROUTES = (("conditions", "oracle", "both"), ("x",))
-SEEDS = (("0", "7"), ("x",))
+#: Seeds of one 32-bit word, of two (2^32) and of five (2^128 + 1).
+SEEDS = (("0", "7", "4294967296", "340282366920938463463374607431768211457"),
+         ("x", "-1", "1.5"))
 KINDS = (("beta", "gamma"), ("x",))
 
 OPTIONS = {
@@ -89,6 +94,20 @@ def command_lines(draw):
     return argv
 
 
+#: ``cli.main``'s catch-all prints ``error: <ExceptionName>: ...``.
+CATCH_ALL = re.compile(r"^error: ([A-Za-z_]\w*): ", re.M)
+
+
+def caught_by_the_catch_all(err: str) -> bool:
+    """Whether ``err`` names an exception as the catch-all does: a builtin
+    exception, or a name that ends as exception names do."""
+    def exception_name(name):
+        builtin = getattr(builtins, name, None)
+        return (isinstance(builtin, type) and issubclass(builtin, BaseException)
+                or name.endswith(("Error", "Exception", "Warning")))
+    return any(map(exception_name, CATCH_ALL.findall(err)))
+
+
 def run_cli(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -106,3 +125,4 @@ def test_cli_exit_codes_are_documented(argv):
     code, _, err = run_cli(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    assert not caught_by_the_catch_all(err), (argv, err)

@@ -1,10 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +240,43 @@ def test_oracle_seed_determinism():
     b = oracle_check("cesaro", "c0", "c", seed=5)
     assert a.witnesses == b.witnesses
     assert [p.verdict for p in a.samples] == [p.verdict for p in b.samples]
+
+
+#: Seeds of one to five 32-bit words (SeedSequence's pool holds four), the
+#: CLI fuzz's 2^32 and 2^128 + 1 among them, and two benchmark seeds.
+LARGE_SEEDS = (2 ** 32 - 1, 2 ** 32, 2 ** 40 + 12345, 2 ** 64 + 7,
+               2 ** 128 + 1, 2 ** 128 + 99, 29101, 30201, 10 ** 30)
+
+
+def test_the_random_sample_is_numpys_pcg64_draw():
+    # The draw computes numpy's default_rng stream without numpy.random,
+    # for seeds of any size and of numpy's integer types.
+    seeds = (list(range(3000)) + list(LARGE_SEEDS)
+             + [np.int64(5), np.int64(2 ** 62), np.uint64(2 ** 64 - 1)])
+    for seed in seeds:
+        want = np.random.default_rng(seed).uniform(-2.0, 2.0, 25)
+        got = np.array(conditions._uniforms(seed))
+        assert got.tobytes() == want.tobytes(), seed
+    sample = dict(oracle_samples("c0", 2 ** 64 + 7))["random-finite"]
+    assert [float(sample(k)) for k in range(1, 27)] == conditions._uniforms(
+        2 ** 64 + 7) + [0.0]
+
+
+NO_NUMPY_RANDOM = """
+import sys
+from seqspace import check_class
+check_class("cesaro", "c0(omega)", "c", route="both")
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_an_oracle_check_leaves_numpy_random_unimported():
+    # The tests import numpy.random, so a fresh interpreter looks.
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.split() == ["False"]
 
 
 def test_oracle_default_window_names_the_smallest_truncation():
