@@ -386,7 +386,7 @@ def test_euler_rows_are_within_linear_rounding_of_the_exact_rows(r):
 def test_euler_rows_have_the_table_bits_however_they_are_read(n):
     # One walk serves a whole read, so a row's bits depend neither on the
     # chunk size, nor on the rows and width read with it, nor on whether a
-    # table is cached (below n = 887 at the default cap) or the rows stream.
+    # table is cached (below n = 790 at the default cap) or the rows stream.
     e = mat.EulerMeans(Fraction(5, 7))
     table = euler_table_reference(e, n)
     rows = np.arange(1, n + 1)
@@ -1181,7 +1181,7 @@ def dual_sums_reference(a, n) -> dict:
 
 
 @pytest.mark.parametrize(
-    "n", (200, 600, FIRST_STREAMED, 1449, 2000, DENSE_LIMIT + 1))
+    "n", (200, 600, FIRST_STREAMED, 887, 1449, 2000, DENSE_LIMIT + 1))
 def test_the_features_record_has_the_bits_of_its_table(n):
     # The engine reads windows of the held table below the streaming line
     # and blocks from it on.  The reference is the table, or past
