@@ -10,7 +10,7 @@ entry is charged its ``nbytes`` (zero for values without arrays) plus
 Dense tables are working memory, not contents: a few neighbouring checks
 read one, while the small entries it would push out (matrices, features
 records, reports, images, probes, batteries) serve many.  So every
-``("table", ...)`` entry and every large one, over a quarter of the cap
+``("table", ...)`` entry and every large one, over a third of the cap
 (:func:`is_large`), goes first, least recent first, all but the newest;
 the others go only when no table but the newest is left.  Readers of
 many rows (``InfiniteMatrix._row_chunks``) build tables only of matrices
@@ -46,7 +46,9 @@ from itertools import count
 #: E*B^-1 and the product being built; sigma and B^-1 are read in blocks):
 #: 8.3 MiB, with 2.9 MiB of margin.  All 56 evictions of a cold pass, of 60
 #: tables built, are tables.  At 17 MiB the pass builds two tables twice.
-#: A table over a quarter of the cap (n >= 790) is read in row chunks instead.
+#: A table over a third of the cap (n >= 912) is read in row chunks instead.
+#: Below that line tables pay: a cold grid pass at n = 800 or 880 that
+#: streamed its rows took 15-25 % more CPU than one that read tables.
 CAP_BYTES = 19 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.
 ENTRY_OVERHEAD = 4096
@@ -134,8 +136,8 @@ def _put(key, value) -> None:
 
 
 def is_large(nbytes: int) -> bool:
-    """Whether an entry of ``nbytes`` is large: over a quarter of the cap."""
-    return nbytes > CAP_BYTES // 4
+    """Whether an entry of ``nbytes`` is large: over a third of the cap."""
+    return nbytes > CAP_BYTES // 3
 
 
 def _serials_in(key) -> list:

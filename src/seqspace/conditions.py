@@ -381,19 +381,34 @@ class _Engine:
 
     def columns(self) -> np.ndarray:
         """The sampled columns over rows 1..n, one per row of the result,
-        read again: the features record keeps only their limit analysis."""
-        return self._read()[2:]
+        read again at their own width: the features record keeps only
+        their limit analysis."""
+        ks = np.array(self.column_sample(), dtype=int)
+        out = np.empty((len(ks), self.n))
+        self._read_columns(ks, np.arange(1, self.n + 1), out)
+        return out
+
+    def column_analyses(self) -> list:
+        """The limit analysis of each sampled column, at this engine's
+        tolerance.  The features pass leaves it cached; on a miss (another
+        tolerance, or evicted) only the columns are read again."""
+        self._features()
+        return self._column_limits(self.columns)
+
+    def _column_limits(self, read) -> list:
+        """The cached analysis of the columns ``read()`` gives: the one key
+        the features pass and :meth:`column_analyses` share."""
+        return self.analyses("columns", "c",
+                             lambda: (np.arange(1, self.n + 1), read()))
 
     def _features(self) -> np.ndarray:
         """The features record: the sums and absolute sums of
         :meth:`row_indices`.  The pass that reads them reads the sampled
-        columns too, and leaves only their limit analysis, at this engine's
-        tolerance, in the cache."""
+        columns too, and leaves only their limit analysis in the cache."""
         def build():
             out = self._read()
             if len(out) > 2:
-                self.analyses("columns", "c",
-                              lambda: (np.arange(1, self.n + 1), out[2:]))
+                self._column_limits(lambda: out[2:])
             return out[:2].copy()
         return cache.lookup(("features", self.a.key, self.n, self.window),
                             build)
@@ -416,10 +431,17 @@ class _Engine:
             out[1, at] = (_reduce_rows(t, "row_abs")
                           if np.signbit(t).any() else out[0, at])
             out[2:, rows[at] - 1] = t[:, ks - 1].T
-        narrow = np.delete(np.arange(1, self.n + 1), rows - 1)
-        for lo, t in self._chunks(narrow, int(ks[-1]) if len(ks) else 1):
-            out[2:, narrow[lo:lo + len(t)] - 1] = t[:, ks - 1].T
+        if len(ks):
+            self._read_columns(
+                ks, np.delete(np.arange(1, self.n + 1), rows - 1), out[2:])
         return out
+
+    def _read_columns(self, ks: np.ndarray, rows: np.ndarray,
+                      out: np.ndarray) -> None:
+        """Columns ``ks`` of rows ``rows`` into ``out[:, rows - 1]``, the
+        rows read over columns 1..ks[-1] only."""
+        for lo, t in self._chunks(rows, int(ks[-1])):
+            out[:, rows[lo:lo + len(t)] - 1] = t[:, ks - 1].T
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -509,9 +531,8 @@ def _columns_report(eng: _Engine, cond: str, space: str) -> ConditionReport:
     if not cols:
         return _report(cond, Verdict.INCONCLUSIVE, None,
                        "truncation too small to sample columns", eng.n)
-    eng._features()     # its pass leaves the columns' analysis cached
-    verdicts = {k: v for k, (v, _) in zip(cols, eng.classify(
-        "columns", space, lambda: (np.arange(1, eng.n + 1), eng.columns())))}
+    verdicts = {k: v for k, (v, _) in zip(cols, classify_analyses(
+        eng.column_analyses(), space, eng.tol))}
     note = f"checked columns {cols[0]}..{cols[-1]} ({len(cols)} sampled)"
     extras = {"columns_checked": len(cols)}
     for key, verdict in (("violated_at", Verdict.VIOLATED),
@@ -763,6 +784,7 @@ def _uniforms(seed: int) -> list:
     "PCG: A Family of Simple Fast Space-Efficient Statistically Good
     Algorithms for Random Number Generation", 2014) of a 128-bit LCG,
     seeded as numpy seeds it, and each double from the top 53 bits."""
+    _check_seed(seed)
     mult = 0x2360ED051FC65DA44385DF649FCCF645
     s = _seed_state(seed)
     inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128

@@ -56,7 +56,7 @@ def test_stats_count_hits_misses_and_evictions(monkeypatch):
 
 def test_large_entries_go_first_but_the_newest_stays(monkeypatch):
     monkeypatch.setattr(cache, "CAP_BYTES", 10 * 2 ** 20)
-    big = 3 * 2 ** 20   # above a quarter of the cap
+    big = 4 * 2 ** 20   # above a third of the cap
     mib = 2 ** 20       # below it
     cache.lookup(("small",), lambda: np.zeros(2 ** 17))
     cache.lookup(("big", 1), lambda: np.zeros(big // 8), nbytes=big)

@@ -262,6 +262,43 @@ def test_the_random_sample_is_numpys_pcg64_draw():
         2 ** 64 + 7) + [0.0]
 
 
+@pytest.mark.parametrize("seed", (-1, 1.5, True, "3"))
+def test_the_oracle_samples_refuse_a_malformed_seed(seed):
+    # A negative seed never runs out of 32-bit words, and a float would be
+    # truncated: the draw refuses both, on every path into it.
+    with pytest.raises(SpecError, match="seed must be a non-negative"):
+        oracle_samples("c0", seed)
+    with pytest.raises(SpecError, match="seed must be a non-negative"):
+        conditions._uniforms(seed)
+
+
+@pytest.mark.parametrize("spec", ("cesaro", "euler:1/2", "sigma*euler:1/2"))
+def test_a_missing_column_analysis_reads_only_the_columns(spec):
+    # The features pass leaves the sampled columns' analysis at its own
+    # tolerance.  An engine at another one finds the record but not the
+    # analysis, and reads the columns again at their own width only; what
+    # it gets is what a features pass at its tolerance leaves.
+    a = matrix_from_spec(spec) if "*" not in spec else compose(
+        *spec.split("*"))
+    n, window = 600, _class_window(600)
+    cache.clear()
+    fresh = _Engine(a, n, 1e-2, window).column_analyses()
+    cache.clear()
+    _Engine(a, n, CLASS_TOL, window).column_analyses()
+    eng = _Engine(a, n, 1e-2, window)
+    widths = []
+    chunks = eng._chunks
+
+    def counted(rows, width):
+        widths.append(width)
+        return chunks(rows, width)
+    eng._chunks = counted
+    got = eng.column_analyses()
+    cache.clear()
+    assert widths and max(widths) == eng.column_sample()[-1]
+    assert repr(got) == repr(fresh)
+
+
 NO_NUMPY_RANDOM = """
 import sys
 from seqspace import check_class

@@ -386,7 +386,7 @@ def test_euler_rows_are_within_linear_rounding_of_the_exact_rows(r):
 def test_euler_rows_have_the_table_bits_however_they_are_read(n):
     # One walk serves a whole read, so a row's bits depend neither on the
     # chunk size, nor on the rows and width read with it, nor on whether a
-    # table is cached (below n = 790 at the default cap) or the rows stream.
+    # table is cached (below n = 912 at the default cap) or the rows stream.
     e = mat.EulerMeans(Fraction(5, 7))
     table = euler_table_reference(e, n)
     rows = np.arange(1, n + 1)
@@ -1209,6 +1209,9 @@ def test_the_features_record_has_the_bits_of_its_table(n):
                 want = dual_sums_reference(a, n)[kind][rows - 1]
             assert same_bits(got, want), (a.name, n, kind)
         assert same_bits(eng.columns(), cols), (a.name, n)
+        want = seq.analyze_traces(np.arange(1, n + 1), cols, "c", eng.tol,
+                                  eng.window)
+        assert repr(eng.column_analyses()) == repr(want), (a.name, n)
         stack = eng.final_rows()
         assert same_bits(stack, full[-len(stack):]), (a.name, n)
 
