@@ -14,8 +14,9 @@ records, reports, images, probes, batteries) serve many.  So every
 (:func:`is_large`), goes first, least recent first, all but the newest;
 the others go only when no table but the newest is left.  Readers of
 many rows (``InfiniteMatrix._row_chunks``) build tables only of matrices
-whose rows cost more than their width (Euler means, products, generic
-inverses, rule matrices: ``InfiniteMatrix._table_chunks``), and not when
+whose rows cost more than their width (Euler means, products other than
+bands and dual triangles, generic inverses, rule matrices:
+``InfiniteMatrix._table_chunks``), and not when
 the table would be large; every other family is read in blocks.  A table's
 room is made before it is built, so the table it replaces is freed first.
 
@@ -44,8 +45,8 @@ from itertools import count
 #: tables: four at the end of the pass, more before it.  A nested transfer
 #: check such as sigma*(E*B^-1), E an Euler mean, reads three at once (E,
 #: E*B^-1 and the product being built; sigma and B^-1 are read in blocks):
-#: 8.3 MiB, with 2.9 MiB of margin.  All 56 evictions of a cold pass, of 60
-#: tables built, are tables.  At 17 MiB the pass builds two tables twice.
+#: 8.3 MiB, with 2.9 MiB of margin.  All 40 evictions of a cold pass, of 44
+#: tables built, are tables.  At 17 MiB the pass builds two tables more.
 #: A table over a third of the cap (n >= 912) is read in row chunks instead.
 #: Below that line tables pay: a cold grid pass at n = 800 or 880 that
 #: streamed its rows took 15-25 % more CPU than one that read tables.

@@ -10,7 +10,8 @@ Built-in families:
 * ``identity``, ``zero``
 * ``omega`` — running sums weighted by the index, ``a_nk = k`` for ``k <= n``
 * ``gamma`` — running sums weighted by the reciprocal index, ``a_nk = 1/k``
-* ``omega-inv`` / ``gamma-inv`` — their bidiagonal inverses
+* ``omega-inv`` / ``gamma-inv`` — their bidiagonal inverses: bands
+  (:class:`Band`, as ``identity`` is), closed under products
 * ``sigma`` — the summation triangle, ``a_nk = 1`` for ``k <= n``, whose
   domains of linf and c are bs and cs; ``sigma-inv`` — its bidiagonal
   inverse, the backward differences
@@ -20,7 +21,9 @@ Built-in families:
 * ``taylor:r`` — the row-infinite upper-triangular geometric means
 
 Entries are exact (``int``/``Fraction``) whenever the defining parameters are
-rational; float fast paths are available for large truncations.
+rational; float fast paths are available for large truncations.  A product
+of bands, or of running sums and a bidiagonal (:class:`DualTriangle`), is
+read from O(n) terms, not from a table.
 """
 
 from __future__ import annotations
@@ -245,12 +248,6 @@ class InfiniteMatrix:
         stacked x, or a run carried across chunks, gets one call's bits."""
         return None
 
-    def _rmul_floats(self, xf: np.ndarray) -> Optional[np.ndarray]:
-        """(xA)_{1..m}, the inner sum over 1..m, for each row x stacked in
-        ``xf`` along its last axis, of length m, when a vectorized form
-        exists, else None: the row-side counterpart of ``_apply_carried``."""
-        return None
-
     def _apply_exact(self, xs: list) -> Optional[list]:
         """Exact (Ax)_{1..len(xs)} when a linear-time form exists, else None."""
         return None
@@ -277,32 +274,6 @@ class InfiniteMatrix:
 # ---------------------------------------------------------------------------
 # Builtin families
 # ---------------------------------------------------------------------------
-
-
-class Identity(InfiniteMatrix):
-    def __init__(self):
-        super().__init__("identity", triangle=True)
-
-    def entry(self, n, k):
-        _check_index(n, k)
-        return 1 if n == k else 0
-
-    def row_start(self, n):
-        return n
-
-    def col_end(self, k):
-        return k
-
-    def block(self, rows, m):
-        out = np.zeros((len(rows), m))
-        _put_band(out, np.asarray(rows), 0, np.ones(m))
-        return out
-
-    def _apply_carried(self, xf, lo, state):
-        return xf.copy(), None
-
-    def _apply_exact(self, xs):
-        return list(xs)
 
 
 class ZeroMatrix(InfiniteMatrix):
@@ -363,84 +334,130 @@ class WeightedSums(InfiniteMatrix):
         return list(accumulate(self.weights(k + 1) * x for k, x in enumerate(xs)))
 
 
-class Bidiagonal(InfiniteMatrix):
-    """``a_nn = d(n)``, ``a_{n,n-1} = s(n)``, zero elsewhere."""
+class Band(InfiniteMatrix):
+    """Lower band triangle of lags 0..b, ``a_{n,n-l} = diagonals[l](n)``:
+    the identity, the bidiagonals (diagonal d, subdiagonal s) and products of
+    bands, whose lag l is ``sum_i A_i(n) B_{l-i}(n-i)`` over the ``factors``
+    (A, B), with floats added as A's carried form on B's rows adds them, lag
+    0 first and zero terms included: the bits of the table read that way."""
 
-    def __init__(self, diag, sub, name: str):
+    def __init__(self, diagonals, name: str, factors: tuple = ()):
         super().__init__(name, triangle=True)
-        self.diag = diag
-        self.sub = sub
-        self._df = np.empty(0)   # _df[n-1] = d(n)
-        self._sf = np.zeros(1)   # _sf[n-1] = s(n) for n >= 2
-        self._dp: list = []          # _dp[n-1] = d(n) as a pair
-        self._sp: list = [(0, 1)]    # _sp[n-1] = s(n) as a pair for n >= 2
+        self.diagonals, self.factors = list(diagonals), factors
+        self.lags = len(self.diagonals) - 1
+        self._fl = np.zeros((self.lags + 1, 0))   # _fl[l, n-1] = a_{n,n-l}
+        self._filled = 0                          # rows of _fl filled
+        self._pairs = [[] for _ in self.diagonals]
 
-    def _diagonals_floats(self, m: int):
-        """(d(1..m), s(2..m)) as floats."""
-        if len(self._df) < m:
-            lo = len(self._df)
-            first = max(lo, 1) + 1
-            self._df = np.concatenate([self._df, _term_floats(
-                map(self.diag, range(lo + 1, m + 1)), lo + 1,
-                f"{self.name} diagonal d_")])
-            self._sf = np.concatenate([self._sf, _term_floats(
-                map(self.sub, range(first, m + 1)), first,
-                f"{self.name} subdiagonal s_")])
-        return self._df[:m], self._sf[1:m]
+    def _floats(self, m: int) -> np.ndarray:
+        """The float diagonals over rows 1..m, lag l in row l at n - 1 (zero
+        at rows n <= l), from the exact diagonals or the factors' floats, in
+        a store grown geometrically: a stream of row chunks fills it once."""
+        lo = self._filled
+        if lo < m:
+            if self._fl.shape[1] < m:
+                grown = np.zeros((self.lags + 1, max(m, 2 * self._fl.shape[1])))
+                grown[:, :lo] = self._fl[:, :lo]
+                self._fl = grown
+            out = self._fl[:, lo:m]
+            if not self.factors:
+                for l, rule in enumerate(self.diagonals):
+                    first = max(lo, l) + 1
+                    out[l, first - 1 - lo:] = _term_floats(
+                        map(rule, range(first, m + 1)), first,
+                        f"{self.name} {('diagonal d_', 'subdiagonal s_')[l]}")
+            else:
+                left, right = self.factors
+                fa, fb = left._floats(m), right._floats(m)
+                for l in range(self.lags + 1):
+                    for i in range(left.lags + 1):
+                        start = max(lo, i)    # rows n > i draw on row n - i of B
+                        term = fa[i, start:m] * (
+                            fb[l - i, start - i:m - i]
+                            if 0 <= l - i <= right.lags else 0.0)
+                        if i:
+                            out[l, start - lo:] += term
+                        else:
+                            out[l] = term
+            self._filled = m
+        return self._fl[:, :m]
 
-    def pairs(self, m: int) -> tuple:
-        """(d(1..m), s(1..m)) as lists of (numerator, denominator) pairs in
-        lowest terms, a float term as (value, None), each computed once;
-        s(1), outside the matrix, is (0, 1).  The lists may run past m."""
-        for n in range(len(self._dp) + 1, m + 1):
-            self._dp.append(_pair(self.diag(n)))
-            if n > 1:
-                self._sp.append(_pair(self.sub(n)))
-        return self._dp, self._sp
+    def _diagonals_floats(self, m: int) -> tuple:
+        """The float diagonals: lag l over columns 1..m - l."""
+        return tuple(v[l:] for l, v in enumerate(self._floats(m)))
+
+    def pairs(self, m: int) -> list:
+        """The diagonals over rows 1..m (or past) as lists of (numerator,
+        denominator) pairs in lowest terms, a float as (value, None), each
+        computed once; lag l's list holds (0, 1) at rows 1..l."""
+        for n in range(len(self._pairs[0]) + 1, m + 1):
+            for l, (rule, got) in enumerate(zip(self.diagonals, self._pairs)):
+                got.append(_pair(rule(n)) if n > l else (0, 1))
+        return self._pairs
 
     def entry(self, n, k):
         _check_index(n, k)
-        if k == n:
-            return self.diag(n)
-        if k == n - 1:
-            return self.sub(n)
-        return 0
+        return self.diagonals[n - k](n) if 0 <= n - k <= self.lags else 0
 
     def row_start(self, n):
-        return max(1, n - 1)
+        return max(1, n - self.lags)
 
     def col_end(self, k):
-        return k + 1
+        return k + self.lags
 
     def block(self, rows, m):
         rows = np.asarray(rows)
-        d, s = self._diagonals_floats(min(int(rows[-1]), m + 1))
         out = np.zeros((len(rows), m))
-        _put_band(out, rows, 0, d)
-        _put_band(out, rows, 1, s)
+        for l, v in enumerate(self._diagonals_floats(
+                min(int(rows[-1]), m + self.lags))):
+            _put_band(out, rows, l, v)
         return out
 
     def _apply_carried(self, xf, lo, state):
-        # Row n is d(n) x_n + s(n) x_{n-1}: the state is the last term.
-        d, s = self._diagonals_floats(lo - 1 + xf.shape[-1])
-        out = d[lo - 1:] * xf
-        out[..., 1:] += s[lo - 1:] * xf[..., :-1]
-        if state is not None:
-            out[..., :1] += s[lo - 2] * state
-        return out, xf[..., -1:].copy()
+        # Row n is the sum over lags l of a_{n,n-l} x_{n-l}, lag 0 first: the
+        # state is the last b terms read (fewer near row 1).
+        x = xf if state is None else np.concatenate([state, xf], axis=-1)
+        m, held = xf.shape[-1], x.shape[-1] - xf.shape[-1]
+        diags = self._diagonals_floats(lo - 1 + m)
+        out = diags[0][lo - 1:] * xf
+        for l, v in enumerate(diags[1:], 1):
+            first = max(l - held, 0)    # the first row whose term l was read
+            if first < m:
+                out[..., first:] += (v[lo - 1 + first - l:]
+                                     * x[..., held + first - l:held + m - l])
+        return out, x[..., -self.lags:].copy() if self.lags else None
 
-    def _rmul_floats(self, xf):
-        # (xA)_k = x_k d(k) + x_{k+1} s(k+1), one term at k = m.
-        d, s = self._diagonals_floats(xf.shape[-1])
-        out = xf * d
-        out[..., :-1] += xf[..., 1:] * s
+    def _rmul_floats(self, xf: np.ndarray) -> np.ndarray:
+        """(xA)_{1..m} over 1..m for each row x stacked in ``xf`` along its
+        last axis, of length m: the sum over lags l of x_{k+l} a_{k+l,k}, lag
+        0 first, the row-side counterpart of ``_apply_carried``."""
+        diags = self._diagonals_floats(xf.shape[-1])
+        out = xf * diags[0]
+        for l, v in enumerate(diags[1:], 1):
+            out[..., :-l] += xf[..., l:] * v
         return out
 
     def _apply_exact(self, xs):
-        out = [self.diag(1) * xs[0]] if xs else []
-        for n in range(2, len(xs) + 1):
-            out.append(self.diag(n) * xs[n - 1] + self.sub(n) * xs[n - 2])
+        out = []
+        for n in range(1, len(xs) + 1):
+            terms = [rule(n) * xs[n - 1 - l]
+                     for l, rule in enumerate(self.diagonals[:n])]
+            out.append(sum(terms[1:], terms[0]))
         return out
+
+
+class Identity(Band):
+    """The band of one lag, all ones: the unit of :func:`compose`."""
+
+
+def _product_diagonal(left: Band, right: Band, lag: int):
+    """Lag ``lag`` of the band ``left @ right``, exactly."""
+    def diagonal(n):
+        terms = [left.diagonals[i](n) * right.diagonals[lag - i](n - i)
+                 for i in range(max(0, lag - right.lags),
+                                min(left.lags, lag) + 1)]
+        return sum(terms[1:], terms[0])
+    return diagonal
 
 
 def _pair(value) -> tuple:
@@ -797,25 +814,25 @@ class ComposedMatrix(InfiniteMatrix):
     # Row n of the product draws on the right factor's rows up to the left
     # factor's last column.  Right factors with cutoffs (Taylor's) have
     # cutoffs that do not decrease with the row, so the last one decides.
-    # A row-infinite left factor times a bidiagonal has column k made of
-    # the left row's columns k and k + 1: its row is known from one column
+    # A row-infinite left factor times a band of lags 0..b has column k made
+    # of the left row's columns k..k + b: its row is known from b columns
     # more than the left factor's.
 
     def row_cutoff(self, n):
         last = self.left.row_end(n)
         if last is not None:
             return self.right.row_cutoff(last)
-        if isinstance(self.right, Bidiagonal):
+        if isinstance(self.right, Band):
             cut = self.left.row_cutoff(n)
-            return None if cut is None else cut + 1
+            return None if cut is None else cut + self.right.lags
         return None
 
     def row_complete(self, n, width):
         last = self.left.row_end(n)
         if last is not None:
             return self.right.row_complete(last, width)
-        if isinstance(self.right, Bidiagonal):
-            return self.left.row_complete(n, width - 1)
+        if isinstance(self.right, Band):
+            return self.left.row_complete(n, width - self.right.lags)
         return None
 
     def exact_rows(self, rows, m):
@@ -841,18 +858,19 @@ class ComposedMatrix(InfiniteMatrix):
 
     def _blocks(self, rows, m, step):
         # The one float path: the left factor's vectorized form on the right
-        # factor's rows, else a bidiagonal right factor's two terms on the
-        # left factor's rows, else the factors' chunks multiplied.  The inner
+        # factor's rows, else a band right factor's terms on the left
+        # factor's rows, else the factors' chunks multiplied.  The inner
         # index runs over 1..s, s = max(last row, m): exact for triangles.
         # The probe on no vectors takes the left terms to the last row.
-        none = np.empty((0, int(rows[-1])))
-        if self.left._apply_carried(none, 1, None) is not None:
+        if self.left._apply_carried(np.empty((0, int(rows[-1]))), 1,
+                                    None) is not None:
             yield from self._carried(rows, m, step)
             return
         s = max(int(rows[-1]), m)
-        if self.right._rmul_floats(none) is not None:
-            # Column k takes the left rows' columns k and k + 1.
-            for lo, t in self.left._row_chunks(rows, min(m + 1, s), step):
+        if isinstance(self.right, Band):
+            # Column k takes the left rows' columns k..k + b.
+            for lo, t in self.left._row_chunks(
+                    rows, min(m + self.right.lags, s), step):
                 yield lo, self.right._rmul_floats(t)[:, :m]
             return
         for lo, t in self.left._row_chunks(rows, s, step):
@@ -878,13 +896,137 @@ class ComposedMatrix(InfiniteMatrix):
                                   else got[run[i:j] - top])
 
 
+def _times(x, pair):
+    """``x`` times a term given as (numerator, denominator), or (value, None)
+    for a float, exactly: ``x / k`` for the pair (1, k)."""
+    num, den = pair
+    return x * num if den is None or den == 1 else _exact_div(x * num, den)
+
+
+def _float_times(num, den, pair) -> float:
+    """``num / den`` times a term given as ``pair``, ``den`` None for a
+    float: one correctly rounded division when all four are integers."""
+    wn, wd = pair
+    if den is not None and wd is not None:
+        return (num * wn) / (den * wd)
+    x = num if den is None else num / den
+    return float(x * wn if wd is None else x * wn / wd)
+
+
+class DualTriangle(InfiniteMatrix):
+    """Running sums weighted by ``a`` times the bidiagonal ``inverse``:
+    ``u_nk = a_k d_k + a_{k+1} s_{k+1}`` (k < n), ``u_nn = a_n d_n``, the
+    Abel-summation triangle of ``a`` over a domain with that inverse
+    (:mod:`seqspace.duality`).  Its floats come from the terms
+    ``p_k = a_k d_k`` and ``q_k = a_k s_k``, each rounded once; where
+    ``s_k = -d_k`` (omega, gamma, sigma) ``q_k`` is ``-p_k``, exact in floats.
+
+    No table of it is read: its features come from the O(n) terms and its
+    rows in blocks.  When ``a`` has a support hint w, the terms past w are
+    not evaluated: p is +0.0 and q is -0.0 there, so every entry past column
+    w is +0.0, as the exact zeros would give.  A triangle has a serial cache
+    key, so its features and traces leave the evaluation cache with it,
+    unless its maker gives it a stable key, as row pairing and
+    :func:`compose` do.
+    """
+
+    def __init__(self, a: Sequence, inverse: Band):
+        if not (isinstance(inverse, Band) and inverse.lags == 1):
+            raise SpecError("dual descriptions need a domain with a "
+                            f"bidiagonal inverse; {inverse.name!r} is not")
+        domain = inverse.name.removesuffix("-inv")
+        super().__init__(f"dual[{domain}]({a.label})", triangle=True)
+        self.a = a
+        self.inverse = inverse
+        self._p = np.empty(0)    # _p[k-1] = a_k d_k
+        self._q = np.empty(0)    # _q[k-1] = a_k s_k
+
+    def entry(self, n, k):
+        _check_index(n, k)
+        if k > n:
+            return 0
+        d, s = self.inverse.pairs(k + 1)
+        term = _times(self.a(k), d[k - 1])
+        return term if k == n else term + _times(self.a(k + 1), s[k])
+
+    def _terms(self, m: int) -> tuple:
+        """(p_1..p_m, q_1..q_m) as floats.  Past the support of ``a`` p is
+        +0.0 and q is -0.0, so that p_k + q_{k+1} is p_k bit for bit."""
+        if len(self._p) < m:
+            lo = len(self._p)
+            hint = self.a.support_hint
+            hi = m if hint is None else max(lo, min(m, hint))
+            d, s = self.inverse.pairs(hi)
+            p, q, k = [], [], lo
+            try:
+                for k, (num, den) in enumerate(self._term_parts(lo + 1, hi), lo):
+                    pk = _float_times(num, den, d[k])
+                    p.append(pk)
+                    q.append(-pk if s[k] == (-d[k][0], d[k][1])
+                             else _float_times(num, den, s[k]))
+            except OverflowError:
+                raise FloatRangeError(
+                    f"{self.name}: scaled term {k + 1} is too large for a float"
+                ) from None
+            self._p = np.concatenate([self._p, p, np.zeros(m - hi)])
+            self._q = np.concatenate([self._q, q, np.full(m - hi, -0.0)])
+        return self._p[:m], self._q[:m]
+
+    def _term_parts(self, lo: int, hi: int):
+        """``a_lo .. a_hi``, each as (numerator, denominator) in lowest terms
+        when rational and as (value, None) when a float.  The terms of a
+        geometric ``a`` are running products of the ratio's numerator and
+        denominator, which stay coprime."""
+        r = self.a.ratio
+        if r is not None:
+            p, q = r.numerator, r.denominator
+            num, den = p ** (lo - 1), q ** (lo - 1)
+            for _ in range(lo, hi + 1):
+                num, den = num * p, den * q
+                yield num, den
+            return
+        for k in range(lo, hi + 1):
+            ak = self.a(k)
+            if isinstance(ak, (int, Fraction)):
+                yield ak.numerator, ak.denominator
+            else:
+                yield ak, None
+
+    def block(self, rows, m):
+        rows = np.asarray(rows)
+        p, q = self._terms(m + 1)
+        out = _lower(rows, m, p[:m] + q[1:m + 1])
+        _put_band(out, rows, 0, p)
+        return out
+
+    def _features_floats(self, rows, ks, n):
+        # Column k is p_k on the diagonal and v_k = p_k + q_{k+1} below it.
+        # By Abel summation at y = (1, 1, ...), row m sums to the running sum
+        # of p_k + q_k, k <= m (q_1 = 0); its absolute sum is that of |v_k|,
+        # k < m, plus |p_m|.
+        p, q = self._terms(n + 1)
+        v = p[:n] + q[1:]
+        out = np.empty((2 + len(ks), n))
+        out[0, :len(rows)] = np.cumsum(p[:n] + q[:n])[rows - 1]
+        absolute = np.abs(p[:n])
+        absolute[1:] += np.cumsum(np.abs(v[:-1]))
+        out[1, :len(rows)] = absolute[rows - 1]
+        below = np.arange(1, n + 1) > ks[:, None]
+        out[2:] = np.where(below, v[ks - 1, None], 0.0)
+        out[2 + np.arange(len(ks)), ks - 1] = p[ks - 1]
+        return out
+
+
 def compose(left, right) -> InfiniteMatrix:
     """The matrix product ``left @ right`` as a lazy matrix: one object per
     pair of factor keys and product name while the evaluation cache holds it.
     A product with ``identity`` or ``zero`` on the left, or on the right of a
     factor with a carried form, reads bit for bit as its other factor or zero:
     it is that factor under the product's name, without params and with its
-    key, so it shares the factor's tables, features and reports."""
+    key, so it shares the factor's tables, features and reports.  A product
+    of bands is a :class:`Band`, and running sums times a bidiagonal is the
+    :class:`DualTriangle` of their weights, each under the product's name
+    and key; any other product is a :class:`ComposedMatrix`."""
     left, right = matrix_from_spec(left), matrix_from_spec(right)
     name = f"{left.name}*{right.name}"
 
@@ -897,7 +1039,17 @@ def compose(left, right) -> InfiniteMatrix:
             same = copy.copy(other if isinstance(unit, Identity) else unit)
             same.name, same.params = name, {}
             return same
-        return ComposedMatrix(left, right)
+        if isinstance(left, Band) and isinstance(right, Band):
+            made = Band([_product_diagonal(left, right, lag) for lag in
+                         range(left.lags + right.lags + 1)], name, (left, right))
+        elif (isinstance(left, WeightedSums) and isinstance(right, Band)
+              and right.lags == 1):
+            made = DualTriangle(left.weights, right)
+            made.name = name
+        else:
+            return ComposedMatrix(left, right)
+        made.key = ("compose", left.key, right.key)
+        return made
     return cache.lookup(("matrix", ("compose", left.key, right.key), name),
                         build)
 
@@ -966,12 +1118,17 @@ def gamma_matrix() -> WeightedSums:
                         "gamma")
 
 
-def omega_inverse_matrix() -> Bidiagonal:
-    return Bidiagonal(lambda n: Fraction(1, n), lambda n: Fraction(-1, n), "omega-inv")
+def identity_matrix() -> Identity:
+    return Identity([lambda n: 1], "identity")
 
 
-def gamma_inverse_matrix() -> Bidiagonal:
-    return Bidiagonal(lambda n: n, lambda n: -n, "gamma-inv")
+def omega_inverse_matrix() -> Band:
+    return Band([lambda n: Fraction(1, n), lambda n: Fraction(-1, n)],
+                "omega-inv")
+
+
+def gamma_inverse_matrix() -> Band:
+    return Band([lambda n: n, lambda n: -n], "gamma-inv")
 
 
 def sigma_matrix() -> WeightedSums:
@@ -979,16 +1136,16 @@ def sigma_matrix() -> WeightedSums:
                                 vector=lambda m: np.ones(m)), "sigma")
 
 
-def sigma_inverse_matrix() -> Bidiagonal:
-    return Bidiagonal(lambda n: 1, lambda n: -1, "sigma-inv")
+def sigma_inverse_matrix() -> Band:
+    return Band([lambda n: 1, lambda n: -1], "sigma-inv")
 
 
-def cesaro_inverse_matrix() -> Bidiagonal:
-    return Bidiagonal(lambda n: n, lambda n: -(n - 1), "cesaro-inv")
+def cesaro_inverse_matrix() -> Band:
+    return Band([lambda n: n, lambda n: -(n - 1)], "cesaro-inv")
 
 
 _PARAMETERLESS = {
-    "identity": Identity,
+    "identity": identity_matrix,
     "zero": ZeroMatrix,
     "omega": omega_matrix,
     "gamma": gamma_matrix,
@@ -1082,13 +1239,9 @@ def inverse_of(a) -> InfiniteMatrix:
     if partner is not None:
         return matrix_from_spec(partner)
     if isinstance(a, RieszMeans):
-        def diag(n, a=a):
-            return _exact_div(a.partial_sum(n), a.weight(n))
-
-        def sub(n, a=a):
-            return _exact_div(-a.partial_sum(n - 1), a.weight(n))
-
-        inv = Bidiagonal(diag, sub, f"{a.name}-inverse")
+        inv = Band([lambda n: _exact_div(a.partial_sum(n), a.weight(n)),
+                    lambda n: _exact_div(-a.partial_sum(n - 1), a.weight(n))],
+                   f"{a.name}-inverse")
         inv.key = ("inverse", a.key)
         return inv
     return invert_triangle(a)

@@ -213,13 +213,17 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     """Identity and zero products are their factor, so a grid pass builds
     no table for them, and the c0 and c judgements of one trace map from
     one limit analysis: one pass at seed 0 and the default cap builds at
-    most 58 product tables and calls analyze_limits at most 515 times
-    (76 and 833 when each product and judgement made its own).  One pass
+    most 42 product tables and calls analyze_limits at most 515 times
+    (76 and 833 when each product and judgement made its own).  A product
+    of bands is a band, and running sums times a bidiagonal a dual
+    triangle, each read in blocks: neither builds a table (58 product
+    tables when they did).  One pass
     of row chunks fills one features record per (matrix key, n, window) at
     every n: 66 of them, and no row-feature entry (152 when the engine read
     tables one feature at a time, 20 row distances when they were cached
-    apart).  Only rows that cost a walk are read from tables: at most 60
-    in all, each a product or E_{1/2} (86 when every family kept one).
+    apart).  Only rows that cost a walk are read from tables: at most 44
+    in all, each a product or E_{1/2} (86 when every family kept one, 60
+    when band and dual products did).
     Each features record keeps two row traces, the sums and absolute sums:
     its pass leaves only the limit analysis of the sampled columns, so the
     small entries of the pass charge at most 8 MiB (13.0 MiB when each
@@ -243,8 +247,11 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     tables = [k for k in stored if k[0] == "table"]
     products = [k for k in tables if isinstance(k[1], tuple)
                 and k[1][0] == "compose"]
-    assert len(products) <= 58
-    assert len(tables) <= 60
+    assert len(products) <= 42
+    assert len(tables) <= 44
+    bidiagonals = {"omega-inv", "gamma-inv", "sigma-inv", "cesaro-inv"}
+    assert not [k for k in products if k[1][2] in bidiagonals and k[1][1] in
+                bidiagonals | {"omega", "gamma", "sigma"}]
     assert {k[1] for k in tables if k not in products} <= {"euler:1/2"}
     assert len(calls) <= 515
     assert not [k for k in stored if k[0] == "row-feature"]

@@ -15,8 +15,9 @@ from seqspace.cli import main
 
 #: (valid, malformed) values per kind of spec.
 MATRICES = (("cesaro", "identity", "zero", "omega", "gamma", "omega-inv",
-             "gamma-inv", "euler:1/2", "euler:0.3", "taylor:1/4",
-             "taylor:1/2", "riesz:power:2", "riesz:const:1"),
+             "gamma-inv", "sigma", "sigma-inv", "cesaro-inv", "euler:1/2",
+             "euler:0.3", "taylor:1/4", "taylor:1/2", "riesz:power:2",
+             "riesz:const:1"),
             ("", "euler:", "euler:2", "euler:-1/2", "euler:abc", "euler:1/0",
              "euler:1e400", "euler:nan", "taylor:0", "taylor:1", "riesz:",
              "riesz:unit:0", "riesz:list:0", "cesaro:1", "omega(", "unknown"))

@@ -448,8 +448,9 @@ def dual_terms_reference(u, m):
     hi = m if hint is None else min(m, hint)
     inv = u.inverse
     ks = range(1, hi + 1)
-    p = [float(Fraction(u.a(k)) * Fraction(inv.diag(k))) for k in ks]
-    q = [float(Fraction(u.a(k)) * Fraction(inv.sub(k) if k > 1 else 0))
+    diag, sub = inv.diagonals
+    p = [float(Fraction(u.a(k)) * Fraction(diag(k))) for k in ks]
+    q = [float(Fraction(u.a(k)) * Fraction(sub(k) if k > 1 else 0))
          for k in ks]
     return p + [0.0] * (m - hi), q + [-0.0] * (m - hi)
 
@@ -543,10 +544,10 @@ def weighted_sums_table_reference(a, size):
     return np.tril(np.broadcast_to(a._weights_floats(size), (size, size)))
 
 
-def bidiagonal_table_reference(a, size):
-    d, s = a._diagonals_floats(size)
-    out = np.diag(d)
-    out[np.arange(1, size), np.arange(size - 1)] = s
+def band_table_reference(a, size):
+    out = np.zeros((size, size))
+    for lag, v in enumerate(a._diagonals_floats(size)):
+        out[np.arange(lag, size), np.arange(size - lag)] = v
     return out
 
 
@@ -591,9 +592,10 @@ def dual_support_table_reference(u, size):
 
 def composed_table_reference(a, size):
     # A left factor with a vectorized form is applied to one column of the
-    # right table at a time; a bidiagonal right factor gives two terms per
-    # entry, a_nk d_k + a_n,k+1 s_k+1, inside the window; any other pair is
-    # the matmul of the two tables.
+    # right table at a time; a band right factor gives a term per lag l,
+    # a_n,k+l b_k+l,k, lag 0 first, inside the window (two for a bidiagonal,
+    # a_nk d_k + a_n,k+1 s_k+1); any other pair is the matmul of the two
+    # tables.
     right = a.right.truncation_floats(size)
     if a.left._apply_carried(right[:, 0].copy(), 1, None) is not None:
         out = np.zeros((size, size))
@@ -601,15 +603,15 @@ def composed_table_reference(a, size):
             out[:, k] = a.left._apply_carried(right[:, k].copy(), 1, None)[0]
         return out
     left = a.left.truncation_floats(size)
-    if isinstance(a.right, mat.Bidiagonal):
-        d, s = a.right._diagonals_floats(size)
-        d, s = d.tolist(), s.tolist() + [0.0]
+    if isinstance(a.right, mat.Band):
+        diags = [v.tolist() for v in a.right._diagonals_floats(size)]
         out = np.zeros((size, size))
         for n, row in enumerate(left.tolist()):
             for k in range(size):
-                term = row[k] * d[k]
-                if k + 1 < size:
-                    term = term + row[k + 1] * s[k]
+                term = row[k] * diags[0][k]
+                for lag in range(1, len(diags)):
+                    if k + lag < size:
+                        term = term + row[k + lag] * diags[lag][k]
                 out[n, k] = term
         return out
     return left @ right
@@ -629,7 +631,7 @@ TABLE_REFERENCES = {
     mat.Identity: identity_table_reference,
     mat.ZeroMatrix: zero_table_reference,
     mat.WeightedSums: weighted_sums_table_reference,
-    mat.Bidiagonal: bidiagonal_table_reference,
+    mat.Band: band_table_reference,
     mat.CesaroMeans: cesaro_table_reference,
     mat.RieszMeans: riesz_rows_table_reference,
     mat.EulerMeans: euler_table_reference,
@@ -811,15 +813,22 @@ def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
     # Above DENSE_LIMIT the rows of W*B, W running sums with weights w
     # (sigma, omega, gamma), are the running sums of B's rows scaled by w,
     # taken over chunks of B's rows: bit for bit np.cumsum(w * B), the
-    # table at or below the limit.
-    def reference(a, top, m):
-        w = a.left._weights_floats(top)[:, None]
-        return np.cumsum(w * a.right.block(np.arange(1, top + 1), m), axis=0)
+    # table at or below the limit.  W times a bidiagonal is the dual
+    # triangle of w, whose rows come from its terms, each rounded once:
+    # bit for bit its full-width builder.
+    def reference(left, right, top, m):
+        a = mat.compose(left, right)
+        if isinstance(a, DualTriangle):
+            return dual_tril_reference(a, max(top, m))[:top, :m]
+        w = matrix_from_spec(left)._weights_floats(top)[:, None]
+        b = matrix_from_spec(right).block(np.arange(1, top + 1), m)
+        return np.cumsum(w * b, axis=0)
 
     rows = np.array([1, 2, 3, 500, 1199, 1200, 1201, 2399, 2400, 2401, 2500])
     for left in ("sigma", "omega", "gamma"):
         a = mat.compose(left, "cesaro")
-        assert same_bits(a.block(rows, 300), reference(a, 2500, 300)[rows - 1])
+        assert same_bits(a.block(rows, 300),
+                         reference(left, "cesaro", 2500, 300)[rows - 1])
     # A small limit makes chunks of 12 rows, so most sums carry one over;
     # with every table a large cache entry, the right factor is read in
     # chunks too.
@@ -828,7 +837,7 @@ def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
     for left in ("sigma", "omega", "gamma"):
         for name in ("cesaro", "euler:1/2", "gamma-inv"):
             a = mat.compose(left, name)
-            want = reference(a, 200, 300)
+            want = reference(left, name, 200, 300)
             for rows in (np.arange(1, 201), np.array([1, 12, 13, 24, 25, 199])):
                 assert same_bits(a.block(rows, 300), want[rows - 1]), \
                     (left, name)
@@ -909,6 +918,84 @@ def test_identity_and_zero_products_read_as_their_factor(factor):
                                  plain.truncation_floats(n)), (left, right)
 
 
+#: Every builtin band, and the inverse of a Riesz mean.
+BANDS = ("identity", "omega-inv", "gamma-inv", "sigma-inv", "cesaro-inv",
+         "riesz:power:2")
+
+
+def band_factor(name):
+    return mat.inverse_of(name) if name.startswith("riesz") \
+        else matrix_from_spec(name)
+
+
+@pytest.mark.parametrize("left", BANDS)
+def test_band_products_have_the_bits_of_the_product(left):
+    # A product of bands is a band whose floats add the factors' terms as
+    # the left factor's carried form does on the right factor's rows: its
+    # table and its streamed rows past DENSE_LIMIT have the bits of the
+    # product built as it stands, and its exact window is the product's.
+    # The product's table would share the band's cache key, so the
+    # reference is the product's block of the same rows.
+    rows = np.array([5, 77, 2500, 2501, 4000])
+    for right in BANDS:
+        a, b = band_factor(left), band_factor(right)
+        got, plain = mat.compose(a, b), mat.ComposedMatrix(a, b)
+        if mat.Identity not in (type(a), type(b)):
+            assert isinstance(got, mat.Band), (left, right)
+            assert got.lags == a.lags + b.lags, (left, right)
+        assert same_bits(got.truncation_floats(600),
+                         plain.block(np.arange(1, 601), 600)), (left, right)
+        assert same_bits(got.block(rows, 3000), plain.block(rows, 3000)), \
+            (left, right)
+        assert list(got.exact_rows(range(1, 13), 12)) == \
+            list(plain.exact_rows(range(1, 13), 12)), (left, right)
+
+
+def test_band_products_keep_their_zero_terms():
+    # The diagonal of L*R at an odd row n > 1 is 1 * -0.0 + 1 * 0.0, the
+    # second term from the zero above R's diagonal: -0.0 + +0.0 is +0.0,
+    # where the first term alone would be -0.0.  The band keeps every term
+    # of the carried product, zero ones too, so it has the product's bits.
+    # (The product's table shares the band's cache key, so the reference is
+    # its block.)
+    left = mat.Band([lambda n: 1, lambda n: 1], "ones")
+    right = mat.Band([lambda n: -0.0 if n % 2 else 1, lambda n: n], "zeros")
+    rows = np.arange(1, 61)
+    want = mat.ComposedMatrix(left, right).block(rows, 60)
+    got = mat.compose(left, right)
+    assert isinstance(got, mat.Band) and got.lags == 2
+    assert same_bits(got.truncation_floats(60), want)
+    assert np.signbit(want.diagonal()).tolist() == [True] + [False] * 59
+
+
+def test_a_three_diagonal_band_reads_its_block_in_every_form(monkeypatch):
+    # The carried form on the unit vectors, carried across chunks of any
+    # size, gives the band's columns, and the row-side form its rows: each
+    # with the bits of its block.  As a product's left factor it carries its
+    # last two right rows across chunks, skipping right rows no requested
+    # row draws on.
+    monkeypatch.setattr(cache, "CAP_BYTES", 0)   # every read streams
+    band = mat.compose("omega-inv", "cesaro-inv")
+    assert band.lags == 2
+    n = 40
+    table = band.block(np.arange(1, n + 1), n)
+    units = np.eye(n)
+    for step in (1, 2, 3, 7, n):
+        parts, state = [], None
+        for lo in range(0, n, step):
+            got, state = band._apply_carried(units[:, lo:lo + step], lo + 1,
+                                             state)
+            parts.append(got)
+        assert same_bits(np.concatenate(parts, axis=1).T, table), step
+    assert same_bits(band._rmul_floats(units), table)
+    a = mat.ComposedMatrix(band, matrix_from_spec("cesaro"))
+    want = composed_table_reference(a, n)
+    for step in (1, 3, n):
+        for rows in (np.arange(1, n + 1), np.array([1, 2, 5, 13, 24, 40])):
+            got = np.concatenate([t for _, t in a._row_chunks(rows, n, step)])
+            assert same_bits(got, want[rows - 1]), step
+
+
 def test_float_apply_past_the_dense_limit_reads_blocks():
     n = mat.DENSE_LIMIT + 5
     x = make_sequence("harmonic")
@@ -971,8 +1058,9 @@ def test_overflowing_bidiagonal_diagonals_raise_float_range_errors():
     with pytest.raises(FloatRangeError, match="too large for a float"):
         oracle_check("identity", "c0(riesz:geometric:1/1000)", "linf", n=200)
     d, s = inv._diagonals_floats(103)
-    assert same_bits(d, [float(inv.diag(n)) for n in range(1, 104)])
-    assert same_bits(s, [float(inv.sub(n)) for n in range(2, 104)])
+    diag, sub = inv.diagonals
+    assert same_bits(d, [float(diag(n)) for n in range(1, 104)])
+    assert same_bits(s, [float(sub(n)) for n in range(2, 104)])
 
 
 def test_overflowing_fallback_entries_raise_float_range_errors():
@@ -1106,6 +1194,19 @@ def prefix_traces_reference(t):
     return np.abs(s).sum(axis=1), np.abs(total - shifted).sum(axis=1)
 
 
+def running_abs_sums_reference(s):
+    """The absolute row sums of a dual triangle's table ``s``, as its terms
+    give them: |u_mm| plus the running sum of |u_mk|, k < m, in column
+    order."""
+    heads = []
+    for m, row in enumerate(np.abs(s).tolist(), 1):
+        total = 0.0
+        for x in row[:m - 1]:
+            total += x
+        heads.append(row[m - 1] + total)
+    return np.array(heads)
+
+
 FEATURE_FAMILIES = ("identity", "omega", "gamma", "omega-inv", "gamma-inv",
                     "cesaro", "euler:1/2", "taylor:1/4", "riesz:power:3")
 
@@ -1128,6 +1229,8 @@ def test_prefix_traces_match_the_prefix_table(name):
     # sigma*T's table is T's column prefix sums.  Over its complete rows,
     # its absolute row sums are the prefix trace, and the distances of the
     # rows from the last one are the tail trace after each row but the first.
+    # sigma times a bidiagonal is a dual triangle, whose absolute row sums
+    # are one running sum of its terms, not the table's pairwise sums.
     a = matrix_from_spec(name)
     sa = mat.compose("sigma", a)
     for size in (8, 57, 600):
@@ -1140,6 +1243,9 @@ def test_prefix_traces_match_the_prefix_table(name):
                 eng.row_trace("row_abs")
             continue
         heads, tails = prefix_traces_reference(t[:eng.row_limit])
+        if isinstance(sa, DualTriangle):
+            heads = running_abs_sums_reference(
+                sa.truncation_floats(size)[:eng.row_limit])
         assert same_bits(eng.row_trace("row_abs")[1], heads), (name, size)
         assert same_bits(eng.row_trace("row_dist")[1][:-1], tails[1:]), \
             (name, size)

@@ -161,10 +161,10 @@ def test_a_check_past_the_limit_runs_in_bounded_memory():
 
 def test_a_product_past_the_limit_runs_in_bounded_memory():
     # bs is linf(sigma): the check reads the source transfer
-    # omega-inv*sigma-inv, whose absolute row sums tend to zero.  Read as
-    # one block, its 5096 sampled rows at n = 50000 take 1.9 GiB; read in
-    # row chunks from its factors, the check must finish under a 1.5 GiB
-    # address space and exit 0.
+    # omega-inv*sigma-inv, a band of three diagonals, whose absolute row
+    # sums tend to zero.  Read as one block, its 5096 sampled rows at
+    # n = 50000 take 1.9 GiB; read in row chunks, the check must finish
+    # under a 1.5 GiB address space and exit 0.
     argv = ["check-class", "--matrix", "omega-inv", "--from", "bs", "--to",
             "c0", "--n", "50000"]
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
@@ -172,3 +172,27 @@ def test_a_product_past_the_limit_runs_in_bounded_memory():
                           preexec_fn=_address_space_cap, capture_output=True,
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-300:]
+
+
+def test_a_dual_product_past_the_limit_runs_in_bounded_memory():
+    # gamma*sigma-inv, the source transfer of gamma on bs, is the dual
+    # triangle of the weights 1/k, read from its O(n) terms: its absolute
+    # row sums are 1, so gamma does not map bs into c0.  At n = 50000 the
+    # check must finish under a 1.5 GiB address space and exit 1.
+    argv = ["check-class", "--matrix", "gamma", "--from", "bs", "--to",
+            "c0", "--n", "50000"]
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "seqspace", *argv], env=env,
+                          preexec_fn=_address_space_cap, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 1, done.stderr[-300:]
+
+
+@pytest.mark.parametrize("weights", ("omega", "gamma", "sigma"))
+def test_running_sums_times_their_inverse_read_as_the_identity(weights):
+    # W*W^-1 is the dual triangle of W's weights over W^-1: its terms
+    # a_k d_k = 1 and a_k s_k = -1 are exact, so its table is the identity
+    # bit for bit (a table of the product read as running sums of the
+    # rounded weights times the rounded inverse was not).
+    got = compose(weights, f"{weights}-inv").truncation_floats(600)
+    assert np.array_equal(got.view(np.uint64), np.eye(600).view(np.uint64))

@@ -37,6 +37,22 @@ def test_builtin_entries():
     assert [sigma.entry(4, k) for k in (1, 4, 5)] == [1, 1, 0]
 
 
+#: Running sums, means, bands and their inverses: their products cross the
+#: band*band, running sums*bidiagonal and generic paths of compose.
+ASSOCIATIVE = ("identity", "omega", "gamma", "sigma", "cesaro", "omega-inv",
+               "gamma-inv", "sigma-inv", "cesaro-inv")
+
+
+@pytest.mark.parametrize("a", ASSOCIATIVE)
+def test_compose_is_associative_on_exact_windows(a):
+    for b in ASSOCIATIVE:
+        for c in ASSOCIATIVE:
+            left = compose(compose(a, b), c)
+            right = compose(a, compose(b, c))
+            assert truncate_matrix(left, 12) == truncate_matrix(right, 12), \
+                (a, b, c)
+
+
 def test_bidiagonal_inverse_entries():
     oi = matrix_from_spec("omega-inv")
     assert oi.entry(2, 1) == Fraction(-1, 2)
