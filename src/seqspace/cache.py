@@ -15,10 +15,11 @@ records, reports, images, probes, batteries) serve many.  So every
 the others go only when no table but the newest is left.  Readers of
 many rows (``InfiniteMatrix._row_chunks``) build tables only of matrices
 whose rows cost more than their width (Euler means, products other than
-bands and dual triangles, generic inverses, rule matrices:
-``InfiniteMatrix._table_chunks``), and not when
-the table would be large; every other family is read in blocks.  A table's
-room is made before it is built, so the table it replaces is freed first.
+bands, inverse pairs and dual triangles, among them the weighted means
+times a bidiagonal; generic inverses, rule matrices:
+``InfiniteMatrix._table_chunks``), and not when the table would be large;
+every other family is read in blocks.  A table's room is made before it
+is built, so the table it replaces is freed first.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
@@ -40,12 +41,12 @@ from collections import OrderedDict
 from itertools import count
 
 #: Bytes the cache may hold.  The small entries of a whole acceptance-grid
-#: pass at the default n = 600 (1,384, of them 66 features records of two
-#: row traces each) charge 7.9 MiB, which leaves 11.1 MiB to 2.75 MiB
+#: pass at the default n = 600 (1,346, of them 62 features records of two
+#: row traces each) charge 7.7 MiB, which leaves 11.3 MiB to 2.75 MiB
 #: tables: four at the end of the pass, more before it.  A nested transfer
 #: check such as sigma*(E*B^-1), E an Euler mean, reads three at once (E,
 #: E*B^-1 and the product being built; sigma and B^-1 are read in blocks):
-#: 8.3 MiB, with 2.9 MiB of margin.  All 40 evictions of a cold pass, of 44
+#: 8.3 MiB, with 3.1 MiB of margin.  All 35 evictions of a cold pass, of 39
 #: tables built, are tables.  At 17 MiB the pass builds two tables more.
 #: A table over a third of the cap (n >= 912) is read in row chunks instead.
 #: Below that line tables pay: a cold grid pass at n = 800 or 880 that

@@ -15,7 +15,8 @@ Membership of ``a`` in the generalized duals then reduces to a mapping-class
 question for the triangle: rows summable against the domain (the beta dual)
 ask the triangle to map the base space into ``c``; bounded pairings (the
 gamma dual) ask for ``linf``.  The triangle, running sums weighted by ``a``
-times the bidiagonal, is :class:`seqspace.matrices.DualTriangle`.
+times the bidiagonal, is :class:`seqspace.matrices.DualTriangle`; a probe's
+triangle has no row scale, which a weighted mean times a bidiagonal has.
 """
 
 from __future__ import annotations

@@ -15,15 +15,18 @@ Built-in families:
 * ``sigma`` — the summation triangle, ``a_nk = 1`` for ``k <= n``, whose
   domains of linf and c are bs and cs; ``sigma-inv`` — its bidiagonal
   inverse, the backward differences
-* ``cesaro`` — arithmetic means, ``a_nk = 1/n`` for ``k <= n``
+* ``cesaro`` — arithmetic means, ``a_nk = 1/n`` for ``k <= n``: the
+  weighted mean of unit weights
 * ``euler:r`` — binomial means of order ``r`` in (0, 1)
 * ``riesz:<weights>`` — weighted means ``t_k / (t_1 + ... + t_n)``
 * ``taylor:r`` — the row-infinite upper-triangular geometric means
 
-Entries are exact (``int``/``Fraction``) whenever the defining parameters are
-rational; float fast paths are available for large truncations.  A product
-of bands, or of running sums and a bidiagonal (:class:`DualTriangle`), is
-read from O(n) terms, not from a table.
+Running sums and weighted means are one class, ``a_nk = w_k / U_n``
+(:class:`WeightedMeans`).  Entries are exact (``int``/``Fraction``) whenever
+the defining parameters are rational; float fast paths are available for
+large truncations.  A product of bands, or of running sums or a weighted
+mean and a bidiagonal (:class:`DualTriangle`), is read from O(n) terms, not
+from a table.
 """
 
 from __future__ import annotations
@@ -85,14 +88,17 @@ def _term_floats(values, first: int, what: str) -> list:
     return out
 
 
-def _lower(rows: np.ndarray, m: int, values) -> np.ndarray:
+def _lower(rows: np.ndarray, m: int, values, scale=None) -> np.ndarray:
     """``values``, broadcast over rows ``rows`` and columns 1..m, on and
-    below the diagonal, and +0.0 above it: ``np.tril`` for any rows.  The
-    mask compares indices in the smallest integer type, as ``np.tri`` does:
-    an int64 mask takes four times as long."""
+    below the diagonal (divided there by ``scale`` when given), and +0.0
+    above it: ``np.tril`` for any rows.  The mask compares indices in the
+    smallest integer type, as ``np.tri`` does: an int64 mask takes four
+    times as long."""
     small = np.min_scalar_type(max(m, int(rows[-1])))
     below = np.arange(1, m + 1, dtype=small) <= rows.astype(small)[:, None]
-    return np.where(below, values, 0.0)
+    if scale is None:
+        return np.where(below, values, 0.0)
+    return np.divide(values, scale, out=np.zeros(below.shape), where=below)
 
 
 def _put_band(out: np.ndarray, rows: np.ndarray, lag: int, values) -> None:
@@ -303,35 +309,78 @@ class ZeroMatrix(InfiniteMatrix):
         return [0] * len(xs)
 
 
-class WeightedSums(InfiniteMatrix):
-    """Lower triangle ``a_nk = w_k`` for ``k <= n``: running weighted sums."""
+class WeightedMeans(InfiniteMatrix):
+    """Lower triangle ``a_nk = w_k / U_n`` for ``k <= n``: running weighted
+    sums, U_n = 1 (omega, gamma, sigma), or for a ``mean`` weighted means,
+    U_n = w_1 + ... + w_n (Riesz, and Cesaro, the Riesz mean of ones).
 
-    def __init__(self, weights: Sequence, name: str):
-        super().__init__(name, triangle=True)
-        self.weights = weights
-        self._wf = np.empty(0)
+    A mean's weights must be positive; it keeps them and their partial sums
+    exact, and rounds each once.  Running sums read their weights' floats
+    whole, and keep no exact memo.
+    """
 
-    def _weights_floats(self, m: int) -> np.ndarray:
-        if len(self._wf) < m:
-            self._wf = self.weights.floats(m)
-        return self._wf[:m]
+    def __init__(self, weights: Sequence, name: str, mean: bool = False,
+                 params: Optional[dict] = None):
+        super().__init__(name, params, triangle=True)
+        self.weights, self.mean = weights, mean
+        self._t: list = []       # a mean's exact weights, 1-based via offset
+        self._T: list = [0]      # its exact partial sums, _T[n] = U_n
+        self._wf = self._uf = np.empty(0)   # float w_1.., a mean's U_1..
+
+    def _ensure(self, n: int) -> None:
+        while len(self._t) < n:
+            k = len(self._t) + 1
+            tk = self.weights(k)
+            if not tk > 0:
+                raise SpecError(f"riesz weights must be positive, got t_{k} = {tk}")
+            self._t.append(tk)
+            self._T.append(self._T[-1] + tk)
+
+    def partial_sum(self, n: int) -> Scalar:
+        """U_n of a mean, exactly."""
+        self._ensure(n)
+        return self._T[n]
 
     def entry(self, n, k):
         _check_index(n, k)
-        return self.weights(k) if k <= n else 0
+        if k > n:
+            return 0
+        w = self.weights(k)
+        return _exact_div(w, self.partial_sum(n)) if self.mean else w
+
+    def _floats(self, m: int) -> tuple:
+        """(w_1..w_m, U_1..U_m) as floats, U None for running sums."""
+        lo = len(self._wf)
+        if lo < m and not self.mean:
+            self._wf = self.weights.floats(m)
+        elif lo < m:
+            self._ensure(m)
+            self._wf = np.append(self._wf, _term_floats(
+                self._t[lo:m], lo + 1, "riesz weight t_"))
+            self._uf = np.append(self._uf, _term_floats(
+                self._T[lo + 1:m + 1], lo + 1, "riesz partial sum T_"))
+        return self._wf[:m], self._uf[:m] if self.mean else None
 
     def block(self, rows, m):
-        return _lower(np.asarray(rows), m, self._weights_floats(m))
+        rows = np.asarray(rows)
+        w, u = self._floats(max(int(rows[-1]), m) if self.mean else m)
+        return _lower(rows, m, w[:m], None if u is None else u[rows - 1, None])
 
     def _apply_carried(self, xf, lo, state):
-        # The sums are taken in place, here and in the other means: on a
-        # stack as large as a table, a second temporary costs more than
-        # the sums.
-        w = self._weights_floats(lo - 1 + xf.shape[-1])[lo - 1:]
-        return _carried_sums(w * xf, state)
+        # The sums are taken in place: on a stack as large as a table, a
+        # second temporary costs more than the sums.
+        w, u = self._floats(lo - 1 + xf.shape[-1])
+        out, state = _carried_sums(w[lo - 1:] * xf, state)
+        if u is not None:
+            out /= u[lo - 1:]
+        return out, state
 
     def _apply_exact(self, xs):
-        return list(accumulate(self.weights(k + 1) * x for k, x in enumerate(xs)))
+        sums = accumulate(self.weights(k) * x for k, x in enumerate(xs, 1))
+        if not self.mean:
+            return list(sums)
+        self._ensure(len(xs))
+        return [_exact_div(s, self._T[n]) for n, s in enumerate(sums, 1)]
 
 
 class Band(InfiniteMatrix):
@@ -464,98 +513,6 @@ def _pair(value) -> tuple:
     if isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
     return value, None
-
-
-class CesaroMeans(InfiniteMatrix):
-    """Arithmetic means: ``a_nk = 1/n`` for ``k <= n``."""
-
-    def __init__(self):
-        super().__init__("cesaro", triangle=True)
-
-    def entry(self, n, k):
-        _check_index(n, k)
-        return Fraction(1, n) if k <= n else 0
-
-    def block(self, rows, m):
-        rows = np.asarray(rows)
-        return _lower(rows, m, (1.0 / rows)[:, None])
-
-    def _apply_carried(self, xf, lo, state):
-        out, state = _carried_sums(np.array(xf), state)
-        out /= np.arange(lo, lo + xf.shape[-1])
-        return out, state
-
-    def _apply_exact(self, xs):
-        return [_exact_div(s, n) for n, s in enumerate(accumulate(xs), start=1)]
-
-
-class RieszMeans(InfiniteMatrix):
-    """Weighted means: ``a_nk = t_k / (t_1 + ... + t_n)`` for ``k <= n``.
-
-    Weights must be positive.  With unit weights this coincides entrywise with
-    the arithmetic-mean triangle (kept as a separate construction on purpose —
-    the agreement is a test target, not an implementation shortcut).
-    """
-
-    def __init__(self, weights: Sequence, name: str = "riesz"):
-        super().__init__(name, params={"weights": weights.label}, triangle=True)
-        self.weights = weights
-        self._t: list = []       # exact weights, 1-based via offset
-        self._T: list = [0]      # exact partial sums, _T[n] = t_1 + ... + t_n
-        self._tfl = np.empty(0)  # float(t_1..), float(T_1..), grown together
-        self._Tfl = np.empty(0)
-
-    def _ensure(self, n: int) -> None:
-        while len(self._t) < n:
-            k = len(self._t) + 1
-            tk = self.weights(k)
-            if not tk > 0:
-                raise SpecError(f"riesz weights must be positive, got t_{k} = {tk}")
-            self._t.append(tk)
-            self._T.append(self._T[-1] + tk)
-
-    def weight(self, k: int) -> Scalar:
-        self._ensure(k)
-        return self._t[k - 1]
-
-    def partial_sum(self, n: int) -> Scalar:
-        self._ensure(n)
-        return self._T[n]
-
-    def entry(self, n, k):
-        _check_index(n, k)
-        if k > n:
-            return 0
-        self._ensure(n)
-        return _exact_div(self._t[k - 1], self._T[n])
-
-    def _tf(self, m: int):
-        """(t_1..t_m, T_1..T_m) as floats."""
-        lo = len(self._tfl)
-        if lo < m:
-            self._ensure(m)
-            t = _term_floats(self._t[lo:m], lo + 1, "riesz weight t_")
-            big_t = _term_floats(self._T[lo + 1:m + 1], lo + 1,
-                                 "riesz partial sum T_")
-            self._tfl = np.concatenate([self._tfl, t])
-            self._Tfl = np.concatenate([self._Tfl, big_t])
-        return self._tfl[:m], self._Tfl[:m]
-
-    def block(self, rows, m):
-        rows = np.asarray(rows)
-        t, big_t = self._tf(max(int(rows[-1]), m))
-        return _lower(rows, m, t[:m] / big_t[rows - 1, None])
-
-    def _apply_carried(self, xf, lo, state):
-        t, big_t = self._tf(lo - 1 + xf.shape[-1])
-        out, state = _carried_sums(t[lo - 1:] * xf, state)
-        out /= big_t[lo - 1:]
-        return out, state
-
-    def _apply_exact(self, xs):
-        self._ensure(len(xs))
-        sums = accumulate(self._t[i] * x for i, x in enumerate(xs))
-        return [_exact_div(s, self._T[n]) for n, s in enumerate(sums, start=1)]
 
 
 class EulerMeans(InfiniteMatrix):
@@ -920,6 +877,10 @@ class DualTriangle(InfiniteMatrix):
     (:mod:`seqspace.duality`).  Its floats come from the terms
     ``p_k = a_k d_k`` and ``q_k = a_k s_k``, each rounded once; where
     ``s_k = -d_k`` (omega, gamma, sigma) ``q_k`` is ``-p_k``, exact in floats.
+    With a ``mean`` of weights ``a`` it is that weighted mean times the
+    bidiagonal: row n is divided by the mean's U_n, and each float entry,
+    row sum and absolute row sum is the unscaled one divided by float U_n,
+    read before the terms, so that the mean's refusals come first.
 
     No table of it is read: its features come from the O(n) terms and its
     rows in blocks.  When ``a`` has a support hint w, the terms past w are
@@ -930,7 +891,8 @@ class DualTriangle(InfiniteMatrix):
     :func:`compose` do.
     """
 
-    def __init__(self, a: Sequence, inverse: Band):
+    def __init__(self, a: Sequence, inverse: Band,
+                 mean: Optional[WeightedMeans] = None):
         if not (isinstance(inverse, Band) and inverse.lags == 1):
             raise SpecError("dual descriptions need a domain with a "
                             f"bidiagonal inverse; {inverse.name!r} is not")
@@ -938,6 +900,7 @@ class DualTriangle(InfiniteMatrix):
         super().__init__(f"dual[{domain}]({a.label})", triangle=True)
         self.a = a
         self.inverse = inverse
+        self.mean = mean
         self._p = np.empty(0)    # _p[k-1] = a_k d_k
         self._q = np.empty(0)    # _q[k-1] = a_k s_k
 
@@ -947,7 +910,10 @@ class DualTriangle(InfiniteMatrix):
             return 0
         d, s = self.inverse.pairs(k + 1)
         term = _times(self.a(k), d[k - 1])
-        return term if k == n else term + _times(self.a(k + 1), s[k])
+        if k < n:
+            term = term + _times(self.a(k + 1), s[k])
+        return term if self.mean is None else _exact_div(
+            term, self.mean.partial_sum(n))
 
     def _terms(self, m: int) -> tuple:
         """(p_1..p_m, q_1..q_m) as floats.  Past the support of ``a`` p is
@@ -993,17 +959,21 @@ class DualTriangle(InfiniteMatrix):
                 yield ak, None
 
     def block(self, rows, m):
-        rows = np.asarray(rows)
+        rows, mean = np.asarray(rows), self.mean
+        u = None if mean is None else mean._floats(int(rows[-1]))[1]
         p, q = self._terms(m + 1)
         out = _lower(rows, m, p[:m] + q[1:m + 1])
         _put_band(out, rows, 0, p)
+        if u is not None:
+            out /= u[rows - 1, None]
         return out
 
     def _features_floats(self, rows, ks, n):
         # Column k is p_k on the diagonal and v_k = p_k + q_{k+1} below it.
         # By Abel summation at y = (1, 1, ...), row m sums to the running sum
         # of p_k + q_k, k <= m (q_1 = 0); its absolute sum is that of |v_k|,
-        # k < m, plus |p_m|.
+        # k < m, plus |p_m|.  A mean's row m is then divided by U_m.
+        u = None if self.mean is None else self.mean._floats(n)[1]
         p, q = self._terms(n + 1)
         v = p[:n] + q[1:]
         out = np.empty((2 + len(ks), n))
@@ -1014,6 +984,9 @@ class DualTriangle(InfiniteMatrix):
         below = np.arange(1, n + 1) > ks[:, None]
         out[2:] = np.where(below, v[ks - 1, None], 0.0)
         out[2 + np.arange(len(ks)), ks - 1] = p[ks - 1]
+        if u is not None:
+            out[:2, :len(rows)] /= u[rows - 1]
+            out[2:] /= u
         return out
 
 
@@ -1021,14 +994,16 @@ def compose(left, right) -> InfiniteMatrix:
     """The matrix product ``left @ right`` as a lazy matrix: one object per
     pair of factor keys and product name while the evaluation cache holds it.
     A product with ``identity`` or ``zero`` on the left, or on the right of a
-    factor with a carried form, reads bit for bit as its other factor or zero:
-    it is that factor under the product's name, without params and with its
-    key, so it shares the factor's tables, features and reports.  A product
-    of bands is a :class:`Band`, and running sums times a bidiagonal is the
+    factor with a carried form, reads bit for bit as its other factor or zero,
+    and a factor times its inverse (a closed-form pair, or an inverse keyed
+    by the factor) in either order as the identity: it is that matrix under
+    the product's name, without params and with its key, so it shares its
+    tables, features and reports.  A product of bands is a :class:`Band`,
+    and running sums or a weighted mean times a bidiagonal is the
     :class:`DualTriangle` of their weights, each under the product's name
     and key; any other product is a :class:`ComposedMatrix`."""
     left, right = matrix_from_spec(left), matrix_from_spec(right)
-    name = f"{left.name}*{right.name}"
+    name, key = f"{left.name}*{right.name}", ("compose", left.key, right.key)
 
     def build():
         units = (Identity, ZeroMatrix)
@@ -1036,22 +1011,24 @@ def compose(left, right) -> InfiniteMatrix:
                 left._apply_carried(np.empty((0, 1)), 1, None) is not None:
             unit, other = ((left, right) if isinstance(left, units)
                            else (right, left))
-            same = copy.copy(other if isinstance(unit, Identity) else unit)
-            same.name, same.params = name, {}
-            return same
-        if isinstance(left, Band) and isinstance(right, Band):
+            made = copy.copy(other if isinstance(unit, Identity) else unit)
+        elif right.key in (_INVERSE_NAMES.get(left.key), ("inverse", left.key)) \
+                or left.key in (_INVERSE_NAMES.get(right.key),
+                                ("inverse", right.key)):
+            made = copy.copy(matrix_from_spec("identity"))
+        elif isinstance(left, Band) and isinstance(right, Band):
             made = Band([_product_diagonal(left, right, lag) for lag in
                          range(left.lags + right.lags + 1)], name, (left, right))
-        elif (isinstance(left, WeightedSums) and isinstance(right, Band)
+            made.key = key
+        elif (isinstance(left, WeightedMeans) and isinstance(right, Band)
               and right.lags == 1):
-            made = DualTriangle(left.weights, right)
-            made.name = name
+            made = DualTriangle(left.weights, right, left if left.mean else None)
+            made.key = key
         else:
             return ComposedMatrix(left, right)
-        made.key = ("compose", left.key, right.key)
+        made.name, made.params = name, {}
         return made
-    return cache.lookup(("matrix", ("compose", left.key, right.key), name),
-                        build)
+    return cache.lookup(("matrix", key, name), build)
 
 
 class InverseTriangle(InfiniteMatrix):
@@ -1107,15 +1084,16 @@ def invert_triangle(a) -> InfiniteMatrix:
 # ---------------------------------------------------------------------------
 
 
-def omega_matrix() -> WeightedSums:
-    return WeightedSums(Sequence(lambda k: k, label="index",
-                                vector=lambda m: np.arange(1.0, m + 1)), "omega")
+def omega_matrix() -> WeightedMeans:
+    return WeightedMeans(Sequence(lambda k: k, label="index",
+                                  vector=lambda m: np.arange(1.0, m + 1)),
+                         "omega")
 
 
-def gamma_matrix() -> WeightedSums:
-    return WeightedSums(Sequence(lambda k: Fraction(1, k), label="1/index",
-                                vector=lambda m: 1.0 / np.arange(1.0, m + 1)),
-                        "gamma")
+def gamma_matrix() -> WeightedMeans:
+    return WeightedMeans(Sequence(lambda k: Fraction(1, k), label="1/index",
+                                  vector=lambda m: 1.0 / np.arange(1.0, m + 1)),
+                         "gamma")
 
 
 def identity_matrix() -> Identity:
@@ -1131,9 +1109,20 @@ def gamma_inverse_matrix() -> Band:
     return Band([lambda n: n, lambda n: -n], "gamma-inv")
 
 
-def sigma_matrix() -> WeightedSums:
-    return WeightedSums(Sequence(lambda k: 1, label="ones",
-                                vector=lambda m: np.ones(m)), "sigma")
+#: The unit weights: sigma's running sums, and the Cesaro means' mean.
+_ONES = Sequence(lambda k: 1, label="ones", vector=np.ones)
+
+
+def sigma_matrix() -> WeightedMeans:
+    return WeightedMeans(_ONES, "sigma")
+
+
+def cesaro_matrix() -> WeightedMeans:
+    return WeightedMeans(_ONES, "cesaro", mean=True)
+
+
+def riesz_matrix(weights: Sequence) -> WeightedMeans:
+    return WeightedMeans(weights, "riesz", True, {"weights": weights.label})
 
 
 def sigma_inverse_matrix() -> Band:
@@ -1153,7 +1142,7 @@ _PARAMETERLESS = {
     "gamma-inv": gamma_inverse_matrix,
     "sigma": sigma_matrix,
     "sigma-inv": sigma_inverse_matrix,
-    "cesaro": CesaroMeans,
+    "cesaro": cesaro_matrix,
     "cesaro-inv": cesaro_inverse_matrix,
 }
 
@@ -1198,7 +1187,7 @@ def matrix_from_spec(spec) -> InfiniteMatrix:
         if head == "riesz":
             weights = rest or "const:1"
             return _spec_matrix(f"riesz:{weights}",
-                                lambda: RieszMeans(make_sequence(weights)))
+                                lambda: riesz_matrix(make_sequence(weights)))
         raise SpecError(f"unknown matrix {spec!r}")
     if isinstance(spec, dict):
         kind = str(spec.get("kind", "")).strip().lower().replace("_", "-")
@@ -1210,7 +1199,7 @@ def matrix_from_spec(spec) -> InfiniteMatrix:
             weights = spec.get("weights", "const:1")
             if isinstance(weights, str):
                 return matrix_from_spec(f"riesz:{weights}")
-            return RieszMeans(make_sequence(weights))
+            return riesz_matrix(make_sequence(weights))
         raise SpecError(f"unknown matrix kind {spec.get('kind')!r}")
     raise SpecError(f"cannot build a matrix from {type(spec).__name__}")
 
@@ -1238,9 +1227,9 @@ def inverse_of(a) -> InfiniteMatrix:
     partner = _INVERSE_NAMES.get(a.name)
     if partner is not None:
         return matrix_from_spec(partner)
-    if isinstance(a, RieszMeans):
-        inv = Band([lambda n: _exact_div(a.partial_sum(n), a.weight(n)),
-                    lambda n: _exact_div(-a.partial_sum(n - 1), a.weight(n))],
+    if isinstance(a, WeightedMeans) and a.mean:
+        inv = Band([lambda n: _exact_div(a.partial_sum(n), a.weights(n)),
+                    lambda n: _exact_div(-a.partial_sum(n - 1), a.weights(n))],
                    f"{a.name}-inverse")
         inv.key = ("inverse", a.key)
         return inv

@@ -857,7 +857,8 @@ class SpaceId:
     """A classical space tag, optionally wrapped by a triangle's domain.
 
     ``matrix`` is None for the classical spaces; a matrix-domain space carries
-    the triangle object itself (its name/params identify it in reports).
+    the triangle object itself.  Reports name it by its canonical spec (its
+    key, when a string), else by its name.
     This is the one check of what a space is: a classical tag, and for a
     domain a base of c0, c or linf and a lower-triangular matrix.
     """
@@ -883,4 +884,7 @@ class SpaceId:
     def __str__(self) -> str:
         if self.matrix is None:
             return self.tag
-        return f"{self.tag}({getattr(self.matrix, 'name', 'matrix')})"
+        key = getattr(self.matrix, "key", None)
+        name = key if isinstance(key, str) else getattr(
+            self.matrix, "name", "matrix")
+        return f"{self.tag}({name})"

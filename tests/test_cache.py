@@ -210,20 +210,23 @@ def test_a_warm_grid_pass_misses_nothing():
 
 
 def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
-    """Identity and zero products are their factor, so a grid pass builds
-    no table for them, and the c0 and c judgements of one trace map from
-    one limit analysis: one pass at seed 0 and the default cap builds at
-    most 42 product tables and calls analyze_limits at most 515 times
-    (76 and 833 when each product and judgement made its own).  A product
-    of bands is a band, and running sums times a bidiagonal a dual
-    triangle, each read in blocks: neither builds a table (58 product
-    tables when they did).  One pass
+    """Identity and zero products are their factor, and a factor times its
+    inverse the identity, so a grid pass builds no table for them, and the
+    c0 and c judgements of one trace map from one limit analysis: one pass
+    at seed 0 and the default cap builds at most 37 product tables and
+    calls analyze_limits at most 501 times (76 and 833 when each product
+    and judgement made its own).  A product of bands is a band, and running
+    sums or a mean times a bidiagonal a dual triangle, each read in blocks:
+    neither builds a table (58 product tables when they did, 42 when
+    Cesaro and Riesz means times a bidiagonal and the inverse pairs did).
+    One pass
     of row chunks fills one features record per (matrix key, n, window) at
-    every n: 66 of them, and no row-feature entry (152 when the engine read
+    every n: 62 of them, and no row-feature entry (152 when the engine read
     tables one feature at a time, 20 row distances when they were cached
-    apart).  Only rows that cost a walk are read from tables: at most 44
+    apart).  Only rows that cost a walk are read from tables: at most 39
     in all, each a product or E_{1/2} (86 when every family kept one, 60
-    when band and dual products did).
+    when band and dual products did, 44 when scaled dual products and
+    inverse pairs did).
     Each features record keeps two row traces, the sums and absolute sums:
     its pass leaves only the limit analysis of the sampled columns, so the
     small entries of the pass charge at most 8 MiB (13.0 MiB when each
@@ -247,19 +250,30 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     tables = [k for k in stored if k[0] == "table"]
     products = [k for k in tables if isinstance(k[1], tuple)
                 and k[1][0] == "compose"]
-    assert len(products) <= 42
-    assert len(tables) <= 44
+    assert len(products) <= 37
+    assert len(tables) <= 39
     bidiagonals = {"omega-inv", "gamma-inv", "sigma-inv", "cesaro-inv"}
+    sums_and_means = {"omega", "gamma", "sigma", "cesaro"}
     assert not [k for k in products if k[1][2] in bidiagonals and k[1][1] in
-                bidiagonals | {"omega", "gamma", "sigma"}]
+                bidiagonals | sums_and_means]
+
+    def factor_pairs(key):
+        if isinstance(key, tuple) and key[0] == "compose":
+            yield key[1:]
+            for factor in key[1:]:
+                yield from factor_pairs(factor)
+    inverses = {("omega", "omega-inv"), ("gamma", "gamma-inv"),
+                ("sigma", "sigma-inv"), ("cesaro", "cesaro-inv")}
+    assert not [k for k in products for pair in factor_pairs(k[1])
+                if pair in inverses or pair[::-1] in inverses]
     assert {k[1] for k in tables if k not in products} <= {"euler:1/2"}
-    assert len(calls) <= 515
+    assert len(calls) <= 501
     assert not [k for k in stored if k[0] == "row-feature"]
     features = [k for k in stored if k[0] == "features"]
-    assert len(features) == len(set(features)) == 66
+    assert len(features) == len(set(features)) == 62
     assert all(cache._entries[k][0].shape == (2, 600) for k in features)
     assert len([k for k in stored
-                if k[0] == "trace-limits" and k[-1] == "columns"]) == 66
+                if k[0] == "trace-limits" and k[-1] == "columns"]) == 62
     small = sum(charge for key, (_, charge) in cache._entries.items()
                 if key not in cache._first)
     assert small <= 8 * 2 ** 20

@@ -181,6 +181,22 @@ def test_a_refused_transform_is_named(capsys, argv, message):
     assert message in err and len(err.splitlines()) == 1
 
 
+def test_reports_name_a_parametrized_domain_by_its_spec(capsys):
+    # A domain over a matrix with parameters is named by its canonical
+    # spec, not by the family's name alone; a parameterless one is as given.
+    rc, out, _ = run(capsys, "check-class", "--matrix", "cesaro", "--from",
+                     "c", "--to", "c(euler:0.5)", "--json")
+    assert rc in (0, 1, 2)
+    doc = json.loads(out)
+    assert (doc["from"], doc["to"]) == ("c", "c(euler:1/2)")
+    rc, out, _ = run(capsys, "dual", "--space", "c0(riesz:power:2)", "--a",
+                     "harmonic", "--json")
+    assert rc in (0, 1, 2) and json.loads(out)["space"] == "c0(riesz:power:2)"
+    rc, out, _ = run(capsys, "dual", "--space", "c0(omega)", "--a",
+                     "harmonic", "--json")
+    assert json.loads(out)["space"] == "c0(omega)"
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ["check-class", "--matrix", "euler:1/2", "--from", "c0", "--to", "c",
             "--route", "both", "--seed", "7", "--json"]

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from seqspace.cli import main
 
-#: (valid, malformed) values per kind of spec.
+#: (valid, malformed) values per kind of spec.  The weights of
+#: riesz:geometric:1e300 leave float range from t_2 on, and those of
+#: riesz:power:-400 underflow: t_6 is subnormal, and 0.0 from t_7 on.
 MATRICES = (("cesaro", "identity", "zero", "omega", "gamma", "omega-inv",
              "gamma-inv", "sigma", "sigma-inv", "cesaro-inv", "euler:1/2",
              "euler:0.3", "taylor:1/4", "taylor:1/2", "riesz:power:2",
-             "riesz:const:1"),
+             "riesz:const:1", "riesz:geometric:1e300", "riesz:power:-400"),
             ("", "euler:", "euler:2", "euler:-1/2", "euler:abc", "euler:1/0",
              "euler:1e400", "euler:nan", "taylor:0", "taylor:1", "riesz:",
              "riesz:unit:0", "riesz:list:0", "cesaro:1", "omega(", "unknown"))
@@ -28,7 +30,7 @@ SEQUENCES = (("harmonic", "unit:3", "const:1", "const:-2/3", "power:-2",
               "geometric:1/0", "geometric:abc", "list:", "list:1,x",
               "const:inf", "nonsense", "harmonic:2"))
 SPACES = (("c0", "c", "linf", "bs", "cs", "c0(omega)", "c(gamma)",
-           "linf(omega)", "c0(euler:1/2)", "c(cesaro)"),
+           "linf(omega)", "c0(euler:1/2)", "c(cesaro)", "c(riesz:power:2)"),
           ("", "lp", "c0(", "c0(omega", "bs(omega)", "c0(zero)", "c0()",
            "c0(unknown)", "(omega)"))
 TOLS = (("1e-3", "0.5", "1e-300", "1.5e-3"),

@@ -36,9 +36,9 @@ from seqspace.domains import space_from_spec
 from seqspace.duality import DualTriangle, dual_membership, dual_transfer_matrix
 from seqspace.matrices import (
     DENSE_LIMIT,
-    CesaroMeans,
     RuleMatrix,
     apply,
+    cesaro_matrix,
     compose,
     matrix_from_spec,
 )
@@ -335,8 +335,8 @@ def test_oracle_default_window_names_the_smallest_truncation():
 
 
 def test_oracle_images_are_cached_per_seed():
-    fresh = oracle_check(CesaroMeans(), "c0", "c", seed=2).to_dict()
-    shared = CesaroMeans()
+    fresh = oracle_check(cesaro_matrix(), "c0", "c", seed=2).to_dict()
+    shared = cesaro_matrix()
     oracle_check(shared, "c0", "c", seed=1)
     assert oracle_check(shared, "c0", "c", seed=2).to_dict() == fresh
 

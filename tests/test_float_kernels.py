@@ -6,6 +6,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -331,7 +332,7 @@ def euler_table_reference(e, size):
 
 
 def riesz_table_reference(a, size):
-    t = np.array([float(a.weight(k)) for k in range(1, size + 1)])
+    t = np.array([float(a.weights(k)) for k in range(1, size + 1)])
     big_t = np.array([float(a.partial_sum(n)) for n in range(1, size + 1)])
     return np.tril(t[None, :] / big_t[:, None])
 
@@ -403,8 +404,11 @@ def test_euler_rows_have_the_table_bits_however_they_are_read(n):
     assert same_bits(got, table[sampled - 1]), n
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
 def test_riesz_tables_match_the_reference():
-    for weights in ("power:1", "power:8", "harmonic"):
+    # The partial sums of const:1e-400 are 0.0 as floats: 0/0 on and below
+    # the diagonal, zeros above it.
+    for weights in ("power:1", "power:8", "harmonic", "const:1e-400"):
         for size in TABLE_SIZES:
             a = matrix_from_spec({"kind": "riesz", "weights": weights})
             assert same_bits(a.truncation_floats(size),
@@ -541,7 +545,7 @@ def zero_table_reference(a, size):
 
 
 def weighted_sums_table_reference(a, size):
-    return np.tril(np.broadcast_to(a._weights_floats(size), (size, size)))
+    return np.tril(np.broadcast_to(a._floats(size)[0], (size, size)))
 
 
 def band_table_reference(a, size):
@@ -557,11 +561,21 @@ def cesaro_table_reference(a, size):
 
 
 def riesz_rows_table_reference(a, size):
-    t, big_t = a._tf(size)
+    t, big_t = a._floats(size)
     out = np.zeros((size, size))
     for n in range(1, size + 1):
         np.divide(t[:n], big_t[n - 1], out=out[n - 1, :n])
     return out
+
+
+def weighted_means_table_reference(a, size):
+    """Running sums, the Cesaro means or the Riesz means, each by the
+    builder of its family."""
+    if not a.mean:
+        return weighted_sums_table_reference(a, size)
+    if a.name == "cesaro":
+        return cesaro_table_reference(a, size)
+    return riesz_rows_table_reference(a, size)
 
 
 def taylor_table_reference(t, size):
@@ -630,10 +644,8 @@ def entry_table_reference(a, size):
 TABLE_REFERENCES = {
     mat.Identity: identity_table_reference,
     mat.ZeroMatrix: zero_table_reference,
-    mat.WeightedSums: weighted_sums_table_reference,
+    mat.WeightedMeans: weighted_means_table_reference,
     mat.Band: band_table_reference,
-    mat.CesaroMeans: cesaro_table_reference,
-    mat.RieszMeans: riesz_rows_table_reference,
     mat.EulerMeans: euler_table_reference,
     mat.TaylorTransform: taylor_table_reference,
     DualTriangle: dual_support_table_reference,
@@ -648,20 +660,25 @@ KERNEL_SPECS = ("identity", "zero", "omega", "gamma", "omega-inv", "gamma-inv",
                 "taylor:9/10", "riesz:power:2", "riesz:harmonic")
 
 
+def fresh_riesz(weights):
+    """A Riesz mean of its own, with a serial key: the dict spec of weights
+    given as a sequence."""
+    return matrix_from_spec({"kind": "riesz", "weights": make_sequence(weights)})
+
+
 def kernel_matrices():
     """(label, fresh matrix) for every class with a float kernel."""
     def spec(name):
         kind, _, param = name.partition(":")
         if kind == "riesz":
-            return mat.RieszMeans(make_sequence(param))
+            return fresh_riesz(param)
         if kind in ("euler", "taylor"):
             family = mat.EulerMeans if kind == "euler" else mat.TaylorTransform
             return family(Fraction(param))
         return matrix_from_spec(name)
     for name in KERNEL_SPECS:
         yield name, lambda name=name: spec(name)
-    yield "riesz-inverse", lambda: mat.inverse_of(
-        mat.RieszMeans(make_sequence("harmonic")))
+    yield "riesz-inverse", lambda: mat.inverse_of(fresh_riesz("harmonic"))
     row = matrix_from_spec("euler:1/2")
     for mode in ("omega", "gamma"):
         yield f"dual[{mode}](harmonic)", \
@@ -679,7 +696,7 @@ def kernel_matrices():
         matrix_from_spec("sigma"), matrix_from_spec("taylor:1/4"))
     # Both rules apply; the left factor's vectorized form decides.
     yield "riesz*gamma-inv", lambda: mat.ComposedMatrix(
-        mat.RieszMeans(make_sequence("power:2")), matrix_from_spec("gamma-inv"))
+        fresh_riesz("power:2"), matrix_from_spec("gamma-inv"))
     # The identity's copy of the right table's columns is Fortran-ordered.
     yield "identity*omega-inv", lambda: mat.ComposedMatrix(
         matrix_from_spec("identity"), matrix_from_spec("omega-inv"))
@@ -815,12 +832,15 @@ def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
     # taken over chunks of B's rows: bit for bit np.cumsum(w * B), the
     # table at or below the limit.  W times a bidiagonal is the dual
     # triangle of w, whose rows come from its terms, each rounded once:
-    # bit for bit its full-width builder.
+    # bit for bit its full-width builder.  W times its own inverse
+    # (gamma*gamma-inv) is the identity: bit for bit np.eye.
     def reference(left, right, top, m):
         a = mat.compose(left, right)
+        if isinstance(a, mat.Identity):
+            return np.eye(top, m)
         if isinstance(a, DualTriangle):
             return dual_tril_reference(a, max(top, m))[:top, :m]
-        w = matrix_from_spec(left)._weights_floats(top)[:, None]
+        w = matrix_from_spec(left)._floats(top)[0][:, None]
         b = matrix_from_spec(right).block(np.arange(1, top + 1), m)
         return np.cumsum(w * b, axis=0)
 
@@ -949,6 +969,117 @@ def test_band_products_have_the_bits_of_the_product(left):
             (left, right)
         assert list(got.exact_rows(range(1, 13), 12)) == \
             list(plain.exact_rows(range(1, 13), 12)), (left, right)
+
+
+#: A weighted mean of each kind on the left of a bidiagonal: Cesaro and
+#: two Riesz means.
+MEANS = ("cesaro", "riesz:power:2", "riesz:harmonic")
+
+
+def scale_reference(left, size):
+    """Float U_1..U_size of a weighted mean: its weights' exact partial
+    sums, each rounded once."""
+    w = make_sequence("const:1" if left == "cesaro"
+                      else left.removeprefix("riesz:"))
+    return np.array([float(u) for u in
+                     accumulate(w(k) for k in range(1, size + 1))])
+
+
+def scaled_dual_rows_reference(u, rows, m, scale):
+    """Rows ``rows`` over columns 1..m of the full-width builder
+    (``dual_tril_reference``), each divided by its float U_n."""
+    p, q = u._terms(m + 1)
+    below = p[:m] + q[1:m + 1]
+    out = np.zeros((len(rows), m))
+    for i, n in enumerate(rows.tolist()):
+        out[i, :min(n - 1, m)] = below[:min(n - 1, m)]
+        if n <= m:
+            out[i, n - 1] = p[n - 1]
+    return out / scale[rows - 1, None]
+
+
+@pytest.mark.parametrize("left", MEANS)
+def test_a_mean_times_a_bidiagonal_is_a_scaled_dual_triangle(left):
+    # Row n of a weighted mean W (a_nk = w_k / U_n) times a bidiagonal D is
+    # row n of the dual triangle of w over D divided by U_n: each float
+    # entry, row sum, absolute row sum and sampled column is the unscaled
+    # one divided by float U_n, at the table size and past DENSE_LIMIT.
+    # Its exact window is the product's.  compose builds it for each pair
+    # but a mean and its own inverse, whose product is the identity.
+    rows = np.array([5, 77, 2500, 2501, 4000])
+    scale = scale_reference(left, 4000)
+    for right in ("omega-inv", "gamma-inv", "sigma-inv", "cesaro-inv",
+                  "riesz:power:2"):
+        a, b = matrix_from_spec(left), band_factor(right)
+        u = DualTriangle(a.weights, b, a)
+        if b.key != inverse_of(a).key:
+            made = mat.compose(a, b)
+            assert isinstance(made, DualTriangle) and made.mean is a, \
+                (left, right)
+        p, q = dual_terms_reference(u, 601)
+        assert same_bits(u._terms(601)[0], p), (left, right)
+        assert np.array_equal(u._terms(601)[1], q), (left, right)
+        want = dual_tril_reference(u, 600) / scale[:600, None]
+        assert same_bits(u.truncation_floats(600), want), (left, right)
+        assert same_bits(u.block(rows, 3000),
+                         scaled_dual_rows_reference(u, rows, 3000, scale)), \
+            (left, right)
+        ks = np.array([1, 2, 7, 64, 192])
+        got = u._features_floats(np.arange(1, 601), ks, 600)
+        sums = dual_sums_reference(u, 600)
+        assert same_bits(got[0], sums["row_sum"] / scale[:600]), (left, right)
+        assert same_bits(got[1], sums["row_abs"] / scale[:600]), (left, right)
+        assert same_bits(got[2:], want.T[ks - 1]), (left, right)
+        assert list(u.exact_rows(range(1, 13), 12)) == list(
+            mat.ComposedMatrix(a, b).exact_rows(range(1, 13), 12)), \
+            (left, right)
+
+
+INVERTIBLE = ("omega", "gamma", "sigma", "cesaro", "riesz:power:2")
+
+
+@pytest.mark.parametrize("name", INVERTIBLE)
+def test_a_factor_times_its_inverse_is_the_identity(name):
+    # In either order, a factor times its closed-form or keyed inverse is
+    # the identity under the product's name and with identity's key: its
+    # exact window and its table are the identity's.
+    a = matrix_from_spec(name)
+    inv = inverse_of(a)
+    for left, right in ((a, inv), (inv, a)):
+        got = mat.compose(left, right)
+        assert got.key == "identity", (name, left.name)
+        assert got.name == f"{left.name}*{right.name}"
+        assert list(got.exact_rows(range(1, 13), 12)) == [
+            [int(n == k) for k in range(1, 13)] for n in range(1, 13)]
+        assert same_bits(got.truncation_floats(600), np.eye(600)), name
+
+
+def test_running_sums_times_an_inverse_pair_read_as_running_sums(
+        monkeypatch):
+    # sigma*(omega*omega-inv) and sigma*(gamma*gamma-inv), two transfers of
+    # the grid, are sigma times the identity: sigma under the product's
+    # name, read in blocks with sigma's bits, and no table is built.
+    keys = []
+    lookup = cache.lookup
+
+    def counted_lookup(key, build, nbytes=0):
+        keys.append(key)
+        return lookup(key, build, nbytes)
+
+    monkeypatch.setattr(cache, "lookup", counted_lookup)
+    sigma = matrix_from_spec("sigma")
+    rows = np.array([1, 2, 77, 600, 2500, 2501])
+    for inner in ("omega", "gamma"):
+        a = mat.compose("sigma", mat.compose(inner, f"{inner}-inv"))
+        assert a.key == "sigma" and a.name == f"sigma*{inner}*{inner}-inv"
+        for m in (9, 600, 2501):
+            assert same_bits(a.block(rows, m), sigma.block(rows, m)), m
+        _Engine(a, 600, 1.5e-3, 60).column_analyses()
+        assert same_bits(
+            np.concatenate([t for _, t in a._row_chunks(np.arange(1, 601),
+                                                        600, 54)]),
+            sigma.block(np.arange(1, 601), 600))
+    assert not [k for k in keys if k[0] == "table"]
 
 
 def test_band_products_keep_their_zero_terms():
