@@ -16,10 +16,10 @@ the others go only when no table but the newest is left.  Readers of
 many rows (``InfiniteMatrix._row_chunks``) build tables only of matrices
 whose rows cost more than their width (Euler means, products other than
 bands, inverse pairs and dual triangles, among them the weighted means
-times a bidiagonal; generic inverses, rule matrices:
-``InfiniteMatrix._table_chunks``), and not when the table would be large;
-every other family is read in blocks.  A table's room is made before it
-is built, so the table it replaces is freed first.
+times a bidiagonal; generic inverses: ``InfiniteMatrix._table_chunks``),
+and not when the table would be large; every other family is read in
+blocks.  A table's room is made before it is built, so the table it
+replaces is freed first.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the

@@ -421,9 +421,8 @@ class _Engine:
         ks = np.array(self.column_sample(), dtype=int)
         rows = (self.row_indices() if self.row_limit >= self.window
                 else np.arange(1, 1))
-        out = self.a._features_floats(rows, ks, self.n)
-        if out is not None:
-            return out
+        if hasattr(self.a, "_features_floats"):
+            return self.a._features_floats(rows, ks, self.n)
         out = np.empty((2 + len(ks), self.n))
         for lo, t in self._chunks(rows, self.n):
             at = slice(lo, lo + len(t))

@@ -99,9 +99,8 @@ def preimage_sequence(space_or_matrix, y) -> Sequence:
         return out
 
     def rule(k: int) -> Scalar:
-        lo = inv.row_start(k)
-        row = next(inv.exact_rows([k], k))[lo - 1:]
-        return row_dot(row, [y(j) for j in range(lo, k + 1)])
+        cols = range(inv.row_start(k), k + 1)
+        return row_dot([inv.entry(k, j) for j in cols], [y(j) for j in cols])
 
     return Sequence(rule, label=f"{a.name}-preimage({y.label})", vector=vector)
 

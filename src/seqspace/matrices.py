@@ -131,6 +131,18 @@ class InfiniteMatrix:
     ``key`` names the matrix in the evaluation cache (:mod:`seqspace.cache`):
     a serial number unless the matrix was resolved from a spec or is a
     product or inverse of keyed factors.
+
+    A class has a fast form exactly when it defines the method (readers ask
+    ``hasattr``):
+
+    * ``_apply_carried(xf, lo, state)``: ((Ax)_{lo..}, the state after) on
+      terms lo.. of each x stacked in ``xf``, given the state before (None:
+      none read), one call's bits for a stack or a carried run; with it,
+    * ``_apply_exact(xs)``: exact (Ax)_{1..len(xs)} in linear time;
+    * ``_rmul_floats(xf)``: xA for each row x stacked in ``xf``;
+    * ``_features_floats(rows, ks, n)``: the features record at n (sums and
+      absolute sums of ``rows``, columns ``ks``), read from no rows;
+    * ``row_series(n)``: row n out to its certified cutoff.
     """
 
     def __init__(self, name: str, params: Optional[dict] = None,
@@ -245,25 +257,6 @@ class InfiniteMatrix:
         for lo in range(0, len(window), step):
             yield lo, window[lo:lo + step]
 
-    # -- optional fast transforms ------------------------------------------
-
-    def _apply_carried(self, xf: np.ndarray, lo: int, state):
-        """The vectorized form on terms lo..lo+m-1 of each x stacked in ``xf``
-        along its last axis: ((Ax)_{lo..lo+m-1}, the state for the terms
-        after), given the ``state`` before (None: none read), else None.  A
-        stacked x, or a run carried across chunks, gets one call's bits."""
-        return None
-
-    def _apply_exact(self, xs: list) -> Optional[list]:
-        """Exact (Ax)_{1..len(xs)} when a linear-time form exists, else None."""
-        return None
-
-    def _features_floats(self, rows, ks, n: int) -> Optional[np.ndarray]:
-        """The conditions engine's features record at truncation n (the sums
-        and absolute sums of rows ``rows``, then columns ``ks`` over rows
-        1..n) when a form that reads no rows exists, else None."""
-        return None
-
     # -- misc ---------------------------------------------------------------
 
     def describe(self) -> dict:
@@ -326,6 +319,7 @@ class WeightedMeans(InfiniteMatrix):
         self._t: list = []       # a mean's exact weights, 1-based via offset
         self._T: list = [0]      # its exact partial sums, _T[n] = U_n
         self._wf = self._uf = np.empty(0)   # float w_1.., a mean's U_1..
+        self._filled = 0                    # their entries filled
 
     def _ensure(self, n: int) -> None:
         while len(self._t) < n:
@@ -349,16 +343,22 @@ class WeightedMeans(InfiniteMatrix):
         return _exact_div(w, self.partial_sum(n)) if self.mean else w
 
     def _floats(self, m: int) -> tuple:
-        """(w_1..w_m, U_1..U_m) as floats, U None for running sums."""
-        lo = len(self._wf)
+        """(w_1..w_m, U_1..U_m) as floats, U None for running sums, in stores
+        that row chunks fill once; a mean reads its exact terms only to m."""
+        lo = self._filled
         if lo < m and not self.mean:
-            self._wf = self.weights.floats(m)
+            self._wf = self.weights.floats(max(m, 2 * lo))
+            self._filled = len(self._wf)
         elif lo < m:
             self._ensure(m)
-            self._wf = np.append(self._wf, _term_floats(
-                self._t[lo:m], lo + 1, "riesz weight t_"))
-            self._uf = np.append(self._uf, _term_floats(
-                self._T[lo + 1:m + 1], lo + 1, "riesz partial sum T_"))
+            if len(self._wf) < m:
+                self._wf, self._uf = (np.resize(v, max(m, 2 * len(v)))
+                                      for v in (self._wf, self._uf))
+            self._wf[lo:m] = _term_floats(self._t[lo:m], lo + 1,
+                                          "riesz weight t_")
+            self._uf[lo:m] = _term_floats(self._T[lo + 1:m + 1], lo + 1,
+                                          "riesz partial sum T_")
+            self._filled = m
         return self._wf[:m], self._uf[:m] if self.mean else None
 
     def block(self, rows, m):
@@ -684,47 +684,17 @@ class TaylorTransform(InfiniteMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Wrappers: explicit rules, composition, inversion
+# Wrappers: composition, inversion
 # ---------------------------------------------------------------------------
 
 
-class RuleMatrix(InfiniteMatrix):
-    """Matrix from an explicit entry rule with declared support hints;
-    the row ends of ``row_span`` must not decrease."""
-    _row_chunks = InfiniteMatrix._table_chunks     # a row is exact entries
-
-    def __init__(self, rule, name: str = "rule", triangle: bool = False,
-                 row_span=None, col_span=None):
-        super().__init__(name, triangle=triangle)
-        self._rule = rule
-        self._row_span = row_span
-        self._col_span = col_span
-
-    def entry(self, n, k):
-        _check_index(n, k)
-        if self.triangle and k > n:
-            return 0
-        return self._rule(n, k)
-
-    def row_start(self, n):
-        return self._row_span(n)[0] if self._row_span else 1
-
-    def row_end(self, n):
-        if self._row_span:
-            return self._row_span(n)[1]
-        return n if self.triangle else None
-
-    def col_start(self, k):
-        if self._col_span:
-            return self._col_span(k)[0]
-        return k if self.triangle else 1
-
-    def col_end(self, k):
-        return self._col_span(k)[1] if self._col_span else None
-
-
 class ComposedMatrix(InfiniteMatrix):
-    """Lazy product (AB)_nk = sum_j a_nj b_jk using support hints."""
+    """Lazy product (AB)_nk = sum_j a_nj b_jk using support hints, read by
+    one ``rule`` named from the factors' forms: ``"carried"`` (the left
+    factor's carried form on the right's rows; for a triangle, its exact
+    form on the right's exact columns), ``"band-right"`` (a band's row-side
+    form on the left's rows, b columns wider) or ``"matmul"``.  The inner
+    index runs over 1..s, s = max(last row, m): exact for triangles."""
     _row_chunks = InfiniteMatrix._table_chunks     # a row is a walk
 
     def __init__(self, left: InfiniteMatrix, right: InfiniteMatrix):
@@ -733,6 +703,8 @@ class ComposedMatrix(InfiniteMatrix):
         self.left = left
         self.right = right
         self.key = ("compose", left.key, right.key)
+        self.rule = ("carried" if hasattr(left, "_apply_carried") else "band-right"
+                     if hasattr(right, "_rmul_floats") else "matmul")
 
     def entry(self, n, k):
         _check_index(n, k)
@@ -779,7 +751,7 @@ class ComposedMatrix(InfiniteMatrix):
         last = self.left.row_end(n)
         if last is not None:
             return self.right.row_cutoff(last)
-        if isinstance(self.right, Band):
+        if self.rule == "band-right":
             cut = self.left.row_cutoff(n)
             return None if cut is None else cut + self.right.lags
         return None
@@ -788,17 +760,13 @@ class ComposedMatrix(InfiniteMatrix):
         last = self.left.row_end(n)
         if last is not None:
             return self.right.row_complete(last, width)
-        if isinstance(self.right, Band):
+        if self.rule == "band-right":
             return self.left.row_complete(n, width - self.right.lags)
         return None
 
     def exact_rows(self, rows, m):
-        # The exact twin of the float reader's first rule: a triangle product
-        # whose left factor has a linear-time exact form (one without
-        # answers None even on no terms) applies it to each of the right
-        # factor's exact columns.  Any other product is read entry by entry.
         rows = [int(n) for n in rows]
-        if not (self.triangle and rows) or self.left._apply_exact([]) is None:
+        if not (self.rule == "carried" and self.triangle and rows):
             yield from super().exact_rows(rows, m)
             return
         w = min(m, rows[-1])
@@ -814,21 +782,17 @@ class ComposedMatrix(InfiniteMatrix):
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _blocks(self, rows, m, step):
-        # The one float path: the left factor's vectorized form on the right
-        # factor's rows, else a band right factor's terms on the left
-        # factor's rows, else the factors' chunks multiplied.  The inner
-        # index runs over 1..s, s = max(last row, m): exact for triangles.
-        # The probe on no vectors takes the left terms to the last row.
-        if self.left._apply_carried(np.empty((0, int(rows[-1]))), 1,
-                                    None) is not None:
+        if self.rule == "carried":
             yield from self._carried(rows, m, step)
             return
         s = max(int(rows[-1]), m)
-        if isinstance(self.right, Band):
-            # Column k takes the left rows' columns k..k + b.
+        if self.rule == "band-right":
+            # A triangle's columns past s are zero; a table is C-contiguous.
+            wide = m + self.right.lags
             for lo, t in self.left._row_chunks(
-                    rows, min(m + self.right.lags, s), step):
-                yield lo, self.right._rmul_floats(t)[:, :m]
+                    rows, min(wide, s) if self.left.triangle else wide, step):
+                yield lo, np.ascontiguousarray(
+                    self.right._rmul_floats(t)[:, :m])
             return
         for lo, t in self.left._row_chunks(rows, s, step):
             yield lo, sum(t[:, j:j + len(r)] @ r for j, r in
@@ -1008,7 +972,7 @@ def compose(left, right) -> InfiniteMatrix:
     def build():
         units = (Identity, ZeroMatrix)
         if isinstance(left, units) or isinstance(right, units) and \
-                left._apply_carried(np.empty((0, 1)), 1, None) is not None:
+                hasattr(left, "_apply_carried"):
             unit, other = ((left, right) if isinstance(left, units)
                            else (right, left))
             made = copy.copy(other if isinstance(unit, Identity) else unit)
@@ -1261,8 +1225,9 @@ def apply(a, x, n: int, mode: str = "exact") -> FiniteVector:
             f"matrix {a.name!r} has rows with unbounded support; "
             "exact transforms are undefined at a finite cutoff — use float mode")
     xs = [x(k) for k in range(1, n + 1)]
-    out = a._apply_exact(xs)
-    if out is None:
+    if hasattr(a, "_apply_exact"):
+        out = a._apply_exact(xs)
+    else:
         hint = x.support_hint
         m = a.row_end(n) if hint is None else min(a.row_end(n), hint)
         xs += [x(k) for k in range(n + 1, m + 1)]
@@ -1324,9 +1289,10 @@ def apply_many(a, xs: list, n: int) -> list:
                     out[i, row - 1] = coeffs[:m] @ xf[:m]
         else:
             stack = np.array([x.floats(n) for x in xs])
-            got = a._apply_carried(stack, 1, None)
-            out = np.empty_like(stack) if got is None else got[0]
-            if got is None:
+            if hasattr(a, "_apply_carried"):
+                out = a._apply_carried(stack, 1, None)[0]
+            else:
+                out = np.empty_like(stack)
                 step = max(1, DENSE_LIMIT * DENSE_LIMIT // n)
                 for lo, rows in a._row_chunks(np.arange(1, n + 1), n, step):
                     for image, xf in zip(out, stack):

@@ -18,7 +18,8 @@ from seqspace.conditions import (_Engine, check_class, regularity_report,
                                  source_transfer_matrix,
                                  target_transfer_matrix)
 from seqspace.duality import DualTriangle
-from seqspace.matrices import TaylorTransform, compose, matrix_from_spec
+from seqspace.matrices import (ComposedMatrix, TaylorTransform, compose,
+                               matrix_from_spec)
 from seqspace.sequences import Sequence
 from test_golden import grid_records
 
@@ -277,6 +278,31 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     small = sum(charge for key, (_, charge) in cache._entries.items()
                 if key not in cache._first)
     assert small <= 8 * 2 ** 20
+
+
+def test_a_grid_pass_names_the_rule_each_product_reads_by(monkeypatch):
+    """A cold pass at seed 0 makes 37 products: 34 read by the left
+    factor's carried form, and 3 (E_{1/2} times omega-inv, gamma-inv and
+    sigma-inv) by the band's row-side form.  None reads by the matmul of
+    its factors' chunks."""
+    made = []
+    init = ComposedMatrix.__init__
+
+    def recorded(self, left, right):
+        init(self, left, right)
+        made.append(self)
+
+    monkeypatch.setattr(ComposedMatrix, "__init__", recorded)
+    grid_records()
+    rules = {}
+    for a in made:
+        rules.setdefault(a.rule, set()).add(a.name)
+    assert {rule: len(names) for rule, names in rules.items()} == \
+        {"carried": 34, "band-right": 3}
+    assert rules["band-right"] == {
+        f"euler*{inverse}" for inverse in ("omega-inv", "gamma-inv",
+                                           "sigma-inv")}
+    assert len(made) == 37
 
 
 def test_closed_form_families_build_no_table(monkeypatch):

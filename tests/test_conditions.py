@@ -36,7 +36,6 @@ from seqspace.domains import space_from_spec
 from seqspace.duality import DualTriangle, dual_membership, dual_transfer_matrix
 from seqspace.matrices import (
     DENSE_LIMIT,
-    RuleMatrix,
     apply,
     cesaro_matrix,
     compose,
@@ -44,6 +43,8 @@ from seqspace.matrices import (
 )
 from seqspace.sequences import Sequence, classify_traces
 from seqspace.verdicts import Verdict
+
+from conftest import RuleMatrix
 
 
 # ---------------------------------------------------------------------------

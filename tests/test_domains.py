@@ -62,6 +62,15 @@ def test_preimage_sequence_lazy():
     assert [x(k) for k in (1, 2, 3)] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("space", ["omega", "gamma"])
+def test_preimage_sequence_terms_read_only_their_rows_support(space):
+    # Each rule term reads the two columns of its bidiagonal inverse's row,
+    # not a full-width row: 2000 terms stay linear, and each is exact.
+    x = preimage_sequence(space, "geometric:1/2")
+    assert tuple(x(k) for k in range(1, 2001)) == \
+        domain_preimage(space, "geometric:1/2", 2000).entries
+
+
 def test_geometric_domain_element_closed_form():
     g = geometric_domain_element()
     assert g(1) == Fraction(1, 2)

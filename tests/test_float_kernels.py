@@ -24,7 +24,6 @@ from seqspace.matrices import (
     DENSE_LIMIT,
     ROW_CUTOFF_CAP,
     ROW_TAIL_MASS,
-    RuleMatrix,
     TaylorTransform,
     apply,
     apply_many,
@@ -50,6 +49,8 @@ from seqspace.sequences import (
     null_limit_verdict,
 )
 from seqspace.verdicts import Verdict
+
+from conftest import RuleMatrix
 
 
 def same_bits(got, want) -> bool:
@@ -605,30 +606,32 @@ def dual_support_table_reference(u, size):
 
 
 def composed_table_reference(a, size):
-    # A left factor with a vectorized form is applied to one column of the
-    # right table at a time; a band right factor gives a term per lag l,
-    # a_n,k+l b_k+l,k, lag 0 first, inside the window (two for a bidiagonal,
-    # a_nk d_k + a_n,k+1 s_k+1); any other pair is the matmul of the two
-    # tables.
+    # By the product's rule: the left factor's vectorized form is applied to
+    # one column of the right table at a time; a band right factor gives a
+    # term per lag l, a_n,k+l b_k+l,k, lag 0 first, over the left rows read
+    # b columns wider unless the left factor is a triangle (two terms for a
+    # bidiagonal, a_nk d_k + a_n,k+1 s_k+1); any other pair is the matmul of
+    # the two tables.
     right = a.right.truncation_floats(size)
-    if a.left._apply_carried(right[:, 0].copy(), 1, None) is not None:
+    if a.rule == "carried":
         out = np.zeros((size, size))
         for k in range(size):
             out[:, k] = a.left._apply_carried(right[:, k].copy(), 1, None)[0]
         return out
-    left = a.left.truncation_floats(size)
-    if isinstance(a.right, mat.Band):
-        diags = [v.tolist() for v in a.right._diagonals_floats(size)]
+    if a.rule == "band-right":
+        width = size if a.left.triangle else size + a.right.lags
+        left = a.left.block(np.arange(1, size + 1), width)
+        diags = [v.tolist() for v in a.right._diagonals_floats(width)]
         out = np.zeros((size, size))
         for n, row in enumerate(left.tolist()):
             for k in range(size):
                 term = row[k] * diags[0][k]
                 for lag in range(1, len(diags)):
-                    if k + lag < size:
+                    if k + lag < width:
                         term = term + row[k + lag] * diags[lag][k]
                 out[n, k] = term
         return out
-    return left @ right
+    return a.left.truncation_floats(size) @ right
 
 
 def entry_table_reference(a, size):
@@ -650,7 +653,7 @@ TABLE_REFERENCES = {
     mat.TaylorTransform: taylor_table_reference,
     DualTriangle: dual_support_table_reference,
     mat.ComposedMatrix: composed_table_reference,
-    mat.RuleMatrix: entry_table_reference,
+    RuleMatrix: entry_table_reference,
     mat.InverseTriangle: entry_table_reference,
 }
 
@@ -692,6 +695,9 @@ def kernel_matrices():
         matrix_from_spec("omega"), matrix_from_spec("euler:1/2"))
     yield "euler*omega-inv", lambda: mat.ComposedMatrix(
         matrix_from_spec("euler:1/2"), matrix_from_spec("omega-inv"))
+    # A row-infinite left factor's rows are read a column wider.
+    yield "taylor*omega-inv", lambda: mat.ComposedMatrix(
+        matrix_from_spec("taylor:1/4"), matrix_from_spec("omega-inv"))
     yield "sigma*taylor", lambda: mat.ComposedMatrix(
         matrix_from_spec("sigma"), matrix_from_spec("taylor:1/4"))
     # Both rules apply; the left factor's vectorized form decides.
@@ -702,10 +708,10 @@ def kernel_matrices():
         matrix_from_spec("identity"), matrix_from_spec("omega-inv"))
     yield "euler*euler", lambda: mat.ComposedMatrix(
         matrix_from_spec("euler:1/2"), matrix_from_spec("euler:1/10"))
-    yield "band rule", lambda: mat.RuleMatrix(
+    yield "band rule", lambda: RuleMatrix(
         lambda n, k: Fraction(n + k, 7 * n), name="band", triangle=True,
         row_span=lambda n: (max(1, n - 2), n))
-    yield "band inverse", lambda: mat.invert_triangle(mat.RuleMatrix(
+    yield "band inverse", lambda: mat.invert_triangle(RuleMatrix(
         lambda n, k: Fraction(n, k + 1), name="rule", triangle=True))
 
 
@@ -718,9 +724,19 @@ def test_every_matrix_class_has_a_table_reference():
             yield sub
             yield from subclasses(sub)
     package = {cls for cls in subclasses(mat.InfiniteMatrix)
-               if cls.__module__.startswith("seqspace.")}
+               if cls.__module__.startswith("seqspace.")} | {RuleMatrix}
     assert package == set(TABLE_REFERENCES)
     assert {type(make()) for make in KERNELS.values()} == package
+
+
+def test_every_carried_form_comes_with_an_exact_form():
+    # A "carried" product's exact rows are its left factor's exact form on
+    # the right factor's exact columns.  The kernels reach every rule.
+    made = [make() for make in KERNELS.values()]
+    assert all(hasattr(a, "_apply_exact") for a in made
+               if hasattr(a, "_apply_carried"))
+    assert {a.rule for a in made if isinstance(a, mat.ComposedMatrix)} == \
+        {"carried", "band-right", "matmul"}
 
 
 @pytest.mark.parametrize("label", sorted(KERNELS))
@@ -905,8 +921,7 @@ def test_identity_and_zero_products_read_as_their_factor(factor):
     # table sizes and past the large-entry line.  Any other product with
     # identity or zero on the right stays a product.
     rng = np.random.default_rng(7)
-    carried = matrix_from_spec(factor)._apply_carried(
-        np.empty((0, 1)), 1, None) is not None
+    carried = hasattr(matrix_from_spec(factor), "_apply_carried")
     pairs = [(unit, factor) for unit in ("identity", "zero")]
     if carried:
         pairs += [(factor, unit) for unit in ("identity", "zero")]

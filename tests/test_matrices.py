@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqspace.errors import (
+    FloatRangeError,
     RowSeriesError,
     SpecError,
     TruncationError,
@@ -12,7 +14,6 @@ from seqspace.errors import (
 )
 from seqspace.matrices import (
     DENSE_LIMIT,
-    RuleMatrix,
     apply,
     compose,
     inverse_of,
@@ -22,7 +23,8 @@ from seqspace.matrices import (
 )
 from seqspace.sequences import make_sequence, sequence_from_values
 
-from conftest import rational_band_triangle
+from conftest import RuleMatrix, rational_band_triangle
+from test_cli_fuzz import MATRICES
 
 
 def test_builtin_entries():
@@ -260,6 +262,42 @@ def test_compose_unbounded_inner_sum_rejected():
     t = matrix_from_spec("taylor:1/2")
     prod = compose(t, "omega-inv")
     assert prod.entry(1, 1) == Fraction(1, 2) * 1 + Fraction(1, 4) * Fraction(-1, 2)
+
+
+def test_product_windows_are_their_exact_products_to_rounding():
+    # Every ordered pair of the CLI's valid matrices whose exact 10 x 10
+    # window exists: each float entry lies within 16 eps of the exact one,
+    # relative to the exact sum of |l_nj| |r_jk| over j = 1..12 (a
+    # bidiagonal's inner index reaches k + 1).  A row-infinite left factor
+    # times a bidiagonal is read a column wider, so its last column keeps
+    # its term at j = k + 1.  Only riesz:geometric:1e300 has no floats.
+    names = MATRICES[0]
+    # |a_nk| over 1..12, by rows and by columns.
+    rows = {name: [[abs(matrix_from_spec(name).entry(n, k))
+                    for k in range(1, 13)] for n in range(1, 13)]
+            for name in names}
+    cols = {name: list(zip(*rows[name])) for name in names}
+    bound, checked = 16 * Fraction(np.finfo(float).eps), 0
+    for left, right in itertools.product(names, repeat=2):
+        a = compose(left, right)
+        try:
+            exact = truncate_matrix(a, 10)
+        except RowSeriesError:
+            continue
+        try:
+            floats = truncate_matrix(a, 10, "float").tolist()
+        except FloatRangeError:
+            assert "riesz:geometric:1e300" in (left, right)
+            continue
+        for n in range(10):
+            for k in range(10):
+                size = sum(x * y for x, y in zip(rows[left][n], cols[right][k])
+                           if x and y)
+                err = abs(Fraction(floats[n][k]) - exact[n][k])
+                assert err <= bound * size + Fraction(1e-300), \
+                    (left, right, n + 1, k + 1)
+        checked += 1
+    assert checked == 273
 
 
 def test_fast_float_paths_match_entries():
