@@ -694,7 +694,10 @@ class ComposedMatrix(InfiniteMatrix):
     factor's carried form on the right's rows; for a triangle, its exact
     form on the right's exact columns), ``"band-right"`` (a band's row-side
     form on the left's rows, b columns wider) or ``"matmul"``.  The inner
-    index runs over 1..s, s = max(last row, m): exact for triangles."""
+    index runs over 1..s, s = max(last row, m): exact for triangles.  Exact
+    rows of any other product read the right factor's rows 1..s and each
+    left row once and sum a_nj b_jk in order of j, zero terms skipped; an
+    entry is read from its row."""
     _row_chunks = InfiniteMatrix._table_chunks     # a row is a walk
 
     def __init__(self, left: InfiniteMatrix, right: InfiniteMatrix):
@@ -708,24 +711,7 @@ class ComposedMatrix(InfiniteMatrix):
 
     def entry(self, n, k):
         _check_index(n, k)
-        lo = max(self.left.row_start(n), self.right.col_start(k))
-        ends = [e for e in (self.left.row_end(n), self.right.col_end(k))
-                if e is not None]
-        if not ends:
-            raise RowSeriesError(
-                f"cannot compose {self.left.name} and {self.right.name}: "
-                f"the inner sum at ({n}, {k}) has unbounded support")
-        hi = min(ends)
-        total = 0
-        for j in range(lo, hi + 1):
-            a = self.left.entry(n, j)
-            if a == 0:
-                continue
-            b = self.right.entry(j, k)
-            if b == 0:
-                continue
-            total += a * b
-        return total
+        return next(self.exact_rows([n], k))[k - 1]
 
     def row_end(self, n):
         # Row n of the product reaches as far as the right factor's rows
@@ -765,15 +751,33 @@ class ComposedMatrix(InfiniteMatrix):
         return None
 
     def exact_rows(self, rows, m):
-        rows = [int(n) for n in rows]
-        if not (self.rule == "carried" and self.triangle and rows):
-            yield from super().exact_rows(rows, m)
+        rows, left, right = [int(n) for n in rows], self.left, self.right
+        if self.rule == "carried" and self.triangle and rows:
+            w = min(m, rows[-1])
+            cols = [left._apply_exact(list(col))
+                    for col in zip(*right.exact_rows(range(1, rows[-1] + 1), w))]
+            for n in rows:
+                yield [col[n - 1] for col in cols[:n]] + [0] * (m - min(n, w))
             return
-        w = min(m, rows[-1])
-        cols = [self.left._apply_exact(list(col))
-                for col in zip(*self.right.exact_rows(range(1, rows[-1] + 1), w))]
-        for n in rows:
-            yield [col[n - 1] for col in cols[:n]] + [0] * (m - min(n, w))
+        ends = [left.row_end(n) for n in rows]      # each row's last j
+        if None in ends:    # a row-infinite left row ends as its columns do
+            col_ends = [right.col_end(k) for k in range(1, m + 1)]
+            if None in col_ends:
+                raise RowSeriesError(
+                    f"cannot compose {left.name} and {right.name}: the inner "
+                    f"sum at ({rows[ends.index(None)]}, "
+                    f"{col_ends.index(None) + 1}) has unbounded support")
+            ends = [max(col_ends, default=0) if s is None else s for s in ends]
+        top = max(ends, default=0)
+        below = [[(k, b) for k, b in enumerate(row) if b != 0]
+                 for row in right.exact_rows(range(1, top + 1), m)]
+        for n, s in zip(rows, ends):
+            out = [0] * m
+            for a, terms in zip(next(left.exact_rows([n], s)), below):
+                if a != 0:
+                    for k, b in terms:
+                        out[k] += a * b
+            yield out
 
     def block(self, rows, m):
         # A table up to DENSE_LIMIT is one chunk.
@@ -915,12 +919,7 @@ class DualTriangle(InfiniteMatrix):
                 num, den = num * p, den * q
                 yield num, den
             return
-        for k in range(lo, hi + 1):
-            ak = self.a(k)
-            if isinstance(ak, (int, Fraction)):
-                yield ak.numerator, ak.denominator
-            else:
-                yield ak, None
+        yield from map(_pair, map(self.a, range(lo, hi + 1)))
 
     def block(self, rows, m):
         rows, mean = np.asarray(rows), self.mean
@@ -945,9 +944,8 @@ class DualTriangle(InfiniteMatrix):
         absolute = np.abs(p[:n])
         absolute[1:] += np.cumsum(np.abs(v[:-1]))
         out[1, :len(rows)] = absolute[rows - 1]
-        below = np.arange(1, n + 1) > ks[:, None]
-        out[2:] = np.where(below, v[ks - 1, None], 0.0)
-        out[2 + np.arange(len(ks)), ks - 1] = p[ks - 1]
+        for column, k in zip(out[2:], ks.tolist()):
+            column[:k - 1], column[k - 1], column[k:] = 0.0, p[k - 1], v[k - 1]
         if u is not None:
             out[:2, :len(rows)] /= u[rows - 1]
             out[2:] /= u

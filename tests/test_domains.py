@@ -71,6 +71,19 @@ def test_preimage_sequence_terms_read_only_their_rows_support(space):
         domain_preimage(space, "geometric:1/2", 2000).entries
 
 
+def test_preimage_sequence_floats_are_inf_from_the_first_overflow():
+    # The gamma preimage of 2^k is x_k = k 2^(k-1): its float transform
+    # overflows at k = 1015, and the lazy sequence's floats are inf from
+    # that index on and the transform's floats before it.
+    x = preimage_sequence("gamma", "geometric:2").floats(1100)
+    fv = domain_preimage("gamma", "geometric:2", 1100, mode="float")
+    assert fv.overflow
+    first = fv.overflow_index
+    assert np.isfinite(x[:first - 1]).all()
+    assert np.isinf(x[first - 1:]).all() and len(x) - first + 1 == 86
+    assert x[:first - 1].tobytes() == fv.entries[:first - 1].tobytes()
+
+
 def test_geometric_domain_element_closed_form():
     g = geometric_domain_element()
     assert g(1) == Fraction(1, 2)

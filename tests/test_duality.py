@@ -1,6 +1,6 @@
-from fractions import Fraction
-
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +16,8 @@ from seqspace.duality import (
     weighted_partial_sums,
 )
 from seqspace.errors import SpecError
-from seqspace.matrices import InfiniteMatrix, apply, inverse_of
+from seqspace.matrices import (InfiniteMatrix, apply, compose, inverse_of,
+                               matrix_from_spec)
 from seqspace.sequences import make_sequence, sequence_from_values
 from seqspace.verdicts import Verdict
 
@@ -206,3 +207,43 @@ def test_the_features_record_sums_are_the_exact_sums(a, domain, n):
         assert abs(got[1, m - 1] - float(exact_abs[m - 1])) <= bound[m - 1]
     if all(s[k] == (-d[k][0], d[k][1]) for k in range(1, n + 1)):
         assert got[0].tobytes() == np.full(n, p[0]).tobytes()
+
+
+def test_float_weights_read_their_float_terms_exactly_once_rounded():
+    # Riesz weights k^1.5 are floats, so the closed-form inverse's entries
+    # are float quotients and its pairs are (value, None): the dual over
+    # that domain reads them through its float branches, and its block
+    # agrees with its entries to rounding.
+    riesz = matrix_from_spec({"kind": "riesz",
+                              "weights": {"kind": "power", "p": 1.5}})
+    inv = inverse_of(riesz)
+    assert isinstance(inv.entry(3, 3), float)
+    d, s = inv.pairs(3)
+    assert d[2] == (inv.entry(3, 3), None) and s[2] == (inv.entry(3, 2), None)
+    t = dual_transfer_matrix("geometric:1/2", riesz)
+    rows = np.arange(1, 13)
+    exact = np.array([[float(t.entry(n, k)) for k in range(1, 13)]
+                      for n in rows])
+    assert isinstance(t.entry(3, 2), float)
+    assert np.allclose(t.block(rows, 12), exact, rtol=4 * np.finfo(float).eps,
+                       atol=0)
+
+
+def test_the_features_pass_holds_little_beyond_its_record():
+    # Each sampled column is written into the record in place, so once the
+    # term stores are filled the pass holds the record and a few n-wide
+    # vectors, not a mask and a copy as wide as the sampled columns.
+    t = compose("cesaro", "omega-inv")
+    n = 5000
+    ks = np.array(list(range(1, 9)) + [12, 16, 24, 32, 48, 64, 96, 128, 192,
+                                       256, 1024])
+    rows = np.arange(1, n + 1)
+    t._terms(n + 1)
+    t.mean._floats(n)
+    tracemalloc.start()
+    try:
+        out = t._features_floats(rows, ks, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * out.nbytes, (peak, out.nbytes)

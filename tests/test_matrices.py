@@ -14,6 +14,7 @@ from seqspace.errors import (
 )
 from seqspace.matrices import (
     DENSE_LIMIT,
+    EulerMeans,
     apply,
     compose,
     inverse_of,
@@ -166,8 +167,29 @@ def test_linear_time_transforms_match_the_entry_rows(name):
         assert apply(name, x, n).entries == expected, (name, spec)
 
 
-def _entry_rows(a, rows, m):
-    return [[a.entry(n, k) for k in range(1, m + 1)] for n in rows]
+def _inner_sums(left, right, rows, m):
+    """Rows ``rows`` of left @ right over columns 1..m, each entry the sum of
+    a_nj b_jk over the inner support, in order of j, from the factors' own
+    entries, zero terms skipped: a reference read independently of the
+    product's rows."""
+    left, right = matrix_from_spec(left), matrix_from_spec(right)
+
+    def entry(n, k):
+        ends = [e for e in (left.row_end(n), right.col_end(k)) if e is not None]
+        if not ends:
+            raise RowSeriesError(
+                f"cannot compose {left.name} and {right.name}: the inner "
+                f"sum at ({n}, {k}) has unbounded support")
+        total = 0
+        for j in range(max(left.row_start(n), right.col_start(k)),
+                       min(ends) + 1):
+            a = left.entry(n, j)
+            if a != 0:
+                b = right.entry(j, k)
+                if b != 0:
+                    total += a * b
+        return total
+    return [[entry(n, k) for k in range(1, m + 1)] for n in rows]
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,11 +200,51 @@ def test_structured_product_rows_match_the_entry_sums(seed, left, n):
     rng = np.random.default_rng(seed)
     band = rational_band_triangle(rng, size=n, width=int(rng.integers(0, 4)))
     prod = compose(left, band)
-    assert truncate_matrix(prod, n) == _entry_rows(prod, range(1, n + 1), n)
+    assert truncate_matrix(prod, n) == _inner_sums(left, band, range(1, n + 1), n)
     # Any strictly increasing rows, over a window narrower or wider.
     rows = sorted(set(rng.integers(1, n + 1, size=4).tolist()))
     m = int(rng.integers(1, n + 3))
-    assert list(prod.exact_rows(np.array(rows), m)) == _entry_rows(prod, rows, m)
+    assert list(prod.exact_rows(np.array(rows), m)) == \
+        _inner_sums(left, band, rows, m)
+    assert [prod.entry(n, k) for n in rows for k in range(1, m + 1)] == \
+        [v for row in _inner_sums(left, band, rows, m) for v in row]
+
+
+def _typed(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("left,right", [
+    ("euler:1/2", "euler:1/3"), ("euler:1/3", "taylor:1/4"),
+    ("euler:1/2", "riesz:power:-400"), ("euler:1/2", "riesz:geometric:1e300"),
+    ("taylor:1/2", "omega-inv"), ("taylor:1/4", "taylor:1/2"),
+    ("euler:1/2", "cesaro-inv"), ("euler:1/3", "gamma-inv")])
+def test_product_rows_are_the_inner_sums_in_value_and_type(left, right):
+    # Rows of a product that is not a carried triangle sum a_nj b_jk in
+    # order of j from each factor's rows, read once: the inner sums of the
+    # factors' entries, to the type of every entry.
+    prod = compose(left, right)
+    rows = [1, 2, 5, 9]
+    assert _typed(prod.exact_rows(rows, 10)) == \
+        _typed(_inner_sums(left, right, rows, 10))
+    assert _typed([[prod.entry(n, k) for k in range(1, 11)] for n in rows]) \
+        == _typed(_inner_sums(left, right, rows, 10))
+
+
+def test_a_product_window_reads_each_factor_row_once(monkeypatch):
+    # The 40 x 40 window of E_{1/2} E_{1/2} reads the right factor's rows
+    # 1..40 and each left row once: 820 + 820 Euler entries.  By the group
+    # law E_r E_s = E_{rs} it is E_{1/4}'s window.
+    calls = []
+    entry = EulerMeans.entry
+
+    def counted(self, n, k):
+        calls.append((n, k))
+        return entry(self, n, k)
+    monkeypatch.setattr(EulerMeans, "entry", counted)
+    window = truncate_matrix(compose("euler:1/2", "euler:1/2"), 40)
+    assert len(calls) <= 1640
+    assert window == truncate_matrix("euler:1/4", 40)
 
 
 @settings(max_examples=25, deadline=None)
@@ -255,8 +317,13 @@ def test_zero_diagonal_rejected():
 
 def test_compose_unbounded_inner_sum_rejected():
     ones = RuleMatrix(lambda n, k: 1, name="ones")
-    with pytest.raises(RowSeriesError):
+    with pytest.raises(RowSeriesError, match=r"inner sum at \(1, 1\) has "
+                       "unbounded support"):
         compose(ones, ones).entry(1, 1)
+    # The row reader names the first row and column whose sum is unbounded.
+    with pytest.raises(RowSeriesError, match=r"^cannot compose taylor and "
+                       r"euler: the inner sum at \(3, 1\) has unbounded"):
+        list(compose("taylor:1/2", "euler:1/2").exact_rows([3, 4], 5))
     # a row-infinite left factor composes fine when the right factor has
     # finite columns: taylor * omega-inv has inner support bounded by k + 1
     t = matrix_from_spec("taylor:1/2")
