@@ -13,13 +13,13 @@ records, reports, images, probes, batteries) serve many.  So every
 ``("table", ...)`` entry and every large one, over a third of the cap
 (:func:`is_large`), goes first, least recent first, all but the newest;
 the others go only when no table but the newest is left.  Readers of
-many rows (``InfiniteMatrix._row_chunks``) build tables only of matrices
-whose rows cost more than their width (Euler means, products other than
-bands, inverse pairs and dual triangles, among them the weighted means
-times a bidiagonal; generic inverses: ``InfiniteMatrix._table_chunks``),
-and not when the table would be large; every other family is read in
-blocks.  A table's room is made before it is built, so the table it
-replaces is freed first.
+many rows (``InfiniteMatrix._row_chunks``) build tables only for walks
+(Euler means), generic inverses and the target transfers sigma*A, which
+Schur's form of (linf : cs) reads last row first
+(``InfiniteMatrix._table_chunks``), and not when the table would be large.
+Every other matrix is read in blocks, and every other product streams its
+rows through its factors.  A table's room is made before it is built, so
+the table it replaces is freed first.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
@@ -42,16 +42,17 @@ from itertools import count
 
 #: Bytes the cache may hold.  The small entries of a whole acceptance-grid
 #: pass at the default n = 600 (1,346, of them 62 features records of two
-#: row traces each) charge 7.7 MiB, which leaves 11.3 MiB to 2.75 MiB
-#: tables: four at the end of the pass, more before it.  A nested transfer
-#: check such as sigma*(E*B^-1), E an Euler mean, reads three at once (E,
-#: E*B^-1 and the product being built; sigma and B^-1 are read in blocks):
-#: 8.3 MiB, with 3.1 MiB of margin.  All 35 evictions of a cold pass, of 39
-#: tables built, are tables.  At 17 MiB the pass builds two tables more.
-#: A table over a third of the cap (n >= 912) is read in row chunks instead.
-#: Below that line tables pay: a cold grid pass at n = 800 or 880 that
-#: streamed its rows took 15-25 % more CPU than one that read tables.
-CAP_BYTES = 19 * 2 ** 20
+#: row traces each) charge 7.7 MiB, which leaves 6.3 MiB to 2.75 MiB
+#: tables: two at the end of the pass.  A nested transfer check such as
+#: sigma*(E*B^-1), E an Euler mean, reads two at once (E, and the product
+#: being built, whose rows E*B^-1 streams from E's table; sigma and B^-1
+#: are read in blocks): 5.5 MiB.  All 13 evictions of a cold pass, of 15
+#: tables built, are tables.  At 12.5 MiB the pass builds one table more.
+#: A table over a third of the cap (n >= 783) is read in row chunks
+#: instead.  Below that line tables pay: a cold grid pass at n = 800 took
+#: 0.62 s CPU reading tables at a 19 MiB cap and 1.01 s streaming at this
+#: one, and at n = 880 0.70 and 0.89 s (medians of four).
+CAP_BYTES = 14 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.
 ENTRY_OVERHEAD = 4096
 

@@ -240,9 +240,9 @@ class InfiniteMatrix:
 
     def _table_chunks(self, rows, m: int, step: int):
         """``_row_chunks`` of a matrix whose row costs more than its width (a
-        walk or exact entries): windows of the cached table of 1..s,
-        s = max(last row, m), unless it would be a large cache entry (then
-        :meth:`_blocks`)."""
+        walk or exact entries), or whose rows are read out of order: windows
+        of the cached table of 1..s, s = max(last row, m), unless it would be
+        a large cache entry (then :meth:`_blocks`)."""
         rows = np.asarray(rows)
         if not len(rows):
             return
@@ -697,8 +697,8 @@ class ComposedMatrix(InfiniteMatrix):
     index runs over 1..s, s = max(last row, m): exact for triangles.  Exact
     rows of any other product read the right factor's rows 1..s and each
     left row once and sum a_nj b_jk in order of j, zero terms skipped; an
-    entry is read from its row."""
-    _row_chunks = InfiniteMatrix._table_chunks     # a row is a walk
+    entry is read from its row.  Many rows stream by the rule, chunk by
+    chunk, with the bits of a table read whole."""
 
     def __init__(self, left: InfiniteMatrix, right: InfiniteMatrix):
         super().__init__(f"{left.name}*{right.name}",
@@ -712,6 +712,14 @@ class ComposedMatrix(InfiniteMatrix):
     def entry(self, n, k):
         _check_index(n, k)
         return next(self.exact_rows([n], k))[k - 1]
+
+    @property
+    def _row_chunks(self):
+        # sigma*A, the target transfer of bs and cs, is read out of order:
+        # Schur's form of (linf : cs) reads its last row first, then every
+        # row (conditions._Engine.row_trace).  So its first reader builds
+        # its table, which serves the rest.
+        return self._table_chunks if self.left.key == "sigma" else self._blocks
 
     def row_end(self, n):
         # Row n of the product reaches as far as the right factor's rows
@@ -786,6 +794,8 @@ class ComposedMatrix(InfiniteMatrix):
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _blocks(self, rows, m, step):
+        if not len(rows):
+            return
         if self.rule == "carried":
             yield from self._carried(rows, m, step)
             return
@@ -803,11 +813,14 @@ class ComposedMatrix(InfiniteMatrix):
                           self.right._row_chunks(np.arange(1, s + 1), m, step))
 
     def _carried(self, rows, m, step):
-        """Rows ``rows`` of L*R over 1..m: L's form on chunks of R's rows from
-        L's nondecreasing ``row_start`` on, its state carried between chunks."""
+        """Rows ``rows`` of L*R over 1..m in chunks of ``step`` rows: L's form
+        on chunks of R's rows from L's nondecreasing ``row_start`` on, its
+        state carried between chunks, and the rows asked for regrouped (a
+        whole chunk's worth of R's rows is passed on uncopied)."""
         ns, start = rows.tolist(), self.left.row_start
         gaps = np.flatnonzero(rows[1:] > rows[:-1] + 1) + 1
         cuts = [i for i in gaps.tolist() if start(ns[i]) > ns[i - 1] + 1]
+        held, at = np.empty((0, m)), 0      # rows not yet yielded, their place
         for b, e in zip([0] + cuts, cuts + [len(ns)]):
             run, first, state = rows[b:e], start(ns[b]), None
             for lo, part in self.right._row_chunks(
@@ -815,10 +828,13 @@ class ComposedMatrix(InfiniteMatrix):
                 top = first + lo
                 got, state = self.left._apply_carried(part.T, top, state)
                 i, j = np.searchsorted(run, (top, top + len(part))).tolist()
-                if j > i:
-                    got = np.ascontiguousarray(got.T)
-                    yield b + i, (got if j - i == len(part)
-                                  else got[run[i:j] - top])
+                got = got.T if j - i == len(part) else got.T[run[i:j] - top]
+                held = np.concatenate([held, got]) if len(held) else got
+                while len(held) >= step:
+                    yield at, np.ascontiguousarray(held[:step])
+                    held, at = held[step:], at + step
+        if len(held):
+            yield at, np.ascontiguousarray(held)
 
 
 def _times(x, pair):

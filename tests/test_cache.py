@@ -1,7 +1,9 @@
 """The evaluation cache: counters, canonical and serial keys, eviction that
 frees at once, and memory that stays bounded over a stream of new matrices."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqspace import cache, sequences
+from seqspace import cache, cli, sequences
 from seqspace.conditions import (_Engine, check_class, regularity_report,
                                  source_transfer_matrix,
                                  target_transfer_matrix)
@@ -197,11 +199,11 @@ def test_a_stream_of_new_matrices_stays_bounded():
 
 
 def test_a_warm_grid_pass_misses_nothing():
-    """The default cap, 19 MiB, holds the working set of the acceptance
+    """The default cap, 14 MiB, holds the working set of the acceptance
     grid: tables go first, so the O(n) entries of all 608 cells outlive
     them, and a second pass over the grid in the same process makes no
     cache miss and evicts nothing."""
-    assert cache.CAP_BYTES == 19 * 2 ** 20
+    assert cache.CAP_BYTES == 14 * 2 ** 20
     grid_records()
     first = cache.stats()
     grid_records()
@@ -214,20 +216,24 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     """Identity and zero products are their factor, and a factor times its
     inverse the identity, so a grid pass builds no table for them, and the
     c0 and c judgements of one trace map from one limit analysis: one pass
-    at seed 0 and the default cap builds at most 37 product tables and
-    calls analyze_limits at most 501 times (76 and 833 when each product
-    and judgement made its own).  A product of bands is a band, and running
-    sums or a mean times a bidiagonal a dual triangle, each read in blocks:
-    neither builds a table (58 product tables when they did, 42 when
-    Cesaro and Riesz means times a bidiagonal and the inverse pairs did).
+    at seed 0 and the default cap calls analyze_limits at most 501 times
+    (833 when each judgement made its own).  A product of bands is a band,
+    and running sums or a mean times a bidiagonal a dual triangle, each
+    read in blocks: neither builds a table (58 product tables when they
+    did, 42 when Cesaro and Riesz means times a bidiagonal and the inverse
+    pairs did).
     One pass
     of row chunks fills one features record per (matrix key, n, window) at
     every n: 62 of them, and no row-feature entry (152 when the engine read
     tables one feature at a time, 20 row distances when they were cached
-    apart).  Only rows that cost a walk are read from tables: at most 39
-    in all, each a product or E_{1/2} (86 when every family kept one, 60
-    when band and dual products did, 44 when scaled dual products and
-    inverse pairs did).
+    apart).  Only rows that cost a walk, and the rows of the target
+    transfers sigma*A, which Schur's form of (linf : cs) reads last row
+    first, are read from tables: at most 15 in all, E_{1/2} built once and
+    at most 14 products, each a sigma*A; every other product streams its
+    rows (39 tables, 37 of them products and E_{1/2} built twice, when
+    every product kept one; 86 when every family did, 60 when band and
+    dual products did, 44 when scaled dual products and inverse pairs
+    did).
     Each features record keeps two row traces, the sums and absolute sums:
     its pass leaves only the limit analysis of the sampled columns, so the
     small entries of the pass charge at most 8 MiB (13.0 MiB when each
@@ -251,8 +257,9 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     tables = [k for k in stored if k[0] == "table"]
     products = [k for k in tables if isinstance(k[1], tuple)
                 and k[1][0] == "compose"]
-    assert len(products) <= 37
-    assert len(tables) <= 39
+    assert len(products) <= 14
+    assert len(tables) <= 15
+    assert all(k[1][1] == "sigma" for k in products)
     bidiagonals = {"omega-inv", "gamma-inv", "sigma-inv", "cesaro-inv"}
     sums_and_means = {"omega", "gamma", "sigma", "cesaro"}
     assert not [k for k in products if k[1][2] in bidiagonals and k[1][1] in
@@ -267,7 +274,7 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
                 ("sigma", "sigma-inv"), ("cesaro", "cesaro-inv")}
     assert not [k for k in products for pair in factor_pairs(k[1])
                 if pair in inverses or pair[::-1] in inverses]
-    assert {k[1] for k in tables if k not in products} <= {"euler:1/2"}
+    assert [k[1] for k in tables if k not in products] == ["euler:1/2"]
     assert len(calls) <= 501
     assert not [k for k in stored if k[0] == "row-feature"]
     features = [k for k in stored if k[0] == "features"]
@@ -303,6 +310,27 @@ def test_a_grid_pass_names_the_rule_each_product_reads_by(monkeypatch):
         f"euler*{inverse}" for inverse in ("omega-inv", "gamma-inv",
                                            "sigma-inv")}
     assert len(made) == 37
+
+
+def test_the_sweep_queries_build_no_product_table(monkeypatch):
+    """The benchmark sweep's queries of an Euler and a Riesz mean, run in
+    one process, read their transfers omega*A and A*omega-inv as streams:
+    the only tables they build are E_{3/4}'s own."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    from workloads import _query
+    keys = []
+    lookup = cache.lookup
+
+    def counted_lookup(key, build, nbytes=0):
+        keys.append(key)
+        return lookup(key, build, nbytes)
+
+    monkeypatch.setattr(cache, "lookup", counted_lookup)
+    for family, spec in (("euler", "euler:3/4"), ("riesz", "riesz:power:2")):
+        for argv, _, _ in _query(family, spec):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["--json"]) in (0, 1, 2), argv
+    assert {k[1] for k in keys if k[0] == "table"} == {"euler:3/4"}
 
 
 def test_closed_form_families_build_no_table(monkeypatch):

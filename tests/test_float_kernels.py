@@ -388,7 +388,7 @@ def test_euler_rows_are_within_linear_rounding_of_the_exact_rows(r):
 def test_euler_rows_have_the_table_bits_however_they_are_read(n):
     # One walk serves a whole read, so a row's bits depend neither on the
     # chunk size, nor on the rows and width read with it, nor on whether a
-    # table is cached (below n = 912 at the default cap) or the rows stream.
+    # table is cached (below n = 783 at the default cap) or the rows stream.
     e = mat.EulerMeans(Fraction(5, 7))
     table = euler_table_reference(e, n)
     rows = np.arange(1, n + 1)
@@ -906,6 +906,40 @@ def test_carried_forms_have_the_table_bits_in_any_chunks(left, monkeypatch):
                 assert same_bits(got, want[rows - 1]), (left, right, step)
 
 
+#: Products that stream their rows, by rule: a left factor's carried form
+#: over an Euler table or walk, over a band-right product, and as a band
+#: whose state a gap in the rows drops; a band's row-side form on Euler and
+#: on Taylor rows, the latter read b columns wider.
+STREAMED_PRODUCTS = (("omega", "euler:1/2"),
+                     ("cesaro", ("euler:1/2", "omega-inv")),
+                     ("omega-inv", "euler:1/3"),
+                     ("euler:1/2", "gamma-inv"),
+                     ("taylor:1/4", "omega-inv"))
+
+
+@pytest.mark.parametrize("n", (600, 783, 911))
+def test_streamed_products_have_the_bits_of_their_tables(n):
+    # A product other than sigma*A reads its rows by its rule, chunk by
+    # chunk, never through a table: every chunk is at its place, and the
+    # rows have the bits of the table read whole, on both sides of the
+    # large-entry line, for every row and for gapped rows.
+    rng = np.random.default_rng(n)
+    gapped = np.union1d(rng.choice(np.arange(2, n), size=60, replace=False),
+                        [1, n - 1, n])
+    for left, right in STREAMED_PRODUCTS:
+        a = mat.compose(left, mat.compose(*right) if isinstance(right, tuple)
+                        else right)
+        assert isinstance(a, mat.ComposedMatrix) and a.left.key != "sigma"
+        table = a.truncation_floats(n)
+        for step in (1, 54, n):
+            for rows in (np.arange(1, n + 1), gapped):
+                chunks = list(a._row_chunks(rows, n, step))
+                assert [lo for lo, _ in chunks] == \
+                    list(range(0, len(rows), step)), (a.name, n, step)
+                got = np.concatenate([t for _, t in chunks])
+                assert same_bits(got, table[rows - 1]), (a.name, n, step)
+
+
 #: Every builtin family, one parameter each.
 BUILTIN_FACTORS = ("identity", "zero", "omega", "gamma", "omega-inv",
                    "gamma-inv", "sigma", "sigma-inv", "cesaro", "cesaro-inv",
@@ -1413,7 +1447,8 @@ def streamed_matrices():
 
 
 #: The first truncation whose table would be a large entry at the default
-#: cache cap, so the first whose rows are streamed in blocks without it.
+#: cache cap, so the first whose rows are streamed in blocks without it:
+#: 783 at 14 MiB (912 at the former 19 MiB, still a case below).
 FIRST_STREAMED = next(n for n in range(1, DENSE_LIMIT + 1)
                       if cache.is_large(8 * n * n))
 
@@ -1433,7 +1468,7 @@ def dual_sums_reference(a, n) -> dict:
 
 
 @pytest.mark.parametrize(
-    "n", (200, 600, FIRST_STREAMED, 887, 1449, 2000, DENSE_LIMIT + 1))
+    "n", (200, 600, FIRST_STREAMED, 887, 912, 1449, 2000, DENSE_LIMIT + 1))
 def test_the_features_record_has_the_bits_of_its_table(n):
     # The engine reads windows of the held table below the streaming line
     # and blocks from it on.  The reference is the table, or past

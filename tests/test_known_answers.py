@@ -116,7 +116,7 @@ def test_taylor_routes_agree_from_linf_gamma_to_linf():
     "or more consecutive rows over the whole inner index"))
 def test_a_matmul_product_streams_the_bits_of_its_table():
     # At the first truncation past the streaming line, its rows come in
-    # blocks of FEATURE_BLOCK // n = 35 rows, and their sums are its row
+    # blocks of FEATURE_BLOCK // n = 41 rows, and their sums are its row
     # traces.
     a, n = compose("euler:1/2", "euler:1/10"), FIRST_STREAMED
     eng = _Engine(a, n, 1.5e-3, n // 10)
