@@ -6,6 +6,8 @@ of traces, condition reports, oracle images and oracle probes all live in
 one least-recently-used store, capped in bytes by :data:`CAP_BYTES`.  Every
 entry is charged its ``nbytes`` (zero for values without arrays) plus
 :data:`ENTRY_OVERHEAD`, so small values cannot pile up without bound either.
+A value whose charge alone is over the cap is returned but not held, and
+nothing is evicted for it.
 
 Dense tables are working memory, not contents: a few neighbouring checks
 read one, while the small entries it would push out (matrices, features
@@ -78,13 +80,13 @@ def lookup(key: tuple, build, nbytes: int = 0):
     """The cached value for ``key``, made by ``build()`` on a miss.
 
     ``nbytes``, when given, is the size of the value's arrays, known before
-    the build: room for it is made first.
+    the build: room for it is made first, unless it is over the cap.
     """
     _drop_dead()
     got = _get(key)
     if got is not None:
         return got[0]
-    if nbytes:
+    if nbytes and ENTRY_OVERHEAD + nbytes <= CAP_BYTES:
         _make_room(ENTRY_OVERHEAD + nbytes)
     value = build()
     _put(key, value)
@@ -127,8 +129,11 @@ def _get(key):
 
 
 def _put(key, value) -> None:
+    """Hold ``value`` and evict down to the cap, unless it is over the cap."""
     global _held
     charge = ENTRY_OVERHEAD + int(getattr(value, "nbytes", 0))
+    if charge > CAP_BYTES:
+        return
     _entries[key] = (value, charge)
     _held += charge
     if key[0] == "table" or is_large(charge):

@@ -21,7 +21,7 @@ verdicts is a bug in one of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -44,14 +44,13 @@ from .sequences import (
     LimitKind,
     Sequence,
     SpaceId,
-    analyze_limit,
     analyze_traces,
     check_tol,
     classify_analyses,
     make_sequence,
     probe_window,
 )
-from .verdicts import Verdict, conjoin
+from .verdicts import Report, Verdict, _jsonable, conjoin, json_field
 
 # Engine defaults.  The truncation/tolerance/window triple was calibrated
 # together: at n = 600 with a 60-point trailing window, a tolerance of 1.5e-3
@@ -134,76 +133,52 @@ def supported_pairs() -> list:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Report):
     condition: str
     verdict: Verdict
-    observed: Optional[float]
+    observed: Optional[float] = json_field(optional=True)
     note: str
     truncation: int
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "condition": self.condition,
-            "verdict": str(self.verdict),
-            "note": self.note,
-            "truncation": self.truncation,
-        }
-        if self.observed is not None:
-            out["observed"] = float(self.observed)
-        if self.extras:
-            out["detail"] = _jsonable(self.extras)
-        return out
+    extras: dict = json_field("detail", optional=True, default_factory=dict)
 
 
 @dataclass(frozen=True)
-class SampleProbe:
-    label: str
+class SampleProbe(Report):
+    label: str = json_field("sample")
     verdict: Verdict
     note: str
 
-    def to_dict(self) -> dict:
-        return {"sample": self.label, "verdict": str(self.verdict),
-                "note": self.note}
-
 
 @dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Report):
     verdict: Verdict
     samples: tuple
     witnesses: tuple
-    decisive: int
+    decisive: int = json_field("decisive_samples")
     agreement: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": str(self.verdict),
-            "decisive_samples": self.decisive,
-            "agreement": self.agreement,
-            "witnesses": list(self.witnesses),
-            "samples": [p.to_dict() for p in self.samples],
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Report):
     matrix: dict
-    from_space: str
-    to_space: str
+    from_space: str = json_field("from")
+    to_space: str = json_field("to")
     conditions_required: tuple
     verdict: Verdict
     route: str
     n: int
     tol: float
     window: int
-    condition_reports: tuple = ()
-    conditions_verdict: Optional[Verdict] = None
-    transfer: Optional[dict] = None
-    row_pairing: Optional[dict] = None
-    oracle: Optional[OracleReport] = None
-    notes: tuple = ()
+    condition_reports: tuple = json_field("conditions", optional=True,
+                                          default=())
+    conditions_verdict: Optional[Verdict] = json_field(optional=True,
+                                                       default=None)
+    transfer: Optional[dict] = json_field("transfer_matrix", optional=True,
+                                          default=None)
+    row_pairing: Optional[dict] = json_field(optional=True, default=None)
+    oracle: Optional[OracleReport] = json_field(optional=True, default=None)
+    notes: tuple = json_field(optional=True, default=())
 
     def routes_agree(self) -> Optional[bool]:
         """True/False when both routes ran and both are decisive, else None."""
@@ -215,44 +190,10 @@ class ClassReport:
         return a is b
 
     def to_dict(self) -> dict:
-        out = {
-            "matrix": self.matrix,
-            "from": self.from_space,
-            "to": self.to_space,
-            "verdict": str(self.verdict),
-            "route": self.route,
-            "n": self.n,
-            "tol": self.tol,
-            "window": self.window,
-            "conditions_required": list(self.conditions_required),
-        }
-        if self.conditions_verdict is not None:
-            out["conditions_verdict"] = str(self.conditions_verdict)
-        if self.condition_reports:
-            out["conditions"] = [r.to_dict() for r in self.condition_reports]
-        if self.transfer is not None:
-            out["transfer_matrix"] = self.transfer
-        if self.row_pairing is not None:
-            out["row_pairing"] = self.row_pairing
+        out = super().to_dict()
         if self.oracle is not None:
-            out["oracle"] = self.oracle.to_dict()
-            agree = self.routes_agree()
-            out["routes_agree"] = agree
-        if self.notes:
-            out["notes"] = list(self.notes)
+            out["routes_agree"] = self.routes_agree()
         return out
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Verdict):
-        return str(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1018,7 @@ def check_class(a, from_space, to_space, n: int = DEFAULT_CLASS_N,
 
 
 @dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(Report):
     """Limit-preservation probe: bounded rows, vanishing columns, and row sums
     tending to one.  A matrix satisfying all three maps convergent sequences
     to sequences converging to the same limit."""
@@ -1085,30 +1026,19 @@ class RegularityReport:
     verdict: Verdict
     bounded_rows: ConditionReport
     null_columns: ConditionReport
-    row_sum_verdict: Verdict
-    row_sum_limit: Optional[float]
+    row_sum_verdict: Verdict = json_field(False)
+    row_sum_limit: Optional[float] = json_field(False)
     n: int
     tol: float
     window: int
-    row_sum_note: str = ""
+    row_sum_note: str = json_field(False, default="")
 
     def to_dict(self) -> dict:
-        row_sums = {
-            "verdict": str(self.row_sum_verdict),
-            "limit": self.row_sum_limit,
-            "target": 1.0,
-        }
+        row_sums = {"verdict": str(self.row_sum_verdict),
+                    "limit": self.row_sum_limit, "target": 1.0}
         if self.row_sum_note:
             row_sums["note"] = self.row_sum_note
-        return {
-            "verdict": str(self.verdict),
-            "bounded_rows": self.bounded_rows.to_dict(),
-            "null_columns": self.null_columns.to_dict(),
-            "row_sums": row_sums,
-            "n": self.n,
-            "tol": self.tol,
-            "window": self.window,
-        }
+        return {**super().to_dict(), "row_sums": row_sums}
 
 
 def regularity_report(a, n: int = 2000, tol: float = CLASS_TOL,
@@ -1124,10 +1054,11 @@ def regularity_report(a, n: int = 2000, tol: float = CLASS_TOL,
         window = _default_window(n)
     c1 = condition_report(a, "bounded-rows", n, tol, window)
     c5 = condition_report(a, "null-columns", n, tol, window)
-    lv, rows_note = None, ""
+    # The row sums' limit analysis that row-sums-converge fills.
+    eng, lv, rows_note = _Engine(a, n, tol, window), None, ""
     try:
-        idx, vals = condition_trace(a, "row-sum", n, window)
-        lv = analyze_limit(idx, vals, tol, window)
+        idx, vals = eng.row_trace("row_sum")
+        lv, = eng.analyses("row_sum", "c", lambda: (idx, vals[None]))
     except _TooFewRows as short:
         rows_note = str(short)
     if lv is not None and lv.kind is LimitKind.CONVERGES:

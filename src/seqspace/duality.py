@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import SpecError
 from .matrices import DualTriangle, inverse_of
 from .sequences import FiniteVector, finite_vector, make_sequence
-from .verdicts import Verdict
+from .verdicts import Report, Verdict, json_field
 
 DUAL_KINDS = ("beta", "gamma")
 
@@ -52,7 +52,7 @@ def weighted_partial_sums(a, x, n: int) -> FiniteVector:
 
 
 @dataclass(frozen=True)
-class DualReport:
+class DualReport(Report):
     """Outcome of a dual-membership probe."""
 
     verdict: Verdict
@@ -60,19 +60,7 @@ class DualReport:
     space: str                 # the domain the dual belongs to
     target_pair: tuple         # mapping-class pair the triangle was tested on
     class_report: object       # ClassReport for the transfer triangle
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        out = {
-            "verdict": str(self.verdict),
-            "kind": self.kind,
-            "space": self.space,
-            "target_pair": list(self.target_pair),
-            "class_report": self.class_report.to_dict(),
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
+    note: str = json_field(optional=True, default="")
 
 
 def dual_membership(a, space, kind: str = "beta", n: Optional[int] = None,

@@ -990,9 +990,8 @@ def compose(left, right) -> InfiniteMatrix:
             unit, other = ((left, right) if isinstance(left, units)
                            else (right, left))
             made = copy.copy(other if isinstance(unit, Identity) else unit)
-        elif right.key in (_INVERSE_NAMES.get(left.key), ("inverse", left.key)) \
-                or left.key in (_INVERSE_NAMES.get(right.key),
-                                ("inverse", right.key)):
+        elif right.key in (_INVERSE_KEYS.get(left.key), ("inverse", left.key)) \
+                or left.key == ("inverse", right.key):
             made = copy.copy(matrix_from_spec("identity"))
         elif isinstance(left, Band) and isinstance(right, Band):
             made = Band([_product_diagonal(left, right, lag) for lag in
@@ -1182,27 +1181,23 @@ def matrix_from_spec(spec) -> InfiniteMatrix:
     raise SpecError(f"cannot build a matrix from {type(spec).__name__}")
 
 
-_INVERSE_NAMES = {
-    "omega": "omega-inv",
-    "omega-inv": "omega",
-    "gamma": "gamma-inv",
-    "gamma-inv": "gamma",
-    "sigma": "sigma-inv",
-    "sigma-inv": "sigma",
-    "identity": "identity",
-    "cesaro": "cesaro-inv",
-}
+#: The closed-form inverse pairs by key, each written once, read both ways.
+_INVERSE_PAIRS = (("omega", "omega-inv"), ("gamma", "gamma-inv"),
+                  ("sigma", "sigma-inv"), ("cesaro", "cesaro-inv"),
+                  ("identity", "identity"))
+_INVERSE_KEYS = {**dict(_INVERSE_PAIRS), **{b: a for a, b in _INVERSE_PAIRS}}
 
 
 def inverse_of(a) -> InfiniteMatrix:
     """Inverse of a triangle, using the closed-form partner when one is known.
 
-    Builtin pairs (omega/omega-inv, gamma/gamma-inv, sigma/sigma-inv, cesaro,
-    identity, riesz) resolve to explicit bidiagonal or weighted-sum matrices;
+    The closed-form pairs (omega/omega-inv, gamma/gamma-inv, sigma/sigma-inv,
+    cesaro/cesaro-inv, identity), found by key in either direction, and the
+    Riesz means resolve to explicit bidiagonal or weighted-sum matrices;
     anything else falls back to :func:`invert_triangle`.
     """
     a = matrix_from_spec(a)
-    partner = _INVERSE_NAMES.get(a.name)
+    partner = _INVERSE_KEYS.get(a.key)
     if partner is not None:
         return matrix_from_spec(partner)
     if isinstance(a, WeightedMeans) and a.mean:

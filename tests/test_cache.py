@@ -21,7 +21,7 @@ from seqspace.conditions import (_Engine, check_class, regularity_report,
                                  target_transfer_matrix)
 from seqspace.duality import DualTriangle
 from seqspace.matrices import (ComposedMatrix, TaylorTransform, compose,
-                               matrix_from_spec)
+                               matrix_from_spec, truncate_matrix)
 from seqspace.sequences import Sequence
 from test_golden import grid_records
 
@@ -82,6 +82,25 @@ def test_large_entries_go_first_but_the_newest_stays(monkeypatch):
     tables = [k for k in cache._entries if k[0] in ("table", "big")]
     assert tables == [("table", "m", 11)]
     assert ("small",) not in cache._entries
+
+
+def test_a_value_over_the_cap_is_returned_but_not_held():
+    # A 2000 x 2000 table (30.5 MiB) is over the 14 MiB cap: it is built
+    # and returned, but it empties nothing and is not held.  Neither is a
+    # value whose size shows only after its build.
+    check_class("cesaro", "c0", "c")
+    check_class("omega", "c", "c")
+    gamma = matrix_from_spec("gamma")
+    held = cache.stats()
+    table = truncate_matrix(gamma, 2000, "float")
+    assert table.shape == (2000, 2000)
+    assert cache.ENTRY_OVERHEAD + table.nbytes > cache.CAP_BYTES
+    big = cache.lookup(("big",), lambda: np.zeros(cache.CAP_BYTES // 8))
+    assert len(big) == cache.CAP_BYTES // 8
+    after = cache.stats()
+    assert (after["entries"], after["bytes"], after["evictions"]) == (
+        held["entries"], held["bytes"], held["evictions"])
+    assert truncate_matrix(gamma, 2000, "float") is not table
 
 
 def test_evicted_table_is_freed_at_once(monkeypatch):

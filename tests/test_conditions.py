@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqspace import cache, cli, conditions
+from seqspace import cache, cli, conditions, sequences
 from seqspace.conditions import (
     CLASS_TOL,
     DEFAULT_CLASS_N,
@@ -135,6 +135,13 @@ def test_condition_report_fields():
     assert d["condition"] == "bounded-rows"
     assert d["verdict"] == "violated"
     assert d["truncation"] == DEFAULT_CLASS_N
+    assert d["observed"] == rep.observed and "detail" in d
+    # An unset optional field is left out: no observed value, no extras.
+    bare = condition_report("omega", "abs-rows-match-columns")
+    assert bare.observed is None and bare.extras == {}
+    assert bare.to_dict() == {"condition": "abs-rows-match-columns",
+                              "verdict": "violated", "note": bare.note,
+                              "truncation": DEFAULT_CLASS_N}
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +576,16 @@ def test_route_oracle_only():
     assert r.verdict is Verdict.SATISFIED
     assert r.conditions_verdict is None
     assert r.routes_agree() is None
+    # The conditions route did not run: its fields are left out, and the
+    # routes cannot agree.
+    d = r.to_dict()
+    assert not {"conditions_verdict", "conditions"} & set(d)
+    assert d["routes_agree"] is None
+    assert d["oracle"]["verdict"] == "satisfied"
+    # A numpy integer seed is accepted, and its report is JSON data.
+    numpy_seed = check_class("cesaro", "c0", "c", route="oracle",
+                             seed=np.int64(0)).to_dict()
+    assert json.dumps(numpy_seed) == json.dumps(d)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +614,23 @@ def test_regularity_identity():
     assert r.verdict is Verdict.SATISFIED
     assert r.row_sum_limit == 1.0
     assert r.to_dict()["row_sums"]["target"] == 1.0
+
+
+def test_regularity_reads_the_row_sum_limit_the_checks_left(monkeypatch):
+    # row-sums-converge fills the engine's analysis of the row sums in c;
+    # after (c : c) and (c : c0) a regularity report at their truncation
+    # judges nothing again, and reads as a cold one.
+    cache.clear()
+    cold = regularity_report("cesaro", n=600).to_dict()
+    cache.clear()
+    check_class("cesaro", "c", "c", n=600)
+    check_class("cesaro", "c", "c0", n=600)
+    calls = []
+    analyze = sequences.analyze_limits
+    monkeypatch.setattr(sequences, "analyze_limits",
+                        lambda *args: calls.append(args) or analyze(*args))
+    assert regularity_report("cesaro", n=600).to_dict() == cold
+    assert calls == []
 
 
 def test_non_finite_tolerances_are_rejected():

@@ -304,6 +304,12 @@ def test_inverse_of_uses_closed_forms():
     assert inverse_of("identity").name == "identity"
     assert inverse_of("sigma").name == "sigma-inv"
     assert inverse_of("sigma-inv").name == "sigma"
+    # Each pair is read both ways, and by key: identity*omega is omega
+    # under a product's name.
+    assert inverse_of("cesaro").name == "cesaro-inv"
+    assert inverse_of("cesaro-inv") is matrix_from_spec("cesaro")
+    assert inverse_of(compose("identity", "omega")) is matrix_from_spec(
+        "omega-inv")
 
 
 def test_zero_diagonal_rejected():
