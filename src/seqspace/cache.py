@@ -11,8 +11,13 @@ nothing is evicted for it.
 
 Dense tables are working memory, not contents: a few neighbouring checks
 read one, while the small entries it would push out (matrices, features
-records, reports, images, probes, batteries) serve many.  So every
-``("table", ...)`` entry and every large one, over a third of the cap
+records, reports, images, probes, batteries) serve many.  So a
+``("table", ...)`` entry, once held, replaces every other table but those
+that its own build read (hits or nested builds) and those that a table
+build still in progress has read: sigma*(E*B^-1) streams E*B^-1 from E's
+table while it builds, so E's table stays.  A stream of new matrices thus
+holds one table at a time, not as many as the cap takes.  Under the cap,
+every table and every large entry, over a third of the cap
 (:func:`is_large`), goes first, least recent first, all but the newest;
 the others go only when no table but the newest is left.  Readers of
 many rows (``InfiniteMatrix._row_chunks``) build tables only for walks
@@ -20,8 +25,9 @@ many rows (``InfiniteMatrix._row_chunks``) build tables only for walks
 Schur's form of (linf : cs) reads last row first
 (``InfiniteMatrix._table_chunks``), and not when the table would be large.
 Every other matrix is read in blocks, and every other product streams its
-rows through its factors.  A table's room is made before it is built, so
-the table it replaces is freed first.
+rows through its factors.  A table's room under the cap is made before it
+is built; the tables it replaces go once it is built, since its build may
+read them.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
@@ -45,11 +51,13 @@ from itertools import count
 #: Bytes the cache may hold.  The small entries of a whole acceptance-grid
 #: pass at the default n = 600 (1,346, of them 62 features records of two
 #: row traces each) charge 7.7 MiB, which leaves 6.3 MiB to 2.75 MiB
-#: tables: two at the end of the pass.  A nested transfer check such as
-#: sigma*(E*B^-1), E an Euler mean, reads two at once (E, and the product
-#: being built, whose rows E*B^-1 streams from E's table; sigma and B^-1
-#: are read in blocks): 5.5 MiB.  All 13 evictions of a cold pass, of 15
-#: tables built, are tables.  At 12.5 MiB the pass builds one table more.
+#: tables.  A nested transfer check such as sigma*(E*B^-1), E an Euler
+#: mean, reads two at once (E, and the product being built, whose rows
+#: E*B^-1 streams from E's table; sigma and B^-1 are read in blocks):
+#: 5.5 MiB, and the pass ends holding such a pair, sigma*(E_{1/2}*gamma-inv)
+#: and E_{1/2}.  All 13 evictions of a cold pass, of 15 tables built, are
+#: tables: 11 replaced by a newer table, 2 under the cap.  At 12.5 MiB the
+#: pass builds one table more.
 #: A table over a third of the cap (n >= 783) is read in row chunks
 #: instead.  Below that line tables pay: a cold grid pass at n = 800 took
 #: 0.62 s CPU reading tables at a 19 MiB cap and 1.01 s streaming at this
@@ -62,6 +70,7 @@ _entries: OrderedDict = OrderedDict()   # key -> (value, charged bytes)
 _first: OrderedDict = OrderedDict()     # keys of the tables and large entries
 _counts = {"hits": 0, "misses": 0, "evictions": 0}
 _held = 0
+_reading: list = []     # per table build in progress: the tables it read
 _serials = count(1)
 _by_serial: dict = {}   # serial -> keys of the entries naming it
 _dead: list = []        # serials whose matrices are gone
@@ -80,7 +89,9 @@ def lookup(key: tuple, build, nbytes: int = 0):
     """The cached value for ``key``, made by ``build()`` on a miss.
 
     ``nbytes``, when given, is the size of the value's arrays, known before
-    the build: room for it is made first, unless it is over the cap.
+    the build: room for it is made first, unless it is over the cap.  A
+    table held replaces every other table but those that its build or a
+    table build still in progress read.
     """
     _drop_dead()
     got = _get(key)
@@ -88,8 +99,17 @@ def lookup(key: tuple, build, nbytes: int = 0):
         return got[0]
     if nbytes and ENTRY_OVERHEAD + nbytes <= CAP_BYTES:
         _make_room(ENTRY_OVERHEAD + nbytes)
-    value = build()
-    _put(key, value)
+    if key[0] != "table":
+        value = build()
+        _put(key, value)
+        return value
+    _reading.append(set())
+    try:
+        value = build()
+    finally:
+        read = _reading.pop()
+    _put(key, value, read.union(*_reading))
+    _note_read(key)
     return value
 
 
@@ -125,15 +145,27 @@ def _get(key):
     if key in _first:
         _first.move_to_end(key)
     _counts["hits"] += 1
+    _note_read(key)
     return got
 
 
-def _put(key, value) -> None:
-    """Hold ``value`` and evict down to the cap, unless it is over the cap."""
+def _note_read(key) -> None:
+    """Count a table among the reads of every table build in progress."""
+    if key[0] == "table":
+        for read in _reading:
+            read.add(key)
+
+
+def _put(key, value, keep=None) -> None:
+    """Hold ``value`` and evict down to the cap, unless it is over the cap.
+    A table held first evicts every other table not in ``keep``."""
     global _held
     charge = ENTRY_OVERHEAD + int(getattr(value, "nbytes", 0))
     if charge > CAP_BYTES:
         return
+    if keep is not None:
+        for other in [k for k in _first if k[0] == "table" and k not in keep]:
+            _evict(other)
     _entries[key] = (value, charge)
     _held += charge
     if key[0] == "table" or is_large(charge):
@@ -167,8 +199,12 @@ def _make_room(incoming: int) -> None:
         else:
             victim = next(k for k in _entries
                           if k not in _first or len(_entries) == 1)
-        _forget(victim)
-        _counts["evictions"] += 1
+        _evict(victim)
+
+
+def _evict(key) -> None:
+    _forget(key)
+    _counts["evictions"] += 1
 
 
 def _forget(key) -> None:

@@ -386,9 +386,13 @@ class _Engine:
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
         # matrices whose mass travels with the row index, so the sample is
-        # capped well inside the window.
-        cap = min(self.n - 2 * self.window, self.n // 3)
+        # capped well inside the window, and a matrix that knows where its
+        # columns settle (``column_settles``) keeps only those that do.
+        edge = self.n - 2 * self.window
+        cap = min(edge, self.n // 3)
         ks = list(range(1, 9)) + [12, 16, 24, 32, 48, 64, 96, 128, 192, 256]
+        if hasattr(self.a, "column_settles"):
+            ks = [k for k in ks if self.a.column_settles(k) <= edge]
         return sorted({k for k in ks if 1 <= k <= cap})
 
     def analyses(self, trace: str, space: str, read) -> list:

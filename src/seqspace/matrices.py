@@ -143,6 +143,9 @@ class InfiniteMatrix:
     * ``_features_floats(rows, ks, n)``: the features record at n (sums and
       absolute sums of ``rows``, columns ``ks``), read from no rows;
     * ``row_series(n)``: row n out to its certified cutoff.
+
+    A class that knows past which row its column k has settled says so in
+    ``column_settles(k)``: the conditions route samples only those columns.
     """
 
     def __init__(self, name: str, params: Optional[dict] = None,
@@ -236,7 +239,11 @@ class InfiniteMatrix:
         rows = np.asarray(rows)
         for lo in range(0, len(rows), step):
             yield lo, self.block(rows[lo:lo + step], m)
-    _row_chunks = _blocks
+
+    def _row_chunks(self, rows, m: int, step: int):
+        # The subclass's own _blocks: one that reads many rows at once
+        # (Euler's walk) must not be read a block per chunk.
+        return self._blocks(rows, m, step)
 
     def _table_chunks(self, rows, m: int, step: int):
         """``_row_chunks`` of a matrix whose row costs more than its width (a
@@ -536,6 +543,14 @@ class EulerMeans(InfiniteMatrix):
             return 0
         r = self.r
         return math.comb(n - 1, k - 1) * (1 - r) ** (n - k) * r ** (k - 1)
+
+    def column_settles(self, k: int) -> float:
+        """A row past which column k has settled: column k is binomial in n,
+        peaks near row (k - 1)/r and spreads sqrt((k - 1)(1 - r))/r rows, so
+        eight spreads past the peak its tail is negligible (a tail bound of
+        the binomial; Hardy 1949, ch. 8; Boos 2000)."""
+        r = float(self.r)
+        return (k - 1) / r + 8 * math.sqrt((k - 1) * (1 - r)) / r
 
     def block(self, rows, m):
         (_, out), = self._blocks(np.asarray(rows), m, len(rows))

@@ -69,10 +69,16 @@ def test_large_entries_go_first_but_the_newest_stays(monkeypatch):
     held = set(cache._entries)
     assert ("small",) in held and ("big", 1) not in held
     assert {("big", 2), ("big", 3)} <= held
-    # Tables go first at any size: twelve 1 MiB tables made after the small
-    # entry evict both large entries and the oldest tables, not it.
-    for i in range(12):
-        cache.lookup(("table", "m", i), lambda: np.zeros(mib // 8), nbytes=mib)
+    # Tables go first at any size: a 1 MiB table whose build reads eleven
+    # more, each kept while it builds, evicts both large entries and the
+    # oldest tables it read, not the small entry made before them.
+    def reads_eleven():
+        for i in range(11):
+            cache.lookup(("table", "m", i), lambda: np.zeros(mib // 8),
+                         nbytes=mib)
+        return np.zeros(mib // 8)
+
+    cache.lookup(("table", "m", 11), reads_eleven, nbytes=mib)
     held = set(cache._entries)
     assert ("small",) in held and ("table", "m", 11) in held
     assert not {("big", 2), ("big", 3), ("table", "m", 0)} & held
@@ -82,6 +88,30 @@ def test_large_entries_go_first_but_the_newest_stays(monkeypatch):
     tables = [k for k in cache._entries if k[0] in ("table", "big")]
     assert tables == [("table", "m", 11)]
     assert ("small",) not in cache._entries
+
+
+def test_a_new_table_replaces_the_tables_its_build_did_not_read(monkeypatch):
+    """Tables are working memory: the sweep's queries of E_{3/4} and then
+    E_{5/7} leave only E_{5/7}'s table held, though both fit the cap.  A
+    build keeps the tables it read: sigma*(E_{1/2}*omega-inv) reads
+    E_{1/2}*omega-inv from E_{1/2}'s table while it builds, so that one
+    stays.  Each table replaced is an eviction."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    from workloads import _query
+
+    def tables():
+        return {k[1] for k in cache._entries if k[0] == "table"}
+
+    for spec in ("euler:3/4", "euler:5/7"):
+        for argv, _, _ in _query("euler", spec):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["--json"]) in (0, 1, 2), argv
+    assert tables() == {"euler:5/7"}
+    assert cache.stats()["evictions"] == 1
+    transfer = compose("sigma", compose("euler:1/2", "omega-inv"))
+    transfer.truncation_floats(600)
+    assert tables() == {"euler:1/2", transfer.key}
+    assert cache.stats()["evictions"] == 2
 
 
 def test_a_value_over_the_cap_is_returned_but_not_held():

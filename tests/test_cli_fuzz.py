@@ -1,12 +1,13 @@
 """Command lines assembled from a fixed vocabulary of valid and malformed
-specs: whatever the input, the CLI leaves with a documented exit code,
-never with a traceback, and never through the catch-all that names an
-exception no refusal anticipated."""
+specs: whatever the input, the CLI leaves within five seconds with a
+documented exit code, never with a traceback, and never through the
+catch-all that names an exception no refusal anticipated."""
 
 import builtins
 import contextlib
 import io
 import re
+from datetime import timedelta
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -121,7 +122,7 @@ def run_cli(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=400, deadline=None,
+@settings(max_examples=400, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.too_slow])
 @given(command_lines())
 def test_cli_exit_codes_are_documented(argv):

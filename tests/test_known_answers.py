@@ -24,22 +24,19 @@ from test_float_kernels import FIRST_STREAMED, row_feature_reference
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-EULER_WINDOW = ("FOUND: Euler means with r ≤ 1/3 get wrong `violated` "
-                "verdicts although every E_r is regular")
-
 
 def conditions_of(report) -> dict:
     return {c.condition: c.verdict for c in report.condition_reports}
 
 
-@pytest.mark.xfail(strict=True, reason=EULER_WINDOW)
 def test_euler_one_fifth_columns_converge():
-    # E_r is regular for 0 < r <= 1: its columns tend to zero.
+    # E_r is regular for 0 < r <= 1: its columns tend to zero.  Column k
+    # peaks near row (k - 1)/r, so only the columns that settle inside the
+    # window are sampled (EulerMeans.column_settles).
     got = conditions_of(check_class("euler:1/5", "c", "c"))
     assert got["columns-converge"] is not Verdict.VIOLATED
 
 
-@pytest.mark.xfail(strict=True, reason=EULER_WINDOW)
 def test_euler_one_eighth_has_null_columns():
     assert regularity_report("euler:1/8").null_columns.verdict \
         is not Verdict.VIOLATED

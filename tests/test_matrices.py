@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqspace import cache
 from seqspace.errors import (
     FloatRangeError,
     RowSeriesError,
@@ -15,6 +16,7 @@ from seqspace.errors import (
 from seqspace.matrices import (
     DENSE_LIMIT,
     EulerMeans,
+    InfiniteMatrix,
     apply,
     compose,
     inverse_of,
@@ -389,6 +391,31 @@ def test_fast_float_paths_match_entries():
             slow = np.array([[float(a.entry(n, k)) for k in range(1, 31)]
                              for n in range(1, 31)])
             assert np.allclose(dense, slow, atol=1e-13), name
+
+
+def test_every_class_with_its_own_blocks_reads_rows_through_them(
+        monkeypatch):
+    """``_row_chunks``, the reader of many rows, goes through the class's own
+    ``_blocks`` or through ``_table_chunks``, never a ``block`` per chunk:
+    for an Euler mean that would be a walk from row 1 per chunk."""
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+    own = {cls for cls in subclasses(InfiniteMatrix) if "_blocks" in vars(cls)}
+    examples = [matrix_from_spec("euler:1/2"), compose("omega", "euler:1/2"),
+                compose("sigma", "euler:1/2"), compose("euler:1/2", "omega-inv")]
+    assert own == {type(a) for a in examples}
+    rows = np.arange(1, 9)
+    for a in examples:
+        blocks, block = [], type(a).block
+        monkeypatch.setattr(type(a), "block", lambda self, rows, m: (
+            blocks.append(len(rows)), block(self, rows, m))[1])
+        cache.clear()
+        got = np.concatenate([t for _, t in a._row_chunks(rows, 8, 2)])
+        monkeypatch.undo()
+        assert len(blocks) <= 1, (a.name, blocks)
+        assert np.array_equal(got, a.block(rows, 8)), a.name
 
 
 def test_row_sums():
