@@ -12,22 +12,17 @@ nothing is evicted for it.
 Dense tables are working memory, not contents: a few neighbouring checks
 read one, while the small entries it would push out (matrices, features
 records, reports, images, probes, batteries) serve many.  So a
-``("table", ...)`` entry, once held, replaces every other table but those
-that its own build read (hits or nested builds) and those that a table
-build still in progress has read: sigma*(E*B^-1) streams E*B^-1 from E's
-table while it builds, so E's table stays.  A stream of new matrices thus
-holds one table at a time, not as many as the cap takes.  Under the cap,
-every table and every large entry, over a third of the cap
-(:func:`is_large`), goes first, least recent first, all but the newest;
-the others go only when no table but the newest is left.  Readers of
-many rows (``InfiniteMatrix._row_chunks``) build tables only for walks
-(Euler means), generic inverses and the target transfers sigma*A, which
-Schur's form of (linf : cs) reads last row first
-(``InfiniteMatrix._table_chunks``), and not when the table would be large.
-Every other matrix is read in blocks, and every other product streams its
-rows through its factors.  A table's room under the cap is made before it
-is built; the tables it replaces go once it is built, since its build may
-read them.
+``("table", matrix key, size)`` entry, once held, replaces every other
+table whose matrix key its own key does not name, a key naming itself and
+every key nested in it.  A product's or an inverse's key nests its
+factors' keys, so the tables its build reads stay: sigma*(E*B^-1) streams
+E*B^-1 from E's table while it builds, and E's key is in its own.  A
+stream of new matrices thus holds one table at a time, not as many as the
+cap takes.  Under the cap, every table and every large entry, over a third
+of the cap (:func:`is_large`), goes first, least recent first, all but the
+newest; the others go only when no table but the newest is left.  A
+table's room under the cap is made before it is built; the tables it
+replaces go once it is built, since its build may read them.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
@@ -67,10 +62,8 @@ CAP_BYTES = 14 * 2 ** 20
 ENTRY_OVERHEAD = 4096
 
 _entries: OrderedDict = OrderedDict()   # key -> (value, charged bytes)
-_first: OrderedDict = OrderedDict()     # keys of the tables and large entries
 _counts = {"hits": 0, "misses": 0, "evictions": 0}
 _held = 0
-_reading: list = []     # per table build in progress: the tables it read
 _serials = count(1)
 _by_serial: dict = {}   # serial -> keys of the entries naming it
 _dead: list = []        # serials whose matrices are gone
@@ -90,8 +83,7 @@ def lookup(key: tuple, build, nbytes: int = 0):
 
     ``nbytes``, when given, is the size of the value's arrays, known before
     the build: room for it is made first, unless it is over the cap.  A
-    table held replaces every other table but those that its build or a
-    table build still in progress read.
+    table held replaces every other table that its key does not name.
     """
     _drop_dead()
     got = _get(key)
@@ -99,17 +91,8 @@ def lookup(key: tuple, build, nbytes: int = 0):
         return got[0]
     if nbytes and ENTRY_OVERHEAD + nbytes <= CAP_BYTES:
         _make_room(ENTRY_OVERHEAD + nbytes)
-    if key[0] != "table":
-        value = build()
-        _put(key, value)
-        return value
-    _reading.append(set())
-    try:
-        value = build()
-    finally:
-        read = _reading.pop()
-    _put(key, value, read.union(*_reading))
-    _note_read(key)
+    value = build()
+    _put(key, value)
     return value
 
 
@@ -142,35 +125,25 @@ def _get(key):
         _counts["misses"] += 1
         return None
     _entries.move_to_end(key)
-    if key in _first:
-        _first.move_to_end(key)
     _counts["hits"] += 1
-    _note_read(key)
     return got
 
 
-def _note_read(key) -> None:
-    """Count a table among the reads of every table build in progress."""
-    if key[0] == "table":
-        for read in _reading:
-            read.add(key)
-
-
-def _put(key, value, keep=None) -> None:
+def _put(key, value) -> None:
     """Hold ``value`` and evict down to the cap, unless it is over the cap.
-    A table held first evicts every other table not in ``keep``."""
+    A table held first evicts every other table that its key does not name."""
     global _held
     charge = ENTRY_OVERHEAD + int(getattr(value, "nbytes", 0))
     if charge > CAP_BYTES:
         return
-    if keep is not None:
-        for other in [k for k in _first if k[0] == "table" and k not in keep]:
+    named = _named(key)
+    if key[0] == "table":
+        for other in [k for k in _entries if k[0] == "table"
+                      and k[1] not in named]:
             _evict(other)
     _entries[key] = (value, charge)
     _held += charge
-    if key[0] == "table" or is_large(charge):
-        _first[key] = None
-    for serial in _serials_in(key):
+    for serial in _serials_in(named):
         _by_serial.setdefault(serial, set()).add(key)
     _make_room(0)
 
@@ -180,26 +153,33 @@ def is_large(nbytes: int) -> bool:
     return nbytes > CAP_BYTES // 3
 
 
-def _serials_in(key) -> list:
-    if not isinstance(key, tuple):
-        return []
-    if len(key) == 2 and key[0] == "serial":
-        return [key[1]]
-    return [serial for part in key for serial in _serials_in(part)]
+def _named(key) -> set:
+    """``key`` and every key nested in it."""
+    named = {key}
+    if isinstance(key, tuple):
+        for part in key:
+            named |= _named(part)
+    return named
+
+
+def _serials_in(named) -> list:
+    return [part[1] for part in named if isinstance(part, tuple)
+            and len(part) == 2 and part[0] == "serial"]
 
 
 def _make_room(incoming: int) -> None:
     """Evict until ``incoming`` more bytes fit: tables and large entries
-    first, all but the newest.  An incoming large entry becomes the most
-    recent of them, so then every held one may go before the others."""
+    first, least recent first, all but the newest.  An incoming large entry
+    becomes the most recent of them, so then every held one may go before
+    the others."""
     keep = 0 if is_large(incoming) else 1
     while _entries and _held + incoming > CAP_BYTES:
-        if len(_first) > keep:
-            victim = next(iter(_first))
+        first = [k for k, (_, charge) in _entries.items()
+                 if k[0] == "table" or is_large(charge)]
+        if len(first) > keep or len(first) == len(_entries):
+            _evict(first[0])
         else:
-            victim = next(k for k in _entries
-                          if k not in _first or len(_entries) == 1)
-        _evict(victim)
+            _evict(next(k for k in _entries if k not in first))
 
 
 def _evict(key) -> None:
@@ -213,8 +193,7 @@ def _forget(key) -> None:
     if got is None:
         return
     _held -= got[1]
-    _first.pop(key, None)
-    for serial in _serials_in(key):
+    for serial in _serials_in(_named(key)):
         keys = _by_serial.get(serial)
         if keys is not None:
             keys.discard(key)
@@ -233,7 +212,6 @@ def clear() -> None:
     """Drop every entry and reset the counters."""
     global _held
     _entries.clear()
-    _first.clear()
     _by_serial.clear()
     _held = 0
     _counts.update(hits=0, misses=0, evictions=0)

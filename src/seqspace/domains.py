@@ -196,9 +196,12 @@ def basis_element(space_or_matrix, k: int, upto: Optional[int] = None) -> dict:
 
     For builtin triangles the inverse column has finite support and is
     returned whole; otherwise entries are reported for rows up to ``upto``.
+    ``upto``, when given, must be at least 1.
     """
     if k < 1:
         raise IndexError(f"basis index must be >= 1, got {k}")
+    if upto is not None and upto < 1:
+        raise PreconditionError(f"upto must be >= 1, got {upto}")
     a = _resolve_triangle(space_or_matrix)
     inv = inverse_of(a)
     top = inv.col_end(k)

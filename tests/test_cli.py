@@ -140,6 +140,13 @@ def test_basis(capsys):
     assert doc["route_delta"] == 0.0
 
 
+def test_basis_upto_below_one_exit_3(capsys):
+    rc, out, err = run(capsys, "basis", "--matrix", "omega", "--k", "2",
+                       "--upto", "-5", "--json")
+    assert rc == 3 and out == ""
+    assert "upto" in err
+
+
 def test_errors_exit_3(capsys):
     rc, _, err = run(capsys, "transform", "--matrix", "nope",
                      "--seq", "const:1", "--n", "2")

@@ -135,6 +135,15 @@ def test_basis_elements():
         basis_element("omega", 0)
 
 
+def test_basis_element_refuses_upto_below_one():
+    # Rows count from 1: below that there is no row to report, and an
+    # empty dict would read as a basis element with no entries.
+    for upto in (0, -5):
+        with pytest.raises(PreconditionError, match="upto"):
+            basis_element("omega", 2, upto=upto)
+    assert basis_element("omega", 2, upto=2) == {2: Fraction(1, 2)}
+
+
 def test_basis_element_needs_upto_without_closed_form():
     rng = np.random.default_rng(7)
     t = rational_band_triangle(rng, size=10, width=2)
