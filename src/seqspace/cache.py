@@ -1,9 +1,10 @@
 """One bounded cache for everything seqspace computes more than once.
 
 Matrices resolved from specs, transfer matrices, dense float tables, the
-features records read from rows (two row traces each), the limit analyses
-of traces, condition reports, oracle images and oracle probes all live in
-one least-recently-used store, capped in bytes by :data:`CAP_BYTES`.  Every
+features records read from rows (two row traces each, with the limit
+analyses of those traces and of the sampled columns), condition reports,
+oracle images, their limit analyses and oracle probes all live in one
+least-recently-used store, capped in bytes by :data:`CAP_BYTES`.  Every
 entry is charged its ``nbytes`` (zero for values without arrays) plus
 :data:`ENTRY_OVERHEAD`, so small values cannot pile up without bound either.
 A value whose charge alone is over the cap is returned but not held, and
@@ -29,10 +30,11 @@ the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
 factors' keys for products and inverses (a product that reads as its factor
 has the factor's key, and its matrix entry adds its name), ``("row-dual",
 matrix key, row, domain key)`` for the dual triangle of a paired row, and a
-serial number for every other matrix.  Limit analyses are held per trace
-and per image target.  Serial numbers are never reused, so two matrices
-that happen to share a label never share an entry, and the entries of a
-serial-keyed matrix are dropped once the matrix is gone.  No cached value
+serial number for every other matrix.  Limit analyses are held in the
+features record of their traces and per image target.  Serial numbers are
+never reused, so two matrices that happen to share a label never share an
+entry, and the entries of a serial-keyed matrix are dropped once the
+matrix is gone.  No cached value
 refers back to a matrix that refers to the cache, so an evicted table is
 freed at once.
 """
@@ -44,14 +46,14 @@ from collections import OrderedDict
 from itertools import count
 
 #: Bytes the cache may hold.  The small entries of a whole acceptance-grid
-#: pass at the default n = 600 (1,346, of them 62 features records of two
-#: row traces each) charge 7.7 MiB, which leaves 6.3 MiB to 2.75 MiB
+#: pass at the default n = 600 (1,159, of them 62 features records of two
+#: row traces each) charge 7.0 MiB, which leaves 7.0 MiB to 2.75 MiB
 #: tables.  A nested transfer check such as sigma*(E*B^-1), E an Euler
 #: mean, reads two at once (E, and the product being built, whose rows
 #: E*B^-1 streams from E's table; sigma and B^-1 are read in blocks):
 #: 5.5 MiB, and the pass ends holding such a pair, sigma*(E_{1/2}*gamma-inv)
 #: and E_{1/2}.  All 13 evictions of a cold pass, of 15 tables built, are
-#: tables: 11 replaced by a newer table, 2 under the cap.  At 12.5 MiB the
+#: tables: 11 replaced by a newer table, 2 under the cap.  At 11.8 MiB the
 #: pass builds one table more.
 #: A table over a third of the cap (n >= 783) is read in row chunks
 #: instead.  Below that line tables pay: a cold grid pass at n = 800 took

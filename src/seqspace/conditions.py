@@ -234,14 +234,28 @@ class _TooFewRows(TruncationError):
 FEATURE_BLOCK = 1 << 15
 
 
+@dataclass(frozen=True)
+class _Features:
+    """A features record: the row sums and absolute row sums (``traces``)
+    and the limit analyses by trace (``limits``), charged as its traces."""
+    traces: np.ndarray
+    limits: dict
+
+    @property
+    def nbytes(self) -> int:
+        return self.traces.nbytes
+
+
 class _Engine:
     """Trace computations for one (matrix, truncation) pair.
 
     An engine is made per evaluation and holds nothing but O(n) features in
     the cache: one pass over the truncation's row chunks fills one features
-    record of two row traces and the sampled columns' limit analysis, and
-    the row distances are a second read, not cached: only
-    (linf : cs) reads them, and its report and limit analysis are cached.
+    record per tolerance, of two row traces and the limit analyses of those
+    traces and of the sampled columns.  Every other analysis, the sups and
+    the limits of the row distances, is made when a condition asks, and
+    only its report is cached; the row distances are a second read, which
+    only (linf : cs) makes.
     """
 
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
@@ -314,45 +328,32 @@ class _Engine:
     def row_trace(self, kind: str):
         rows = self.row_indices()
         if kind != "row_dist":
-            return rows, self._features()[int(kind == "row_abs"), :len(rows)]
+            return rows, self.features().traces[int(kind == "row_abs"),
+                                                :len(rows)]
         (_, last), = self._chunks(rows[-1:], self.n)
         buf = np.empty((min(len(rows), FEATURE_BLOCK // self.n + 1), self.n))
         return rows, np.concatenate([_reduce_rows(t, kind, last, buf[:len(t)])
                                      for _, t in self._chunks(rows, self.n)])
 
-    def columns(self) -> np.ndarray:
-        """The sampled columns over rows 1..n, one per row of the result,
-        read again at their own width: the features record keeps only
-        their limit analysis."""
-        ks = np.array(self.column_sample(), dtype=int)
-        out = np.empty((len(ks), self.n))
-        self._read_columns(ks, np.arange(1, self.n + 1), out)
-        return out
-
-    def column_analyses(self) -> list:
-        """The limit analysis of each sampled column, at this engine's
-        tolerance.  The features pass leaves it cached; on a miss (another
-        tolerance, or evicted) only the columns are read again."""
-        self._features()
-        return self._column_limits(self.columns)
-
-    def _column_limits(self, read) -> list:
-        """The cached analysis of the columns ``read()`` gives: the one key
-        the features pass and :meth:`column_analyses` share."""
-        return self.analyses("columns", "c",
-                             lambda: (np.arange(1, self.n + 1), read()))
-
-    def _features(self) -> np.ndarray:
+    def features(self) -> _Features:
         """The features record: the sums and absolute sums of
-        :meth:`row_indices`.  The pass that reads them reads the sampled
-        columns too, and leaves only their limit analysis in the cache."""
+        :meth:`row_indices`, and the limit analyses at this engine's
+        tolerance of those two traces and of the sampled columns, which the
+        same pass reads and then drops."""
         def build():
-            out = self._read()
+            out, limits = self._read(), {}
+            if self.row_limit >= self.window:
+                rows = self.row_indices()
+                sums, absolute = analyze_traces(
+                    rows, out[:2, :len(rows)], "c", self.tol, self.window)
+                limits.update(row_sum=[sums], row_abs=[absolute])
             if len(out) > 2:
-                self._column_limits(lambda: out[2:])
-            return out[:2].copy()
-        return cache.lookup(("features", self.a.key, self.n, self.window),
-                            build)
+                limits["columns"] = analyze_traces(
+                    np.arange(1, self.n + 1), out[2:], "c", self.tol,
+                    self.window)
+            return _Features(out[:2].copy(), limits)
+        return cache.lookup(("features", self.a.key, self.n, self.window,
+                             self.tol), build)
 
     def _read(self) -> np.ndarray:
         """The matrix's ``_features_floats``, or sums and absolute sums of
@@ -372,16 +373,10 @@ class _Engine:
                           if np.signbit(t).any() else out[0, at])
             out[2:, rows[at] - 1] = t[:, ks - 1].T
         if len(ks):
-            self._read_columns(
-                ks, np.delete(np.arange(1, self.n + 1), rows - 1), out[2:])
+            rest = np.delete(np.arange(1, self.n + 1), rows - 1)
+            for lo, t in self._chunks(rest, int(ks[-1])):
+                out[2:, rest[lo:lo + len(t)] - 1] = t[:, ks - 1].T
         return out
-
-    def _read_columns(self, ks: np.ndarray, rows: np.ndarray,
-                      out: np.ndarray) -> None:
-        """Columns ``ks`` of rows ``rows`` into ``out[:, rows - 1]``, the
-        rows read over columns 1..ks[-1] only."""
-        for lo, t in self._chunks(rows, int(ks[-1])):
-            out[:, rows[lo:lo + len(t)] - 1] = t[:, ks - 1].T
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for
@@ -395,18 +390,16 @@ class _Engine:
             ks = [k for k in ks if self.a.column_settles(k) <= edge]
         return sorted({k for k in ks if 1 <= k <= cap})
 
-    def analyses(self, trace: str, space: str, read) -> list:
-        """What the probes in ``space`` of the trace ``trace`` map from, read
-        as (indices, stack) by ``read()``; the limits for c0 and c are one
-        cached analysis."""
-        def analyze():
-            return analyze_traces(*read(), space, self.tol, self.window)
-        if space not in LIMIT_TAGS:
-            return analyze()
-        return cache.lookup(("trace-limits", self.a.key, self.n, self.window,
-                             self.tol, trace), analyze)
+    def analyses(self, trace: str, space: str, read=None) -> list:
+        """What the probes in ``space`` of the trace ``trace`` map from.  The
+        limits (c0, c) of the row sums, the absolute row sums and the
+        sampled columns are the features record's; any other is analysed
+        from ``read``, the trace as (indices, stack)."""
+        if space in LIMIT_TAGS and trace != "row_dist":
+            return self.features().limits[trace]
+        return analyze_traces(*read, space, self.tol, self.window)
 
-    def classify(self, trace: str, space: str, read) -> list:
+    def classify(self, trace: str, space: str, read=None) -> list:
         """The probes in ``space`` of the trace ``trace``: see
         :meth:`analyses`."""
         return classify_analyses(self.analyses(trace, space, read), space,
@@ -453,7 +446,7 @@ def _evaluate(eng: _Engine, condition: str) -> ConditionReport:
         # The last complete row stands in for the limit row; its own
         # distance, zero, is left out.
         idx, vals = idx[:-1], vals[:-1]
-    verdict, info = eng.classify(trace, space, lambda: (idx, vals[None]))[0]
+    verdict, info = eng.classify(trace, space, (idx, vals[None]))[0]
     if condition == "abs-rows-match-columns":
         got = _match_columns(eng, verdict, info["limit"])
     elif space == "linf":
@@ -475,8 +468,8 @@ def _columns_report(eng: _Engine, cond: str, space: str) -> ConditionReport:
     if not cols:
         return _report(cond, Verdict.INCONCLUSIVE, None,
                        "truncation too small to sample columns", eng.n)
-    verdicts = {k: v for k, (v, _) in zip(cols, classify_analyses(
-        eng.column_analyses(), space, eng.tol))}
+    verdicts = {k: v for k, (v, _) in
+                zip(cols, eng.classify("columns", space))}
     note = f"checked columns {cols[0]}..{cols[-1]} ({len(cols)} sampled)"
     extras = {"columns_checked": len(cols)}
     for key, verdict in (("violated_at", Verdict.VIOLATED),
@@ -1058,11 +1051,11 @@ def regularity_report(a, n: int = 2000, tol: float = CLASS_TOL,
         window = _default_window(n)
     c1 = condition_report(a, "bounded-rows", n, tol, window)
     c5 = condition_report(a, "null-columns", n, tol, window)
-    # The row sums' limit analysis that row-sums-converge fills.
+    # The row sums' limit analysis that row-sums-converge reads.
     eng, lv, rows_note = _Engine(a, n, tol, window), None, ""
     try:
-        idx, vals = eng.row_trace("row_sum")
-        lv, = eng.analyses("row_sum", "c", lambda: (idx, vals[None]))
+        eng.row_indices()       # too few rows raise here
+        lv, = eng.analyses("row_sum", "c")
     except _TooFewRows as short:
         rows_note = str(short)
     if lv is not None and lv.kind is LimitKind.CONVERGES:

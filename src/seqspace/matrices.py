@@ -293,9 +293,6 @@ class ZeroMatrix(InfiniteMatrix):
     def row_end(self, n):
         return 0
 
-    def col_start(self, k):
-        return 1
-
     def col_end(self, k):
         return 0
 
@@ -605,12 +602,6 @@ class TaylorTransform(InfiniteMatrix):
 
     def row_start(self, n):
         return n
-
-    def row_end(self, n):
-        return None
-
-    def col_start(self, k):
-        return 1
 
     def col_end(self, k):
         return k

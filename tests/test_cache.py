@@ -267,30 +267,30 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     """Identity and zero products are their factor, and a factor times its
     inverse the identity, so a grid pass builds no table for them, and the
     c0 and c judgements of one trace map from one limit analysis: one pass
-    at seed 0 and the default cap calls analyze_limits at most 501 times
-    (833 when each judgement made its own).  A product of bands is a band,
-    and running sums or a mean times a bidiagonal a dual triangle, each
-    read in blocks: neither builds a table (58 product tables when they
-    did, 42 when Cesaro and Riesz means times a bidiagonal and the inverse
+    at seed 0 and the default cap calls analyze_limits at most 456 times
+    (833 when each judgement made its own, 501 when each trace's analysis
+    was its own entry).  A product of bands is a band, and running sums or
+    a mean times a bidiagonal a dual triangle, each read in blocks: neither
+    builds a table (58 product tables when they did, 42 when Cesaro and
+    Riesz means times a bidiagonal and the inverse pairs did).
+    One pass of row chunks fills one features record per (matrix key, n,
+    window, tol) at every n: 62 of them, and no row-feature entry (152 when
+    the engine read tables one feature at a time, 20 row distances when
+    they were cached apart).  Only rows that cost a walk, and the rows of
+    the target transfers sigma*A, which Schur's form of (linf : cs) reads
+    last row first, are read from tables: at most 15 in all, E_{1/2} built
+    once and at most 14 products, each a sigma*A; every other product
+    streams its rows (39 tables, 37 of them products and E_{1/2} built
+    twice, when every product kept one; 86 when every family did, 60 when
+    band and dual products did, 44 when scaled dual products and inverse
     pairs did).
-    One pass
-    of row chunks fills one features record per (matrix key, n, window) at
-    every n: 62 of them, and no row-feature entry (152 when the engine read
-    tables one feature at a time, 20 row distances when they were cached
-    apart).  Only rows that cost a walk, and the rows of the target
-    transfers sigma*A, which Schur's form of (linf : cs) reads last row
-    first, are read from tables: at most 15 in all, E_{1/2} built once and
-    at most 14 products, each a sigma*A; every other product streams its
-    rows (39 tables, 37 of them products and E_{1/2} built twice, when
-    every product kept one; 86 when every family did, 60 when band and
-    dual products did, 44 when scaled dual products and inverse pairs
-    did).
-    Each features record keeps two row traces, the sums and absolute sums:
-    its pass leaves only the limit analysis of the sampled columns, so the
-    small entries of the pass charge at most 8 MiB (13.0 MiB when each
-    record kept its 17 columns).
-    The pass's cache counters are locked: 1,361 builds, 13 evictions, and
-    1,348 entries charging 13,835,008 bytes held at its end."""
+    Each features record keeps two row traces, the sums and absolute sums,
+    and the limit analyses of those traces and of the sampled columns, so
+    the small entries of the pass charge at most 8 MiB (13.0 MiB when each
+    record kept its 17 columns), and no trace-limits entry is stored.
+    The pass's cache counters are locked: 1,174 builds, 13 evictions, and
+    1,161 entries charging 13,069,056 bytes held at its end (1,361, 1,348
+    and 13,835,008 when each trace's analysis was its own entry)."""
     stored, calls = [], []
     lookup, analyze = cache.lookup, sequences.analyze_limits
 
@@ -309,8 +309,8 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     grid_records()
     assert {key: cache.stats()[key] for key in
             ("misses", "evictions", "entries", "bytes")} == {
-        "misses": 1361, "evictions": 13, "entries": 1348,
-        "bytes": 13835008}
+        "misses": 1174, "evictions": 13, "entries": 1161,
+        "bytes": 13069056}
     tables = [k for k in stored if k[0] == "table"]
     products = [k for k in tables if isinstance(k[1], tuple)
                 and k[1][0] == "compose"]
@@ -332,13 +332,14 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     assert not [k for k in products for pair in factor_pairs(k[1])
                 if pair in inverses or pair[::-1] in inverses]
     assert [k[1] for k in tables if k not in products] == ["euler:1/2"]
-    assert len(calls) <= 501
+    assert len(calls) <= 456
     assert not [k for k in stored if k[0] == "row-feature"]
     features = [k for k in stored if k[0] == "features"]
     assert len(features) == len(set(features)) == 62
-    assert all(cache._entries[k][0].shape == (2, 600) for k in features)
-    assert len([k for k in stored
-                if k[0] == "trace-limits" and k[-1] == "columns"]) == 62
+    assert all(cache._entries[k][0].traces.shape == (2, 600)
+               for k in features)
+    assert all("columns" in cache._entries[k][0].limits for k in features)
+    assert not [k for k in stored if k[0] == "trace-limits"]
     small = sum(charge for key, (_, charge) in cache._entries.items()
                 if not (key[0] == "table" or cache.is_large(charge)))
     assert small <= 8 * 2 ** 20

@@ -281,30 +281,57 @@ def test_the_oracle_samples_refuse_a_malformed_seed(seed):
 
 
 @pytest.mark.parametrize("spec", ("cesaro", "euler:1/2", "sigma*euler:1/2"))
-def test_a_missing_column_analysis_reads_only_the_columns(spec):
-    # The features pass leaves the sampled columns' analysis at its own
-    # tolerance.  An engine at another one finds the record but not the
-    # analysis, and reads the columns again at their own width only; what
-    # it gets is what a features pass at its tolerance leaves.
+def test_an_engine_at_another_tolerance_runs_its_own_features_pass(spec):
+    # The features record holds its analyses at its own tolerance.  An
+    # engine at another one, with that record held, gets what a features
+    # pass at its tolerance leaves in an empty cache.
     a = matrix_from_spec(spec) if "*" not in spec else compose(
         *spec.split("*"))
     n, window = 600, _class_window(600)
     cache.clear()
-    fresh = _Engine(a, n, 1e-2, window).column_analyses()
+    fresh = _Engine(a, n, 1e-2, window).analyses("columns", "c")
     cache.clear()
-    _Engine(a, n, CLASS_TOL, window).column_analyses()
-    eng = _Engine(a, n, 1e-2, window)
-    widths = []
-    chunks = eng._chunks
-
-    def counted(rows, width):
-        widths.append(width)
-        return chunks(rows, width)
-    eng._chunks = counted
-    got = eng.column_analyses()
+    _Engine(a, n, CLASS_TOL, window).analyses("columns", "c")
+    got = _Engine(a, n, 1e-2, window).analyses("columns", "c")
     cache.clear()
-    assert widths and max(widths) == eng.column_sample()[-1]
     assert repr(got) == repr(fresh)
+
+
+@pytest.mark.parametrize("spec, n", (("taylor:1/4", 600),
+                                     ("taylor:9/10", 3000)))
+def test_a_features_record_holds_the_analyses_of_its_own_traces(spec, n):
+    # The conditions leave one features record per (matrix, n, window,
+    # tol), with the limit analyses at its tolerance of its two row traces
+    # and of each sampled column.  taylor:1/4's row traces stop at its
+    # complete-row limit; taylor:9/10 has fewer complete rows than the
+    # window, so its record holds the columns' analyses alone, and its row
+    # conditions stay inconclusive with the too-few-rows note.
+    a, window = matrix_from_spec(spec), _class_window(n)
+    cache.clear()
+    reports = [condition_report(a, c, n) for c in (
+        "bounded-rows", "row-sums-converge", "columns-converge")]
+    held = {k: v for k, (v, _) in cache._entries.items() if k[0] == "features"}
+    assert list(held) == [("features", a.key, n, window, CLASS_TOL)]
+    record, = held.values()
+    eng = _Engine(a, n, CLASS_TOL, window)
+    want = {"columns": sequences.analyze_traces(
+        np.arange(1, n + 1), eng._read()[2:], "c", CLASS_TOL, window)}
+    if spec == "taylor:1/4":
+        rows = eng.row_indices()
+        assert rows[-1] == eng.row_limit == 358
+        sums, absolute = sequences.analyze_traces(
+            rows, record.traces[:, :len(rows)], "c", CLASS_TOL, window)
+        want.update(row_sum=[sums], row_abs=[absolute])
+    else:
+        assert eng.row_limit == 174
+        for got in reports[:2]:
+            assert got.verdict is Verdict.INCONCLUSIVE
+            assert got.note.startswith(
+                f"only 174 complete rows inside the {n}-column window")
+    cache.clear()
+    assert sorted(record.limits) == sorted(want)
+    for trace, analyses in want.items():
+        assert repr(record.limits[trace]) == repr(analyses), trace
 
 
 NO_NUMPY_RANDOM = """

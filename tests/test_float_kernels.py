@@ -1123,7 +1123,7 @@ def test_running_sums_times_an_inverse_pair_read_as_running_sums(
         assert a.key == "sigma" and a.name == f"sigma*{inner}*{inner}-inv"
         for m in (9, 600, 2501):
             assert same_bits(a.block(rows, m), sigma.block(rows, m)), m
-        _Engine(a, 600, 1.5e-3, 60).column_analyses()
+        _Engine(a, 600, 1.5e-3, 60).features()
         assert same_bits(
             np.concatenate([t for _, t in a._row_chunks(np.arange(1, 601),
                                                         600, 54)]),
@@ -1495,10 +1495,11 @@ def test_the_features_record_has_the_bits_of_its_table(n):
                 assert np.all(np.abs(got - want) <= bound), (n, kind)
                 want = dual_sums_reference(a, n)[kind][rows - 1]
             assert same_bits(got, want), (a.name, n, kind)
-        assert same_bits(eng.columns(), cols), (a.name, n)
+        assert same_bits(eng._read()[2:], cols), (a.name, n)
         want = seq.analyze_traces(np.arange(1, n + 1), cols, "c", eng.tol,
                                   eng.window)
-        assert repr(eng.column_analyses()) == repr(want), (a.name, n)
+        assert repr(eng.features().limits["columns"]) == repr(want), (
+            a.name, n)
         stack = eng.final_rows()
         assert same_bits(stack, full[-len(stack):]), (a.name, n)
 
