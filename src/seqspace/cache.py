@@ -2,13 +2,13 @@
 
 Matrices resolved from specs, transfer matrices, dense float tables, the
 features records read from rows (two row traces each, with the limit
-analyses of those traces and of the sampled columns), condition reports,
-oracle images, their limit analyses and oracle probes all live in one
-least-recently-used store, capped in bytes by :data:`CAP_BYTES`.  Every
-entry is charged its ``nbytes`` (zero for values without arrays) plus
-:data:`ENTRY_OVERHEAD`, so small values cannot pile up without bound either.
-A value whose charge alone is over the cap is returned but not held, and
-nothing is evicted for it.
+analyses of those traces and of the sampled columns, and the last complete
+row), condition reports, oracle images, their limit analyses and oracle
+probes all live in one least-recently-used store, capped in bytes by
+:data:`CAP_BYTES`.  Every entry is charged its ``nbytes`` (zero for values
+without arrays) plus :data:`ENTRY_OVERHEAD`, so small values cannot pile up
+without bound either.  A value whose charge alone is over the cap is
+returned but not held, and nothing is evicted for it.
 
 Dense tables are working memory, not contents: a few neighbouring checks
 read one, while the small entries it would push out (matrices, features
@@ -16,11 +16,11 @@ records, reports, images, probes, batteries) serve many.  So a
 ``("table", matrix key, size)`` entry, once held, replaces every other
 table whose matrix key its own key does not name, a key naming itself and
 every key nested in it.  A product's or an inverse's key nests its
-factors' keys, so the tables its build reads stay: sigma*(E*B^-1) streams
-E*B^-1 from E's table while it builds, and E's key is in its own.  A
-stream of new matrices thus holds one table at a time, not as many as the
-cap takes.  Under the cap, every table and every large entry, over a third
-of the cap (:func:`is_large`), goes first, least recent first, all but the
+factors' keys, so the tables its build reads stay: a table of E*B^-1
+reads E's table while it builds, and E's key is in its own.  A stream of
+new matrices thus holds one table at a time, not as many as the cap
+takes.  Under the cap, every table and every large entry, over a third of
+the cap (:func:`is_large`), goes first, least recent first, all but the
 newest; the others go only when no table but the newest is left.  A
 table's room under the cap is made before it is built; the tables it
 replaces go once it is built, since its build may read them.
@@ -47,18 +47,16 @@ from itertools import count
 
 #: Bytes the cache may hold.  The small entries of a whole acceptance-grid
 #: pass at the default n = 600 (1,159, of them 62 features records of two
-#: row traces each) charge 7.0 MiB, which leaves 7.0 MiB to 2.75 MiB
-#: tables.  A nested transfer check such as sigma*(E*B^-1), E an Euler
-#: mean, reads two at once (E, and the product being built, whose rows
-#: E*B^-1 streams from E's table; sigma and B^-1 are read in blocks):
-#: 5.5 MiB, and the pass ends holding such a pair, sigma*(E_{1/2}*gamma-inv)
-#: and E_{1/2}.  All 13 evictions of a cold pass, of 15 tables built, are
-#: tables: 11 replaced by a newer table, 2 under the cap.  At 11.8 MiB the
-#: pass builds one table more.
+#: row traces and a last row each) charge 7.2 MiB, and the one table the
+#: pass builds, E_{1/2}'s, 2.75 MiB: every product streams its rows, a
+#: nested transfer such as sigma*(E*B^-1), E an Euler mean, through E's
+#: table.  The pass ends holding 10.0 MiB and evicts nothing; at a 9.9 MiB
+#: cap it would evict 12 entries.
 #: A table over a third of the cap (n >= 783) is read in row chunks
-#: instead.  Below that line tables pay: a cold grid pass at n = 800 took
-#: 0.62 s CPU reading tables at a 19 MiB cap and 1.01 s streaming at this
-#: one, and at n = 880 0.70 and 0.89 s (medians of four).
+#: instead.  Below that line tables pay: a cold grid pass at n = 800, past
+#: it, takes 0.96 s CPU, E_{1/2} walked and sigma*A streamed, against
+#: 0.79 s when a 19 MiB cap held the tables of E_{1/2} and of the sigma*A
+#: transfers (medians of 24 passes on a shared 2-CPU machine).
 CAP_BYTES = 14 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.
 ENTRY_OVERHEAD = 4096

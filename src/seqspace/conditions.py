@@ -236,14 +236,17 @@ FEATURE_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class _Features:
-    """A features record: the row sums and absolute row sums (``traces``)
-    and the limit analyses by trace (``limits``), charged as its traces."""
+    """A features record: the row sums and absolute row sums (``traces``),
+    the limit analyses by trace (``limits``) and the last complete row its
+    pass read (``last``, a read-only copy), charged as its traces and that
+    row."""
     traces: np.ndarray
     limits: dict
+    last: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return self.traces.nbytes
+        return self.traces.nbytes + self.last.nbytes
 
 
 class _Engine:
@@ -251,11 +254,12 @@ class _Engine:
 
     An engine is made per evaluation and holds nothing but O(n) features in
     the cache: one pass over the truncation's row chunks fills one features
-    record per tolerance, of two row traces and the limit analyses of those
-    traces and of the sampled columns.  Every other analysis, the sups and
-    the limits of the row distances, is made when a condition asks, and
-    only its report is cached; the row distances are a second read, which
-    only (linf : cs) makes.
+    record per tolerance, of two row traces, the limit analyses of those
+    traces and of the sampled columns, and the last complete row.  Every
+    other analysis, the sups and the limits of the row distances, is made
+    when a condition asks, and only its report is cached; the row
+    distances, each row's from the record's last row, are a second read,
+    which only (linf : cs) makes.
     """
 
     def __init__(self, a: InfiniteMatrix, n: int, tol: float, window: int):
@@ -326,22 +330,21 @@ class _Engine:
         return np.unique(np.concatenate([head, tail]))
 
     def row_trace(self, kind: str):
-        rows = self.row_indices()
+        rows, record = self.row_indices(), self.features()
         if kind != "row_dist":
-            return rows, self.features().traces[int(kind == "row_abs"),
-                                                :len(rows)]
-        (_, last), = self._chunks(rows[-1:], self.n)
+            return rows, record.traces[int(kind == "row_abs"), :len(rows)]
         buf = np.empty((min(len(rows), FEATURE_BLOCK // self.n + 1), self.n))
-        return rows, np.concatenate([_reduce_rows(t, kind, last, buf[:len(t)])
-                                     for _, t in self._chunks(rows, self.n)])
+        return rows, np.concatenate([
+            _reduce_rows(t, kind, record.last, buf[:len(t)])
+            for _, t in self._chunks(rows, self.n)])
 
     def features(self) -> _Features:
         """The features record: the sums and absolute sums of
-        :meth:`row_indices`, and the limit analyses at this engine's
-        tolerance of those two traces and of the sampled columns, which the
-        same pass reads and then drops."""
+        :meth:`row_indices`, the limit analyses at this engine's tolerance
+        of those two traces and of the sampled columns, which the same pass
+        reads and then drops, and the last row it read."""
         def build():
-            out, limits = self._read(), {}
+            (out, last), limits = self._read(), {}
             if self.row_limit >= self.window:
                 rows = self.row_indices()
                 sums, absolute = analyze_traces(
@@ -351,32 +354,38 @@ class _Engine:
                 limits["columns"] = analyze_traces(
                     np.arange(1, self.n + 1), out[2:], "c", self.tol,
                     self.window)
-            return _Features(out[:2].copy(), limits)
+            return _Features(out[:2].copy(), limits, last)
         return cache.lookup(("features", self.a.key, self.n, self.window,
                              self.tol), build)
 
-    def _read(self) -> np.ndarray:
-        """The matrix's ``_features_floats``, or sums and absolute sums of
-        :meth:`row_indices` (a chunk with no sign bit is its absolute value),
+    def _read(self) -> tuple:
+        """(the matrix's ``_features_floats``, or sums and absolute sums of
+        :meth:`row_indices` (a chunk with no sign bit is its absolute value)
         then the sampled columns, read at their own width from the rows not
-        read at full width."""
+        read at full width; the last of those rows over 1..n, a read-only
+        copy, empty when no row is read).  A matrix with
+        ``_features_floats`` reads that one row alone."""
         ks = np.array(self.column_sample(), dtype=int)
         rows = (self.row_indices() if self.row_limit >= self.window
                 else np.arange(1, 1))
-        if hasattr(self.a, "_features_floats"):
-            return self.a._features_floats(rows, ks, self.n)
-        out = np.empty((2 + len(ks), self.n))
-        for lo, t in self._chunks(rows, self.n):
-            at = slice(lo, lo + len(t))
-            t.sum(axis=1, out=out[0, at])
-            out[1, at] = (_reduce_rows(t, "row_abs")
-                          if np.signbit(t).any() else out[0, at])
-            out[2:, rows[at] - 1] = t[:, ks - 1].T
-        if len(ks):
-            rest = np.delete(np.arange(1, self.n + 1), rows - 1)
-            for lo, t in self._chunks(rest, int(ks[-1])):
-                out[2:, rest[lo:lo + len(t)] - 1] = t[:, ks - 1].T
-        return out
+        if hasattr(self.a, "_features_floats"):     # a triangle: rows end at n
+            out = self.a._features_floats(rows, ks, self.n)
+            t = self.a.block(rows[-1:], self.n)
+        else:
+            out, t = np.empty((2 + len(ks), self.n)), np.empty((0, self.n))
+            for lo, t in self._chunks(rows, self.n):
+                at = slice(lo, lo + len(t))
+                t.sum(axis=1, out=out[0, at])
+                out[1, at] = (_reduce_rows(t, "row_abs")
+                              if np.signbit(t).any() else out[0, at])
+                out[2:, rows[at] - 1] = t[:, ks - 1].T
+            if len(ks):
+                rest = np.delete(np.arange(1, self.n + 1), rows - 1)
+                for lo, part in self._chunks(rest, int(ks[-1])):
+                    out[2:, rest[lo:lo + len(part)] - 1] = part[:, ks - 1].T
+        last = t[-1:].flatten()     # a copy of a chunk's or a table's row
+        last.setflags(write=False)
+        return out, last
 
     def column_sample(self) -> list:
         # Columns too close to the truncation edge cannot have settled for

@@ -247,9 +247,9 @@ class InfiniteMatrix:
 
     def _table_chunks(self, rows, m: int, step: int):
         """``_row_chunks`` of a matrix whose row costs more than its width (a
-        walk or exact entries), or whose rows are read out of order: windows
-        of the cached table of 1..s, s = max(last row, m), unless it would be
-        a large cache entry (then :meth:`_blocks`)."""
+        walk or exact entries): windows of the cached table of 1..s,
+        s = max(last row, m), unless it would be a large cache entry (then
+        :meth:`_blocks`)."""
         rows = np.asarray(rows)
         if not len(rows):
             return
@@ -718,14 +718,6 @@ class ComposedMatrix(InfiniteMatrix):
     def entry(self, n, k):
         _check_index(n, k)
         return next(self.exact_rows([n], k))[k - 1]
-
-    @property
-    def _row_chunks(self):
-        # sigma*A, the target transfer of bs and cs, is read out of order:
-        # Schur's form of (linf : cs) reads its last row first, then every
-        # row (conditions._Engine.row_trace).  So its first reader builds
-        # its table, which serves the rest.
-        return self._table_chunks if self.left.key == "sigma" else self._blocks
 
     def row_end(self, n):
         # Row n of the product reaches as far as the right factor's rows

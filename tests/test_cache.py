@@ -276,21 +276,23 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     One pass of row chunks fills one features record per (matrix key, n,
     window, tol) at every n: 62 of them, and no row-feature entry (152 when
     the engine read tables one feature at a time, 20 row distances when
-    they were cached apart).  Only rows that cost a walk, and the rows of
-    the target transfers sigma*A, which Schur's form of (linf : cs) reads
-    last row first, are read from tables: at most 15 in all, E_{1/2} built
-    once and at most 14 products, each a sigma*A; every other product
-    streams its rows (39 tables, 37 of them products and E_{1/2} built
-    twice, when every product kept one; 86 when every family did, 60 when
-    band and dual products did, 44 when scaled dual products and inverse
-    pairs did).
+    they were cached apart).  Only rows that cost a walk are read from
+    tables: the pass builds one, E_{1/2}'s, and every product streams its
+    rows, the target transfers sigma*A too, since the features record keeps
+    the last row that Schur's form of (linf : cs) measures from (15 tables,
+    14 of them sigma*A, when those were read from tables; 39, 37 of them
+    products and E_{1/2} built twice, when every product kept one; 86 when
+    every family did, 60 when band and dual products did, 44 when scaled
+    dual products and inverse pairs did).
     Each features record keeps two row traces, the sums and absolute sums,
-    and the limit analyses of those traces and of the sampled columns, so
-    the small entries of the pass charge at most 8 MiB (13.0 MiB when each
-    record kept its 17 columns), and no trace-limits entry is stored.
-    The pass's cache counters are locked: 1,174 builds, 13 evictions, and
-    1,161 entries charging 13,069,056 bytes held at its end (1,361, 1,348
-    and 13,835,008 when each trace's analysis was its own entry)."""
+    the limit analyses of those traces and of the sampled columns, and its
+    last row, so the small entries of the pass charge at most 8 MiB (13.0
+    MiB when each record kept its 17 columns), and no trace-limits entry is
+    stored.
+    The pass's cache counters are locked: 1,160 builds, no eviction, and
+    1,160 entries charging 10,482,560 bytes held at its end (1,174, 13,
+    1,161 and 13,069,056 when the sigma*A transfers kept tables; 1,361, 13,
+    1,348 and 13,835,008 when each trace's analysis was its own entry)."""
     stored, calls = [], []
     lookup, analyze = cache.lookup, sequences.analyze_limits
 
@@ -309,13 +311,13 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     grid_records()
     assert {key: cache.stats()[key] for key in
             ("misses", "evictions", "entries", "bytes")} == {
-        "misses": 1174, "evictions": 13, "entries": 1161,
-        "bytes": 13069056}
+        "misses": 1160, "evictions": 0, "entries": 1160,
+        "bytes": 10482560}
     tables = [k for k in stored if k[0] == "table"]
     products = [k for k in tables if isinstance(k[1], tuple)
                 and k[1][0] == "compose"]
-    assert len(products) <= 14
-    assert len(tables) <= 15
+    assert products == []
+    assert len(tables) == 1
     assert all(k[1][1] == "sigma" for k in products)
     bidiagonals = {"omega-inv", "gamma-inv", "sigma-inv", "cesaro-inv"}
     sums_and_means = {"omega", "gamma", "sigma", "cesaro"}

@@ -36,6 +36,7 @@ from seqspace.domains import space_from_spec
 from seqspace.duality import DualTriangle, dual_membership, dual_transfer_matrix
 from seqspace.matrices import (
     DENSE_LIMIT,
+    WeightedMeans,
     apply,
     cesaro_matrix,
     compose,
@@ -315,7 +316,7 @@ def test_a_features_record_holds_the_analyses_of_its_own_traces(spec, n):
     record, = held.values()
     eng = _Engine(a, n, CLASS_TOL, window)
     want = {"columns": sequences.analyze_traces(
-        np.arange(1, n + 1), eng._read()[2:], "c", CLASS_TOL, window)}
+        np.arange(1, n + 1), eng._read()[0][2:], "c", CLASS_TOL, window)}
     if spec == "taylor:1/4":
         rows = eng.row_indices()
         assert rows[-1] == eng.row_limit == 358
@@ -821,6 +822,28 @@ def test_sampled_path_gives_the_dense_verdicts():
         assert verdicts_of(rep) == verdicts_of(dense), cell
         assert rep.routes_agree() is True, cell
     assert took < 10.0, took
+
+
+def test_a_cs_check_set_walks_its_sigma_transfer_twice(monkeypatch):
+    # The (c0 : cs), (c : cs) and (linf : cs) checks of A = E_{1/2}*omega-inv
+    # read sigma*A twice in all: the features pass, which keeps the last
+    # complete row, and the row distances from that row.  Every walk
+    # hands sigma's running sums each of A's rows 1..600 once.
+    rows = []
+    carried = WeightedMeans._apply_carried
+
+    def counted(self, xf, lo, state):
+        if self.key == "sigma":
+            rows.append(xf.shape[-1])
+        return carried(self, xf, lo, state)
+
+    monkeypatch.setattr(WeightedMeans, "_apply_carried", counted)
+    a = compose("euler:1/2", "omega-inv")
+    cache.clear()
+    for f in ("c0", "c", "linf"):
+        check_class(a, f, "cs", n=600)
+    cache.clear()
+    assert sum(rows) == 2 * 600
 
 
 def test_sigma_targets_run_at_the_truncation_asked_for():

@@ -909,27 +909,32 @@ def test_carried_forms_have_the_table_bits_in_any_chunks(left, monkeypatch):
 #: Products that stream their rows, by rule: a left factor's carried form
 #: over an Euler table or walk, over a band-right product, and as a band
 #: whose state a gap in the rows drops; a band's row-side form on Euler and
-#: on Taylor rows, the latter read b columns wider.
+#: on Taylor rows, the latter read b columns wider; and sigma*A, the target
+#: transfer of bs and cs, over running sums, a mean and a band-right
+#: product.
 STREAMED_PRODUCTS = (("omega", "euler:1/2"),
                      ("cesaro", ("euler:1/2", "omega-inv")),
                      ("omega-inv", "euler:1/3"),
                      ("euler:1/2", "gamma-inv"),
-                     ("taylor:1/4", "omega-inv"))
+                     ("taylor:1/4", "omega-inv"),
+                     ("sigma", "omega"),
+                     ("sigma", "cesaro"),
+                     ("sigma", ("euler:1/2", "gamma-inv")))
 
 
 @pytest.mark.parametrize("n", (600, 783, 911))
 def test_streamed_products_have_the_bits_of_their_tables(n):
-    # A product other than sigma*A reads its rows by its rule, chunk by
-    # chunk, never through a table: every chunk is at its place, and the
-    # rows have the bits of the table read whole, on both sides of the
-    # large-entry line, for every row and for gapped rows.
+    # A product reads its rows by its rule, chunk by chunk, never through a
+    # table: every chunk is at its place, and the rows have the bits of the
+    # table read whole, on both sides of the large-entry line, for every
+    # row and for gapped rows.
     rng = np.random.default_rng(n)
     gapped = np.union1d(rng.choice(np.arange(2, n), size=60, replace=False),
                         [1, n - 1, n])
     for left, right in STREAMED_PRODUCTS:
         a = mat.compose(left, mat.compose(*right) if isinstance(right, tuple)
                         else right)
-        assert isinstance(a, mat.ComposedMatrix) and a.left.key != "sigma"
+        assert isinstance(a, mat.ComposedMatrix)
         table = a.truncation_floats(n)
         for step in (1, 54, n):
             for rows in (np.arange(1, n + 1), gapped):
@@ -1495,13 +1500,45 @@ def test_the_features_record_has_the_bits_of_its_table(n):
                 assert np.all(np.abs(got - want) <= bound), (n, kind)
                 want = dual_sums_reference(a, n)[kind][rows - 1]
             assert same_bits(got, want), (a.name, n, kind)
-        assert same_bits(eng._read()[2:], cols), (a.name, n)
+        assert same_bits(eng._read()[0][2:], cols), (a.name, n)
         want = seq.analyze_traces(np.arange(1, n + 1), cols, "c", eng.tol,
                                   eng.window)
         assert repr(eng.features().limits["columns"]) == repr(want), (
             a.name, n)
         stack = eng.final_rows()
         assert same_bits(stack, full[-len(stack):]), (a.name, n)
+
+
+@pytest.mark.parametrize("spec", ("sigma*taylor:1/4",
+                                  "sigma*(euler:1/2*gamma-inv)",
+                                  "euler:1/2", "gamma*sigma-inv"))
+def test_the_features_record_keeps_a_copy_of_its_last_row(spec):
+    # The features pass keeps the last complete row it read, which the row
+    # distances of Schur's form of (linf : cs) measure from: a read-only
+    # array of its own, with the bits of the table's row ``row_limit`` and
+    # charged to the record.  Its pass reads sigma*A and sigma*T_{1/4}
+    # (whose rows stop at 358) chunk by chunk and E_{1/2} from its table,
+    # and it reads one row of the dual triangle gamma*sigma-inv, whose
+    # features come from its O(n) terms.
+    a = {"sigma*taylor:1/4": lambda: mat.compose("sigma", "taylor:1/4"),
+         "sigma*(euler:1/2*gamma-inv)": lambda: mat.compose(
+             "sigma", mat.compose("euler:1/2", "gamma-inv")),
+         "euler:1/2": lambda: matrix_from_spec("euler:1/2"),
+         "gamma*sigma-inv": lambda: mat.compose("gamma", "sigma-inv")}[spec]()
+    assert hasattr(a, "_features_floats") == (spec == "gamma*sigma-inv")
+    n = 600
+    cache.clear()
+    eng = _Engine(a, n, 1.5e-3, n // 10)
+    record = eng.features()
+    last = record.last
+    table = a.truncation_floats(n)
+    assert eng.row_limit == (358 if "taylor" in spec else n)
+    assert same_bits(last, table[eng.row_limit - 1]), spec
+    assert last.flags.owndata and last.base is None
+    assert not last.flags.writeable
+    assert not np.shares_memory(last, table)
+    assert record.nbytes == record.traces.nbytes + 8 * n
+    cache.clear()
 
 
 # ---------------------------------------------------------------------------
