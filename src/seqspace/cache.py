@@ -7,23 +7,17 @@ row), condition reports, oracle images, their limit analyses and oracle
 probes all live in one least-recently-used store, capped in bytes by
 :data:`CAP_BYTES`.  Every entry is charged its ``nbytes`` (zero for values
 without arrays) plus :data:`ENTRY_OVERHEAD`, so small values cannot pile up
-without bound either.  A value whose charge alone is over the cap is
-returned but not held, and nothing is evicted for it.
+without bound either.  Past the cap the least recently used entries go,
+one at a time.  A value whose charge alone is over the cap is returned but
+not held, and nothing is evicted for it.
 
 Dense tables are working memory, not contents: a few neighbouring checks
-read one, while the small entries it would push out (matrices, features
-records, reports, images, probes, batteries) serve many.  So a
-``("table", matrix key, size)`` entry, once held, replaces every other
-table whose matrix key its own key does not name, a key naming itself and
-every key nested in it.  A product's or an inverse's key nests its
-factors' keys, so the tables its build reads stay: a table of E*B^-1
-reads E's table while it builds, and E's key is in its own.  A stream of
-new matrices thus holds one table at a time, not as many as the cap
-takes.  Under the cap, every table and every large entry, over a third of
-the cap (:func:`is_large`), goes first, least recent first, all but the
-newest; the others go only when no table but the newest is left.  A
-table's room under the cap is made before it is built; the tables it
-replaces go once it is built, since its build may read them.
+read one, while the small entries (matrices, features records, reports,
+images, probes, batteries) serve many.  So a ``("table", matrix key,
+size)`` entry, once held, evicts every other held table, and a stream of
+new matrices holds one table at a time, not as many as the cap takes.
+Room for a table is made only once it is built, so while it builds the
+cache may hold the cap plus that table.
 
 Keys are tuples whose second item is a matrix key (``InfiniteMatrix.key``):
 the canonical spec for matrices resolved from specs (``"euler:1/2"``), the
@@ -34,9 +28,8 @@ serial number for every other matrix.  Limit analyses are held in the
 features record of their traces and per image target.  Serial numbers are
 never reused, so two matrices that happen to share a label never share an
 entry, and the entries of a serial-keyed matrix are dropped once the
-matrix is gone.  No cached value
-refers back to a matrix that refers to the cache, so an evicted table is
-freed at once.
+matrix is gone.  No cached value refers back to a matrix that refers to
+the cache, so an evicted table is freed at once.
 """
 
 from __future__ import annotations
@@ -45,18 +38,17 @@ import weakref
 from collections import OrderedDict
 from itertools import count
 
-#: Bytes the cache may hold.  The small entries of a whole acceptance-grid
-#: pass at the default n = 600 (1,159, of them 62 features records of two
-#: row traces and a last row each) charge 7.2 MiB, and the one table the
-#: pass builds, E_{1/2}'s, 2.75 MiB: every product streams its rows, a
-#: nested transfer such as sigma*(E*B^-1), E an Euler mean, through E's
-#: table.  The pass ends holding 10.0 MiB and evicts nothing; at a 9.9 MiB
-#: cap it would evict 12 entries.
-#: A table over a third of the cap (n >= 783) is read in row chunks
-#: instead.  Below that line tables pay: a cold grid pass at n = 800, past
-#: it, takes 0.96 s CPU, E_{1/2} walked and sigma*A streamed, against
-#: 0.79 s when a 19 MiB cap held the tables of E_{1/2} and of the sigma*A
-#: transfers (medians of 24 passes on a shared 2-CPU machine).
+#: Bytes the cache may hold, room for the working set of an acceptance-grid
+#: pass at the default n = 600.  Its small entries (1,159, of them 62 features
+#: records of two row traces and a last row each) charge 7.2 MiB, and the
+#: one table it builds, E_{1/2}'s, 2.75 MiB: every product streams its rows,
+#: a nested transfer such as sigma*(E*B^-1), E an Euler mean, through E's
+#: table.  The pass ends holding 10.0 MiB and evicts nothing.
+#: A reader of many rows builds no table over a third of the cap (n >= 783,
+#: :func:`is_large`): it reads the rows in chunks.  Below that line tables
+#: pay: a cold grid pass at n = 800 takes 0.96 s CPU, against 0.79 s when a
+#: 19 MiB cap held its tables (medians of 24 passes on a shared 2-CPU
+#: machine).
 CAP_BYTES = 14 * 2 ** 20
 #: Bytes charged to every entry on top of its arrays.
 ENTRY_OVERHEAD = 4096
@@ -78,19 +70,12 @@ def serial_key(owner) -> tuple:
     return ("serial", serial)
 
 
-def lookup(key: tuple, build, nbytes: int = 0):
-    """The cached value for ``key``, made by ``build()`` on a miss.
-
-    ``nbytes``, when given, is the size of the value's arrays, known before
-    the build: room for it is made first, unless it is over the cap.  A
-    table held replaces every other table that its key does not name.
-    """
+def lookup(key: tuple, build):
+    """The cached value for ``key``, made by ``build()`` on a miss."""
     _drop_dead()
     got = _get(key)
     if got is not None:
         return got[0]
-    if nbytes and ENTRY_OVERHEAD + nbytes <= CAP_BYTES:
-        _make_room(ENTRY_OVERHEAD + nbytes)
     value = build()
     _put(key, value)
     return value
@@ -130,56 +115,37 @@ def _get(key):
 
 
 def _put(key, value) -> None:
-    """Hold ``value`` and evict down to the cap, unless it is over the cap.
-    A table held first evicts every other table that its key does not name."""
+    """Hold ``value`` and evict the least recently used entries down to the
+    cap, unless it is over the cap.  A table held first evicts every other
+    table."""
     global _held
     charge = ENTRY_OVERHEAD + int(getattr(value, "nbytes", 0))
     if charge > CAP_BYTES:
         return
-    named = _named(key)
     if key[0] == "table":
-        for other in [k for k in _entries if k[0] == "table"
-                      and k[1] not in named]:
+        for other in [k for k in _entries if k[0] == "table"]:
             _evict(other)
     _entries[key] = (value, charge)
     _held += charge
-    for serial in _serials_in(named):
+    for serial in _serials_in(key):
         _by_serial.setdefault(serial, set()).add(key)
-    _make_room(0)
+    while _held > CAP_BYTES:
+        _evict(next(iter(_entries)))
 
 
 def is_large(nbytes: int) -> bool:
-    """Whether an entry of ``nbytes`` is large: over a third of the cap."""
+    """Whether a table of ``nbytes`` is past the streaming line, over a third
+    of the cap: its matrix's rows are then read in chunks without it."""
     return nbytes > CAP_BYTES // 3
 
 
-def _named(key) -> set:
-    """``key`` and every key nested in it."""
-    named = {key}
-    if isinstance(key, tuple):
-        for part in key:
-            named |= _named(part)
-    return named
-
-
-def _serials_in(named) -> list:
-    return [part[1] for part in named if isinstance(part, tuple)
-            and len(part) == 2 and part[0] == "serial"]
-
-
-def _make_room(incoming: int) -> None:
-    """Evict until ``incoming`` more bytes fit: tables and large entries
-    first, least recent first, all but the newest.  An incoming large entry
-    becomes the most recent of them, so then every held one may go before
-    the others."""
-    keep = 0 if is_large(incoming) else 1
-    while _entries and _held + incoming > CAP_BYTES:
-        first = [k for k, (_, charge) in _entries.items()
-                 if k[0] == "table" or is_large(charge)]
-        if len(first) > keep or len(first) == len(_entries):
-            _evict(first[0])
-        else:
-            _evict(next(k for k in _entries if k not in first))
+def _serials_in(key) -> set:
+    """The serial numbers of the serial keys in ``key`` or nested in it."""
+    if not isinstance(key, tuple):
+        return set()
+    if len(key) == 2 and key[0] == "serial":
+        return {key[1]}
+    return set().union(*map(_serials_in, key))
 
 
 def _evict(key) -> None:
@@ -193,7 +159,7 @@ def _forget(key) -> None:
     if got is None:
         return
     _held -= got[1]
-    for serial in _serials_in(_named(key)):
+    for serial in _serials_in(key):
         keys = _by_serial.get(serial)
         if keys is not None:
             keys.discard(key)

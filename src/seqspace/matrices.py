@@ -227,8 +227,7 @@ class InfiniteMatrix:
             table = self.block(np.arange(1, size + 1), size)
             table.setflags(write=False)
             return table
-        return cache.lookup(("table", self.key, size), build,
-                            nbytes=8 * size * size)
+        return cache.lookup(("table", self.key, size), build)
 
     def _blocks(self, rows, m: int, step: int):
         """Rows ``rows`` (strictly increasing, 1-based) over columns 1..m in
@@ -248,8 +247,8 @@ class InfiniteMatrix:
     def _table_chunks(self, rows, m: int, step: int):
         """``_row_chunks`` of a matrix whose row costs more than its width (a
         walk or exact entries): windows of the cached table of 1..s,
-        s = max(last row, m), unless it would be a large cache entry (then
-        :meth:`_blocks`)."""
+        s = max(last row, m), unless that table is past the streaming line
+        (:func:`cache.is_large`; then :meth:`_blocks`)."""
         rows = np.asarray(rows)
         if not len(rows):
             return

@@ -57,47 +57,55 @@ def test_stats_count_hits_misses_and_evictions(monkeypatch):
                              "bytes": 0, "entries": 0}
 
 
-def test_large_entries_go_first_but_the_newest_stays(monkeypatch):
-    monkeypatch.setattr(cache, "CAP_BYTES", 10 * 2 ** 20)
-    big = 4 * 2 ** 20   # above a third of the cap
-    mib = 2 ** 20       # below it
-    cache.lookup(("small",), lambda: np.zeros(2 ** 17))
-    cache.lookup(("big", 1), lambda: np.zeros(big // 8), nbytes=big)
-    cache.lookup(("big", 2), lambda: np.zeros(big // 8), nbytes=big)
-    # A third large entry evicts the oldest large one, not the older small one.
-    cache.lookup(("big", 3), lambda: np.zeros(big // 8), nbytes=big)
-    held = set(cache._entries)
-    assert ("small",) in held and ("big", 1) not in held
-    assert {("big", 2), ("big", 3)} <= held
-    # Tables go first at any size: a 1 MiB table whose build reads eleven
-    # more of its matrix's tables, each named by its key and so kept, evicts
-    # both large entries and the oldest tables it read, not the small entry
-    # made before them.
-    def reads_eleven():
-        for i in range(11):
-            cache.lookup(("table", "m", i), lambda: np.zeros(mib // 8),
-                         nbytes=mib)
+def test_eviction_takes_the_least_recent_entry_table_or_not(monkeypatch):
+    """One least-recently-used order: past the cap the least recent held
+    entry goes, a table as well as any other.  A table, once held, evicts
+    every other table, the ones its own build read too, so a new table
+    leaves exactly one table held."""
+    mib = 2 ** 20
+    monkeypatch.setattr(cache, "CAP_BYTES", 4 * (cache.ENTRY_OVERHEAD + mib))
+
+    def put(key, build=lambda: np.zeros(mib // 8)):
+        cache.lookup(key, build)
+
+    def tables():
+        return [k for k in cache._entries if k[0] == "table"]
+
+    for key in (("table", "a", 1), ("small", 1), ("small", 2),
+                ("table", "b", 1)):
+        put(key)
+    assert list(cache._entries) == [("small", 1), ("small", 2),
+                                    ("table", "b", 1)]
+    put(("small", 3))
+    put(("small", 1))   # a hit: now the most recent
+    put(("small", 4))   # evicts small 2, the least recent
+    assert list(cache._entries) == [("table", "b", 1), ("small", 3),
+                                    ("small", 1), ("small", 4)]
+    put(("small", 5))   # evicts the table, now the least recent
+    assert tables() == [] and ("small", 3) in cache._entries
+    put(("table", "c", 1))   # no table to replace: evicts small 3
+    assert ("small", 3) not in cache._entries
+    assert cache.stats()["evictions"] == 4
+
+    def reads_c_and_d():
+        put(("table", "c", 1))
+        put(("table", "d", 1))
         return np.zeros(mib // 8)
 
-    cache.lookup(("table", "m", 11), reads_eleven, nbytes=mib)
-    held = set(cache._entries)
-    assert ("small",) in held and ("table", "m", 11) in held
-    assert not {("big", 2), ("big", 3), ("table", "m", 0)} & held
-    # Once only the newest table is left, small entries go before it.
-    for i in range(12):
-        cache.lookup(("other", i), lambda: np.zeros(mib // 8))
-    tables = [k for k in cache._entries if k[0] in ("table", "big")]
-    assert tables == [("table", "m", 11)]
-    assert ("small",) not in cache._entries
+    # c and d are read while the product's table builds, d replacing c, and
+    # the product's table replaces d once it is held.
+    put(("table", ("compose", "c", "d"), 1), reads_c_and_d)
+    assert tables() == [("table", ("compose", "c", "d"), 1)]
+    assert cache.stats() == {"hits": 2, "misses": 10, "evictions": 6,
+                             "bytes": cache.CAP_BYTES, "entries": 4}
 
 
-def test_a_new_table_replaces_the_tables_its_build_did_not_read(monkeypatch):
+def test_a_new_table_replaces_every_other_table(monkeypatch):
     """Tables are working memory: the sweep's queries of E_{3/4} and then
-    E_{5/7} leave only E_{5/7}'s table held, though both fit the cap.  A
-    table keeps the tables its key names: sigma*(E_{1/2}*omega-inv), which
-    reads E_{1/2}*omega-inv from E_{1/2}'s table while it builds, nests
-    E_{1/2}'s key in its own, so that one stays.  Each table replaced is an
-    eviction."""
+    E_{5/7} leave only E_{5/7}'s table held, though both fit the cap, and
+    sigma*(E_{1/2}*omega-inv), whose table reads E_{1/2}*omega-inv from
+    E_{1/2}'s table while it builds, leaves only its own.  Each table
+    replaced is an eviction."""
     monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
     from workloads import _query
 
@@ -112,8 +120,36 @@ def test_a_new_table_replaces_the_tables_its_build_did_not_read(monkeypatch):
     assert cache.stats()["evictions"] == 1
     transfer = compose("sigma", compose("euler:1/2", "omega-inv"))
     transfer.truncation_floats(600)
-    assert tables() == {"euler:1/2", transfer.key}
-    assert cache.stats()["evictions"] == 2
+    assert tables() == {transfer.key}
+    assert cache.stats()["evictions"] == 3
+
+
+def test_the_sweep_under_a_smaller_cap_evicts_only_replaced_tables(
+        monkeypatch):
+    """The sweep's commands for seeds 1-3, run in one process, give the
+    same outputs at a 9 MiB cap as at the default one.  Their small entries
+    and one table fit it, so they evict only the 10 tables that newer
+    tables replace and miss no more often than at the default cap."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    from workloads import _run_cli, sweep_prepare
+    commands = [c["argv"] for seed in (1, 2, 3)
+                for c in sweep_prepare(seed)["commands"]]
+    want = [_run_cli(list(argv)) for argv in commands]
+    assert cache.stats()["misses"] == 924
+    cache.clear()
+    evicted = []
+    evict = cache._evict
+
+    def recorded(key):
+        evicted.append(key)
+        evict(key)
+
+    monkeypatch.setattr(cache, "CAP_BYTES", 9 * 2 ** 20)
+    monkeypatch.setattr(cache, "_evict", recorded)
+    assert [_run_cli(list(argv)) for argv in commands] == want
+    assert len(evicted) == 10 and all(k[0] == "table" for k in evicted)
+    got = cache.stats()
+    assert (got["misses"], got["evictions"]) == (924, 10)
 
 
 def test_a_value_over_the_cap_is_returned_but_not_held():
@@ -137,22 +173,24 @@ def test_a_value_over_the_cap_is_returned_but_not_held():
 
 def test_evicted_table_is_freed_at_once(monkeypatch):
     """No reference cycle keeps an evicted table alive until the cyclic
-    garbage collector runs, transfer matrices included."""
+    garbage collector runs, transfer matrices included: E's table goes
+    when omega*E's replaces it, and omega*E's when a filler evicts it."""
     gc.collect()
     gc.disable()
     try:
         check_class("euler:1/3", "c", "c(omega)")
         check_class("euler:1/3", "c0(omega)", "c")
         a = matrix_from_spec("euler:1/3")
-        refs = [weakref.ref(a.truncation_floats(600)),
-                weakref.ref(target_transfer_matrix(a, "omega")
-                            .truncation_floats(600))]
+        own = weakref.ref(a.truncation_floats(600))
+        assert own() is not None
+        transfer = weakref.ref(target_transfer_matrix(a, "omega")
+                               .truncation_floats(600))
         del a
-        assert all(r() is not None for r in refs)
+        assert own() is None and transfer() is not None
         monkeypatch.setattr(cache, "CAP_BYTES", 2 * cache.ENTRY_OVERHEAD)
         cache.lookup(("filler",), lambda: None)
         assert cache.stats()["evictions"] > 0
-        assert all(r() is None for r in refs)
+        assert transfer() is None
     finally:
         gc.enable()
 
@@ -251,9 +289,9 @@ def test_a_stream_of_new_matrices_stays_bounded():
 
 def test_a_warm_grid_pass_misses_nothing():
     """The default cap, 14 MiB, holds the working set of the acceptance
-    grid: tables go first, so the O(n) entries of all 608 cells outlive
-    them, and a second pass over the grid in the same process makes no
-    cache miss and evicts nothing."""
+    grid, its one table and the O(n) entries of all 608 cells, so a second
+    pass over the grid in the same process makes no cache miss and evicts
+    nothing."""
     assert cache.CAP_BYTES == 14 * 2 ** 20
     grid_records()
     first = cache.stats()
@@ -261,6 +299,23 @@ def test_a_warm_grid_pass_misses_nothing():
     second = cache.stats()
     assert second["misses"] == first["misses"]
     assert second["evictions"] == first["evictions"]
+
+
+@pytest.mark.parametrize("cap_mib, counters", (
+    (6, {"hits": 7560, "misses": 1159, "evictions": 187, "bytes": 6275712,
+         "entries": 972}),
+    (9, {"hits": 7585, "misses": 1160, "evictions": 140, "bytes": 9419520,
+         "entries": 1020})), ids=("6MiB", "9MiB"))
+def test_a_grid_pass_under_a_smaller_cap_keeps_its_counters(
+        monkeypatch, cap_mib, counters):
+    """Past the cap the least recently used entry goes, table or not.  At
+    6 MiB E_{1/2}'s table is past the streaming line, so it is never built
+    and the pass misses once less; at 9 MiB it is built, and the 140
+    entries evicted are all small ones less recently used than it.  A cold
+    pass's counters at both caps are locked."""
+    monkeypatch.setattr(cache, "CAP_BYTES", cap_mib * 2 ** 20)
+    grid_records()
+    assert cache.stats() == counters
 
 
 def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
@@ -296,11 +351,11 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     stored, calls = [], []
     lookup, analyze = cache.lookup, sequences.analyze_limits
 
-    def counted_lookup(key, build, nbytes=0):
+    def counted_lookup(key, build):
         def counted():
             stored.append(key)
             return build()
-        return lookup(key, counted, nbytes)
+        return lookup(key, counted)
 
     def counted_analyze(*args, **kwargs):
         calls.append(1)
@@ -343,7 +398,7 @@ def test_a_grid_pass_builds_each_distinct_thing_once(monkeypatch):
     assert all("columns" in cache._entries[k][0].limits for k in features)
     assert not [k for k in stored if k[0] == "trace-limits"]
     small = sum(charge for key, (_, charge) in cache._entries.items()
-                if not (key[0] == "table" or cache.is_large(charge)))
+                if key[0] != "table")
     assert small <= 8 * 2 ** 20
 
 
@@ -381,9 +436,9 @@ def test_the_sweep_queries_build_no_product_table(monkeypatch):
     keys = []
     lookup = cache.lookup
 
-    def counted_lookup(key, build, nbytes=0):
+    def counted_lookup(key, build):
         keys.append(key)
-        return lookup(key, build, nbytes)
+        return lookup(key, build)
 
     monkeypatch.setattr(cache, "lookup", counted_lookup)
     for family, spec in (("euler", "euler:3/4"), ("riesz", "riesz:power:2")):
@@ -400,9 +455,9 @@ def test_closed_form_families_build_no_table(monkeypatch):
     keys = []
     lookup = cache.lookup
 
-    def counted_lookup(key, build, nbytes=0):
+    def counted_lookup(key, build):
         keys.append(key)
-        return lookup(key, build, nbytes)
+        return lookup(key, build)
 
     monkeypatch.setattr(cache, "lookup", counted_lookup)
     for spec, source, target in (("riesz:power:2", "c0(omega)", "c"),
@@ -437,8 +492,8 @@ def test_a_check_past_the_limit_keeps_the_tables_it_shares():
 
 def test_large_truncations_are_read_without_their_tables():
     """Regularity reports at n = 2000 stream their truncations: a 32 MB
-    table would be a large entry, and two of them overflow the cap, so
-    they are never built and nothing an earlier check left is evicted."""
+    table is past the streaming line, over the whole cap, so it is never
+    built and nothing an earlier check left is evicted."""
     check_class("cesaro", "c0", "c")
     for spec in ("euler:3/4", "taylor:1/4"):
         regularity_report(spec)
@@ -447,7 +502,7 @@ def test_large_truncations_are_read_without_their_tables():
 
 
 def test_a_product_past_the_line_is_read_without_tables():
-    """Between the large-entry line and DENSE_LIMIT a product is read in row
+    """Between the streaming line and DENSE_LIMIT a product is read in row
     chunks from its factors: a check of E_{1/2} into c(omega) at n = 2000
     builds neither the 32 MB table of omega*E_{1/2} nor E_{1/2}'s own, and
     evicts nothing that earlier checks left."""

@@ -866,7 +866,7 @@ def test_sigma_products_past_the_dense_limit_are_running_sums(monkeypatch):
         assert same_bits(a.block(rows, 300),
                          reference(left, "cesaro", 2500, 300)[rows - 1])
     # A small limit makes chunks of 12 rows, so most sums carry one over;
-    # with every table a large cache entry, the right factor is read in
+    # with every table past the streaming line, the right factor is read in
     # chunks too.
     monkeypatch.setattr(mat, "DENSE_LIMIT", 60)
     monkeypatch.setattr(cache, "CAP_BYTES", 0)
@@ -926,7 +926,7 @@ STREAMED_PRODUCTS = (("omega", "euler:1/2"),
 def test_streamed_products_have_the_bits_of_their_tables(n):
     # A product reads its rows by its rule, chunk by chunk, never through a
     # table: every chunk is at its place, and the rows have the bits of the
-    # table read whole, on both sides of the large-entry line, for every
+    # table read whole, on both sides of the streaming line, for every
     # row and for gapped rows.
     rng = np.random.default_rng(n)
     gapped = np.union1d(rng.choice(np.arange(2, n), size=60, replace=False),
@@ -957,7 +957,7 @@ def test_identity_and_zero_products_read_as_their_factor(factor):
     # factor with a carried form, is the factor it reads as (zero for a
     # zero product) under the product's name and with that factor's key.
     # Every read has the bits of the product built as it stands, at the
-    # table sizes and past the large-entry line.  Any other product with
+    # table sizes and past the streaming line.  Any other product with
     # identity or zero on the right stays a product.
     rng = np.random.default_rng(7)
     carried = hasattr(matrix_from_spec(factor), "_apply_carried")
@@ -1116,9 +1116,9 @@ def test_running_sums_times_an_inverse_pair_read_as_running_sums(
     keys = []
     lookup = cache.lookup
 
-    def counted_lookup(key, build, nbytes=0):
+    def counted_lookup(key, build):
         keys.append(key)
-        return lookup(key, build, nbytes)
+        return lookup(key, build)
 
     monkeypatch.setattr(cache, "lookup", counted_lookup)
     sigma = matrix_from_spec("sigma")
@@ -1451,9 +1451,9 @@ def streamed_matrices():
     yield mat.compose("taylor:1/4", "gamma-inv")
 
 
-#: The first truncation whose table would be a large entry at the default
-#: cache cap, so the first whose rows are streamed in blocks without it:
-#: 783 at 14 MiB (912 at the former 19 MiB, still a case below).
+#: The first truncation whose table is past the streaming line at the
+#: default cache cap, so the first whose rows are streamed in blocks
+#: without it: 783 at 14 MiB (912 at the former 19 MiB, still a case below).
 FIRST_STREAMED = next(n for n in range(1, DENSE_LIMIT + 1)
                       if cache.is_large(8 * n * n))
 

@@ -219,8 +219,8 @@ def test_grid_matches_golden(golden):
 
 def test_grid_matches_golden_under_eviction(golden, monkeypatch):
     """Every cached value is rebuilt the same way: at 6 MiB a 600 x 600
-    table is a large entry, so rows are read in chunks without one, and the
-    small entries of a pass (7.9 MiB) overflow the cap, so features
+    table is past the streaming line, so rows are read in chunks without
+    one, and the small entries of a pass (7.2 MiB) overflow the cap, so features
     records, limit analyses, reports and images are evicted within and
     between matrices, and the records do not change."""
     monkeypatch.setattr(cache, "CAP_BYTES", 6 * 2 ** 20)
